@@ -58,39 +58,6 @@ void BM_TechnologyMapping(benchmark::State& state) {
 }
 BENCHMARK(BM_TechnologyMapping)->Arg(0)->Arg(1);
 
-// The pointer/compact split below pins each benchmark's StaOptions::graph
-// explicitly. The historical names (BM_StaFullAnalysis, BM_StaFull/
-// IncrementalRetimeSingleEdit, BM_MonteCarloSta) measure the pointer
-// path so their BENCH_baseline.json series stay comparable across the
-// layout change; the *Compact* entries measure the flat SoA graph
-// (docs/data-layout.md). All of them produce byte-identical timing
-// numbers — only the work per analysis differs.
-sta::StaOptions pointer_opt() {
-  sta::StaOptions opt;
-  opt.graph = sta::GraphKind::kPointer;
-  return opt;
-}
-
-sta::StaOptions compact_opt() {
-  sta::StaOptions opt;
-  opt.graph = sta::GraphKind::kCompact;
-  return opt;
-}
-
-void BM_StaFullAnalysis(benchmark::State& state) {
-  const auto aig =
-      designs::make_design("alu32", designs::DatapathStyle::kSynthesized);
-  const auto nl =
-      synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
-  const sta::StaOptions opt = pointer_opt();
-  for (auto _ : state) {
-    const auto r = sta::analyze(nl, opt);
-    benchmark::DoNotOptimize(r.min_period_tau);
-  }
-  state.counters["instances"] = static_cast<double>(nl.num_instances());
-}
-BENCHMARK(BM_StaFullAnalysis);
-
 // One-shot compact analysis: the per-call CompactGraph build is included,
 // so this measures the cold path a single batch analyze() pays.
 void BM_StaFullAnalysisCompact(benchmark::State& state) {
@@ -98,7 +65,7 @@ void BM_StaFullAnalysisCompact(benchmark::State& state) {
       designs::make_design("alu32", designs::DatapathStyle::kSynthesized);
   const auto nl =
       synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
-  const sta::StaOptions opt = compact_opt();
+  const sta::StaOptions opt{};
   for (auto _ : state) {
     const auto r = sta::analyze(nl, opt);
     benchmark::DoNotOptimize(r.min_period_tau);
@@ -122,7 +89,7 @@ void BM_StaFullRetimeSingleEdit(benchmark::State& state) {
   const auto aig =
       designs::make_design("mac16", designs::DatapathStyle::kSynthesized);
   auto nl = synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
-  const sta::StaOptions opt = pointer_opt();
+  const sta::StaOptions opt{};
   const InstanceId victim{
       static_cast<std::uint32_t>(nl.num_instances() - 1)};
   double drive = 4.0;
@@ -141,14 +108,14 @@ BENCHMARK(BM_StaFullRetimeSingleEdit);
 // patches the victim's values in place and re-propagates everything.
 // Semantically identical work to BM_StaFullRetimeSingleEdit (a complete
 // arrival pass per edit, byte-identical min period) — the gap between
-// the two series is the flat layout + amortized build, i.e. the headline
-// speedup of docs/data-layout.md. The /1 vs /4 variants differ only in
-// ThreadPool lanes over the wavefronts; answers are bit-identical.
+// the two series is the amortized graph build. The /1 vs /4 variants
+// differ only in ThreadPool lanes over the wavefronts; answers are
+// bit-identical.
 void BM_StaCompactResidentReanalysis(benchmark::State& state) {
   const auto aig =
       designs::make_design("mac16", designs::DatapathStyle::kSynthesized);
   auto nl = synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
-  const sta::StaOptions opt = compact_opt();
+  const sta::StaOptions opt{};
   sta::CompactGraph g(nl);
   common::ThreadPool pool(static_cast<int>(state.range(0)));
   common::ThreadPool* lanes = pool.size() > 1 ? &pool : nullptr;
@@ -169,33 +136,13 @@ void BM_StaCompactResidentReanalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_StaCompactResidentReanalysis)->Arg(1)->Arg(4);
 
-void BM_StaIncrementalRetimeSingleEdit(benchmark::State& state) {
-  const auto aig =
-      designs::make_design("mac16", designs::DatapathStyle::kSynthesized);
-  auto nl = synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
-  sta::IncrementalTimer timer(nl, pointer_opt(), /*threads=*/1);
-  benchmark::DoNotOptimize(timer.timing().min_period_tau);  // warm build
-  const InstanceId victim{
-      static_cast<std::uint32_t>(nl.num_instances() - 1)};
-  double drive = 4.0;
-  for (auto _ : state) {
-    const auto st = timer.apply(sta::Edit::set_drive(victim, drive));
-    benchmark::DoNotOptimize(st.ok());
-    const auto r = timer.timing();
-    benchmark::DoNotOptimize(r.min_period_tau);
-    drive = drive == 4.0 ? 8.0 : 4.0;
-  }
-  state.counters["instances"] = static_cast<double>(nl.num_instances());
-}
-BENCHMARK(BM_StaIncrementalRetimeSingleEdit);
-
-// Dirty-cone re-propagation on the compact layout: the timer's wavefront
-// flush walks the flat arrays instead of Instance/Net objects.
+// Dirty-cone re-propagation: the resident timer's wavefront flush
+// re-times only the victim's fanout cone.
 void BM_StaIncrementalRetimeSingleEditCompact(benchmark::State& state) {
   const auto aig =
       designs::make_design("mac16", designs::DatapathStyle::kSynthesized);
   auto nl = synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
-  sta::IncrementalTimer timer(nl, compact_opt(), /*threads=*/1);
+  sta::IncrementalTimer timer(nl, sta::StaOptions{}, /*threads=*/1);
   benchmark::DoNotOptimize(timer.timing().min_period_tau);  // warm build
   const InstanceId victim{
       static_cast<std::uint32_t>(nl.num_instances() - 1)};
@@ -267,23 +214,8 @@ void BM_Retiming(benchmark::State& state) {
 }
 BENCHMARK(BM_Retiming);
 
-void BM_MonteCarloSta(benchmark::State& state) {
-  const auto aig =
-      designs::make_design("alu16", designs::DatapathStyle::kSynthesized);
-  const auto nl =
-      synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
-  for (auto _ : state) {
-    sta::McStaOptions opt;
-    opt.base = pointer_opt();
-    opt.samples = static_cast<int>(state.range(0));
-    const auto r = sta::monte_carlo_sta(nl, opt);
-    benchmark::DoNotOptimize(r.nominal_period_tau);
-  }
-}
-BENCHMARK(BM_MonteCarloSta)->Arg(20)->Arg(100);
-
-// Same sampling loop on the compact path: one shared graph across all
-// samples (statistical.cpp), so the per-sample cost is propagation only.
+// Monte Carlo STA: one shared graph across all samples (statistical.cpp),
+// so the per-sample cost is propagation only.
 void BM_MonteCarloStaCompact(benchmark::State& state) {
   const auto aig =
       designs::make_design("alu16", designs::DatapathStyle::kSynthesized);
@@ -291,7 +223,6 @@ void BM_MonteCarloStaCompact(benchmark::State& state) {
       synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
   for (auto _ : state) {
     sta::McStaOptions opt;
-    opt.base = compact_opt();
     opt.samples = static_cast<int>(state.range(0));
     const auto r = sta::monte_carlo_sta(nl, opt);
     benchmark::DoNotOptimize(r.nominal_period_tau);

@@ -55,11 +55,6 @@ void print_help(std::ostream& os) {
         "                         incremental timer (default) or from\n"
         "                         scratch; results are byte-identical\n"
         "                         (docs/incremental-sta.md)\n"
-        "  --graph G              compact | pointer: timing-graph layout\n"
-        "                         for every STA in the run — flat\n"
-        "                         structure-of-arrays (default) or the\n"
-        "                         pointer-chasing netlist walk; results\n"
-        "                         are byte-identical (docs/data-layout.md)\n"
         "  --diagnostics          dump the per-stage flow report\n"
         "  --lint                 run the gap::lint gate on the mapped\n"
         "                         netlist (error findings fail the flow;\n"
@@ -218,8 +213,6 @@ qor::RunManifest build_manifest(const DriverArgs& args, const Methodology& m,
     so.corner_delay_factor = m.corner.delay_factor;
     so.clock.skew_fraction = m.skew_fraction;
     so.optimal_repeaters = m.optimal_repeaters;
-    so.graph = args.graph_compact ? sta::GraphKind::kCompact
-                                  : sta::GraphKind::kPointer;
     const auto paths =
         sta::top_critical_paths(*r.nl, so, kManifestTopPaths);
     if (!paths.empty()) {
@@ -329,17 +322,6 @@ Result<DriverArgs> parse_args(const std::vector<std::string>& argv) {
           bad = usage_error(ErrorCode::kInvalidValue,
                             "invalid value '" + v +
                                 "' for --sta (incremental | full)");
-      }
-    } else if (flag == "--graph") {
-      std::string v;
-      bad = string_arg(v);
-      if (!bad) {
-        if (v == "compact") a.graph_compact = true;
-        else if (v == "pointer") a.graph_compact = false;
-        else
-          bad = usage_error(ErrorCode::kInvalidValue,
-                            "invalid value '" + v +
-                                "' for --graph (compact | pointer)");
       }
     } else if (flag == "--mc") {
       bad = int_arg(a.mc_samples);
@@ -455,8 +437,6 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   fopt.lint = args.lint;
   fopt.lint_dataflow = args.lint_dataflow;
   fopt.incremental_sta = args.sta_incremental;
-  fopt.graph = args.graph_compact ? sta::GraphKind::kCompact
-                                  : sta::GraphKind::kPointer;
   if (!args.qor_out.empty()) {
     fopt.qor.enabled = true;
     fopt.qor.mc_samples = args.mc_samples;
@@ -505,8 +485,6 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   sta_opt.corner_delay_factor = m->corner.delay_factor;
   sta_opt.clock.skew_fraction = m->skew_fraction;
   sta_opt.optimal_repeaters = m->optimal_repeaters;
-  sta_opt.graph = args.graph_compact ? sta::GraphKind::kCompact
-                                     : sta::GraphKind::kPointer;
 
   if (args.scan) {
     const auto scan = dft::insert_scan(*r.nl);

@@ -44,10 +44,6 @@ struct DriverArgs {
   /// incremental timer (default) or from-scratch analyses. Results are
   /// byte-identical either way; only the work per re-time differs.
   bool sta_incremental = true;
-  /// --graph compact|pointer: timing-graph layout for every STA in the
-  /// run. The flat structure-of-arrays graph (default) and the pointer
-  /// path produce byte-identical results (docs/data-layout.md).
-  bool graph_compact = true;
   bool list_designs = false;
   bool diagnostics = false;  ///< dump the per-stage FlowReport
   bool lint = false;          ///< run the gap::lint gate after mapping

@@ -219,8 +219,7 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   const library::CellLibrary& lib = library_for(m.library);
   FlowResult result;
   StageRunner stages(result.report, opt);
-  sta::StaOptions sta_opt = signoff_sta_options(m);
-  sta_opt.graph = opt.graph;
+  const sta::StaOptions sta_opt = signoff_sta_options(m);
 
   // Resident incremental timer, created by the size stage and shared with
   // sign-off and the QoR captures after it (FlowOptions::incremental_sta).

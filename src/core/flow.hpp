@@ -97,12 +97,6 @@ struct FlowOptions {
   /// contract, enforced by tests/incremental_sta_test.cpp), so this knob
   /// changes work done, never results.
   bool incremental_sta = true;
-  /// Timing-graph layout for every STA the flow runs (sizing re-times,
-  /// sign-off, QoR snapshots): the flat structure-of-arrays graph
-  /// (default) or the pointer-chasing netlist walk. Byte-identical
-  /// results either way (docs/data-layout.md); only memory layout and
-  /// speed differ.
-  sta::GraphKind graph = sta::GraphKind::kCompact;
   /// Per-stage QoR snapshots for the run manifest (gapflow --qor-out).
   QorCaptureOptions qor;
   /// Run the gap::lint rule catalog on the mapped netlist as a "lint"

@@ -69,7 +69,9 @@ void FlightRecorder::record(FlightEventKind kind, std::uint64_t req_id,
   char buf[FlightEvent::kDetailBytes] = {};
   const std::size_t n = detail.size() < sizeof(buf) ? detail.size()
                                                     : sizeof(buf);
-  std::memcpy(buf, detail.data(), n);
+  // An empty string_view may carry a null data(); memcpy requires
+  // non-null pointers even for a zero length.
+  if (n > 0) std::memcpy(buf, detail.data(), n);
   for (std::size_t i = 0; i < 3; ++i) {
     std::uint64_t word = 0;
     std::memcpy(&word, buf + i * 8, 8);

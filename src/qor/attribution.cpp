@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "library/library.hpp"
+#include "sta/compact_graph.hpp"
 #include "tech/technology.hpp"
 
 namespace gap::qor {
@@ -59,6 +60,7 @@ PathAttribution attribute_path(const Netlist& nl,
   a.delay_tau = path.path_tau;
   a.gates = path.nodes.size();
   if (path.nodes.empty()) return a;
+  const sta::CompactGraph g(nl);
 
   // Walk the path accumulating *nominal* (pre-corner) pieces with the
   // exact formulas propagate() uses; the corner's uniform multiplier
@@ -74,7 +76,7 @@ PathAttribution attribute_path(const Netlist& nl,
   if (!nl.is_sequential(first.inst) && first.input_net.valid()) {
     const NetDriver& d = nl.net(first.input_net).driver;
     if (d.kind == NetDriver::Kind::kPrimaryInput) {
-      const sta::WireModel wm = sta::wire_model(nl, first.input_net, options);
+      const sta::WireModel wm = sta::wire_model(g, first.input_net, options);
       const double pi_delay =
           wm.driver_load_units / nl.port(d.port).ext_drive;
       add(a.logic_depth_tau, pi_delay);
@@ -85,14 +87,14 @@ PathAttribution attribute_path(const Netlist& nl,
   for (const sta::PathNode& node : path.nodes) {
     const library::Cell& c = nl.cell_of(node.inst);
     const double load =
-        sta::wire_model(nl, nl.instance(node.inst).output, options)
+        sta::wire_model(g, nl.instance(node.inst).output, options)
             .driver_load_units;
     const double effort = load / nl.drive_of(node.inst);
 
     // Wire delay of the arrival-setting input net (placement's bucket).
     if (node.input_net.valid())
       add(a.placement_wire_tau,
-          sta::wire_model(nl, node.input_net, options).delay_tau);
+          sta::wire_model(g, node.input_net, options).delay_tau);
 
     if (nl.is_sequential(node.inst)) {
       // Launch flop: the whole arc (parasitic + effort + clk-to-Q) is
@@ -126,7 +128,7 @@ PathAttribution attribute_path(const Netlist& nl,
 
   // Capture: endpoint wire, plus setup for a register endpoint.
   add(a.placement_wire_tau,
-      sta::wire_model(nl, path.endpoint_net, options).delay_tau);
+      sta::wire_model(g, path.endpoint_net, options).delay_tau);
   if (path.endpoint.kind == NetSink::Kind::kInstancePin &&
       nl.is_sequential(path.endpoint.inst)) {
     const double setup = nl.cell_of(path.endpoint.inst).setup_tau;

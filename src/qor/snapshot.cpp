@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "netlist/checks.hpp"
 #include "sizing/tilos.hpp"
 #include "sta/compact_graph.hpp"
 #include "sta/statistical.hpp"
@@ -14,43 +13,22 @@
 namespace gap::qor {
 namespace {
 
-/// Levelize the netlist exactly as the timing kernels do (sequential and
-/// PI-fed cones at level 0; a combinational gate one past its deepest
-/// combinational driver) and summarize the wavefront shape. Computed
-/// directly from the netlist so both capture() overloads — and both
-/// graph layouts — report identical bytes.
-void wave_profile(const netlist::Netlist& nl, QorSnapshot& s) {
-  const std::vector<InstanceId> order = netlist::topo_order(nl);
-  std::vector<int> level(nl.num_instances(), 0);
-  int max_level = 0;
-  for (InstanceId id : order) {
-    if (nl.is_sequential(id)) continue;
-    int lvl = 0;
-    for (NetId in : nl.instance(id).inputs) {
-      const netlist::NetDriver& d = nl.net(in).driver;
-      if (d.kind != netlist::NetDriver::Kind::kInstance) continue;
-      const int dl = nl.is_sequential(d.inst) ? 0 : level[d.inst.index()];
-      lvl = std::max(lvl, dl + 1);
-    }
-    level[id.index()] = lvl;
-    max_level = std::max(max_level, lvl);
-  }
-  std::vector<std::size_t> width(static_cast<std::size_t>(max_level) + 1, 0);
-  for (int lvl : level) ++width[static_cast<std::size_t>(lvl)];
-  s.wave_levels = width.size();
-  std::size_t narrow = 0;
-  for (std::size_t w : width) {
-    s.wave_widest = std::max(s.wave_widest, w);
-    if (w < sta::kWaveDispatchHint) ++narrow;
-  }
-  s.wave_narrow_fraction =
-      static_cast<double>(narrow) / static_cast<double>(width.size());
+/// Summarize the wavefront shape of the graph's levelized schedule (the
+/// one the timing kernels relax). Both capture() overloads read it from
+/// a graph of the same netlist, so they report identical bytes.
+void wave_profile(const sta::CompactGraph& g, QorSnapshot& s) {
+  s.wave_levels = static_cast<std::size_t>(g.num_levels());
+  for (int lvl = 0; lvl < g.num_levels(); ++lvl)
+    s.wave_widest = std::max(s.wave_widest, g.wave(lvl).size());
+  s.wave_narrow_fraction = static_cast<double>(g.narrow_levels()) /
+                           static_cast<double>(s.wave_levels);
 }
 
 /// Everything in a snapshot besides the arrival/slack analysis itself:
 /// both capture() overloads feed their (identical, by the incremental
 /// contract) timing result and histogram through this one body.
-QorSnapshot assemble(const netlist::Netlist& nl, const SnapshotOptions& options,
+QorSnapshot assemble(const netlist::Netlist& nl, const sta::CompactGraph& g,
+                     const SnapshotOptions& options,
                      const sta::TimingResult& timing,
                      sta::SlackHistogramData histogram) {
   QorSnapshot s;
@@ -80,7 +58,7 @@ QorSnapshot assemble(const netlist::Netlist& nl, const SnapshotOptions& options,
   s.sizing_headroom_tau =
       sizing::path_upsize_headroom_tau(nl, timing.critical_path, sopt);
 
-  wave_profile(nl, s);
+  wave_profile(g, s);
 
   if (options.mc_samples > 0) {
     sta::McStaOptions mc;
@@ -101,7 +79,7 @@ QorSnapshot assemble(const netlist::Netlist& nl, const SnapshotOptions& options,
 QorSnapshot capture(const netlist::Netlist& nl,
                     const SnapshotOptions& options) {
   const sta::TimingResult timing = sta::analyze(nl, options.sta);
-  return assemble(nl, options, timing,
+  return assemble(nl, sta::CompactGraph(nl), options, timing,
                   sta::compute_slack_histogram(nl, options.sta,
                                                timing.min_period_tau,
                                                options.histogram_buckets));
@@ -110,7 +88,7 @@ QorSnapshot capture(const netlist::Netlist& nl,
 QorSnapshot capture(sta::IncrementalTimer& timer,
                     const SnapshotOptions& options) {
   const sta::TimingResult timing = timer.timing();
-  return assemble(timer.netlist(), options, timing,
+  return assemble(timer.netlist(), timer.graph(), options, timing,
                   sta::slack_histogram_from_slacks(
                       timer.slacks(timing.min_period_tau),
                       options.histogram_buckets));

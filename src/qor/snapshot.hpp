@@ -68,8 +68,8 @@ struct QorSnapshot {
   /// Shape of the levelized wavefront schedule the parallel timing
   /// kernels sweep (docs/observability.md): level count, widest wave,
   /// and the share of waves narrower than sta::kWaveDispatchHint. A pure
-  /// function of the netlist — identical on the pointer and compact
-  /// graph paths and at any thread count.
+  /// function of the netlist — identical for batch and resident-timer
+  /// captures and at any thread count.
   std::size_t wave_levels = 0;
   std::size_t wave_widest = 0;
   double wave_narrow_fraction = 0.0;

@@ -1,6 +1,7 @@
 #include "serve/serve_cli.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -28,9 +29,8 @@ constexpr const char* kUsage =
     "usage: gapd [--journal-dir DIR] [--threads N] [--max-sessions N]\n"
     "            [--max-frame-bytes N] [--max-journal-edits N]\n"
     "            [--max-session-diags N] [--deadline-us F] [--no-recover]\n"
-    "            [--graph compact|pointer] [--trace-out FILE]\n"
-    "            [--expose-out FILE] [--expose-interval N]\n"
-    "            [--flight-capacity N]\n"
+    "            [--trace-out FILE] [--expose-out FILE]\n"
+    "            [--expose-interval N] [--flight-capacity N]\n"
     "\n"
     "Resident timing service: answers gap-serve-v1 JSON frames (one per\n"
     "line) on stdout until stdin closes or a shutdown frame arrives.\n"
@@ -193,6 +193,11 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
       *into = v;
       return true;
     };
+    // Counts and capacities: a fractional value is a usage error, never
+    // silently truncated.
+    const auto integer = [&](double* into, double lo, double hi) {
+      return number(into, lo, hi) && *into == std::floor(*into);
+    };
     double v = 0.0;
     if (arg == "--help" || arg == "-h") {
       out << kUsage;
@@ -201,25 +206,25 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
       if (!value(&options.journal_dir))
         return usage_error(err, "--journal-dir needs a directory");
     } else if (arg == "--threads") {
-      if (!number(&v, 0, 1024))
+      if (!integer(&v, 0, 1024))
         return usage_error(err, "--threads needs an integer in [0, 1024]");
       options.threads = static_cast<int>(v);
     } else if (arg == "--max-sessions") {
-      if (!number(&v, 1, 1024))
+      if (!integer(&v, 1, 1024))
         return usage_error(err, "--max-sessions needs an integer in [1, 1024]");
       options.max_sessions = static_cast<std::size_t>(v);
     } else if (arg == "--max-frame-bytes") {
-      if (!number(&v, 64, 1e9))
+      if (!integer(&v, 64, 1e9))
         return usage_error(err,
                            "--max-frame-bytes needs an integer in [64, 1e9]");
       options.max_frame_bytes = static_cast<std::size_t>(v);
     } else if (arg == "--max-journal-edits") {
-      if (!number(&v, 1, 1e9))
+      if (!integer(&v, 1, 1e9))
         return usage_error(err,
                            "--max-journal-edits needs an integer in [1, 1e9]");
       options.max_journal_edits = static_cast<std::uint64_t>(v);
     } else if (arg == "--max-session-diags") {
-      if (!number(&v, 1, 1e6))
+      if (!integer(&v, 1, 1e6))
         return usage_error(err,
                            "--max-session-diags needs an integer in [1, 1e6]");
       options.max_session_diags = static_cast<std::size_t>(v);
@@ -227,14 +232,6 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
       if (!number(&v, 0, 1e12))
         return usage_error(err, "--deadline-us needs a number in [0, 1e12]");
       options.default_deadline_us = v;
-    } else if (arg == "--graph") {
-      // Timing-graph layout for the resident timers. Replies are
-      // byte-identical either way (docs/data-layout.md).
-      std::string text;
-      if (!value(&text) || (text != "compact" && text != "pointer"))
-        return usage_error(err, "--graph needs 'compact' or 'pointer'");
-      options.graph = text == "compact" ? sta::GraphKind::kCompact
-                                        : sta::GraphKind::kPointer;
     } else if (arg == "--no-recover") {
       recover = false;
     } else if (arg == "--trace-out") {
@@ -246,12 +243,12 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
     } else if (arg == "--expose-interval") {
       // Counted in requests, not seconds, so snapshot contents stay a
       // pure function of the request stream (docs/observability.md).
-      if (!number(&v, 1, 1e9))
+      if (!integer(&v, 1, 1e9))
         return usage_error(err,
                            "--expose-interval needs an integer in [1, 1e9]");
       options.expose_every = static_cast<std::uint64_t>(v);
     } else if (arg == "--flight-capacity") {
-      if (!number(&v, 16, 1e6))
+      if (!integer(&v, 16, 1e6))
         return usage_error(err,
                            "--flight-capacity needs an integer in [16, 1e6]");
       options.flight_capacity = static_cast<std::size_t>(v);

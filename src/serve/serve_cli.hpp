@@ -8,8 +8,8 @@
 ///   gapd [--journal-dir DIR] [--threads N] [--max-sessions N]
 ///        [--max-frame-bytes N] [--max-journal-edits N]
 ///        [--max-session-diags N] [--deadline-us F] [--no-recover]
-///        [--graph compact|pointer] [--trace-out FILE]
-///        [--expose-out FILE] [--expose-interval N] [--flight-capacity N]
+///        [--trace-out FILE] [--expose-out FILE] [--expose-interval N]
+///        [--flight-capacity N]
 ///
 /// Exit codes (the same vocabulary as the other tools):
 ///   0  clean EOF, an acknowledged shutdown request, or a SIGTERM drain

@@ -265,8 +265,8 @@ struct LoadInfo {
 [[nodiscard]] Result<std::unique_ptr<Server::Session>> build_session(
     const std::string& name, const std::string& design,
     const std::string& methodology, const std::string& tech,
-    const std::string& corner, int threads, sta::GraphKind graph,
-    std::size_t max_diags, LoadInfo* info) {
+    const std::string& corner, int threads, std::size_t max_diags,
+    LoadInfo* info) {
   auto s = std::make_unique<Server::Session>();
   s->name = name;
   s->design = design;
@@ -322,10 +322,8 @@ struct LoadInfo {
   }
   s->nl = result.nl;
   const Status timer_st = run_guarded([&] {
-    sta::StaOptions sta_opt = core::signoff_sta_options(*m);
-    sta_opt.graph = graph;
-    s->timer =
-        std::make_unique<sta::IncrementalTimer>(*s->nl, sta_opt, threads);
+    s->timer = std::make_unique<sta::IncrementalTimer>(
+        *s->nl, core::signoff_sta_options(*m), threads);
     s->timer->flush();
   });
   if (!timer_st.ok()) return timer_st;
@@ -377,8 +375,7 @@ std::string Server::cmd_load(const Request& req, double t0_us) {
   LoadInfo info;
   auto built =
       build_session(name->str, design->str, methodology, tech, corner,
-                    options_.threads, options_.graph,
-                    options_.max_session_diags, &info);
+                    options_.threads, options_.max_session_diags, &info);
   if (!built.ok()) {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, reply_code(built.status().code()),
@@ -461,7 +458,7 @@ Status Server::recover() {
         header.member_string("methodology", "typical"),
         header.member_string("tech", "asic025"),
         header.member_string("corner", ""), options_.threads,
-        options_.graph, options_.max_session_diags, nullptr);
+        options_.max_session_diags, nullptr);
     if (!built.ok()) continue;  // names no longer resolve; leave the file
     std::unique_ptr<Session> s = std::move(built).value();
     s->recovered = true;

@@ -59,10 +59,6 @@ struct ServerOptions {
   std::size_t max_undo_depth = 64;
   /// Default per-request budget in microseconds (0 = no deadline).
   double default_deadline_us = 0.0;
-  /// Timing-graph layout for every session's resident timer: the flat
-  /// structure-of-arrays graph (default) or the pointer netlist walk.
-  /// Replies are byte-identical either way (docs/data-layout.md).
-  sta::GraphKind graph = sta::GraphKind::kCompact;
   /// Prometheus exposition snapshot target (gapd --expose-out). Empty
   /// disables; otherwise the file is rewritten atomically when serve()
   /// exits, and additionally every `expose_every` requests when that is

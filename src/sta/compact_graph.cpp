@@ -1,7 +1,6 @@
 #include "sta/compact_graph.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
@@ -19,7 +18,7 @@ void CompactGraph::refresh_instance(const netlist::Netlist& nl,
   clk_to_q_[i] = c.clk_to_q_tau;
   setup_[i] = c.setup_tau;
   // Computed through the Netlist accessors so the stored doubles are the
-  // exact values the pointer path derives on every read.
+  // exact values netlist-side consumers (Netlist::net_load) derive.
   drive_[i] = nl.drive_of(id);
   pin_cap_[i] = nl.pin_cap(id);
 }
@@ -100,10 +99,9 @@ void CompactGraph::rebuild_structure(const netlist::Netlist& nl) {
     std::copy(n.sinks.begin(), n.sinks.end(), sink_.begin() + sink_off_[i]);
   }
 
-  // Levelization, the same computation as the incremental timer's
-  // pointer-path rebuild_levels(): sequential instances launch at the
-  // clock (level 0); a combinational instance sits one past its deepest
-  // combinational driver.
+  // Levelization: sequential instances launch at the clock (level 0); a
+  // combinational instance sits one past its deepest combinational
+  // driver.
   order_ = netlist::topo_order(nl);
   GAP_EXPECTS(order_.size() == insts);
   level_.assign(insts, 0);
@@ -145,6 +143,15 @@ void CompactGraph::rebuild_structure(const netlist::Netlist& nl) {
   }
 }
 
+namespace {
+
+/// Record one full wavefront sweep over `g` into the "sta.wave.*"
+/// metrics (docs/observability.md): sweep/level/instance totals and the
+/// per-level width histogram, all derived from the schedule itself —
+/// never from what a pool actually did — so metric content is identical
+/// at any lane count. The one thread-dependent fact, whether the sweep
+/// dispatched to a pool, goes to the segregated wall section
+/// ("wall.sta.wave.{pooled,serial}_sweeps").
 void profile_wave_sweep(const CompactGraph& g, bool pooled_dispatch) {
   static common::Counter& sweeps =
       common::metrics().counter("sta.wave.sweeps");
@@ -168,11 +175,12 @@ void profile_wave_sweep(const CompactGraph& g, bool pooled_dispatch) {
   (pooled_dispatch ? pooled : serial).add();
 }
 
+}  // namespace
+
 void compact_propagate(const CompactGraph& g, const StaOptions& opt,
                        detail::ArrivalState& st, common::ThreadPool* pool) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   const std::size_t nets = g.num_nets();
-  st.arrival.assign(nets, kNegInf);
+  st.arrival.assign(nets, kern::kNegInf);
   st.wire_delay.resize(nets);
   st.driver_load.resize(nets);
   st.crit_input.assign(g.num_instances(), NetId{});

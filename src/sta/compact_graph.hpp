@@ -1,7 +1,7 @@
 #pragma once
 /// \file compact_graph.hpp
-/// Flat structure-of-arrays timing graph: the kCompact data layout behind
-/// StaOptions::graph. Built once from a netlist::Netlist, it stores
+/// Flat structure-of-arrays timing graph — the one graph every STA engine
+/// evaluates on. Built once from a netlist::Netlist, it stores
 /// everything the timing kernels (sta/kernels.hpp) read as contiguous
 /// arrays indexed by the *same* InstanceId/NetId/PortId values as the
 /// netlist — ids are positional and stable (the netlist never deletes),
@@ -68,7 +68,7 @@ class CompactGraph {
   /// Netlist::version() the graph was last (re)built against.
   [[nodiscard]] std::uint64_t built_version() const { return built_version_; }
 
-  // --- kernel view vocabulary (see kernels.hpp) ---
+  // --- accessors the kernels read (see kernels.hpp) ---
   [[nodiscard]] std::size_t num_nets() const { return driver_.size(); }
   [[nodiscard]] std::size_t num_instances() const { return output_.size(); }
   [[nodiscard]] std::size_t num_ports() const { return port_net_.size(); }
@@ -200,20 +200,9 @@ class CompactGraph {
 /// levelized relaxation. With a pool of >1 lanes, wire models and each
 /// level's relaxations fan out in parallel (all writes disjoint, reads
 /// strictly below the level) — results are bit-identical to the serial
-/// loop and to the pointer engine at any lane count.
+/// loop at any lane count.
 void compact_propagate(const CompactGraph& g, const StaOptions& opt,
                        detail::ArrivalState& st,
                        common::ThreadPool* pool = nullptr);
-
-/// Record one full wavefront sweep over `g` into the "sta.wave.*"
-/// metrics (docs/observability.md): sweep/level/instance totals and the
-/// per-level width histogram, all derived from the schedule itself —
-/// never from what a pool actually did — so metric content is identical
-/// at any lane count. The one thread-dependent fact, whether the sweep
-/// dispatched to a pool, goes to the segregated wall section
-/// ("wall.sta.wave.{pooled,serial}_sweeps"). Called by every engine that
-/// walks the levelized schedule end to end (compact_propagate and the
-/// resident timer's full rebuild).
-void profile_wave_sweep(const CompactGraph& g, bool pooled_dispatch);
 
 }  // namespace gap::sta

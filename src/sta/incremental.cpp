@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
-#include <span>
-#include <type_traits>
 #include <utility>
 
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "netlist/checks.hpp"
 #include "sta/kernels.hpp"
 
 namespace gap::sta {
@@ -18,8 +14,6 @@ namespace {
 
 using netlist::NetDriver;
 using netlist::NetSink;
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 /// Bit-pattern equality: the propagation-termination test. Plain `==`
 /// would treat -0.0 and +0.0 (and any future NaN) as converged even when
@@ -79,8 +73,7 @@ IncrementalTimer::IncrementalTimer(netlist::Netlist& nl, StaOptions options,
     : nl_(&nl),
       options_(options),
       threads_(common::resolve_threads(threads)),
-      pool_(threads_),
-      use_compact_(options.graph == GraphKind::kCompact) {
+      pool_(threads_) {
   GAP_EXPECTS(options_.clock.skew_fraction >= 0.0 &&
               options_.clock.skew_fraction < 1.0);
 }
@@ -237,9 +230,9 @@ common::Status IncrementalTimer::apply(const Edit& e) {
       nl_->replace_cell(e.inst, cell);
       if (track) {
         mark_resize_cones(e.inst);
-        // Value-only edit: patch the compact graph's flat cell arrays in
-        // place so the next flush reads current drives/pin caps.
-        if (use_compact_) cg_.refresh_instance(*nl_, e.inst);
+        // Value-only edit: patch the graph's flat cell arrays in place so
+        // the next flush reads current drives/pin caps.
+        cg_.refresh_instance(*nl_, e.inst);
       }
       break;
     }
@@ -247,7 +240,7 @@ common::Status IncrementalTimer::apply(const Edit& e) {
       nl_->instance(e.inst).drive_override = e.drive;
       if (track) {
         mark_resize_cones(e.inst);
-        if (use_compact_) cg_.refresh_instance(*nl_, e.inst);
+        cg_.refresh_instance(*nl_, e.inst);
       }
       break;
     case Edit::Kind::kRewireInput: {
@@ -329,106 +322,6 @@ std::size_t IncrementalTimer::pending_dirty() const {
   return wire_dirty_.size() + inst_dirty_.size() + ep_dirty_.size();
 }
 
-void IncrementalTimer::rebuild_levels() {
-  if (use_compact_) {
-    // Structural edits invalidated the CSR adjacency too; the graph
-    // recomputes both it and the schedule, and the timer mirrors the
-    // schedule (its bucketing uses the same arrays either way).
-    cg_.rebuild_structure(*nl_);
-    order_ = cg_.order();
-    level_ = cg_.levels();
-    max_level_ = cg_.max_level();
-    return;
-  }
-  order_ = netlist::topo_order(*nl_);
-  GAP_EXPECTS(order_.size() == nl_->num_instances());
-  level_.assign(nl_->num_instances(), 0);
-  max_level_ = 0;
-  for (InstanceId id : order_) {
-    if (nl_->is_sequential(id)) continue;  // launched at the clock: level 0
-    int lvl = 0;
-    for (NetId in : nl_->instance(id).inputs) {
-      const NetDriver& d = nl_->net(in).driver;
-      if (d.kind != NetDriver::Kind::kInstance) continue;  // PI/none: -1
-      const int dl = nl_->is_sequential(d.inst) ? 0 : level_[d.inst.index()];
-      lvl = std::max(lvl, dl + 1);
-    }
-    level_[id.index()] = lvl;
-    max_level_ = std::max(max_level_, lvl);
-  }
-}
-
-template <class G>
-void IncrementalTimer::rebuild_state(const G& g) {
-  const std::size_t nets = g.num_nets();
-  const std::size_t insts = g.num_instances();
-  st_.arrival.assign(nets, kNegInf);
-  st_.wire_delay.assign(nets, 0.0);
-  st_.driver_load.assign(nets, 0.0);
-  st_.crit_input.assign(insts, NetId{});
-  const double k = options_.corner_delay_factor;
-  constexpr bool kOnCompact = std::is_same_v<G, CompactGraph>;
-
-  // Wire models: pure per-net computations with disjoint writes, fanned
-  // out over the resident lanes on the compact path (the pointer path
-  // keeps the legacy serial loop; the values are identical either way).
-  const auto wire_at = [&](std::size_t i) {
-    const NetId n{static_cast<std::uint32_t>(i)};
-    const WireModel m = kern::wire_model(g, n, options_);
-    st_.wire_delay[i] = k * m.delay_tau;
-    st_.driver_load[i] = m.driver_load_units;
-  };
-  if (kOnCompact && pool_.size() > 1) {
-    pool_.parallel_for(nets, wire_at);
-  } else {
-    for (std::size_t i = 0; i < nets; ++i) wire_at(i);
-  }
-
-  for (std::uint32_t i = 0; i < g.num_ports(); ++i) {
-    const PortId pid{i};
-    if (!g.port_is_input(pid)) continue;
-    st_.arrival[g.port_net(pid).index()] =
-        kern::pi_arrival(g, options_, st_, pid);
-  }
-
-  // Full forward relaxation. On the compact path this is the levelized
-  // wavefront over the pool (a level only reads arrivals from strictly
-  // lower levels, so in-level parallelism is race-free and lane-count
-  // invariant); the pointer path keeps the serial topological loop.
-  if constexpr (kOnCompact) {
-    profile_wave_sweep(g, pool_.size() > 1);
-    if (pool_.size() > 1) {
-      for (int lvl = 0; lvl < g.num_levels(); ++lvl) {
-        const std::span<const InstanceId> wave = g.wave(lvl);
-        pool_.parallel_for(wave.size(), [&](std::size_t i) {
-          kern::relax_instance(g, options_, st_, wave[i]);
-        });
-      }
-    } else {
-      for (InstanceId id : order_) kern::relax_instance(g, options_, st_, id);
-    }
-  } else {
-    for (InstanceId id : order_) kern::relax_instance(g, options_, st_, id);
-  }
-
-  ep_path_.assign(nets, kNegInf);
-  ep_count_.assign(nets, 0);
-  for (std::uint32_t i = 0; i < nets; ++i) {
-    const NetId n{i};
-    if (st_.arrival[n.index()] == kNegInf) continue;
-    for (const NetSink& s : g.sinks(n)) {
-      if (s.kind != NetSink::Kind::kPrimaryOutput &&
-          !(s.kind == NetSink::Kind::kInstancePin &&
-            g.is_sequential(s.inst)))
-        continue;
-      ++ep_count_[n.index()];
-      ep_path_[n.index()] =
-          std::max(ep_path_[n.index()],
-                   kern::endpoint_path_tau(g, options_, st_, n, s));
-    }
-  }
-}
-
 void IncrementalTimer::full_rebuild() {
   GAP_TRACE_SPAN("sta::incremental_rebuild");
   // The rebuild *is* a batch arrival pass, so it reports into the same
@@ -446,16 +339,13 @@ void IncrementalTimer::full_rebuild() {
 
   const std::size_t nets = nl_->num_nets();
   const std::size_t insts = nl_->num_instances();
-  if (use_compact_) {
-    cg_.build(*nl_);
-    order_ = cg_.order();
-    level_ = cg_.levels();
-    max_level_ = cg_.max_level();
-    rebuild_state(cg_);
-  } else {
-    rebuild_levels();
-    rebuild_state(NetlistView(*nl_));
-  }
+  cg_.build(*nl_);
+  // Wire models and the levelized relaxation fan out over the resident
+  // lanes exactly as a one-shot analysis does.
+  compact_propagate(cg_, options_, st_, &pool_);
+  ep_path_.resize(nets);
+  ep_count_.resize(nets);
+  for (std::uint32_t i = 0; i < nets; ++i) refresh_endpoint(NetId{i});
 
   wire_dirty_flag_.assign(nets, 0);
   ep_dirty_flag_.assign(nets, 0);
@@ -471,16 +361,8 @@ void IncrementalTimer::full_rebuild() {
 }
 
 void IncrementalTimer::flush_wire_models() {
-  if (use_compact_) {
-    flush_wire_models_on(cg_);
-  } else {
-    flush_wire_models_on(NetlistView(*nl_));
-  }
-}
-
-template <class G>
-void IncrementalTimer::flush_wire_models_on(const G& g) {
   if (wire_dirty_.empty()) return;
+  const CompactGraph& g = cg_;
   std::sort(wire_dirty_.begin(), wire_dirty_.end(),
             [](NetId a, NetId b) { return a.index() < b.index(); });
   const double k = options_.corner_delay_factor;
@@ -529,16 +411,9 @@ void IncrementalTimer::flush_wire_models_on(const G& g) {
 }
 
 void IncrementalTimer::flush_arrivals() {
-  if (use_compact_) {
-    flush_arrivals_on(cg_);
-  } else {
-    flush_arrivals_on(NetlistView(*nl_));
-  }
-}
-
-template <class G>
-void IncrementalTimer::flush_arrivals_on(const G& g) {
   if (inst_dirty_.empty()) return;
+  const CompactGraph& g = cg_;
+  const std::vector<int>& level = g.levels();
   static common::Counter& reprops =
       common::metrics().counter("sta.incremental.nodes_repropagated");
   // Incremental wavefront profile: which levels an edit's cone actually
@@ -557,9 +432,9 @@ void IncrementalTimer::flush_arrivals_on(const G& g) {
   // Bucket the wavefront by level; commits at level L may push newly
   // dirty instances into strictly higher buckets.
   std::vector<std::vector<InstanceId>> buckets(
-      static_cast<std::size_t>(max_level_) + 1);
+      static_cast<std::size_t>(g.max_level()) + 1);
   for (InstanceId id : inst_dirty_)
-    buckets[static_cast<std::size_t>(level_[id.index()])].push_back(id);
+    buckets[static_cast<std::size_t>(level[id.index()])].push_back(id);
   inst_dirty_.clear();
 
   std::vector<double> new_arr;
@@ -609,7 +484,7 @@ void IncrementalTimer::flush_arrivals_on(const G& g) {
         if (g.is_sequential(s.inst)) continue;
         if (inst_dirty_flag_[s.inst.index()]) continue;
         inst_dirty_flag_[s.inst.index()] = 1;
-        buckets[static_cast<std::size_t>(level_[s.inst.index()])].push_back(
+        buckets[static_cast<std::size_t>(level[s.inst.index()])].push_back(
             s.inst);
       }
     }
@@ -621,36 +496,29 @@ void IncrementalTimer::flush_arrivals_on(const G& g) {
   inc_width.drain_batch(width_batch);
 }
 
-void IncrementalTimer::refresh_endpoints() {
-  if (use_compact_) {
-    refresh_endpoints_on(cg_);
-  } else {
-    refresh_endpoints_on(NetlistView(*nl_));
+void IncrementalTimer::refresh_endpoint(NetId n) {
+  double path = kern::kNegInf;
+  std::size_t count = 0;
+  if (st_.arrival[n.index()] != kern::kNegInf) {
+    for (const NetSink& s : cg_.sinks(n)) {
+      if (s.kind != NetSink::Kind::kPrimaryOutput &&
+          !(s.kind == NetSink::Kind::kInstancePin && cg_.is_sequential(s.inst)))
+        continue;
+      ++count;
+      path = std::max(path, kern::endpoint_path_tau(cg_, options_, st_, n, s));
+    }
   }
+  ep_path_[n.index()] = path;
+  ep_count_[n.index()] = count;
 }
 
-template <class G>
-void IncrementalTimer::refresh_endpoints_on(const G& g) {
+void IncrementalTimer::refresh_endpoints() {
   if (ep_dirty_.empty()) return;
   std::sort(ep_dirty_.begin(), ep_dirty_.end(),
             [](NetId a, NetId b) { return a.index() < b.index(); });
   for (NetId n : ep_dirty_) {
     ep_dirty_flag_[n.index()] = 0;
-    double path = kNegInf;
-    std::size_t count = 0;
-    if (st_.arrival[n.index()] != kNegInf) {
-      for (const NetSink& s : g.sinks(n)) {
-        if (s.kind != NetSink::Kind::kPrimaryOutput &&
-            !(s.kind == NetSink::Kind::kInstancePin &&
-              g.is_sequential(s.inst)))
-          continue;
-        ++count;
-        path = std::max(path,
-                        kern::endpoint_path_tau(g, options_, st_, n, s));
-      }
-    }
-    ep_path_[n.index()] = path;
-    ep_count_[n.index()] = count;
+    refresh_endpoint(n);
   }
   ep_dirty_.clear();
 }
@@ -664,7 +532,8 @@ void IncrementalTimer::flush() {
     return;
   }
   if (topo_dirty_) {
-    rebuild_levels();
+    // Structural edits invalidated the CSR adjacency and the schedule.
+    cg_.rebuild_structure(*nl_);
     topo_dirty_ = false;
   }
   flush_wire_models();
@@ -675,21 +544,14 @@ void IncrementalTimer::flush() {
 // --- required-time cache ---------------------------------------------------
 
 void IncrementalTimer::refresh_required(double period_tau) {
-  if (use_compact_) {
-    refresh_required_on(cg_, period_tau);
-  } else {
-    refresh_required_on(NetlistView(*nl_), period_tau);
-  }
-}
-
-template <class G>
-void IncrementalTimer::refresh_required_on(const G& g, double period_tau) {
+  const CompactGraph& g = cg_;
+  const std::vector<int>& level = g.levels();
   static common::Counter& req_recomputed =
       common::metrics().counter("sta.incremental.required_recomputed");
   const double budget = detail::cycle_budget(options_, period_tau);
 
   if (!req_valid_ || !same_bits(period_tau, req_period_tau_)) {
-    required_ = kern::compute_required(g, options_, st_, order_, budget);
+    required_ = kern::compute_required(g, options_, st_, budget);
     req_recomputed.add(g.num_nets());
     for (NetId n : req_dirty_) req_dirty_flag_[n.index()] = 0;
     req_dirty_.clear();
@@ -704,12 +566,12 @@ void IncrementalTimer::refresh_required_on(const G& g, double period_tau) {
   // highest level down: required[n] reads required[] of its combinational
   // sinks' outputs, whose drivers sit at strictly higher levels.
   std::vector<std::vector<NetId>> buckets(
-      static_cast<std::size_t>(max_level_) + 2);
+      static_cast<std::size_t>(g.max_level()) + 2);
   const auto bucket_of = [&](NetId n) -> std::size_t {
     const NetDriver& d = g.driver(n);
     if (d.kind != NetDriver::Kind::kInstance) return 0;
     if (g.is_sequential(d.inst)) return 1;
-    return static_cast<std::size_t>(level_[d.inst.index()]) + 1;
+    return static_cast<std::size_t>(level[d.inst.index()]) + 1;
   };
   for (NetId n : req_dirty_) buckets[bucket_of(n)].push_back(n);
   req_dirty_.clear();
@@ -756,12 +618,11 @@ const std::vector<double>& IncrementalTimer::arrivals() {
 std::vector<double> IncrementalTimer::slacks(double period_tau) {
   flush();
   refresh_required(period_tau);
-  if (use_compact_) return kern::slacks_from_state(cg_, st_, required_);
-  return detail::slacks_from_state(*nl_, st_, required_);
+  return kern::slacks_from_state(cg_, st_, required_);
 }
 
 detail::WorstEndpoint IncrementalTimer::scan_worst_endpoint() const {
-  detail::WorstEndpoint e{kNegInf, NetId{}, 0};
+  detail::WorstEndpoint e{kern::kNegInf, NetId{}, 0};
   for (std::size_t i = 0; i < ep_path_.size(); ++i) {
     e.count += ep_count_[i];
     if (ep_count_[i] > 0 && ep_path_[i] > e.path_tau) {
@@ -778,16 +639,13 @@ TimingResult IncrementalTimer::timing() {
   analyses.add();
   flush();
   const detail::WorstEndpoint e = scan_worst_endpoint();
-  if (use_compact_)
-    return kern::timing_result_from_state(cg_, options_, st_, e);
-  return detail::timing_result_from_state(*nl_, options_, st_, e);
+  return kern::timing_result_from_state(cg_, options_, st_, e);
 }
 
 std::vector<CriticalPath> IncrementalTimer::top_paths(int k) {
   if (k <= 0) return {};
   flush();
-  if (use_compact_) return kern::top_paths_from_state(cg_, options_, st_, k);
-  return detail::top_paths_from_state(*nl_, options_, st_, k);
+  return kern::top_paths_from_state(cg_, options_, st_, k);
 }
 
 }  // namespace gap::sta

@@ -12,8 +12,8 @@
 /// count. Three mechanisms make that hold:
 ///
 ///  1. Both engines evaluate all timing arithmetic through the single
-///     compiled kernels of sta/propagation.cpp — there is no second copy
-///     of any formula that could round differently.
+///     inline kernels of sta/kernels.hpp over sta::CompactGraph — there
+///     is no second copy of any formula that could round differently.
 ///  2. Re-propagation terminates on *bitwise* comparison: a recomputed
 ///     value propagates only if its bit pattern changed, so every cached
 ///     value is, by induction, the value a full recompute would produce.
@@ -87,6 +87,8 @@ class IncrementalTimer {
   [[nodiscard]] const netlist::Netlist& netlist() const { return *nl_; }
   [[nodiscard]] const StaOptions& options() const { return options_; }
   [[nodiscard]] int threads() const { return threads_; }
+  /// The resident timing graph, current as of the last query or flush().
+  [[nodiscard]] const CompactGraph& graph() const { return cg_; }
 
   /// Validate `e` against the current netlist without applying it. The
   /// same checks apply() runs first; exposed so callers that must commit
@@ -147,44 +149,26 @@ class IncrementalTimer {
   [[nodiscard]] bool creates_comb_cycle(InstanceId inst, NetId net) const;
 
   void full_rebuild();
-  void rebuild_levels();
   void flush_wire_models();
   void flush_arrivals();
+  /// Recompute one net's worst endpoint path and endpoint-sink count.
+  void refresh_endpoint(NetId n);
   void refresh_endpoints();
   void refresh_required(double period_tau);
   [[nodiscard]] detail::WorstEndpoint scan_worst_endpoint() const;
-
-  // View-templated bodies of the flush pipeline, instantiated with
-  // NetlistView (pointer path) or the resident CompactGraph. The
-  // non-template drivers above dispatch on options_.graph; the arithmetic
-  // inside is the shared kernels of sta/kernels.hpp either way.
-  template <class G>
-  void rebuild_state(const G& g);
-  template <class G>
-  void flush_wire_models_on(const G& g);
-  template <class G>
-  void flush_arrivals_on(const G& g);
-  template <class G>
-  void refresh_endpoints_on(const G& g);
-  template <class G>
-  void refresh_required_on(const G& g, double period_tau);
 
   netlist::Netlist* nl_;
   StaOptions options_;
   int threads_;
   common::ThreadPool pool_;  ///< resident lanes for the wavefronts
 
-  /// The flat graph all timing reads go through when options_.graph ==
-  /// GraphKind::kCompact. apply() patches values in place on resizes;
-  /// rewires rebuild its adjacency on flush; invalidate_all() rebuilds it
-  /// entirely. Empty (and ignored) on the pointer path.
+  /// The flat graph all timing reads go through, including the levelized
+  /// schedule that buckets every wavefront. apply() patches values in
+  /// place on resizes; rewires rebuild its adjacency and schedule on
+  /// flush; invalidate_all() rebuilds it entirely.
   CompactGraph cg_;
-  bool use_compact_ = true;
 
   detail::ArrivalState st_;
-  std::vector<InstanceId> order_;  ///< topo order (seed of the levels)
-  std::vector<int> level_;         ///< per instance; seq/PI-fed cones = 0
-  int max_level_ = 0;
 
   /// Per-net worst endpoint path over that net's PO / sequential-D sinks
   /// (-inf when the net has none or no arrival) and endpoint-sink count.

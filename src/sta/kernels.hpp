@@ -1,150 +1,56 @@
 #pragma once
 /// \file kernels.hpp
-/// The timing arithmetic of both STA engines, templated over a *graph
-/// view*. A view is anything that answers the read-only accessor
-/// vocabulary below; two implementations exist:
-///
-///   - NetlistView — a zero-cost adapter over netlist::Netlist (the
-///     pointer path; every accessor inlines to the Netlist call the
-///     kernels historically made), and
-///   - sta::CompactGraph — flat structure-of-arrays storage with
-///     CSR adjacency and a levelized wavefront schedule.
-///
-/// **The byte-identity contract.** sta::analyze / net_slacks /
-/// top_critical_paths and the incremental timer must agree bit-for-bit on
-/// every query regardless of StaOptions::graph and thread count. The only
-/// way to guarantee that across two data layouts is to evaluate every
-/// formula through one *source* definition: each kernel is written once
-/// here and instantiated per view. Both instantiations execute the same
-/// expression trees over the same doubles (views return stored or
-/// identically-computed values, never re-derived ones), so IEEE-754
-/// evaluation is identical. tests/soa_graph_test.cpp enforces this
-/// differentially; tests/incremental_sta_test.cpp enforces the
-/// batch-vs-incremental half of the contract.
-///
-/// View vocabulary (all const, all cheap):
-///   num_nets() num_instances() num_ports()
-///   is_sequential(i) parasitic(i) drive(i) clk_to_q(i) setup(i) pin_cap(i)
-///   inputs(i) -> span<const NetId>      output(i) -> NetId
-///   sinks(n) -> span<const NetSink>     driver(n) -> const NetDriver&
-///   net_length_um(n) net_width_multiple(n) net_extra_cap_units(n)
-///   port_net(p) port_is_input(p) port_ext_drive(p)
-///   technology() -> const tech::Technology&
+/// The timing arithmetic of every STA engine, written once over
+/// sta::CompactGraph. sta::analyze / net_slacks / top_critical_paths,
+/// Monte Carlo STA and the incremental timer all evaluate each formula
+/// through these inline functions, so a batch query and a resident query
+/// execute the same expression trees over the same stored doubles and
+/// agree bit-for-bit at any thread count. tests/incremental_sta_test.cpp
+/// enforces the batch-vs-incremental half of that contract;
+/// tests/soa_graph_test.cpp checks the kernels against an independent
+/// textbook STA (tests/sta_oracle.hpp) that shares none of this code.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "sta/compact_graph.hpp"
 #include "sta/propagation.hpp"
 #include "sta/sta.hpp"
 #include "wire/repeaters.hpp"
 
-namespace gap::sta {
-
-/// Pointer-path view: thin inline wrapper over netlist::Netlist giving it
-/// the kernel accessor vocabulary. Copying is free (one pointer).
-class NetlistView {
- public:
-  explicit NetlistView(const netlist::Netlist& nl) : nl_(&nl) {}
-
-  [[nodiscard]] std::size_t num_nets() const { return nl_->num_nets(); }
-  [[nodiscard]] std::size_t num_instances() const {
-    return nl_->num_instances();
-  }
-  [[nodiscard]] std::size_t num_ports() const { return nl_->num_ports(); }
-
-  [[nodiscard]] bool is_sequential(InstanceId id) const {
-    return nl_->is_sequential(id);
-  }
-  [[nodiscard]] double parasitic(InstanceId id) const {
-    return nl_->cell_of(id).parasitic;
-  }
-  [[nodiscard]] double drive(InstanceId id) const { return nl_->drive_of(id); }
-  [[nodiscard]] double clk_to_q(InstanceId id) const {
-    return nl_->cell_of(id).clk_to_q_tau;
-  }
-  [[nodiscard]] double setup(InstanceId id) const {
-    return nl_->cell_of(id).setup_tau;
-  }
-  [[nodiscard]] double pin_cap(InstanceId id) const {
-    return nl_->pin_cap(id);
-  }
-
-  [[nodiscard]] std::span<const NetId> inputs(InstanceId id) const {
-    return nl_->instance(id).inputs;
-  }
-  [[nodiscard]] NetId output(InstanceId id) const {
-    return nl_->instance(id).output;
-  }
-
-  [[nodiscard]] std::span<const netlist::NetSink> sinks(NetId n) const {
-    return nl_->net(n).sinks;
-  }
-  [[nodiscard]] const netlist::NetDriver& driver(NetId n) const {
-    return nl_->net(n).driver;
-  }
-  [[nodiscard]] double net_length_um(NetId n) const {
-    return nl_->net(n).length_um;
-  }
-  [[nodiscard]] double net_width_multiple(NetId n) const {
-    return nl_->net(n).width_multiple;
-  }
-  [[nodiscard]] double net_extra_cap_units(NetId n) const {
-    return nl_->net(n).extra_cap_units;
-  }
-
-  [[nodiscard]] NetId port_net(PortId p) const { return nl_->port(p).net; }
-  [[nodiscard]] bool port_is_input(PortId p) const {
-    return nl_->port(p).is_input;
-  }
-  [[nodiscard]] double port_ext_drive(PortId p) const {
-    return nl_->port(p).ext_drive;
-  }
-
-  [[nodiscard]] const tech::Technology& technology() const {
-    return nl_->lib().technology();
-  }
-
- private:
-  const netlist::Netlist* nl_;
-};
-
-namespace kern {
+namespace gap::sta::kern {
 
 inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 inline constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
 /// Arc delay of an instance driving the given load, in tau (pre-corner).
-template <class G>
-[[nodiscard]] double arc_delay(const G& g, InstanceId id, double load_units) {
+[[nodiscard]] inline double arc_delay(const CompactGraph& g, InstanceId id,
+                                      double load_units) {
   double d = g.parasitic(id) + load_units / g.drive(id);
   if (g.is_sequential(id)) d += g.clk_to_q(id);
   return d;
 }
 
-/// The primary-input arrival formula on raw operands, shared by the
-/// PortId-addressed template below and the Port&-addressed legacy entry
-/// point in propagation.cpp.
-[[nodiscard]] inline double pi_arrival_value(const StaOptions& opt,
-                                             double driver_load,
-                                             double ext_drive) {
-  return opt.corner_delay_factor * driver_load / ext_drive;
+/// Arrival a primary input drives onto its net: the external driver of
+/// the port's declared strength charging the net's load.
+[[nodiscard]] inline double pi_arrival(const CompactGraph& g,
+                                       const StaOptions& opt,
+                                       const detail::ArrivalState& st,
+                                       PortId pid) {
+  return opt.corner_delay_factor * st.driver_load[g.port_net(pid).index()] /
+         g.port_ext_drive(pid);
 }
 
-template <class G>
-[[nodiscard]] double pi_arrival(const G& g, const StaOptions& opt,
-                                const detail::ArrivalState& st, PortId pid) {
-  return pi_arrival_value(opt, st.driver_load[g.port_net(pid).index()],
-                          g.port_ext_drive(pid));
-}
-
-template <class G>
-[[nodiscard]] double instance_arrival(const G& g, const StaOptions& opt,
-                                      const detail::ArrivalState& st,
-                                      InstanceId id, NetId* crit_out) {
+/// Arrival at the output of `id` given the current input arrivals, with
+/// the worst (arrival-setting) input reported through `crit_out`
+/// (invalid for sequential launches and floating-input cones).
+[[nodiscard]] inline double instance_arrival(const CompactGraph& g,
+                                             const StaOptions& opt,
+                                             const detail::ArrivalState& st,
+                                             InstanceId id, NetId* crit_out) {
   NetId crit;
   double in_arr = 0.0;
   if (!g.is_sequential(id)) {  // sequential: launched by the clock edge
@@ -164,20 +70,23 @@ template <class G>
              arc_delay(g, id, st.driver_load[g.output(id).index()]);
 }
 
-template <class G>
-void relax_instance(const G& g, const StaOptions& opt,
-                    detail::ArrivalState& st, InstanceId id) {
+/// Compute-and-store form used by the full forward pass.
+inline void relax_instance(const CompactGraph& g, const StaOptions& opt,
+                           detail::ArrivalState& st, InstanceId id) {
   NetId crit;
   const double a = instance_arrival(g, opt, st, id, &crit);
   st.crit_input[id.index()] = crit;
   st.arrival[g.output(id).index()] = a;
 }
 
-template <class G>
-[[nodiscard]] double endpoint_path_tau(const G& g, const StaOptions& opt,
-                                       const detail::ArrivalState& st,
-                                       NetId net,
-                                       const netlist::NetSink& sink) {
+/// Full path delay at one timing endpoint — a primary-output sink or a
+/// sequential D pin (launch through gates and wires plus capture setup).
+/// -inf when the sink is not an endpoint or the net has no arrival.
+[[nodiscard]] inline double endpoint_path_tau(const CompactGraph& g,
+                                              const StaOptions& opt,
+                                              const detail::ArrivalState& st,
+                                              NetId net,
+                                              const netlist::NetSink& sink) {
   if (st.arrival[net.index()] == kNegInf) return kNegInf;
   if (sink.kind == netlist::NetSink::Kind::kPrimaryOutput)
     return st.arrival[net.index()] + st.wire_delay[net.index()];
@@ -188,11 +97,16 @@ template <class G>
   return kNegInf;
 }
 
-template <class G>
-[[nodiscard]] double required_of_net(const G& g, const StaOptions& opt,
-                                     const detail::ArrivalState& st,
-                                     const std::vector<double>& required,
-                                     double budget, NetId net) {
+/// Required time at `net` for the given data budget, recomputed from all
+/// of its sinks: endpoint seeds (budget minus capture setup minus wire)
+/// min'd with each combinational sink's propagated requirement. Because
+/// min over doubles is an exact selection, accumulating per sink is
+/// bit-identical in any sink order. `required` must already hold final
+/// values for every sink instance's output net.
+[[nodiscard]] inline double required_of_net(
+    const CompactGraph& g, const StaOptions& opt,
+    const detail::ArrivalState& st, const std::vector<double>& required,
+    double budget, NetId net) {
   const double k = opt.corner_delay_factor;
   double out = kPosInf;
   for (const netlist::NetSink& s : g.sinks(net)) {
@@ -217,11 +131,12 @@ template <class G>
   return out;
 }
 
-template <class G>
-[[nodiscard]] std::vector<double> compute_required(
-    const G& g, const StaOptions& opt, const detail::ArrivalState& st,
-    const std::vector<InstanceId>& order, double budget) {
+/// Full backward pass: required time for every net at the given budget.
+[[nodiscard]] inline std::vector<double> compute_required(
+    const CompactGraph& g, const StaOptions& opt,
+    const detail::ArrivalState& st, double budget) {
   std::vector<double> required(g.num_nets(), kPosInf);
+  const std::vector<InstanceId>& order = g.order();
   // Reverse topological order: every combinational sink's output net is
   // final before the nets feeding it are computed. Sequential instances
   // sit at the front of `order`, so their output nets come last here —
@@ -242,9 +157,9 @@ template <class G>
   return required;
 }
 
-template <class G>
-[[nodiscard]] std::vector<double> slacks_from_state(
-    const G& g, const detail::ArrivalState& st,
+/// Slack per net (required - arrival); +inf for unconstrained nets.
+[[nodiscard]] inline std::vector<double> slacks_from_state(
+    const CompactGraph& g, const detail::ArrivalState& st,
     const std::vector<double>& required) {
   std::vector<double> slack(g.num_nets(), kPosInf);
   for (std::uint32_t i = 0; i < g.num_nets(); ++i) {
@@ -257,9 +172,11 @@ template <class G>
   return slack;
 }
 
-template <class G>
-[[nodiscard]] detail::WorstEndpoint worst_endpoint_from_state(
-    const G& g, const StaOptions& opt, const detail::ArrivalState& st) {
+/// The worst endpoint over the whole design; ties go to the first net in
+/// id order, then the first sink in sink order.
+[[nodiscard]] inline detail::WorstEndpoint worst_endpoint_from_state(
+    const CompactGraph& g, const StaOptions& opt,
+    const detail::ArrivalState& st) {
   detail::WorstEndpoint e{kNegInf, NetId{}, 0};
   for (std::uint32_t i = 0; i < g.num_nets(); ++i) {
     const NetId nid{i};
@@ -280,10 +197,11 @@ template <class G>
   return e;
 }
 
-template <class G>
-[[nodiscard]] TimingResult timing_result_from_state(
-    const G& g, const StaOptions& opt, const detail::ArrivalState& st,
-    const detail::WorstEndpoint& worst) {
+/// TimingResult (period conversion + critical-path backtrack) from an
+/// already-propagated state and a chosen worst endpoint.
+[[nodiscard]] inline TimingResult timing_result_from_state(
+    const CompactGraph& g, const StaOptions& opt,
+    const detail::ArrivalState& st, const detail::WorstEndpoint& worst) {
   TimingResult r;
   r.num_endpoints = worst.count;
   if (worst.count == 0 || worst.path_tau == kNegInf) return r;
@@ -307,10 +225,11 @@ template <class G>
   return r;
 }
 
-template <class G>
-[[nodiscard]] std::vector<CriticalPath> top_paths_from_state(
-    const G& g, const StaOptions& opt, const detail::ArrivalState& st,
-    int k) {
+/// The k worst distinct endpoints with full backtracked paths, shared by
+/// sta::top_critical_paths and the incremental timer.
+[[nodiscard]] inline std::vector<CriticalPath> top_paths_from_state(
+    const CompactGraph& g, const StaOptions& opt,
+    const detail::ArrivalState& st, int k) {
   using netlist::NetSink;
   std::vector<CriticalPath> out;
   if (k <= 0) return out;
@@ -375,9 +294,8 @@ template <class G>
 }
 
 /// Total capacitive load on a net (pins + wire + extra), in unit caps —
-/// the view-templated twin of netlist::Netlist::net_load.
-template <class G>
-[[nodiscard]] double net_load(const G& g, NetId id) {
+/// the same expression order as netlist::Netlist::net_load.
+[[nodiscard]] inline double net_load(const CompactGraph& g, NetId id) {
   double load = g.net_extra_cap_units(id);
   for (const netlist::NetSink& s : g.sinks(id))
     if (s.kind == netlist::NetSink::Kind::kInstancePin)
@@ -393,8 +311,7 @@ template <class G>
 /// driver actually sees. For a long net with optimal repeaters, the first
 /// repeater sits adjacent to the driver, so the driver is unloaded from
 /// the wire and the repeated-line delay covers everything to the sinks.
-template <class G>
-[[nodiscard]] WireModel wire_model(const G& g, NetId id,
+[[nodiscard]] inline WireModel wire_model(const CompactGraph& g, NetId id,
                                    const StaOptions& opt) {
   WireModel m;
   m.driver_load_units = net_load(g, id);
@@ -411,7 +328,8 @@ template <class G>
   seg.width_multiple = g.net_width_multiple(id);
   m.delay_tau = wire::elmore_delay_tau(t, seg, sink_units);
 
-  if (opt.optimal_repeaters && g.net_length_um(id) > opt.repeater_threshold_um) {
+  if (opt.optimal_repeaters &&
+      g.net_length_um(id) > opt.repeater_threshold_um) {
     // "Proper driving" (section 5): a fanout-of-4 buffer chain ramps up
     // from the net's driver to the plan's repeater size, then the
     // optimally repeated line carries the signal to the sinks. Pick
@@ -440,5 +358,4 @@ template <class G>
   return m;
 }
 
-}  // namespace kern
-}  // namespace gap::sta
+}  // namespace gap::sta::kern

@@ -1,18 +1,11 @@
 #pragma once
 /// \file propagation.hpp
-/// Shared per-node arithmetic of the two STA engines, addressed by
-/// netlist::Netlist. The batch engine (sta.cpp) and the incremental
-/// engine (incremental.cpp) must produce *byte-identical* arrivals,
-/// required times, slacks and critical paths — that is the contract the
-/// differential harness in tests/incremental_sta_test.cpp enforces. The
-/// formulas themselves live once, templated over a graph view, in
-/// sta/kernels.hpp; every function here is the NetlistView instantiation
-/// (compiled out-of-line in propagation.cpp), so the pointer path and the
-/// CompactGraph path share one source definition of every quantity and
-/// neither engine owns a private copy of the arithmetic.
-///
-/// All functions are pure: they read the netlist and the per-net arrays
-/// and never touch engine bookkeeping (dirty sets, counters, caches).
+/// Per-run timing state and the two option-derived scalars every STA
+/// engine shares. The arithmetic over this state lives once, in
+/// sta/kernels.hpp; the batch engine (sta.cpp) and the incremental engine
+/// (incremental.cpp) both evaluate it through those kernels, so their
+/// arrivals, required times, slacks and critical paths are byte-identical
+/// — the contract tests/incremental_sta_test.cpp enforces.
 
 #include <vector>
 
@@ -23,8 +16,7 @@ namespace gap::sta::detail {
 
 /// Per-net / per-instance forward-timing state. Index arrays by
 /// NetId::index() / InstanceId::index(). `wire_delay` is stored
-/// post-corner (already multiplied by the corner delay factor), exactly
-/// as the batch engine's Propagation held it.
+/// post-corner (already multiplied by the corner delay factor).
 struct ArrivalState {
   std::vector<double> arrival;      ///< per net, at the driver output
   std::vector<double> wire_delay;   ///< per net, added at every sink
@@ -32,89 +24,26 @@ struct ArrivalState {
   std::vector<NetId> crit_input;    ///< per instance, worst input net
 };
 
-/// Per-instance statistical delay multiplier (1.0 without MC sampling).
-[[nodiscard]] double inst_factor(const StaOptions& opt, InstanceId id);
-
-/// Arc delay of an instance driving the given load, in tau (pre-corner).
-[[nodiscard]] double arc_delay(const netlist::Netlist& nl, InstanceId id,
-                               double load_units);
-
-/// Arrival a primary input drives onto its net: the external driver of
-/// the port's declared strength charging the net's load.
-[[nodiscard]] double pi_arrival(const StaOptions& opt,
-                                const ArrivalState& st,
-                                const netlist::Port& port);
-
-/// Arrival at the output of `id` given the current input arrivals, with
-/// the worst (arrival-setting) input reported through `crit_out`
-/// (invalid for sequential launches and floating-input cones).
-[[nodiscard]] double instance_arrival(const netlist::Netlist& nl,
-                                      const StaOptions& opt,
-                                      const ArrivalState& st, InstanceId id,
-                                      NetId* crit_out);
-
-/// Compute-and-store form used by the batch forward pass.
-void relax_instance(const netlist::Netlist& nl, const StaOptions& opt,
-                    ArrivalState& st, InstanceId id);
-
-/// Full path delay at one timing endpoint — a primary-output sink or a
-/// sequential D pin (launch through gates and wires plus capture setup).
-/// -inf when the sink is not an endpoint or the net has no arrival.
-[[nodiscard]] double endpoint_path_tau(const netlist::Netlist& nl,
-                                       const StaOptions& opt,
-                                       const ArrivalState& st, NetId net,
-                                       const netlist::NetSink& sink);
-
-/// Required time at `net` for the given data budget, recomputed from all
-/// of its sinks: endpoint seeds (budget minus capture setup minus wire)
-/// min'd with each combinational sink's propagated requirement. Because
-/// min over doubles is an exact selection, accumulating per-sink here is
-/// bit-identical to the batch engine's seed-then-backward accumulation.
-/// `required` must already hold final values for every sink instance's
-/// output net (reverse-topological processing guarantees it).
-[[nodiscard]] double required_of_net(const netlist::Netlist& nl,
-                                     const StaOptions& opt,
-                                     const ArrivalState& st,
-                                     const std::vector<double>& required,
-                                     double budget, NetId net);
-
-/// Data budget inside one cycle once skew is taken out.
-[[nodiscard]] double cycle_budget(const StaOptions& opt, double period_tau);
-
-/// Full backward pass: required time for every net at the given budget.
-/// `order` is netlist::topo_order(nl).
-[[nodiscard]] std::vector<double> compute_required(
-    const netlist::Netlist& nl, const StaOptions& opt,
-    const ArrivalState& st, const std::vector<InstanceId>& order,
-    double budget);
-
-/// Slack per net (required - arrival); +inf for unconstrained nets,
-/// exactly as sta::net_slacks reports them.
-[[nodiscard]] std::vector<double> slacks_from_state(
-    const netlist::Netlist& nl, const ArrivalState& st,
-    const std::vector<double>& required);
-
-/// The worst endpoint over the whole design, with the batch engine's
-/// tie-break (first net in id order, first sink in sink order).
+/// The worst endpoint over the whole design: its path delay, the net
+/// feeding it, and how many endpoints were considered.
 struct WorstEndpoint {
   double path_tau;
   NetId net;
   std::size_t count = 0;
 };
-[[nodiscard]] WorstEndpoint worst_endpoint_from_state(
-    const netlist::Netlist& nl, const StaOptions& opt,
-    const ArrivalState& st);
 
-/// TimingResult (period conversion + critical-path backtrack) from an
-/// already-propagated state and a chosen worst endpoint.
-[[nodiscard]] TimingResult timing_result_from_state(
-    const netlist::Netlist& nl, const StaOptions& opt,
-    const ArrivalState& st, const WorstEndpoint& worst);
+/// Per-instance statistical delay multiplier (1.0 without MC sampling).
+[[nodiscard]] inline double inst_factor(const StaOptions& opt,
+                                        InstanceId id) {
+  if (opt.instance_delay_factors == nullptr) return 1.0;
+  return (*opt.instance_delay_factors)[id.index()];
+}
 
-/// The k worst distinct endpoints with full backtracked paths, shared by
-/// sta::top_critical_paths and the incremental timer.
-[[nodiscard]] std::vector<CriticalPath> top_paths_from_state(
-    const netlist::Netlist& nl, const StaOptions& opt,
-    const ArrivalState& st, int k);
+/// Data budget inside one cycle once skew is taken out.
+[[nodiscard]] inline double cycle_budget(const StaOptions& opt,
+                                         double period_tau) {
+  return period_tau * (1.0 - opt.clock.skew_fraction) -
+         opt.clock.extra_skew_tau;
+}
 
 }  // namespace gap::sta::detail

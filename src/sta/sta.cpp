@@ -1,45 +1,27 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
+#include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "netlist/checks.hpp"
 #include "sta/compact_graph.hpp"
 #include "sta/kernels.hpp"
-#include "sta/propagation.hpp"
-#include "wire/repeaters.hpp"
 
 namespace gap::sta {
 namespace {
 
-using netlist::NetDriver;
 using netlist::Netlist;
 using netlist::NetSink;
+using kern::kPosInf;
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr double kPosInf = std::numeric_limits<double>::infinity();
-
-/// Shared forward-propagation state: the per-net arrays plus the topo
-/// order they were filled in. The arithmetic itself lives in
-/// sta/propagation.cpp so the incremental engine reuses the exact same
-/// compiled kernels (see propagation.hpp for the byte-identity contract).
+/// One-shot forward propagation: the graph it ran on plus the per-net
+/// arrays it filled. Resident consumers (IncrementalTimer, MC-STA) keep
+/// their graph instead of rebuilding it per call.
 struct Propagation {
+  CompactGraph g;
   detail::ArrivalState st;
-  std::vector<InstanceId> order;
 };
-
-}  // namespace
-
-/// Wire modeling of one net — the NetlistView instantiation of
-/// kern::wire_model (see kernels.hpp for the model description).
-WireModel wire_model(const Netlist& nl, NetId id, const StaOptions& opt) {
-  return kern::wire_model(NetlistView(nl), id, opt);
-}
-
-namespace {
 
 Propagation propagate(const Netlist& nl, const StaOptions& opt) {
   GAP_TRACE_SPAN("sta::arrival_pass");
@@ -52,42 +34,61 @@ Propagation propagate(const Netlist& nl, const StaOptions& opt) {
   passes.add();
   props.add(nl.num_instances());
 
-  Propagation p;
-  if (opt.graph == GraphKind::kCompact) {
-    // One-shot analysis on the flat layout: build, propagate, keep the
-    // order for the backward pass. Resident consumers (IncrementalTimer,
-    // MC-STA) cache the graph instead of rebuilding per call.
-    const CompactGraph g(nl);
-    compact_propagate(g, opt, p.st);
-    p.order = g.order();
-    return p;
-  }
-  p.st.arrival.assign(nl.num_nets(), kNegInf);
-  p.st.wire_delay.resize(nl.num_nets());
-  p.st.driver_load.resize(nl.num_nets());
-  p.st.crit_input.assign(nl.num_instances(), NetId{});
-  const double k = opt.corner_delay_factor;
-
-  for (NetId n : nl.all_nets()) {
-    const WireModel m = wire_model(nl, n, opt);
-    p.st.wire_delay[n.index()] = k * m.delay_tau;
-    p.st.driver_load[n.index()] = m.driver_load_units;
-  }
-
-  // Primary inputs: external driver of the port's declared strength.
-  for (PortId pid : nl.all_ports()) {
-    const netlist::Port& port = nl.port(pid);
-    if (!port.is_input) continue;
-    p.st.arrival[port.net.index()] = detail::pi_arrival(opt, p.st, port);
-  }
-
-  p.order = netlist::topo_order(nl);
-  GAP_EXPECTS(p.order.size() == nl.num_instances());
-  for (InstanceId id : p.order) detail::relax_instance(nl, opt, p.st, id);
+  Propagation p{CompactGraph(nl), {}};
+  compact_propagate(p.g, opt, p.st);
   return p;
 }
 
+/// Minimum arrival time per net (shortest paths) for hold analysis.
+/// Only register-launched paths participate: hold at primary-input-fed
+/// endpoints is an interface constraint, not an internal one, so PI nets
+/// stay at +inf and purely PI-fed cones are skipped.
+std::vector<double> min_arrivals(const CompactGraph& g,
+                                 const StaOptions& opt) {
+  std::vector<double> arrival(g.num_nets(), kPosInf);
+  const double k = opt.corner_delay_factor;
+
+  for (InstanceId id : g.order()) {
+    double in_arr;
+    if (g.is_sequential(id)) {
+      in_arr = 0.0;  // launched by the clock edge
+    } else {
+      in_arr = kPosInf;
+      for (NetId in : g.inputs(id))
+        in_arr = std::min(in_arr, arrival[in.index()]);
+      if (in_arr == kPosInf) continue;  // PI-only cone: no internal launch
+    }
+    const NetId out = g.output(id);
+    const double d = k * kern::arc_delay(g, id, kern::net_load(g, out));
+    arrival[out.index()] = std::min(arrival[out.index()], in_arr + d);
+  }
+  return arrival;
+}
+
+/// Calls fn(sink, hold slack) for every register D pin reached by a
+/// register-launched path, in net order then sink order.
+template <class Fn>
+void for_each_hold_endpoint(const Netlist& nl, const StaOptions& opt,
+                            double skew_abs_tau, Fn&& fn) {
+  const CompactGraph g(nl);
+  const std::vector<double> arrival = min_arrivals(g, opt);
+  const double k = opt.corner_delay_factor;
+  for (std::uint32_t i = 0; i < g.num_nets(); ++i) {
+    if (arrival[i] == kPosInf) continue;
+    for (const NetSink& s : g.sinks(NetId{i})) {
+      if (s.kind != NetSink::Kind::kInstancePin || !g.is_sequential(s.inst))
+        continue;
+      const double hold = k * nl.cell_of(s.inst).hold_tau;
+      fn(s, arrival[i] - hold - skew_abs_tau);
+    }
+  }
+}
+
 }  // namespace
+
+WireModel wire_model(const CompactGraph& g, NetId id, const StaOptions& opt) {
+  return kern::wire_model(g, id, opt);
+}
 
 TimingResult analyze(const Netlist& nl, const StaOptions& options) {
   GAP_TRACE_SPAN("sta::analyze");
@@ -97,8 +98,8 @@ TimingResult analyze(const Netlist& nl, const StaOptions& options) {
   analyses.add();
   const Propagation p = propagate(nl, options);
   const detail::WorstEndpoint e =
-      detail::worst_endpoint_from_state(nl, options, p.st);
-  return detail::timing_result_from_state(nl, options, p.st, e);
+      kern::worst_endpoint_from_state(p.g, options, p.st);
+  return kern::timing_result_from_state(p.g, options, p.st, e);
 }
 
 std::vector<CriticalPath> top_critical_paths(const Netlist& nl,
@@ -106,7 +107,7 @@ std::vector<CriticalPath> top_critical_paths(const Netlist& nl,
                                              int k) {
   if (k <= 0) return {};
   const Propagation p = propagate(nl, options);
-  return detail::top_paths_from_state(nl, options, p.st, k);
+  return kern::top_paths_from_state(p.g, options, p.st, k);
 }
 
 std::vector<double> net_arrivals(const Netlist& nl, const StaOptions& options) {
@@ -117,61 +118,22 @@ std::vector<double> net_slacks(const Netlist& nl, const StaOptions& options,
                                double period_tau) {
   const Propagation p = propagate(nl, options);
   const double budget = detail::cycle_budget(options, period_tau);
-  const std::vector<double> required =
-      detail::compute_required(nl, options, p.st, p.order, budget);
-  return detail::slacks_from_state(nl, p.st, required);
+  return kern::slacks_from_state(
+      p.g, p.st, kern::compute_required(p.g, options, p.st, budget));
 }
-
-namespace {
-
-/// Minimum arrival time per net (shortest paths) for hold analysis.
-/// Only register-launched paths participate: hold at primary-input-fed
-/// endpoints is an interface constraint, not an internal one, so PI nets
-/// stay at +inf and purely PI-fed cones are skipped.
-std::vector<double> min_arrivals(const Netlist& nl, const StaOptions& opt) {
-  std::vector<double> arrival(nl.num_nets(), kPosInf);
-  const double k = opt.corner_delay_factor;
-
-  for (InstanceId id : netlist::topo_order(nl)) {
-    const netlist::Instance& inst = nl.instance(id);
-    double in_arr;
-    if (nl.is_sequential(id)) {
-      in_arr = 0.0;  // launched by the clock edge
-    } else {
-      in_arr = kPosInf;
-      for (NetId in : inst.inputs)
-        in_arr = std::min(in_arr, arrival[in.index()]);
-      if (in_arr == kPosInf) continue;  // PI-only cone: no internal launch
-    }
-    const double d = k * detail::arc_delay(nl, id, nl.net_load(inst.output));
-    arrival[inst.output.index()] =
-        std::min(arrival[inst.output.index()], in_arr + d);
-  }
-  return arrival;
-}
-
-}  // namespace
 
 HoldResult analyze_hold(const Netlist& nl, const StaOptions& options,
                         double skew_abs_tau) {
   GAP_EXPECTS(skew_abs_tau >= 0.0);
-  const auto arrival = min_arrivals(nl, options);
-  const double k = options.corner_delay_factor;
-
   HoldResult r;
   r.worst_slack_tau = kPosInf;
-  for (NetId nid : nl.all_nets()) {
-    if (arrival[nid.index()] == kPosInf) continue;
-    for (const NetSink& s : nl.net(nid).sinks) {
-      if (s.kind != NetSink::Kind::kInstancePin || !nl.is_sequential(s.inst))
-        continue;
-      ++r.endpoints;
-      const double hold = k * nl.cell_of(s.inst).hold_tau;
-      const double slack = arrival[nid.index()] - hold - skew_abs_tau;
-      if (slack < r.worst_slack_tau) r.worst_slack_tau = slack;
-      if (slack < 0.0) ++r.violations;
-    }
-  }
+  for_each_hold_endpoint(nl, options, skew_abs_tau,
+                         [&r](const NetSink&, double slack) {
+                           ++r.endpoints;
+                           if (slack < r.worst_slack_tau)
+                             r.worst_slack_tau = slack;
+                           if (slack < 0.0) ++r.violations;
+                         });
   if (r.endpoints == 0) r.worst_slack_tau = 0.0;
   return r;
 }
@@ -182,26 +144,13 @@ int fix_hold(Netlist& nl, const StaOptions& options, double skew_abs_tau) {
   int added = 0;
 
   for (int pass = 0; pass < 16; ++pass) {
-    const auto arrival = min_arrivals(nl, options);
-    const double k = options.corner_delay_factor;
-    struct Fix {
-      InstanceId inst;
-      int pin;
-    };
-    std::vector<Fix> fixes;
-    for (NetId nid : nl.all_nets()) {
-      if (arrival[nid.index()] == kPosInf) continue;
-      for (const NetSink& s : nl.net(nid).sinks) {
-        if (s.kind != NetSink::Kind::kInstancePin ||
-            !nl.is_sequential(s.inst))
-          continue;
-        const double hold = k * nl.cell_of(s.inst).hold_tau;
-        if (arrival[nid.index()] - hold - skew_abs_tau < 0.0)
-          fixes.push_back({s.inst, s.pin});
-      }
-    }
+    std::vector<NetSink> fixes;
+    for_each_hold_endpoint(nl, options, skew_abs_tau,
+                           [&fixes](const NetSink& s, double slack) {
+                             if (slack < 0.0) fixes.push_back(s);
+                           });
     if (fixes.empty()) return added;
-    for (const Fix& f : fixes) {
+    for (const NetSink& f : fixes) {
       // One delay element in front of the violating D pin.
       const NetId src = nl.instance(f.inst).inputs[f.pin];
       const NetId delayed = nl.add_net(nl.fresh_name("holdnet"));

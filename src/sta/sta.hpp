@@ -24,14 +24,6 @@ struct ClockSpec {
   double extra_skew_tau = 0.0;  ///< absolute additional skew/jitter
 };
 
-/// Which timing-graph representation the engines evaluate on. Both run
-/// the same templated kernels (sta/kernels.hpp) and are byte-identical at
-/// any thread count — the choice trades data layout, never results.
-/// kPointer walks netlist::Netlist directly; kCompact builds/reuses a
-/// sta::CompactGraph (flat structure-of-arrays with a levelized wavefront
-/// schedule) and is the default. See docs/data-layout.md.
-enum class GraphKind : std::uint8_t { kPointer, kCompact };
-
 struct StaOptions {
   double corner_delay_factor = 1.0;  ///< process corner multiplier
   ClockSpec clock;
@@ -44,9 +36,6 @@ struct StaOptions {
   /// Optional per-instance delay multipliers (indexed by InstanceId),
   /// used by Monte Carlo statistical STA. Not owned; may be null.
   const std::vector<double>* instance_delay_factors = nullptr;
-
-  /// Data layout the analysis runs on (results are identical either way).
-  GraphKind graph = GraphKind::kCompact;
 };
 
 struct TimingResult {
@@ -78,7 +67,9 @@ struct WireModel {
   double driver_load_units = 0.0; ///< load the driver actually sees
 };
 
-[[nodiscard]] WireModel wire_model(const netlist::Netlist& nl, NetId id,
+class CompactGraph;
+
+[[nodiscard]] WireModel wire_model(const CompactGraph& g, NetId id,
                                    const StaOptions& options);
 
 /// One gate on an extracted critical path.

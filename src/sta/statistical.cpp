@@ -27,12 +27,10 @@ McStaResult monte_carlo_sta(const netlist::Netlist& nl,
   McStaResult result;
   result.nominal_period_tau = analyze(nl, options.base).min_period_tau;
 
-  // On the compact layout, all samples share one graph: variation changes
-  // per-instance delay *factors*, never structure or wire models' inputs,
-  // so the build/topo-sort cost is paid once instead of per sample.
-  const bool compact = options.base.graph == GraphKind::kCompact;
-  CompactGraph shared;
-  if (compact) shared.build(nl);
+  // All samples share one graph: variation changes per-instance delay
+  // *factors*, never structure or wire models' inputs, so the build and
+  // topo-sort cost is paid once instead of per sample.
+  const CompactGraph shared(nl);
 
   // Each sample owns a counter-based RNG stream and its own factor
   // buffer, so samples are independent of each other and of the lane
@@ -46,26 +44,22 @@ McStaResult monte_carlo_sta(const netlist::Netlist& nl,
       f = die * std::exp(options.sigma_gate * rng.normal());
     StaOptions opt = options.base;
     opt.instance_delay_factors = &factors;
-    if (compact) {
-      // The per-sample pass over the shared graph reports into the same
-      // counters analyze() would, so observability totals are unchanged.
-      static common::Counter& passes =
-          common::metrics().counter("sta.arrival_passes");
-      static common::Counter& props =
-          common::metrics().counter("sta.arrival_propagations");
-      static common::Counter& analyses =
-          common::metrics().counter("sta.analyses");
-      passes.add();
-      props.add(nl.num_instances());
-      analyses.add();
-      detail::ArrivalState st;
-      compact_propagate(shared, opt, st);
-      const detail::WorstEndpoint e =
-          kern::worst_endpoint_from_state(shared, opt, st);
-      return kern::timing_result_from_state(shared, opt, st, e)
-          .min_period_tau;
-    }
-    return analyze(nl, opt).min_period_tau;
+    // The per-sample pass over the shared graph reports into the same
+    // counters analyze() would, so observability totals are unchanged.
+    static common::Counter& passes =
+        common::metrics().counter("sta.arrival_passes");
+    static common::Counter& props =
+        common::metrics().counter("sta.arrival_propagations");
+    static common::Counter& analyses =
+        common::metrics().counter("sta.analyses");
+    passes.add();
+    props.add(nl.num_instances());
+    analyses.add();
+    detail::ArrivalState st;
+    compact_propagate(shared, opt, st);
+    const detail::WorstEndpoint e =
+        kern::worst_endpoint_from_state(shared, opt, st);
+    return kern::timing_result_from_state(shared, opt, st, e).min_period_tau;
   };
 
   const std::vector<double> periods = common::parallel_map(

@@ -13,18 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
-#include "designs/registry.hpp"
 #include "library/builders.hpp"
-#include "pipeline/pipeline.hpp"
-#include "sizing/tilos.hpp"
 #include "sta/incremental.hpp"
 #include "sta/sta.hpp"
-#include "synth/mapper.hpp"
 #include "tech/technology.hpp"
+#include "timer_fixtures.hpp"
 
 namespace gap {
 namespace {
@@ -33,19 +31,12 @@ using netlist::Netlist;
 using sta::Edit;
 using sta::IncrementalTimer;
 
-/// Register-bounded alu16: sequential launch/capture points plus deep
-/// combinational cones, so every edit kind has something to hit.
+/// Register-bounded alu16 (timer_fixtures.hpp).
 class IncrementalSta : public ::testing::Test {
  protected:
   IncrementalSta()
       : lib_(library::make_rich_asic_library(tech::asic_025um())) {
-    Netlist mapped = synth::map_to_netlist(
-        designs::make_design("alu16", designs::DatapathStyle::kSynthesized),
-        lib_, synth::MapOptions{}, "alu");
-    pipeline::PipelineOptions popt;
-    popt.stages = 1;
-    base_.emplace(pipeline::pipeline_insert(mapped, popt).nl);
-    sizing::initial_drive_assignment(*base_);
+    base_.emplace(registered_design("alu16", lib_));
   }
 
   [[nodiscard]] static sta::StaOptions options_for(std::uint64_t script) {
@@ -60,47 +51,6 @@ class IncrementalSta : public ::testing::Test {
   library::CellLibrary lib_;
   std::optional<Netlist> base_;
 };
-
-/// One random edit. Rewires may be rejected (combinational cycle); the
-/// caller skips those, which is itself part of the contract under test:
-/// a rejected edit must leave the timer bit-exact.
-Edit random_edit(Rng& rng, const Netlist& nl) {
-  const auto pick_inst = [&] {
-    return InstanceId(
-        static_cast<std::uint32_t>(rng.uniform_index(nl.num_instances())));
-  };
-  switch (rng.uniform_index(8)) {
-    case 0:
-    case 1:
-    case 2: {  // gate swap within the cell's own function ladder
-      const InstanceId id = pick_inst();
-      const library::Cell& c = nl.cell_of(id);
-      const auto& ladder = nl.lib().cells_of(c.func, c.family);
-      return Edit::replace_cell(
-          id, ladder[rng.uniform_index(ladder.size())]);
-    }
-    case 3:
-    case 4:
-    case 5:  // continuous resize; occasionally clear the override
-      return Edit::set_drive(pick_inst(), rng.bernoulli(0.2)
-                                              ? 0.0
-                                              : rng.uniform(1.0, 24.0));
-    case 6: {  // rewire one input pin to a random net
-      const InstanceId id = pick_inst();
-      const auto& inputs = nl.instance(id).inputs;
-      if (inputs.empty()) return Edit::set_drive(id, 4.0);
-      return Edit::rewire(
-          id, static_cast<int>(rng.uniform_index(inputs.size())),
-          NetId(static_cast<std::uint32_t>(rng.uniform_index(nl.num_nets()))));
-    }
-    default: {  // clock-constraint change
-      sta::ClockSpec ck;
-      ck.skew_fraction = rng.uniform(0.0, 0.3);
-      ck.extra_skew_tau = rng.uniform(0.0, 2.0);
-      return Edit::set_clock(ck);
-    }
-  }
-}
 
 void expect_bytes_equal(const std::vector<double>& got,
                         const std::vector<double>& want, const char* what) {

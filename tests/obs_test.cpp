@@ -19,18 +19,15 @@
 
 #include "common/json.hpp"
 #include "common/metrics.hpp"
-#include "designs/registry.hpp"
 #include "library/builders.hpp"
 #include "obs/expose.hpp"
 #include "obs/flight.hpp"
 #include "obs/stat_cli.hpp"
-#include "pipeline/pipeline.hpp"
 #include "qor/snapshot.hpp"
 #include "serve/server.hpp"
-#include "sizing/tilos.hpp"
 #include "sta/incremental.hpp"
-#include "synth/mapper.hpp"
 #include "tech/technology.hpp"
+#include "timer_fixtures.hpp"
 
 namespace gap::obs {
 namespace {
@@ -246,6 +243,17 @@ TEST(Flight, DetailTruncatesAtLimit) {
             std::string(FlightEvent::kDetailBytes, 'x'));
 }
 
+/// A default string_view has a null data(); recording it must not hand
+/// memcpy a null source (UBSan-fatal under tools/check.sh asan).
+TEST(Flight, EmptyDetailRecordsEmptyView) {
+  FlightRecorder rec(4);
+  rec.record(FlightEventKind::kRequestBegin, 9, 0, 1, std::string_view{});
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].req_id, 9u);
+  EXPECT_TRUE(events[0].detail_view().empty());
+}
+
 TEST(Flight, ConcurrentRecordersNeverTearSnapshots) {
   // Hammer the ring from several threads while a reader snapshots; every
   // surviving event must be internally consistent (value == req_id, the
@@ -450,25 +458,16 @@ TEST(GapStat, ExitCodesForBadInput) {
 
 // --- wavefront profile ---------------------------------------------------
 
-/// Register-bounded alu16 with drives assigned, built once; the library
+/// Register-bounded alu16 (timer_fixtures.hpp), built once; the library
 /// is static because the netlist references its cells for life.
 netlist::Netlist& small_design() {
   static library::CellLibrary lib =
       library::make_rich_asic_library(tech::asic_025um());
-  static netlist::Netlist nl = [] {
-    netlist::Netlist mapped = synth::map_to_netlist(
-        designs::make_design("alu16", designs::DatapathStyle::kSynthesized),
-        lib, synth::MapOptions{}, "alu");
-    pipeline::PipelineOptions popt;
-    popt.stages = 1;
-    netlist::Netlist out = pipeline::pipeline_insert(mapped, popt).nl;
-    sizing::initial_drive_assignment(out);
-    return out;
-  }();
+  static netlist::Netlist nl = registered_design("alu16", lib);
   return nl;
 }
 
-TEST(WaveProfile, IdenticalAcrossCapturePathsAndGraphKinds) {
+TEST(WaveProfile, IdenticalAcrossCapturePaths) {
   netlist::Netlist& nl = small_design();
   qor::SnapshotOptions opt;
 
@@ -478,28 +477,19 @@ TEST(WaveProfile, IdenticalAcrossCapturePathsAndGraphKinds) {
   EXPECT_GE(batch.wave_narrow_fraction, 0.0);
   EXPECT_LE(batch.wave_narrow_fraction, 1.0);
 
-  for (const sta::GraphKind kind :
-       {sta::GraphKind::kCompact, sta::GraphKind::kPointer}) {
-    sta::StaOptions sta_opt = opt.sta;
-    sta_opt.graph = kind;
-    sta::IncrementalTimer timer(nl, sta_opt, 1);
-    timer.flush();
-    qor::SnapshotOptions topt = opt;
-    topt.sta = sta_opt;
-    const qor::QorSnapshot inc = qor::capture(timer, topt);
-    EXPECT_EQ(inc.wave_levels, batch.wave_levels);
-    EXPECT_EQ(inc.wave_widest, batch.wave_widest);
-    EXPECT_EQ(inc.wave_narrow_fraction, batch.wave_narrow_fraction);
-  }
+  sta::IncrementalTimer timer(nl, opt.sta, 1);
+  timer.flush();
+  const qor::QorSnapshot inc = qor::capture(timer, opt);
+  EXPECT_EQ(inc.wave_levels, batch.wave_levels);
+  EXPECT_EQ(inc.wave_widest, batch.wave_widest);
+  EXPECT_EQ(inc.wave_narrow_fraction, batch.wave_narrow_fraction);
 }
 
 TEST(WaveProfile, CountersAreThreadCountInvariant) {
   netlist::Netlist& nl = small_design();
   const auto run = [&](int threads) {
     common::metrics().reset();
-    sta::StaOptions opt;
-    opt.graph = sta::GraphKind::kCompact;
-    sta::IncrementalTimer timer(nl, opt, threads);
+    sta::IncrementalTimer timer(nl, sta::StaOptions{}, threads);
     timer.flush();
     common::MetricsSnapshot snap = common::metrics().snapshot();
     // Wall metrics (pool dispatch decisions) are allowed to differ.

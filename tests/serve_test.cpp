@@ -654,6 +654,25 @@ TEST(ServeCli, UsageErrorsExitTwo) {
   EXPECT_NE(err.str().find("gapd: error:"), std::string::npos);
 }
 
+/// Count and capacity flags reject a fractional value instead of
+/// truncating it; --deadline-us is the one real-valued flag.
+TEST(ServeCli, FractionalIntegerFlagsExitTwo) {
+  for (const char* flag :
+       {"--threads", "--max-sessions", "--max-frame-bytes",
+        "--max-journal-edits", "--max-session-diags", "--expose-interval",
+        "--flight-capacity"}) {
+    std::istringstream in;
+    std::ostringstream out, err;
+    const char* argv[] = {flag, "100.5"};
+    EXPECT_EQ(run_gapd(2, argv, in, out, err), kExitUsage) << flag;
+    EXPECT_NE(err.str().find("needs an integer"), std::string::npos) << flag;
+  }
+  std::istringstream in;
+  std::ostringstream out, err;
+  const char* deadline[] = {"--deadline-us", "2.5"};
+  EXPECT_EQ(run_gapd(2, deadline, in, out, err), 0);
+}
+
 TEST(ServeCli, EofWithoutShutdownExitsClean) {
   std::istringstream in("{\"cmd\":\"stats\"}\n");
   std::ostringstream out, err;

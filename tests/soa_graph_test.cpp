@@ -1,13 +1,14 @@
 /// \file soa_graph_test.cpp
-/// Differential + structural suite for the flat SoA timing graph
+/// Oracle + structural suite for the flat SoA timing graph
 /// (sta/compact_graph.hpp), run under `ctest -L soa`. Three concerns:
 ///
-///  1. **Byte-identity across layouts.** Every batch query (analyze,
-///     net_arrivals, net_slacks, top_critical_paths) and every resident
-///     IncrementalTimer query must return bit-identical doubles whether
-///     StaOptions::graph is kPointer or kCompact, at 1 and at N threads.
-///     Both layouts instantiate the same kernels (sta/kernels.hpp), so
-///     any difference is a transcription bug, not a rounding debate.
+///  1. **Agreement with an independent STA.** Every batch query (analyze,
+///     net_arrivals, net_slacks, top_critical_paths) and a resident
+///     IncrementalTimer after a randomized edit script must return the
+///     bytes a naive textbook STA (sta_oracle.hpp, which shares no code
+///     with src/sta) computes, on every registry design at corner factors
+///     1.0 and 1.15, with and without optimal repeaters. Monte Carlo STA
+///     over one shared graph must equal per-sample sta::analyze calls.
 ///
 ///  2. **Construction round-trips.** For every designs::registry entry:
 ///     node/edge/port counts match the netlist, ids are positional and
@@ -20,51 +21,63 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
-#include "pipeline/pipeline.hpp"
-#include "sizing/tilos.hpp"
+#include "place/place.hpp"
 #include "sta/compact_graph.hpp"
 #include "sta/incremental.hpp"
 #include "sta/statistical.hpp"
 #include "sta/sta.hpp"
-#include "synth/mapper.hpp"
+#include "sta_oracle.hpp"
 #include "tech/technology.hpp"
+#include "timer_fixtures.hpp"
 
 namespace gap {
 namespace {
 
 using netlist::Netlist;
 using sta::CompactGraph;
-using sta::Edit;
-using sta::GraphKind;
 using sta::IncrementalTimer;
 
-/// Map + pipeline one registry design into the register-bounded netlist
-/// the timing engines see in the real flow.
+/// A registered design (timer_fixtures.hpp), placed scattered over a
+/// 2 mm die so that long nets take the repeater branch of the wire model.
 Netlist implemented(const std::string& name,
                     const library::CellLibrary& lib) {
-  Netlist mapped = synth::map_to_netlist(
-      designs::make_design(name, designs::DatapathStyle::kSynthesized), lib,
-      synth::MapOptions{}, name + "_impl");
-  pipeline::PipelineOptions popt;
-  popt.stages = 1;
-  Netlist nl = pipeline::pipeline_insert(mapped, popt).nl;
-  sizing::initial_drive_assignment(nl);
+  Netlist nl = registered_design(name, lib);
+  place::PlaceOptions opt;
+  opt.mode = place::PlacementMode::kScattered;
+  opt.scatter_die_mm = 2.0;
+  place::place(nl, opt);
   return nl;
 }
 
-[[nodiscard]] sta::StaOptions options_variant(int v, GraphKind graph) {
+/// Variant 0: corner 1.0 with plain RC wires; variant 1: corner 1.15 with
+/// optimal repeaters on long nets.
+[[nodiscard]] sta::StaOptions options_variant(int v) {
   sta::StaOptions opt;
-  opt.graph = graph;
-  opt.optimal_repeaters = v % 2 == 1;
-  opt.corner_delay_factor = v % 3 == 0 ? 1.0 : 1.15;
+  opt.optimal_repeaters = v == 1;
+  opt.corner_delay_factor = v == 1 ? 1.15 : 1.0;
   return opt;
+}
+
+[[nodiscard]] oracle::Options oracle_options(const sta::StaOptions& opt) {
+  oracle::Options o;
+  o.corner = opt.corner_delay_factor;
+  o.skew_fraction = opt.clock.skew_fraction;
+  o.extra_skew_tau = opt.clock.extra_skew_tau;
+  o.wire_delay = opt.include_wire_delay;
+  o.repeaters = opt.optimal_repeaters;
+  o.repeater_threshold_um = opt.repeater_threshold_um;
+  return o;
+}
+
+[[nodiscard]] bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 void expect_bytes_equal(const std::vector<double>& got,
@@ -72,36 +85,51 @@ void expect_bytes_equal(const std::vector<double>& got,
   ASSERT_EQ(got.size(), want.size()) << what;
   EXPECT_EQ(
       std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
-      << what << " differ between graph layouts";
+      << what << " differ from the oracle";
 }
 
-void expect_timing_equal(const sta::TimingResult& a,
-                         const sta::TimingResult& b) {
-  EXPECT_EQ(
-      std::memcmp(&a.worst_path_tau, &b.worst_path_tau, sizeof(double)), 0);
-  EXPECT_EQ(
-      std::memcmp(&a.min_period_tau, &b.min_period_tau, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.min_period_ps, &b.min_period_ps, sizeof(double)),
-            0);
-  EXPECT_EQ(a.num_endpoints, b.num_endpoints);
-  EXPECT_EQ(a.critical_path, b.critical_path);
-}
+/// What an engine answers for one netlist: the timing summary, arrivals,
+/// slacks at the reported min period, and the top-5 endpoint paths.
+struct Answers {
+  sta::TimingResult timing;
+  std::vector<double> arrivals;
+  std::vector<double> slacks;
+  std::vector<sta::CriticalPath> top;
+};
 
-void expect_paths_equal(const std::vector<sta::CriticalPath>& a,
-                        const std::vector<sta::CriticalPath>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t p = 0; p < a.size(); ++p) {
-    EXPECT_EQ(a[p].endpoint_net, b[p].endpoint_net) << p;
-    EXPECT_EQ(a[p].endpoint.kind, b[p].endpoint.kind) << p;
-    EXPECT_EQ(
-        std::memcmp(&a[p].path_tau, &b[p].path_tau, sizeof(double)), 0)
-        << p;
-    ASSERT_EQ(a[p].nodes.size(), b[p].nodes.size()) << p;
-    for (std::size_t i = 0; i < a[p].nodes.size(); ++i) {
-      EXPECT_EQ(a[p].nodes[i].inst, b[p].nodes[i].inst) << p << ":" << i;
-      EXPECT_EQ(std::memcmp(&a[p].nodes[i].arrival_tau,
-                            &b[p].nodes[i].arrival_tau, sizeof(double)),
-                0)
+/// Every answer equals, bit for bit, what the oracle computes on `nl`.
+void expect_matches_oracle(const Netlist& nl, const sta::StaOptions& opt,
+                           const Answers& got) {
+  oracle::Sta o(nl, oracle_options(opt));
+  const std::vector<oracle::Path> eps = o.endpoints();
+  ASSERT_FALSE(eps.empty());
+  const double period = o.period_tau(eps[0].path_tau);
+  EXPECT_TRUE(same_bits(got.timing.worst_path_tau, eps[0].path_tau));
+  EXPECT_TRUE(same_bits(got.timing.min_period_tau, period));
+  EXPECT_TRUE(same_bits(got.timing.min_period_ps,
+                        nl.lib().technology().tau_to_ps(period)));
+  EXPECT_EQ(got.timing.num_endpoints, eps.size());
+  EXPECT_EQ(got.timing.critical_path, eps[0].insts);
+
+  std::vector<double> arrivals;
+  for (NetId n : nl.all_nets()) arrivals.push_back(o.arrival(n));
+  expect_bytes_equal(got.arrivals, arrivals, "arrivals");
+  expect_bytes_equal(got.slacks, o.slacks(period), "slacks");
+
+  ASSERT_EQ(got.top.size(), std::min<std::size_t>(5, eps.size()));
+  for (std::size_t p = 0; p < got.top.size(); ++p) {
+    const sta::CriticalPath& a = got.top[p];
+    const oracle::Path& b = eps[p];
+    EXPECT_EQ(a.endpoint_net, b.net) << p;
+    EXPECT_EQ(a.endpoint.kind, b.sink.kind) << p;
+    EXPECT_EQ(a.endpoint.inst, b.sink.inst) << p;
+    EXPECT_EQ(a.endpoint.port, b.sink.port) << p;
+    EXPECT_TRUE(same_bits(a.path_tau, b.path_tau)) << p;
+    ASSERT_EQ(a.nodes.size(), b.insts.size()) << p;
+    for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+      EXPECT_EQ(a.nodes[i].inst, b.insts[i]) << p << ":" << i;
+      EXPECT_EQ(a.nodes[i].input_net, b.input_nets[i]) << p << ":" << i;
+      EXPECT_TRUE(same_bits(a.nodes[i].arrival_tau, b.arrivals_tau[i]))
           << p << ":" << i;
     }
   }
@@ -113,55 +141,66 @@ class SoaGraph : public ::testing::Test {
   library::CellLibrary lib_;
 };
 
-// --- 1. batch queries: pointer vs compact -----------------------------------
+// --- 1. agreement with the oracle -------------------------------------------
 
-/// Every batch query, over every registry design, across the option
-/// variants that flip the repeater branch and the corner factor.
-TEST_F(SoaGraph, BatchQueriesMatchPointerPath) {
-  int v = 0;
+/// Every batch query, over every registry design, at both corner factors;
+/// the 1.15 variant also takes the optimal-repeater branch, which must
+/// change at least one design's worst path for the check to mean much.
+TEST_F(SoaGraph, BatchQueriesMatchOracle) {
+  bool repeaters_bite = false;
   for (const std::string& name : designs::design_names()) {
+    SCOPED_TRACE(name);
     const Netlist nl = implemented(name, lib_);
-    const sta::StaOptions po = options_variant(v, GraphKind::kPointer);
-    const sta::StaOptions co = options_variant(v, GraphKind::kCompact);
-    ++v;
-
-    const sta::TimingResult pr = sta::analyze(nl, po);
-    const sta::TimingResult cr = sta::analyze(nl, co);
-    expect_timing_equal(pr, cr);
-
-    expect_bytes_equal(sta::net_arrivals(nl, co), sta::net_arrivals(nl, po),
-                       "arrivals");
-    expect_bytes_equal(sta::net_slacks(nl, co, pr.min_period_tau),
-                       sta::net_slacks(nl, po, pr.min_period_tau), "slacks");
-    expect_paths_equal(sta::top_critical_paths(nl, co, 5),
-                       sta::top_critical_paths(nl, po, 5));
-    if (HasFatalFailure()) return;
+    for (int v : {0, 1}) {
+      SCOPED_TRACE(v);
+      const sta::StaOptions opt = options_variant(v);
+      const sta::TimingResult t = sta::analyze(nl, opt);
+      expect_matches_oracle(
+          nl, opt,
+          {t, sta::net_arrivals(nl, opt),
+           sta::net_slacks(nl, opt, t.min_period_tau),
+           sta::top_critical_paths(nl, opt, 5)});
+      if (HasFatalFailure()) return;
+    }
+    sta::StaOptions plain = options_variant(1);
+    plain.optimal_repeaters = false;
+    repeaters_bite |=
+        !same_bits(sta::analyze(nl, plain).worst_path_tau,
+                   sta::analyze(nl, options_variant(1)).worst_path_tau);
   }
+  EXPECT_TRUE(repeaters_bite);
 }
 
-/// Monte Carlo signoff reuses one shared graph across samples on the
-/// compact path; every sampled period (so every quantile) must still be
-/// the bytes the per-sample pointer analyses produce.
-TEST_F(SoaGraph, MonteCarloMatchesPointerPath) {
+/// Monte Carlo signoff reuses one shared graph across samples; every
+/// sampled period (so every quantile) must be the bytes a per-sample
+/// sta::analyze produces with the factors regenerated from the same
+/// Rng::stream(seed, s), at any thread count.
+TEST_F(SoaGraph, SharedGraphMonteCarloEqualsPerSampleAnalysis) {
   const Netlist nl = implemented("mac8", lib_);
+  sta::McStaOptions mc;
+  mc.base = options_variant(1);
+  mc.samples = 32;
+  mc.sigma_die = 0.05;
+  SampleStats want;
+  for (int s = 0; s < mc.samples; ++s) {
+    Rng rng = Rng::stream(mc.seed, static_cast<std::uint64_t>(s));
+    const double die = std::exp(mc.sigma_die * rng.normal());
+    std::vector<double> factors(nl.num_instances());
+    for (double& f : factors) f = die * std::exp(mc.sigma_gate * rng.normal());
+    sta::StaOptions opt = mc.base;
+    opt.instance_delay_factors = &factors;
+    want.add(sta::analyze(nl, opt).min_period_tau);
+  }
+  const double nominal = sta::analyze(nl, mc.base).min_period_tau;
   for (int threads : {1, 4}) {
-    sta::McStaOptions pm;
-    pm.base = options_variant(1, GraphKind::kPointer);
-    pm.samples = 32;
-    pm.threads = threads;
-    sta::McStaOptions cm = pm;
-    cm.base.graph = GraphKind::kCompact;
-
-    const sta::McStaResult pr = sta::monte_carlo_sta(nl, pm);
-    const sta::McStaResult cr = sta::monte_carlo_sta(nl, cm);
-    EXPECT_EQ(std::memcmp(&pr.nominal_period_tau, &cr.nominal_period_tau,
-                          sizeof(double)),
-              0);
-    for (double q : {0.05, 0.5, 0.95}) {
-      const double a = pr.period_tau.quantile(q);
-      const double b = cr.period_tau.quantile(q);
-      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "quantile " << q;
-    }
+    mc.threads = threads;
+    const sta::McStaResult got = sta::monte_carlo_sta(nl, mc);
+    EXPECT_TRUE(same_bits(got.nominal_period_tau, nominal));
+    expect_bytes_equal(got.period_tau.samples(), want.samples(),
+                       "MC periods");
+    for (double q : {0.05, 0.5, 0.95})
+      EXPECT_TRUE(same_bits(got.period_tau.quantile(q), want.quantile(q)))
+          << "quantile " << q << " at " << threads << " threads";
   }
 }
 
@@ -184,7 +223,7 @@ TEST_F(SoaGraph, ConstructionRoundTripsEveryRegistryDesign) {
       pins += inst.inputs.size();
       EXPECT_EQ(g.output(id), inst.output);
       EXPECT_EQ(g.is_sequential(id), nl.is_sequential(id));
-      // Value arrays hold the exact bytes the pointer path derives.
+      // Value arrays hold the exact bytes the Netlist accessors derive.
       const double want_drive = nl.drive_of(id);
       const double got_drive = g.drive(id);
       const double want_cap = nl.pin_cap(id);
@@ -315,7 +354,7 @@ TEST_F(SoaGraph, StableIdsAndRebuildAfterEditEqualsFreshBuild) {
     for (std::size_t p = 0; p < ga.size(); ++p) EXPECT_EQ(ga[p], gf[p]);
   }
   // Propagation over both graphs is byte-identical.
-  const sta::StaOptions opt = options_variant(0, GraphKind::kCompact);
+  const sta::StaOptions opt = options_variant(0);
   sta::detail::ArrivalState sa, sf;
   sta::compact_propagate(a, opt, sa);
   sta::compact_propagate(fresh, opt, sf);
@@ -341,85 +380,34 @@ TEST_F(SoaGraph, BuiltVersionTracksStructuralRebuilds) {
   EXPECT_EQ(g.built_version(), nl.version());
 }
 
-// --- incremental timer: pointer vs compact ----------------------------------
+// --- incremental timer vs the oracle -----------------------------------------
 
-Edit random_edit(Rng& rng, const Netlist& nl) {
-  const auto pick_inst = [&] {
-    return InstanceId(
-        static_cast<std::uint32_t>(rng.uniform_index(nl.num_instances())));
-  };
-  switch (rng.uniform_index(8)) {
-    case 0:
-    case 1:
-    case 2: {
-      const InstanceId id = pick_inst();
-      const library::Cell& c = nl.cell_of(id);
-      const auto& ladder = nl.lib().cells_of(c.func, c.family);
-      return Edit::replace_cell(id, ladder[rng.uniform_index(ladder.size())]);
-    }
-    case 3:
-    case 4:
-    case 5:
-      return Edit::set_drive(
-          pick_inst(), rng.bernoulli(0.2) ? 0.0 : rng.uniform(1.0, 24.0));
-    case 6: {
-      const InstanceId id = pick_inst();
-      const auto& inputs = nl.instance(id).inputs;
-      if (inputs.empty()) return Edit::set_drive(id, 4.0);
-      return Edit::rewire(
-          id, static_cast<int>(rng.uniform_index(inputs.size())),
-          NetId(static_cast<std::uint32_t>(rng.uniform_index(nl.num_nets()))));
-    }
-    default: {
-      sta::ClockSpec ck;
-      ck.skew_fraction = rng.uniform(0.0, 0.3);
-      ck.extra_skew_tau = rng.uniform(0.0, 2.0);
-      return Edit::set_clock(ck);
-    }
-  }
-}
-
-/// Twin resident timers — one per layout, driven by the same randomized
-/// edit scripts at alternating 1/4 lanes — answer every query with
-/// identical bytes, mid-script and at the end. This is the differential
-/// contract the flow, gapd and TILOS lean on when they flip --graph.
-TEST_F(SoaGraph, IncrementalTimersMatchAcrossLayoutsAndThreads) {
-  const Netlist base = implemented("alu16", lib_);
+/// A resident timer driven by a randomized edit script (swaps, resizes,
+/// rewires, clock changes) on every registry design answers every query
+/// with the bytes the oracle computes on the edited netlist. Lane counts
+/// alternate 1/4; incremental_sta_test covers thread-count invariance.
+TEST_F(SoaGraph, IncrementalTimerMatchesOracleAfterEdits) {
   constexpr std::uint64_t kSeed = 0x50A0ull;
-  constexpr int kScripts = 24;
-  constexpr int kEdits = 12;
+  int script = 0;
   int applied = 0;
-  for (int script = 0; script < kScripts; ++script) {
-    Netlist np = base;
-    Netlist nc = base;
-    IncrementalTimer tp(np, options_variant(script, GraphKind::kPointer),
-                        script % 2 == 0 ? 1 : 4);
-    IncrementalTimer tc(nc, options_variant(script, GraphKind::kCompact),
-                        script % 2 == 0 ? 4 : 1);
-    Rng rp = Rng::stream(kSeed, static_cast<std::uint64_t>(script));
-    Rng rc = Rng::stream(kSeed, static_cast<std::uint64_t>(script));
-    for (int e = 0; e < kEdits; ++e) {
-      const common::Status sp = tp.apply(random_edit(rp, np));
-      const common::Status sc = tc.apply(random_edit(rc, nc));
-      ASSERT_EQ(sp.ok(), sc.ok());
-      if (sp.ok()) ++applied;
-      if (e % 5 == 4) {
-        expect_bytes_equal(tc.arrivals(), tp.arrivals(), "arrivals");
-        if (HasFatalFailure()) return;
-      }
+  for (const std::string& name : designs::design_names()) {
+    SCOPED_TRACE(name);
+    const Netlist base = implemented(name, lib_);
+    for (int v : {0, 1}) {
+      Netlist nl = base;
+      IncrementalTimer timer(nl, options_variant(v), v == 0 ? 1 : 4);
+      Rng rng = Rng::stream(kSeed, static_cast<std::uint64_t>(script++));
+      for (int e = 0; e < 12; ++e)
+        applied += timer.apply(random_edit(rng, nl)).ok() ? 1 : 0;
+      const sta::TimingResult t = timer.timing();
+      expect_matches_oracle(nl, timer.options(),
+                            {t, timer.arrivals(),
+                             timer.slacks(t.min_period_tau),
+                             timer.top_paths(5)});
+      if (HasFatalFailure()) return;
     }
-    expect_timing_equal(tc.timing(), tp.timing());
-    const double period = tp.timing().min_period_tau;
-    expect_bytes_equal(tc.slacks(period), tp.slacks(period), "slacks");
-    expect_paths_equal(tc.top_paths(5), tp.top_paths(5));
-    // invalidate_all(): the full-rebuild path of both layouts.
-    tp.invalidate_all();
-    tc.invalidate_all();
-    expect_bytes_equal(tc.arrivals(), tp.arrivals(),
-                       "arrivals after invalidate_all");
-    if (HasFatalFailure()) return;
   }
-  EXPECT_GT(applied, kScripts * kEdits / 2);
+  EXPECT_GT(applied, script * 12 / 2);
 }
 
 }  // namespace

@@ -102,11 +102,13 @@ run_tsan() {
 }
 
 run_asan() {
+  # UBSan recovers and keeps going by default; make every finding fatal.
+  export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
   echo "== ASan/UBSan build ($BUILD_ASAN) =="
   cmake -B "$BUILD_ASAN" -S . -DGAP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD_ASAN" -j "$JOBS" \
-    --target fault_injection_test io_test diagnostics_test
+    --target fault_injection_test io_test diagnostics_test obs_test
 
   echo "== fault_injection_test under ASan/UBSan =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
@@ -119,6 +121,10 @@ run_asan() {
   echo "== diagnostics_test under ASan/UBSan =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_ASAN/tests/diagnostics_test"
+
+  echo "== obs_test under ASan/UBSan =="
+  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
+    "$BUILD_ASAN/tests/obs_test"
 }
 
 # The bench gate, exactly as CI runs it: quick-mode microbenchmarks in a
