@@ -1,10 +1,38 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <utility>
+
+#include "common/check.hpp"
 
 namespace gap::common::json {
 namespace {
+
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending pass-through bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
 
 /// Recursive-descent parser over a string. Mirrors the grammar the
 /// emitters produce plus the rest of RFC 8259; depth-limited so a
@@ -247,45 +275,92 @@ class Parser {
   std::size_t err_pos_ = 0;
 };
 
-void dump_to(const Value& v, std::string& out) {  // NOLINT(misc-no-recursion)
-  switch (v.kind) {
-    case Value::Kind::kNull: out += "null"; break;
-    case Value::Kind::kBool: out += v.boolean ? "true" : "false"; break;
-    case Value::Kind::kNumber: out += number(v.num); break;
-    case Value::Kind::kString:
-      out += '"';
-      out += escape(v.str);
-      out += '"';
-      break;
-    case Value::Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const Value& e : v.array) {
-        if (!first) out += ',';
-        first = false;
-        dump_to(e, out);
-      }
-      out += ']';
-      break;
-    }
-    case Value::Kind::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [k, m] : v.object) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += escape(k);
-        out += "\":";
-        dump_to(m, out);
-      }
-      out += '}';
-      break;
-    }
-  }
+}  // namespace
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_escaped(out, s);
+  return out;
 }
 
-}  // namespace
+// --- Writer --------------------------------------------------------------
+
+void Writer::separate() {
+  if (stack_.empty()) {
+    GAP_EXPECTS(out_.empty());  // one root value per writer
+    return;
+  }
+  Frame& f = stack_.back();
+  if (f.layout == Layout::kInline) out_ += f.empty ? " " : ", ";
+  else if (!f.empty) out_ += ',';
+  if (f.layout == Layout::kPretty) indent(stack_.size());
+  f.empty = false;
+}
+
+void Writer::before_value() {
+  GAP_EXPECTS(after_key_ || stack_.empty() || !stack_.back().object);
+  if (!std::exchange(after_key_, false)) separate();
+}
+
+Writer& Writer::begin(char open, bool object, Layout layout) {
+  before_value();
+  const Layout parent = stack_.empty() ? root_ : stack_.back().layout;
+  stack_.push_back({parent == Layout::kPretty ? layout : parent, object, true});
+  out_ += open;
+  return *this;
+}
+
+Writer& Writer::end(char close, bool object) {
+  GAP_EXPECTS(!after_key_ && !stack_.empty() &&
+              stack_.back().object == object);
+  const Frame f = stack_.back();
+  stack_.pop_back();
+  if (!f.empty && f.layout == Layout::kInline) out_ += ' ';
+  if (!f.empty && f.layout == Layout::kPretty) indent(stack_.size());
+  out_ += close;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  GAP_EXPECTS(!after_key_ && !stack_.empty() && stack_.back().object);
+  separate();
+  out_ += '"';
+  key_pos_ = out_.size();
+  append_escaped(out_, k);
+  key_len_ = out_.size() - key_pos_;
+  out_ += stack_.back().layout == Layout::kCompact ? "\":" : "\": ";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  before_value();
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
+  return *this;
+}
+
+Writer& Writer::value(double v) {
+  char buf[40];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+  const std::string_view text(buf, static_cast<std::size_t>(n));
+  if (!std::isfinite(v) && error_.empty()) {
+    error_ = "non-finite number " + std::string(text);
+    if (key_len_ != 0)
+      error_ += " at \"" + out_.substr(key_pos_, key_len_) + '"';
+  }
+  return raw(text);
+}
+
+Writer& Writer::raw(std::string_view json) {
+  before_value();
+  out_ += json;
+  return *this;
+}
+
+// --- Value ---------------------------------------------------------------
 
 std::optional<Value> Value::parse(const std::string& text) {
   return Parser(text).parse();
@@ -298,9 +373,31 @@ Result<Value> Value::parse_checked(const std::string& text) {
 }
 
 std::string Value::dump() const {
-  std::string out;
-  dump_to(*this, out);
-  return out;
+  Writer w;
+  write(w);
+  return w.take();
+}
+
+void Value::write(Writer& w) const {  // NOLINT(misc-no-recursion)
+  switch (kind) {
+    case Kind::kNull: w.null(); break;
+    case Kind::kBool: w.value(boolean); break;
+    case Kind::kNumber: w.value(num); break;
+    case Kind::kString: w.value(str); break;
+    case Kind::kArray:
+      w.begin_array();
+      for (const Value& e : array) e.write(w);
+      w.end_array();
+      break;
+    case Kind::kObject:
+      w.begin_object();
+      for (const auto& [k, m] : object) {
+        w.key(k);
+        m.write(w);
+      }
+      w.end_object();
+      break;
+  }
 }
 
 const Value* Value::find(const std::string& key) const {

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <ostream>
-#include <sstream>
 
 #include "common/json.hpp"
 
@@ -142,53 +141,35 @@ bool MetricsRegistry::is_wall_metric(const std::string& name) {
   return name.rfind("wall.", 0) == 0;
 }
 
-void MetricsRegistry::write_json(std::ostream& os, bool include_wall) const {
+std::string MetricsRegistry::json(bool include_wall) const {
   const MetricsSnapshot s = snapshot();
   const auto skip = [&](const std::string& name) {
     return !include_wall && is_wall_metric(name);
   };
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : s.counters) {
-    if (skip(name)) continue;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json::escape(name) << "\":" << v;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : s.gauges) {
-    if (skip(name)) continue;
-    if (!first) os << ',';
-    first = false;
-    const double safe = std::isfinite(v) ? v : 0.0;
-    os << '"' << json::escape(name) << "\":" << json::number(safe);
-  }
-  os << "},\"histograms\":{";
-  first = true;
+  json::Writer w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, v] : s.counters)
+    if (!skip(name)) w.member(name, v);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, v] : s.gauges)
+    if (!skip(name)) w.member(name, std::isfinite(v) ? v : 0.0);
+  w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : s.histograms) {
     if (skip(name)) continue;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json::escape(name) << "\":{\"count\":" << h.count
-       << ",\"clamped\":" << h.clamped << ",\"min\":" << json::number(h.min)
-       << ",\"max\":" << json::number(h.max) << ",\"buckets\":[";
-    bool bfirst = true;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) continue;
-      if (!bfirst) os << ',';
-      bfirst = false;
-      os << '[' << i << ',' << h.buckets[i] << ']';
-    }
-    os << "]}";
+    w.key(name).begin_object();
+    w.member("count", h.count).member("clamped", h.clamped);
+    w.member("min", h.min).member("max", h.max).key("buckets").begin_array();
+    for (std::size_t i = 0; i < h.buckets.size(); ++i)
+      if (h.buckets[i] != 0)
+        w.begin_array().value(i).value(h.buckets[i]).end_array();
+    w.end_array().end_object();
   }
-  os << "}}\n";
+  w.end_object().end_object();
+  return w.take() + '\n';
 }
 
-std::string MetricsRegistry::json(bool include_wall) const {
-  std::ostringstream os;
-  write_json(os, include_wall);
-  return os.str();
+void MetricsRegistry::write_json(std::ostream& os, bool include_wall) const {
+  os << json(include_wall);
 }
 
 MetricsRegistry& metrics() {

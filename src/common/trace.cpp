@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <ostream>
-#include <sstream>
 
 #include "common/json.hpp"
 
@@ -94,25 +93,20 @@ std::size_t Tracer::event_count() const {
   return n;
 }
 
-void Tracer::write_chrome_json(std::ostream& os) const {
-  const std::vector<TraceEvent> evs = events();
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& e : evs) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":\"" << json::escape(e.name)
-       << "\",\"cat\":\"gap\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid
-       << ",\"ts\":" << json::number(e.ts_us)
-       << ",\"dur\":" << json::number(e.dur_us) << '}';
+std::string Tracer::chrome_json() const {
+  json::Writer w;
+  w.begin_object().key("traceEvents").begin_array();
+  for (const TraceEvent& e : events()) {
+    w.begin_object().member("name", e.name).member("cat", "gap");
+    w.member("ph", "X").member("pid", 1).member("tid", e.tid);
+    w.member("ts", e.ts_us).member("dur", e.dur_us).end_object();
   }
-  os << "],\"displayTimeUnit\":\"ms\"}\n";
+  w.end_array().member("displayTimeUnit", "ms").end_object();
+  return w.take() + '\n';
 }
 
-std::string Tracer::chrome_json() const {
-  std::ostringstream os;
-  write_chrome_json(os);
-  return os.str();
+void Tracer::write_chrome_json(std::ostream& os) const {
+  os << chrome_json();
 }
 
 void TraceSpan::arm(const char* name) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -101,6 +102,18 @@ int report_failure(const Status& s, std::ostream& err) {
   return exit_code_for(s.code());
 }
 
+/// Write one output file (manifest, trace, metrics) and say so on `out`.
+Status write_output(const std::string& path, const std::string& text,
+                    std::ostream& out) {
+  std::ofstream os(path, std::ios::binary);
+  if (!os)
+    return Status::error(ErrorCode::kIo, "cannot write '" + path + "'", {},
+                         "gapflow");
+  os << text;
+  out << "wrote " << path << '\n';
+  return Status();
+}
+
 /// Arm the observability sinks requested on the command line, then write
 /// them with finish(). The registry/tracer are process-wide, so each run
 /// starts from a clean slate to report only its own work; tracing is
@@ -121,26 +134,14 @@ class ObservabilityOutputs {
   [[nodiscard]] Status finish(std::ostream& out) {
     if (!trace_path_.empty()) {
       common::tracer().set_enabled(false);
-      std::ofstream os(trace_path_);
-      if (!os)
-        return Status::error(ErrorCode::kIo,
-                             "cannot write '" + trace_path_ + "'", {},
-                             "gapflow");
-      common::tracer().write_chrome_json(os);
-      out << "wrote " << trace_path_ << '\n';
-      trace_path_.clear();
+      const std::string path = std::exchange(trace_path_, {});
+      if (Status s = write_output(path, common::tracer().chrome_json(), out);
+          !s.ok())
+        return s;
     }
-    if (!metrics_path_.empty()) {
-      std::ofstream os(metrics_path_);
-      if (!os)
-        return Status::error(ErrorCode::kIo,
-                             "cannot write '" + metrics_path_ + "'", {},
-                             "gapflow");
-      common::metrics().write_json(os);
-      out << "wrote " << metrics_path_ << '\n';
-      metrics_path_.clear();
-    }
-    return Status();
+    if (metrics_path_.empty()) return Status();
+    return write_output(std::exchange(metrics_path_, {}),
+                        common::metrics().json(), out);
   }
 
   ~ObservabilityOutputs() {
@@ -450,14 +451,8 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   // reached (status "failed"/"skipped" stages simply carry no snapshot).
   const auto write_manifest = [&]() -> Status {
     if (args.qor_out.empty()) return Status();
-    std::ofstream os(args.qor_out, std::ios::binary);
-    if (!os)
-      return Status::error(ErrorCode::kIo,
-                           "cannot write '" + args.qor_out + "'", {},
-                           "gapflow");
-    os << qor::write_json(build_manifest(args, *m, flow, r));
-    out << "wrote " << args.qor_out << '\n';
-    return Status();
+    const auto text = qor::write_json(build_manifest(args, *m, flow, r));
+    return text.ok() ? write_output(args.qor_out, *text, out) : text.status();
   };
 
   if (args.diagnostics || !r.ok()) {

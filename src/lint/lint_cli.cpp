@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "library/builders.hpp"
 #include "library/liberty.hpp"
 #include "lint/lint.hpp"
@@ -119,8 +120,9 @@ int parse_args(int argc, const char* const* argv, Options& opt,
       if (v == nullptr) return kExitUsage;
       char* end = nullptr;
       const long n = std::strtol(v->c_str(), &end, 10);
-      if (end == v->c_str() || *end != '\0' || n < 0) {
-        err << "gaplint: bad --threads value '" << *v << "'\n";
+      if (end == v->c_str() || *end != '\0' || n < 0 || n > 1024) {
+        err << "gaplint: bad --threads value '" << *v
+            << "' (want an integer in [0, 1024])\n";
         return kExitUsage;
       }
       opt.threads = static_cast<int>(n);
@@ -169,16 +171,17 @@ void list_rules(const RuleRegistry& registry, std::ostream& out) {
 /// Machine-readable catalog; the same id/category/severity triples the
 /// SARIF driver.rules block carries (lint_test pins them together).
 void list_rules_json(const RuleRegistry& registry, std::ostream& out) {
-  out << "{\n  \"schema\": \"gap-lint-rules-v1\",\n  \"rules\": [";
+  common::json::Writer w(common::json::Layout::kPretty);
+  w.begin_object().member("schema", "gap-lint-rules-v1");
+  w.key("rules").begin_array();
   for (std::size_t i = 0; i < registry.size(); ++i) {
     const RuleInfo& info = registry.rule(i).info();
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    { \"id\": \"" << info.id << "\", \"category\": \""
-        << to_string(info.category) << "\", \"default_severity\": \""
-        << common::to_string(info.default_severity) << "\", \"title\": \""
-        << info.title << "\" }";
+    w.begin_object(common::json::Layout::kInline).member("id", info.id);
+    w.member("category", to_string(info.category));
+    w.member("default_severity", common::to_string(info.default_severity));
+    w.member("title", info.title).end_object();
   }
-  out << (registry.empty() ? "]\n" : "\n  ]\n") << "}\n";
+  out << w.end_array().end_object().str() << '\n';
 }
 
 }  // namespace

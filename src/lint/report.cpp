@@ -10,10 +10,7 @@ namespace gap::lint {
 namespace {
 
 namespace json = common::json;
-
-std::string quoted(const std::string& s) {
-  return "\"" + json::escape(s) + "\"";
-}
+using json::Layout;
 
 /// SARIF `level` for a severity (kFatal collapses to "error"; gap::lint
 /// itself never emits it, but overrides shouldn't be able to break SARIF).
@@ -68,108 +65,88 @@ std::string format_text(const RuleRegistry& registry,
   return out.str();
 }
 
+void write_json(json::Writer& w, const RuleRegistry& registry,
+                const LintReport& report, const std::string& artifact) {
+  w.begin_object().member("schema", "gap-lint-report-v1");
+  w.member("artifact", artifact).key("findings").begin_array();
+  for (const Finding& f : report.findings) {
+    w.begin_object().member("rule", f.rule);
+    w.member("category", to_string(info_of(registry, f.rule).category));
+    w.member("severity", common::to_string(f.severity));
+    w.key("anchor").begin_object(Layout::kInline);
+    w.member("kind", to_string(f.anchor)).member("name", f.anchor_name);
+    w.end_object().member("message", f.message);
+    if (f.loc.valid())
+      w.member("line", f.loc.line).member("column", f.loc.column);
+    w.member("waived", f.waived);
+    if (f.waived) w.member("justification", f.waiver_justification);
+    w.end_object();
+  }
+  const LintSummary& s = report.summary;
+  w.end_array().key("summary").begin_object(Layout::kInline);
+  w.member("errors", s.errors).member("warnings", s.warnings);
+  w.member("notes", s.notes).member("waived", s.waived).end_object();
+  w.end_object();
+}
+
 std::string write_json(const RuleRegistry& registry, const LintReport& report,
                        const std::string& artifact) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema\": \"gap-lint-report-v1\",\n";
-  out << "  \"artifact\": " << quoted(artifact) << ",\n";
-  out << "  \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Finding& f = report.findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\n";
-    out << "      \"rule\": " << quoted(f.rule) << ",\n";
-    out << "      \"category\": "
-        << quoted(to_string(info_of(registry, f.rule).category)) << ",\n";
-    out << "      \"severity\": " << quoted(common::to_string(f.severity))
-        << ",\n";
-    out << "      \"anchor\": { \"kind\": " << quoted(to_string(f.anchor))
-        << ", \"name\": " << quoted(f.anchor_name) << " },\n";
-    out << "      \"message\": " << quoted(f.message) << ",\n";
-    if (f.loc.valid()) {
-      out << "      \"line\": " << f.loc.line << ",\n";
-      out << "      \"column\": " << f.loc.column << ",\n";
-    }
-    out << "      \"waived\": " << (f.waived ? "true" : "false");
-    if (f.waived) {
-      out << ",\n      \"justification\": " << quoted(f.waiver_justification);
-    }
-    out << "\n    }";
-  }
-  out << (report.findings.empty() ? "],\n" : "\n  ],\n");
-  const LintSummary& s = report.summary;
-  out << "  \"summary\": { \"errors\": " << s.errors
-      << ", \"warnings\": " << s.warnings << ", \"notes\": " << s.notes
-      << ", \"waived\": " << s.waived << " }\n";
-  out << "}\n";
-  return out.str();
+  json::Writer w(Layout::kPretty);
+  write_json(w, registry, report, artifact);
+  return w.take() + '\n';
 }
 
 std::string write_sarif(const RuleRegistry& registry,
                         const LintReport& report,
                         const std::string& artifact) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"$schema\": "
-         "\"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-  out << "  \"version\": \"2.1.0\",\n";
-  out << "  \"runs\": [\n    {\n";
-  out << "      \"tool\": {\n        \"driver\": {\n";
-  out << "          \"name\": \"gaplint\",\n";
-  out << "          \"rules\": [";
+  json::Writer w(Layout::kPretty);
+  w.begin_object();
+  w.member("$schema", "https://json.schemastore.org/sarif-2.1.0.json");
+  w.member("version", "2.1.0").key("runs").begin_array().begin_object();
+  w.key("tool").begin_object().key("driver").begin_object();
+  w.member("name", "gaplint").key("rules").begin_array();
   for (std::size_t i = 0; i < registry.size(); ++i) {
     const RuleInfo& info = registry.rule(i).info();
-    out << (i == 0 ? "\n" : ",\n");
-    out << "            {\n";
-    out << "              \"id\": " << quoted(info.id) << ",\n";
-    out << "              \"shortDescription\": { \"text\": "
-        << quoted(info.title) << " },\n";
-    out << "              \"defaultConfiguration\": { \"level\": \""
-        << sarif_level(info.default_severity) << "\" },\n";
-    out << "              \"properties\": { \"category\": "
-        << quoted(to_string(info.category)) << " }\n";
-    out << "            }";
+    w.begin_object().member("id", info.id);
+    w.key("shortDescription").begin_object(Layout::kInline);
+    w.member("text", info.title).end_object();
+    w.key("defaultConfiguration").begin_object(Layout::kInline);
+    w.member("level", sarif_level(info.default_severity)).end_object();
+    w.key("properties").begin_object(Layout::kInline);
+    w.member("category", to_string(info.category)).end_object();
+    w.end_object();
   }
-  out << (registry.empty() ? "]\n" : "\n          ]\n");
-  out << "        }\n      },\n";
-  out << "      \"results\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Finding& f = report.findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "        {\n";
-    out << "          \"ruleId\": " << quoted(f.rule) << ",\n";
-    out << "          \"ruleIndex\": " << index_of(registry, f.rule)
-        << ",\n";
-    out << "          \"level\": \"" << sarif_level(f.severity) << "\",\n";
-    out << "          \"message\": { \"text\": " << quoted(f.message)
-        << " },\n";
-    out << "          \"locations\": [\n            {\n";
+  w.end_array().end_object().end_object().key("results").begin_array();
+  for (const Finding& f : report.findings) {
+    w.begin_object().member("ruleId", f.rule);
+    w.member("ruleIndex", index_of(registry, f.rule));
+    w.member("level", sarif_level(f.severity));
+    w.key("message").begin_object(Layout::kInline);
+    w.member("text", f.message).end_object();
+    w.key("locations").begin_array().begin_object();
     if (f.loc.valid() && !artifact.empty()) {
-      out << "              \"physicalLocation\": {\n";
-      out << "                \"artifactLocation\": { \"uri\": "
-          << quoted(artifact) << " },\n";
-      out << "                \"region\": { \"startLine\": " << f.loc.line
-          << ", \"startColumn\": " << f.loc.column << " }\n";
-      out << "              },\n";
+      w.key("physicalLocation").begin_object();
+      w.key("artifactLocation").begin_object(Layout::kInline);
+      w.member("uri", artifact).end_object();
+      w.key("region").begin_object(Layout::kInline);
+      w.member("startLine", f.loc.line);
+      w.member("startColumn", f.loc.column).end_object();
+      w.end_object();
     }
-    out << "              \"logicalLocations\": [\n";
-    out << "                { \"name\": " << quoted(f.anchor_name)
-        << ", \"kind\": " << quoted(to_string(f.anchor)) << " }\n";
-    out << "              ]\n";
-    out << "            }\n          ]";
+    w.key("logicalLocations").begin_array();
+    w.begin_object(Layout::kInline).member("name", f.anchor_name);
+    w.member("kind", to_string(f.anchor)).end_object();
+    w.end_array().end_object().end_array();
     if (f.waived) {
-      out << ",\n          \"suppressions\": [\n";
-      out << "            { \"kind\": \"external\", \"justification\": "
-          << quoted(f.waiver_justification) << " }\n";
-      out << "          ]";
+      w.key("suppressions").begin_array().begin_object(Layout::kInline);
+      w.member("kind", "external");
+      w.member("justification", f.waiver_justification).end_object();
+      w.end_array();
     }
-    out << "\n        }";
+    w.end_object();
   }
-  out << (report.findings.empty() ? "]\n" : "\n      ]\n");
-  out << "    }\n  ]\n";
-  out << "}\n";
-  return out.str();
+  w.end_array().end_object().end_array().end_object();
+  return w.take() + '\n';
 }
 
 }  // namespace gap::lint

@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "common/json.hpp"
 #include "lint/lint.hpp"
 
 namespace gap::lint {
@@ -21,7 +22,12 @@ namespace gap::lint {
 
 /// Stable JSON ("gap-lint-report-v1"): findings in report order with
 /// rule / category / severity / anchor / message / location / waiver,
-/// then the summary counts.
+/// then the summary counts. Written into `w` as a pretty document with
+/// one-line anchor and summary objects; in a compact writer (a gapd
+/// reply) all of it is compact.
+void write_json(common::json::Writer& w, const RuleRegistry& registry,
+                const LintReport& report, const std::string& artifact);
+/// The report above as a pretty file (trailing newline included).
 [[nodiscard]] std::string write_json(const RuleRegistry& registry,
                                      const LintReport& report,
                                      const std::string& artifact);

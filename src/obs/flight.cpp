@@ -128,32 +128,22 @@ void FlightRecorder::clear() {
 std::string flight_json(const std::vector<FlightEvent>& events,
                         std::size_t capacity, std::uint64_t total,
                         std::uint64_t dropped) {
-  std::string out = "{\"flight\":\"gap-flight-v1\",\"capacity\":";
-  out += std::to_string(capacity);
-  out += ",\"total\":" + std::to_string(total);
-  out += ",\"dropped\":" + std::to_string(dropped);
-  out += ",\"events\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& ev = events[i];
-    if (i != 0) out += ',';
-    out += "{\"seq\":" + std::to_string(ev.seq);
-    out += ",\"req\":" + std::to_string(ev.req_id);
-    out += ",\"kind\":\"";
-    out += flight_kind_name(ev.kind);
-    out += "\",\"code\":" + std::to_string(ev.code);
-    out += ",\"value\":" + std::to_string(ev.value);
-    out += ",\"detail\":\"" + json::escape(std::string(ev.detail_view()));
-    out += "\"}";
+  json::Writer w;
+  w.begin_object().member("flight", "gap-flight-v1");
+  w.member("capacity", capacity).member("total", total);
+  w.member("dropped", dropped).key("events").begin_array();
+  for (const FlightEvent& ev : events) {
+    w.begin_object().member("seq", ev.seq).member("req", ev.req_id);
+    w.member("kind", flight_kind_name(ev.kind)).member("code", ev.code);
+    w.member("value", ev.value).member("detail", ev.detail_view());
+    w.end_object();
   }
   // The wall member holds every non-deterministic byte of the dump and
   // must stay last: flight_deterministic_section() strips it textually.
-  out += "],\"wall\":{\"us\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json::number(events[i].wall_us);
-  }
-  out += "]}}";
-  return out;
+  w.end_array().key("wall").begin_object().key("us").begin_array();
+  for (const FlightEvent& ev : events) w.value(ev.wall_us);
+  w.end_array().end_object().end_object();
+  return w.take();
 }
 
 std::string flight_json(const FlightRecorder& rec) {

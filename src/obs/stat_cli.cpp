@@ -181,30 +181,25 @@ bool parse_format(const std::string& text, Format* out) {
 }
 
 void render_map(const StatMap& m, Format format, std::ostream& out) {
+  if (format == Format::kJson) {
+    json::Writer w;
+    w.begin_object();
+    for (const auto& [name, v] : m) w.member(name, v.value);
+    out << w.end_object().str() << '\n';
+    return;
+  }
   if (format == Format::kCsv) out << "name,value\n";
-  if (format == Format::kJson) out << '{';
   std::size_t width = 0;
   if (format == Format::kText)
     for (const auto& [name, v] : m) width = std::max(width, name.size());
-  bool first = true;
   for (const auto& [name, v] : m) {
     const std::string value = json::number(v.value);
-    switch (format) {
-      case Format::kText:
-        out << name << std::string(width - name.size() + 2, ' ') << value
-            << '\n';
-        break;
-      case Format::kCsv:
-        out << name << ',' << value << '\n';
-        break;
-      case Format::kJson:
-        if (!first) out << ',';
-        out << '"' << json::escape(name) << "\":" << value;
-        break;
-    }
-    first = false;
+    if (format == Format::kText)
+      out << name << std::string(width - name.size() + 2, ' ') << value
+          << '\n';
+    else
+      out << name << ',' << value << '\n';
   }
-  if (format == Format::kJson) out << "}\n";
 }
 
 /// Entries present in either map whose values differ (absent = 0).
@@ -215,31 +210,29 @@ void render_map(const StatMap& m, Format format, std::ostream& out) {
   for (const auto& [name, v] : b) rows[name].second = v.value;
   std::size_t differing = 0;
   if (format == Format::kCsv) out << "name,old,new,delta\n";
-  if (format == Format::kJson) out << '{';
-  bool first = true;
+  json::Writer w;
+  w.begin_object();
   for (const auto& [name, ab] : rows) {
     if (ab.first == ab.second) continue;
     ++differing;
-    const std::string oldv = json::number(ab.first);
-    const std::string newv = json::number(ab.second);
-    const std::string delta = json::number(ab.second - ab.first);
+    const double delta = ab.second - ab.first;
     switch (format) {
       case Format::kText:
-        out << name << "  " << oldv << " -> " << newv << "  (" << delta
+        out << name << "  " << json::number(ab.first) << " -> "
+            << json::number(ab.second) << "  (" << json::number(delta)
             << ")\n";
         break;
       case Format::kCsv:
-        out << name << ',' << oldv << ',' << newv << ',' << delta << '\n';
+        out << name << ',' << json::number(ab.first) << ','
+            << json::number(ab.second) << ',' << json::number(delta) << '\n';
         break;
       case Format::kJson:
-        if (!first) out << ',';
-        out << '"' << json::escape(name) << "\":{\"old\":" << oldv
-            << ",\"new\":" << newv << ",\"delta\":" << delta << '}';
+        w.key(name).begin_object().member("old", ab.first);
+        w.member("new", ab.second).member("delta", delta).end_object();
         break;
     }
-    first = false;
   }
-  if (format == Format::kJson) out << "}\n";
+  if (format == Format::kJson) out << w.end_object().str() << '\n';
   if (format == Format::kText && differing == 0) out << "no differences\n";
   return differing;
 }

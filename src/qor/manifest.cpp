@@ -1,7 +1,5 @@
 #include "qor/manifest.hpp"
 
-#include <sstream>
-
 #include "common/json.hpp"
 #include "sta/report.hpp"
 
@@ -10,176 +8,102 @@ namespace {
 
 namespace json = common::json;
 
-/// Tiny indentation-aware emitter. All numbers go through json::number
-/// (%.17g), so the text is a pure function of the manifest values.
-class Emitter {
- public:
-  explicit Emitter(std::ostringstream& out) : out_(out) {}
-
-  void line(int indent, const std::string& text) {
-    for (int i = 0; i < indent; ++i) out_ << "  ";
-    out_ << text << "\n";
-  }
-  static std::string quoted(const std::string& s) {
-    return "\"" + json::escape(s) + "\"";
-  }
-  static std::string kv(const std::string& key, const std::string& raw) {
-    return quoted(key) + ": " + raw;
-  }
-
- private:
-  std::ostringstream& out_;
-};
-
-std::string comma(bool last) { return last ? "" : ","; }
-
-void emit_snapshot(Emitter& e, int ind, const QorSnapshot& s) {
-  e.line(ind, "\"qor\": {");
-  e.line(ind + 1, Emitter::kv("worst_path_tau", json::number(s.worst_path_tau)) + ",");
-  e.line(ind + 1, Emitter::kv("min_period_tau", json::number(s.min_period_tau)) + ",");
-  e.line(ind + 1, Emitter::kv("min_period_ps", json::number(s.min_period_ps)) + ",");
-  e.line(ind + 1, Emitter::kv("min_period_fo4", json::number(s.min_period_fo4)) + ",");
-  e.line(ind + 1, Emitter::kv("critical_path_fo4", json::number(s.critical_path_fo4)) + ",");
-  e.line(ind + 1, Emitter::kv("critical_path_gates",
-                              std::to_string(s.critical_path_gates)) + ",");
-  e.line(ind + 1, Emitter::kv("endpoints", std::to_string(s.endpoints)) + ",");
-  e.line(ind + 1, Emitter::kv("area_um2", json::number(s.area_um2)) + ",");
-  e.line(ind + 1, Emitter::kv("total_wirelength_um",
-                              json::number(s.total_wirelength_um)) + ",");
-  e.line(ind + 1, Emitter::kv("critical_wirelength_um",
-                              json::number(s.critical_wirelength_um)) + ",");
-  e.line(ind + 1, Emitter::kv("sizing_headroom_tau",
-                              json::number(s.sizing_headroom_tau)) + ",");
-  e.line(ind + 1, "\"wave\": {");
-  e.line(ind + 2, Emitter::kv("levels", std::to_string(s.wave_levels)) + ",");
-  e.line(ind + 2, Emitter::kv("widest", std::to_string(s.wave_widest)) + ",");
-  e.line(ind + 2, Emitter::kv("narrow_fraction",
-                              json::number(s.wave_narrow_fraction)));
-  e.line(ind + 1, "},");
+void emit_snapshot(json::Writer& w, const QorSnapshot& s) {
+  write_scalars(w.key("qor").begin_object(), s);
+  w.key("wave").begin_object().member("levels", s.wave_levels);
+  w.member("widest", s.wave_widest);
+  w.member("narrow_fraction", s.wave_narrow_fraction).end_object();
   // The histogram object comes from sta::slack_histogram_json so the
   // bucket semantics stay single-sourced with the text rendering.
-  const bool mc = s.mc_samples > 0;
-  e.line(ind + 1, Emitter::kv("slack_histogram",
-                              sta::slack_histogram_json(s.slack_histogram)) +
-                      comma(!mc));
-  if (mc) {
-    e.line(ind + 1, "\"variation\": {");
-    e.line(ind + 2, Emitter::kv("samples", std::to_string(s.mc_samples)) + ",");
-    e.line(ind + 2, Emitter::kv("relative_spread",
-                                json::number(s.mc_relative_spread)) + ",");
-    e.line(ind + 2, Emitter::kv("mean_shift", json::number(s.mc_mean_shift)));
-    e.line(ind + 1, "}");
+  w.key("slack_histogram");
+  sta::slack_histogram_json(w, s.slack_histogram);
+  if (s.mc_samples > 0) {
+    w.key("variation").begin_object().member("samples", s.mc_samples);
+    w.member("relative_spread", s.mc_relative_spread);
+    w.member("mean_shift", s.mc_mean_shift).end_object();
   }
-  e.line(ind, "}");
+  w.end_object();
 }
 
-void emit_attribution_path(Emitter& e, int ind, const PathAttribution& a,
-                           bool last) {
-  e.line(ind, "{");
-  e.line(ind + 1, Emitter::kv("delay_tau", json::number(a.delay_tau)) + ",");
-  e.line(ind + 1, Emitter::kv("gates", std::to_string(a.gates)) + ",");
-  e.line(ind + 1, "\"buckets\": {");
-  e.line(ind + 2, Emitter::kv("logic_depth_tau",
-                              json::number(a.logic_depth_tau)) + ",");
-  e.line(ind + 2, Emitter::kv("placement_wire_tau",
-                              json::number(a.placement_wire_tau)) + ",");
-  e.line(ind + 2, Emitter::kv("sizing_tau", json::number(a.sizing_tau)) + ",");
-  e.line(ind + 2, Emitter::kv("logic_style_tau",
-                              json::number(a.logic_style_tau)) + ",");
-  e.line(ind + 2, Emitter::kv("process_margin_tau",
-                              json::number(a.process_margin_tau)));
-  e.line(ind + 1, "},");
-  e.line(ind + 1, Emitter::kv("sequential_overhead_tau",
-                              json::number(a.sequential_overhead_tau)) + ",");
-  e.line(ind + 1, Emitter::kv("domino_headroom_tau",
-                              json::number(a.domino_headroom_tau)));
-  e.line(ind, "}" + comma(last));
+void emit_attribution_path(json::Writer& w, const PathAttribution& a) {
+  w.begin_object().member("delay_tau", a.delay_tau).member("gates", a.gates);
+  w.key("buckets").begin_object();
+  w.member("logic_depth_tau", a.logic_depth_tau);
+  w.member("placement_wire_tau", a.placement_wire_tau);
+  w.member("sizing_tau", a.sizing_tau);
+  w.member("logic_style_tau", a.logic_style_tau);
+  w.member("process_margin_tau", a.process_margin_tau).end_object();
+  w.member("sequential_overhead_tau", a.sequential_overhead_tau);
+  w.member("domino_headroom_tau", a.domino_headroom_tau).end_object();
 }
 
 }  // namespace
 
-std::string write_json(const RunManifest& m) {
-  std::ostringstream out;
-  Emitter e(out);
-  e.line(0, "{");
-  e.line(1, Emitter::kv("schema_version",
-                        std::to_string(kManifestSchemaVersion)) + ",");
-  e.line(1, Emitter::kv("tool", "\"gapflow\"") + ",");
-  e.line(1, Emitter::kv("design", Emitter::quoted(m.design)) + ",");
-  e.line(1, Emitter::kv("methodology",
-                        Emitter::quoted(m.context.methodology_name)) + ",");
-  e.line(1, "\"corner\": {");
-  e.line(2, Emitter::kv("name", Emitter::quoted(m.context.corner_name)) + ",");
-  e.line(2, Emitter::kv("delay_factor",
-                        json::number(m.context.corner_delay_factor)));
-  e.line(1, "},");
-  e.line(1, Emitter::kv("seed", std::to_string(m.seed)) + ",");
+void write_scalars(json::Writer& w, const QorSnapshot& s) {
+  w.member("worst_path_tau", s.worst_path_tau);
+  w.member("min_period_tau", s.min_period_tau);
+  w.member("min_period_ps", s.min_period_ps);
+  w.member("min_period_fo4", s.min_period_fo4);
+  w.member("critical_path_fo4", s.critical_path_fo4);
+  w.member("critical_path_gates", s.critical_path_gates);
+  w.member("endpoints", s.endpoints).member("area_um2", s.area_um2);
+  w.member("total_wirelength_um", s.total_wirelength_um);
+  w.member("critical_wirelength_um", s.critical_wirelength_um);
+  w.member("sizing_headroom_tau", s.sizing_headroom_tau);
+}
 
-  e.line(1, "\"config\": {");
-  for (std::size_t i = 0; i < m.config.size(); ++i)
-    e.line(2, Emitter::kv(m.config[i].first,
-                          Emitter::quoted(m.config[i].second)) +
-                  comma(i + 1 == m.config.size()));
-  e.line(1, "},");
+common::Result<std::string> write_json(const RunManifest& m) {
+  json::Writer w(json::Layout::kPretty);
+  w.begin_object().member("schema_version", kManifestSchemaVersion);
+  w.member("tool", "gapflow").member("design", m.design);
+  w.member("methodology", m.context.methodology_name);
+  w.key("corner").begin_object().member("name", m.context.corner_name);
+  w.member("delay_factor", m.context.corner_delay_factor).end_object();
+  w.member("seed", m.seed);
 
-  e.line(1, "\"stages\": [");
-  for (std::size_t i = 0; i < m.stages.size(); ++i) {
-    const ManifestStage& s = m.stages[i];
-    e.line(2, "{");
-    e.line(3, Emitter::kv("name", Emitter::quoted(s.name)) + ",");
-    e.line(3, Emitter::kv("status", Emitter::quoted(s.status)) + ",");
-    const bool more = s.qor.has_value() || !s.metric_deltas.empty();
-    e.line(3, Emitter::kv("diagnostics", std::to_string(s.diagnostics)) +
-                  comma(!more));
+  w.key("config").begin_object();
+  for (const auto& [key, value] : m.config) w.member(key, value);
+  w.end_object();
+
+  w.key("stages").begin_array();
+  for (const ManifestStage& s : m.stages) {
+    w.begin_object().member("name", s.name).member("status", s.status);
+    w.member("diagnostics", s.diagnostics);
     if (!s.metric_deltas.empty()) {
-      e.line(3, "\"metric_deltas\": {");
-      for (std::size_t j = 0; j < s.metric_deltas.size(); ++j)
-        e.line(4, Emitter::kv(s.metric_deltas[j].first,
-                              std::to_string(s.metric_deltas[j].second)) +
-                      comma(j + 1 == s.metric_deltas.size()));
-      e.line(3, "}" + comma(!s.qor.has_value()));
+      w.key("metric_deltas").begin_object();
+      for (const auto& [name, delta] : s.metric_deltas) w.member(name, delta);
+      w.end_object();
     }
-    if (s.qor) emit_snapshot(e, 3, *s.qor);
-    e.line(2, "}" + comma(i + 1 == m.stages.size()));
+    if (s.qor) emit_snapshot(w, *s.qor);
+    w.end_object();
   }
-  e.line(1, "],");
+  w.end_array();
 
   if (m.attribution) {
     const ManifestAttribution& a = *m.attribution;
-    e.line(1, "\"attribution\": {");
-    e.line(2, "\"paths\": [");
-    for (std::size_t i = 0; i < a.paths.size(); ++i)
-      emit_attribution_path(e, 3, a.paths[i], i + 1 == a.paths.size());
-    e.line(2, "],");
-    e.line(2, "\"gap_score\": {");
-    e.line(3, Emitter::kv("pipelining", json::number(a.score.pipelining)) + ",");
-    e.line(3, Emitter::kv("placement_wire",
-                          json::number(a.score.placement_wire)) + ",");
-    e.line(3, Emitter::kv("sizing", json::number(a.score.sizing)) + ",");
-    e.line(3, Emitter::kv("logic_style",
-                          json::number(a.score.logic_style)) + ",");
-    e.line(3, Emitter::kv("process", json::number(a.score.process)) + ",");
-    e.line(3, Emitter::kv("composed", json::number(a.score.composed())));
-    e.line(2, "}");
-    e.line(1, "},");
+    w.key("attribution").begin_object().key("paths").begin_array();
+    for (const PathAttribution& p : a.paths) emit_attribution_path(w, p);
+    w.end_array().key("gap_score").begin_object();
+    w.member("pipelining", a.score.pipelining);
+    w.member("placement_wire", a.score.placement_wire);
+    w.member("sizing", a.score.sizing);
+    w.member("logic_style", a.score.logic_style);
+    w.member("process", a.score.process);
+    w.member("composed", a.score.composed()).end_object().end_object();
   }
 
-  e.line(1, "\"diagnostics\": {");
-  e.line(2, Emitter::kv("notes", std::to_string(m.notes)) + ",");
-  e.line(2, Emitter::kv("warnings", std::to_string(m.warnings)) + ",");
-  e.line(2, Emitter::kv("errors", std::to_string(m.errors)));
-  e.line(1, "},");
+  w.key("diagnostics").begin_object().member("notes", m.notes);
+  w.member("warnings", m.warnings).member("errors", m.errors).end_object();
 
-  e.line(1, "\"result\": {");
-  e.line(2, Emitter::kv("ok", m.ok ? "true" : "false") + ",");
-  e.line(2, Emitter::kv("frequency_mhz", json::number(m.freq_mhz)) + ",");
-  e.line(2, Emitter::kv("area_um2", json::number(m.area_um2)) + ",");
-  e.line(2, Emitter::kv("pipeline_registers",
-                        std::to_string(m.pipeline_registers)) + ",");
-  e.line(2, Emitter::kv("sizing_moves", std::to_string(m.sizing_moves)));
-  e.line(1, "}");
-  e.line(0, "}");
-  return out.str();
+  w.key("result").begin_object().member("ok", m.ok);
+  w.member("frequency_mhz", m.freq_mhz).member("area_um2", m.area_um2);
+  w.member("pipeline_registers", m.pipeline_registers);
+  w.member("sizing_moves", m.sizing_moves).end_object().end_object();
+  if (!w.ok())
+    return common::Status::error(common::ErrorCode::kInternal,
+                                 "QoR manifest has a " + w.error(), {},
+                                 "qor");
+  return w.take() + '\n';
 }
 
 }  // namespace gap::qor

@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
+#include "common/status.hpp"
 #include "qor/attribution.hpp"
 #include "qor/snapshot.hpp"
 
@@ -69,9 +71,16 @@ struct RunManifest {
   std::size_t errors = 0;
 };
 
+/// The snapshot's scalar QoR members, worst_path_tau through
+/// sizing_headroom_tau, into the open object in `w`: the manifest's
+/// per-stage "qor" block and the gapd `qor` reply both start with them.
+void write_scalars(common::json::Writer& w, const QorSnapshot& s);
+
 /// Render the manifest as pretty-printed JSON (UTF-8, two-space indent,
 /// '\n' line ends, trailing newline). Purely a function of the manifest,
-/// so equal manifests produce byte-identical text.
-[[nodiscard]] std::string write_json(const RunManifest& m);
+/// so equal manifests produce byte-identical text. A non-finite number
+/// anywhere in the manifest is not JSON: the result is then a kInternal
+/// error naming it, never a file with "nan" in it.
+[[nodiscard]] common::Result<std::string> write_json(const RunManifest& m);
 
 }  // namespace gap::qor

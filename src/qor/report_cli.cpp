@@ -349,7 +349,9 @@ int run_gapreport(int argc, const char* const* argv, std::ostream& out,
         }
         char* end = nullptr;
         threshold = std::strtod(args[++i].c_str(), &end);
-        if (end == args[i].c_str() || *end != '\0' || threshold < 0.0) {
+        // NaN would compare false against every delta and never regress.
+        if (end == args[i].c_str() || *end != '\0' ||
+            !std::isfinite(threshold) || threshold < 0.0) {
           err << "gapreport: bad --threshold value '" << args[i] << "'\n";
           return kExitBadValue;
         }

@@ -36,12 +36,10 @@ std::string fnv1a64_hex(std::string_view bytes) {
 }
 
 std::string journal_line(const std::string& rec_json) {
-  std::string out = "{\"crc\":\"";
-  out += fnv1a64_hex(rec_json);
-  out += "\",\"rec\":";
-  out += rec_json;
-  out += '}';
-  return out;
+  json::Writer w;
+  w.begin_object().member("crc", fnv1a64_hex(rec_json)).key("rec");
+  w.raw(rec_json).end_object();
+  return w.take();
 }
 
 Replay replay_journal(const std::string& text) {

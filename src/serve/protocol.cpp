@@ -60,7 +60,15 @@ Result<Request> parse_request(const std::string& line,
   if (!r.frame.is_object())
     return Status::error(ErrorCode::kParse, "frame must be a JSON object",
                          {}, "serve");
-  if (const json::Value* id = r.frame.find("id")) r.id_json = id->dump();
+  if (const json::Value* id = r.frame.find("id")) {
+    // Echoed into the reply, so it must be JSON: "1e999" parses to inf.
+    json::Writer w;
+    id->write(w);
+    if (!w.ok())
+      return Status::error(ErrorCode::kInvalidValue,
+                           "\"id\" holds a " + w.error(), {}, "serve");
+    r.id_json = w.take();
+  }
   const json::Value* cmd = r.frame.find("cmd");
   if (cmd == nullptr)
     return Status::error(ErrorCode::kMissingValue,
@@ -72,37 +80,28 @@ Result<Request> parse_request(const std::string& line,
   return r;
 }
 
+void begin_ok_reply(json::Writer& w, const std::string& id_json) {
+  w.begin_object().member("serve", kProtocolName).key("id").raw(id_json);
+  w.member("ok", true).key("result");
+}
+
 std::string ok_reply(const std::string& id_json,
                      const std::string& result_json) {
-  std::string out = "{\"serve\":\"";
-  out += kProtocolName;
-  out += "\",\"id\":";
-  out += id_json;
-  out += ",\"ok\":true,\"result\":";
-  out += result_json;
-  out += '}';
-  return out;
+  json::Writer w;
+  begin_ok_reply(w, id_json);
+  w.raw(result_json).end_object();
+  return w.take();
 }
 
 std::string error_reply(const std::string& id_json, ReplyCode code,
                         const std::string& message, common::SourceLoc loc) {
-  std::string out = "{\"serve\":\"";
-  out += kProtocolName;
-  out += "\",\"id\":";
-  out += id_json;
-  out += ",\"ok\":false,\"error\":{\"code\":\"";
-  out += to_string(code);
-  out += "\",\"message\":\"";
-  out += json::escape(message);
-  out += '"';
-  if (loc.valid()) {
-    out += ",\"line\":";
-    out += std::to_string(loc.line);
-    out += ",\"column\":";
-    out += std::to_string(loc.column);
-  }
-  out += "}}";
-  return out;
+  json::Writer w;
+  w.begin_object().member("serve", kProtocolName).key("id").raw(id_json);
+  w.member("ok", false).key("error").begin_object();
+  w.member("code", to_string(code)).member("message", message);
+  if (loc.valid()) w.member("line", loc.line).member("column", loc.column);
+  w.end_object().end_object();
+  return w.take();
 }
 
 namespace {
@@ -193,44 +192,37 @@ Result<sta::Edit> edit_from_json(const json::Value& v) {
   return edit_error("unknown edit op '" + op + "'");
 }
 
-std::string edit_to_json(const sta::Edit& e) {
-  std::string out = "{\"op\":\"";
+void edit_to_json(json::Writer& w, const sta::Edit& e) {
+  w.begin_object();
   switch (e.kind) {
     case sta::Edit::Kind::kReplaceCell:
-      out += "replace_cell\",\"inst\":";
-      out += std::to_string(e.inst.value());
-      if (!e.cell_name.empty()) {
-        out += ",\"cell\":\"";
-        out += json::escape(e.cell_name);
-        out += '"';
-      } else {
-        out += ",\"cell_id\":";
-        out += std::to_string(e.cell.value());
-      }
+      w.member("op", "replace_cell").member("inst", e.inst.value());
+      if (!e.cell_name.empty())
+        w.member("cell", e.cell_name);
+      else
+        w.member("cell_id", e.cell.value());
       break;
     case sta::Edit::Kind::kSetDriveOverride:
-      out += "set_drive\",\"inst\":";
-      out += std::to_string(e.inst.value());
-      out += ",\"drive\":";
-      out += json::number(e.drive);
+      w.member("op", "set_drive").member("inst", e.inst.value());
+      w.member("drive", e.drive);
       break;
     case sta::Edit::Kind::kRewireInput:
-      out += "rewire\",\"inst\":";
-      out += std::to_string(e.inst.value());
-      out += ",\"pin\":";
-      out += std::to_string(e.pin);
-      out += ",\"net\":";
-      out += std::to_string(e.net.value());
+      w.member("op", "rewire").member("inst", e.inst.value());
+      w.member("pin", e.pin).member("net", e.net.value());
       break;
     case sta::Edit::Kind::kSetClock:
-      out += "set_clock\",\"skew_fraction\":";
-      out += json::number(e.clock.skew_fraction);
-      out += ",\"extra_skew_tau\":";
-      out += json::number(e.clock.extra_skew_tau);
+      w.member("op", "set_clock");
+      w.member("skew_fraction", e.clock.skew_fraction);
+      w.member("extra_skew_tau", e.clock.extra_skew_tau);
       break;
   }
-  out += '}';
-  return out;
+  w.end_object();
+}
+
+std::string edit_to_json(const sta::Edit& e) {
+  json::Writer w;
+  edit_to_json(w, e);
+  return w.take();
 }
 
 }  // namespace gap::serve

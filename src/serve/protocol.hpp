@@ -66,7 +66,13 @@ struct Request {
 [[nodiscard]] common::Result<Request> parse_request(
     const std::string& line, std::size_t max_frame_bytes);
 
-/// Build the single-line success reply.
+/// Open the single-line success reply in `w` (a compact Writer) up to its
+/// "result" member: the caller writes the result value, then closes the
+/// reply with w.end_object(). gapd renders every result this way,
+/// straight into the reply.
+void begin_ok_reply(common::json::Writer& w, const std::string& id_json);
+
+/// The success reply around an already-rendered compact result.
 [[nodiscard]] std::string ok_reply(const std::string& id_json,
                                    const std::string& result_json);
 
@@ -91,6 +97,7 @@ struct Request {
 
 /// Compact one-line serialization; edit_from_json(parse(edit_to_json(e)))
 /// reproduces `e` (the journal and the undo replies rely on this).
+void edit_to_json(common::json::Writer& w, const sta::Edit& e);
 [[nodiscard]] std::string edit_to_json(const sta::Edit& e);
 
 }  // namespace gap::serve

@@ -22,6 +22,7 @@
 #include "lint/lint.hpp"
 #include "lint/report.hpp"
 #include "obs/expose.hpp"
+#include "qor/manifest.hpp"
 #include "qor/snapshot.hpp"
 #include "serve/journal.hpp"
 #include "sta/report.hpp"
@@ -59,20 +60,6 @@ template <typename Fn>
     return Status::error(ErrorCode::kInternal, e.what(), {}, "serve");
   }
 }
-
-/// Re-emit a (possibly pretty-printed) renderer output as one compact
-/// line, so every reply stays line-delimited.
-[[nodiscard]] Result<std::string> compact(const std::string& text) {
-  auto v = json::Value::parse_checked(text);
-  if (!v.ok())
-    return Status::error(ErrorCode::kInternal,
-                         "renderer emitted unparseable JSON: " +
-                             v.status().message(),
-                         {}, "serve");
-  return v->dump();
-}
-
-[[nodiscard]] std::string bool_json(bool b) { return b ? "true" : "false"; }
 
 /// Optional positive-integer parameter with range checking.
 [[nodiscard]] Result<int> int_param(const json::Value& frame, const char* key,
@@ -130,27 +117,31 @@ struct Server::Session {
   std::uint64_t degradations = 0;   ///< 0 or 1 today; counted for stats
   common::DiagnosticEngine diags;
 
+  /// The session-naming members of the journal header and load reply.
+  void write_names(json::Writer& w) const {
+    w.member("session", name).member("design", design);
+    w.member("methodology", methodology).member("tech", tech).key("corner");
+    corner.empty() ? w.null() : w.value(corner);
+  }
+
   [[nodiscard]] std::string header_record() const {
-    std::string rec = "{\"gapd_journal\":1,\"session\":\"";
-    rec += json::escape(name);
-    rec += "\",\"design\":\"";
-    rec += json::escape(design);
-    rec += "\",\"methodology\":\"";
-    rec += json::escape(methodology);
-    rec += "\",\"tech\":\"";
-    rec += json::escape(tech);
-    rec += "\",\"corner\":";
-    if (corner.empty()) {
-      rec += "null";
-    } else {
-      rec += '"';
-      rec += json::escape(corner);
-      rec += '"';
-    }
-    rec += '}';
-    return rec;
+    json::Writer w;
+    write_names(w.begin_object().member("gapd_journal", 1));
+    return w.end_object().take();
   }
 };
+
+template <typename Render>
+std::string Server::ok(const Request& req, Render&& render) {
+  json::Writer w;
+  begin_ok_reply(w, req.id_json);
+  render(w);
+  w.end_object();
+  if (w.ok()) return w.take();
+  bump(&ServerCounters::errors, "serve.errors");
+  return error_reply(req.id_json, ReplyCode::kInternal,
+                     "result holds a " + w.error());
+}
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)), flight_(options_.flight_capacity) {}
@@ -406,21 +397,14 @@ std::string Server::cmd_load(const Request& req, double t0_us) {
     }
   }
 
-  std::string result = "{\"session\":\"" + json::escape(s->name) +
-                       "\",\"design\":\"" + json::escape(s->design) +
-                       "\",\"methodology\":\"" + json::escape(s->methodology) +
-                       "\",\"tech\":\"" + json::escape(s->tech) +
-                       "\",\"corner\":";
-  result += s->corner.empty() ? std::string("null")
-                              : "\"" + json::escape(s->corner) + "\"";
-  result += ",\"freq_mhz\":" + json::number(info.freq_mhz);
-  result += ",\"area_um2\":" + json::number(info.area_um2);
-  result += ",\"instances\":" + std::to_string(s->nl->num_instances());
-  result += ",\"registers\":" + std::to_string(info.registers);
-  result += '}';
-  const std::string session_name = s->name;
-  sessions_[session_name] = std::move(s);
-  return ok_reply(req.id_json, result);
+  const Session& loaded = *s;
+  sessions_[loaded.name] = std::move(s);
+  return ok(req, [&](json::Writer& w) {
+    loaded.write_names(w.begin_object());
+    w.member("freq_mhz", info.freq_mhz).member("area_um2", info.area_um2);
+    w.member("instances", loaded.nl->num_instances());
+    w.member("registers", info.registers).end_object();
+  });
 }
 
 Status Server::recover() {
@@ -594,10 +578,11 @@ std::string Server::cmd_edit(const Request& req, bool undo, double t0_us) {
   if (s->journal.is_open()) {
     // Undo records are flagged so replay maintains the same undo stack a
     // live server would have (pop instead of push).
-    const std::string rec = "{\"seq\":" + std::to_string(s->seq + 1) +
-                            ",\"edit\":" + edit_to_json(edit) +
-                            (undo ? ",\"undo\":true}" : "}");
-    const Status jst = s->journal.append(rec);
+    json::Writer rec;
+    rec.begin_object().member("seq", s->seq + 1).key("edit");
+    edit_to_json(rec, edit);
+    if (undo) rec.member("undo", true);
+    const Status jst = s->journal.append(rec.end_object().str());
     if (!jst.ok()) {
       bump(&ServerCounters::errors, "serve.errors");
       s->diags.report(jst);
@@ -638,18 +623,18 @@ std::string Server::cmd_edit(const Request& req, bool undo, double t0_us) {
     }
   }
 
-  std::string result = "{\"seq\":" + std::to_string(s->seq);
   if (undo) {
     s->undo.pop_back();
-    result += ",\"edit\":" + edit_to_json(edit);
   } else {
     s->undo.push_back(inverse.value());
     if (s->undo.size() > options_.max_undo_depth)
       s->undo.erase(s->undo.begin());
-    result += ",\"undo\":" + edit_to_json(inverse.value());
   }
-  result += '}';
-  return ok_reply(req.id_json, result);
+  return ok(req, [&](json::Writer& w) {
+    w.begin_object().member("seq", s->seq).key(undo ? "edit" : "undo");
+    edit_to_json(w, undo ? edit : inverse.value());
+    w.end_object();
+  });
 }
 
 // --- queries -------------------------------------------------------------
@@ -692,13 +677,9 @@ std::string Server::cmd_timing(const Request& req) {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, reply_code(st.code()), st.message());
   }
-  auto result = compact(sta::critical_path_json(*s->nl, opts, timing));
-  if (!result.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInternal,
-                       result.status().message());
-  }
-  return ok_reply(req.id_json, result.value());
+  return ok(req, [&](json::Writer& w) {
+    sta::critical_path_json(w, *s->nl, opts, timing);
+  });
 }
 
 std::string Server::cmd_slacks(const Request& req) {
@@ -744,15 +725,11 @@ std::string Server::cmd_slacks(const Request& req) {
   }
   const sta::SlackHistogramData hist =
       sta::slack_histogram_from_slacks(slacks, buckets.value());
-  auto hist_json = compact(sta::slack_histogram_json(hist));
-  if (!hist_json.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInternal,
-                       hist_json.status().message());
-  }
-  return ok_reply(req.id_json, "{\"period_tau\":" + json::number(period) +
-                                   ",\"histogram\":" + hist_json.value() +
-                                   '}');
+  return ok(req, [&](json::Writer& w) {
+    w.begin_object().member("period_tau", period).key("histogram");
+    sta::slack_histogram_json(w, hist);
+    w.end_object();
+  });
 }
 
 std::string Server::cmd_top_paths(const Request& req) {
@@ -779,24 +756,21 @@ std::string Server::cmd_top_paths(const Request& req) {
     return error_reply(req.id_json, reply_code(st.code()), st.message());
   }
 
-  std::string result = "{\"paths\":[";
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const sta::CriticalPath& p = paths[i];
-    if (i != 0) result += ',';
-    result += "{\"path_tau\":" + json::number(p.path_tau) +
-              ",\"endpoint_net\":" + std::to_string(p.endpoint_net.value()) +
-              ",\"nodes\":[";
-    for (std::size_t j = 0; j < p.nodes.size(); ++j) {
-      const sta::PathNode& n = p.nodes[j];
-      if (j != 0) result += ',';
-      result += "{\"inst\":" + std::to_string(n.inst.value()) +
-                ",\"name\":\"" + json::escape(s->nl->instance(n.inst).name) +
-                "\",\"arrival_tau\":" + json::number(n.arrival_tau) + '}';
+  return ok(req, [&](json::Writer& w) {
+    w.begin_object().key("paths").begin_array();
+    for (const sta::CriticalPath& p : paths) {
+      w.begin_object().member("path_tau", p.path_tau);
+      w.member("endpoint_net", p.endpoint_net.value()).key("nodes");
+      w.begin_array();
+      for (const sta::PathNode& n : p.nodes) {
+        w.begin_object().member("inst", n.inst.value());
+        w.member("name", s->nl->instance(n.inst).name);
+        w.member("arrival_tau", n.arrival_tau).end_object();
+      }
+      w.end_array().end_object();
     }
-    result += "]}";
-  }
-  result += "]}";
-  return ok_reply(req.id_json, result);
+    w.end_array().end_object();
+  });
 }
 
 std::string Server::cmd_qor(const Request& req) {
@@ -825,28 +799,12 @@ std::string Server::cmd_qor(const Request& req) {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, reply_code(st.code()), st.message());
   }
-  auto hist_json = compact(sta::slack_histogram_json(snap.slack_histogram));
-  if (!hist_json.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInternal,
-                       hist_json.status().message());
-  }
-  std::string result =
-      "{\"worst_path_tau\":" + json::number(snap.worst_path_tau) +
-      ",\"min_period_tau\":" + json::number(snap.min_period_tau) +
-      ",\"min_period_ps\":" + json::number(snap.min_period_ps) +
-      ",\"min_period_fo4\":" + json::number(snap.min_period_fo4) +
-      ",\"critical_path_fo4\":" + json::number(snap.critical_path_fo4) +
-      ",\"critical_path_gates\":" +
-      std::to_string(snap.critical_path_gates) +
-      ",\"endpoints\":" + std::to_string(snap.endpoints) +
-      ",\"area_um2\":" + json::number(snap.area_um2) +
-      ",\"total_wirelength_um\":" + json::number(snap.total_wirelength_um) +
-      ",\"critical_wirelength_um\":" +
-      json::number(snap.critical_wirelength_um) +
-      ",\"sizing_headroom_tau\":" + json::number(snap.sizing_headroom_tau) +
-      ",\"slack_histogram\":" + hist_json.value() + '}';
-  return ok_reply(req.id_json, result);
+  return ok(req, [&](json::Writer& w) {
+    qor::write_scalars(w.begin_object(), snap);
+    w.key("slack_histogram");
+    sta::slack_histogram_json(w, snap.slack_histogram);
+    w.end_object();
+  });
 }
 
 std::string Server::cmd_lint(const Request& req) {
@@ -878,10 +836,11 @@ std::string Server::cmd_lint(const Request& req) {
     }
   }
 
-  std::string lint_json;
+  lint::RuleRegistry registry;
+  lint::LintReport report;
   bool degraded_now = false;
   const auto run = [&](double period_tau) {
-    const lint::RuleRegistry registry = lint::default_registry();
+    registry = lint::default_registry();
     lint::LintConfig config;
     if (mode == "scan") {
       // Scan mode keeps the pre-dataflow reply surface: the GL-D/GL-X
@@ -904,9 +863,7 @@ std::string Server::cmd_lint(const Request& req) {
         s->dataflow->valid()) {
       ctx.dataflow = s->dataflow.get();
     }
-    const lint::LintReport report =
-        lint::run_lint(registry, ctx, config, options_.threads);
-    lint_json = lint::write_json(registry, report, s->name);
+    report = lint::run_lint(registry, ctx, config, options_.threads);
   };
   const Status st = query(
       *s, [&] { run(s->timer->timing().min_period_tau); },
@@ -919,13 +876,9 @@ std::string Server::cmd_lint(const Request& req) {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, reply_code(st.code()), st.message());
   }
-  auto result = compact(lint_json);
-  if (!result.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInternal,
-                       result.status().message());
-  }
-  return ok_reply(req.id_json, result.value());
+  return ok(req, [&](json::Writer& w) {
+    lint::write_json(w, registry, report, s->name);
+  });
 }
 
 // --- stats / shutdown ----------------------------------------------------
@@ -941,52 +894,44 @@ std::string Server::cmd_stats(const Request& req) {
     // The Prometheus exposition (docs/observability.md) embedded as one
     // JSON string, so the reply stays a single gap-serve-v1 line. Note
     // the wall section makes this the one non-deterministic reply.
-    return ok_reply(req.id_json,
-                    "{\"format\":\"text\",\"exposition\":\"" +
-                        json::escape(obs::expose_text(common::metrics())) +
-                        "\"}");
+    return ok(req, [&](json::Writer& w) {
+      w.begin_object().member("format", "text");
+      w.member("exposition", obs::expose_text(common::metrics()));
+      w.end_object();
+    });
   }
 
   std::uint64_t dropped = 0;
-  std::string sessions = "[";
-  bool first = true;
-  for (const auto& [name, s] : sessions_) {
-    if (!first) sessions += ',';
-    first = false;
-    dropped += s->diags.dropped();
-    sessions += "{\"name\":\"" + json::escape(name) + "\",\"design\":\"" +
-                json::escape(s->design) + "\",\"seq\":" +
-                std::to_string(s->seq) + ",\"degraded\":" +
-                bool_json(s->degraded) + ",\"recovered\":" +
-                bool_json(s->recovered) + ",\"undo_depth\":" +
-                std::to_string(s->undo.size()) + ",\"diags\":" +
-                std::to_string(s->diags.size()) + ",\"diags_dropped\":" +
-                std::to_string(s->diags.dropped()) + ",\"journal\":" +
-                bool_json(s->journal.is_open()) + ",\"instances\":" +
-                std::to_string(s->nl->num_instances()) + ",\"nets\":" +
-                std::to_string(s->nl->num_nets()) + ",\"journal_bytes\":" +
-                std::to_string(s->journal.bytes_appended()) +
-                ",\"edits_applied\":" + std::to_string(s->edits_applied) +
-                ",\"degradations\":" + std::to_string(s->degradations) + '}';
-  }
-  sessions += ']';
+  for (const auto& [name, s] : sessions_) dropped += s->diags.dropped();
   counters_.diags_dropped = dropped;
-
-  const ServerCounters& c = counters_;
-  std::string result =
-      "{\"sessions\":" + sessions + ",\"counters\":{\"requests\":" +
-      std::to_string(c.requests) + ",\"errors\":" + std::to_string(c.errors) +
-      ",\"edits_applied\":" + std::to_string(c.edits_applied) +
-      ",\"edits_rejected\":" + std::to_string(c.edits_rejected) +
-      ",\"degraded\":" + std::to_string(c.degraded) +
-      ",\"journal_overflow\":" + std::to_string(c.journal_overflow) +
-      ",\"overloaded\":" + std::to_string(c.overloaded) +
-      ",\"deadline_exceeded\":" + std::to_string(c.deadline_exceeded) +
-      ",\"oversized_frames\":" + std::to_string(c.oversized_frames) +
-      ",\"recovered_sessions\":" + std::to_string(c.recovered_sessions) +
-      ",\"recovered_edits\":" + std::to_string(c.recovered_edits) +
-      ",\"diags_dropped\":" + std::to_string(c.diags_dropped) + "}}";
-  return ok_reply(req.id_json, result);
+  return ok(req, [&](json::Writer& w) {
+    w.begin_object().key("sessions").begin_array();
+    for (const auto& [name, s] : sessions_) {
+      w.begin_object().member("name", name).member("design", s->design);
+      w.member("seq", s->seq).member("degraded", s->degraded);
+      w.member("recovered", s->recovered).member("undo_depth", s->undo.size());
+      w.member("diags", s->diags.size());
+      w.member("diags_dropped", s->diags.dropped());
+      w.member("journal", s->journal.is_open());
+      w.member("instances", s->nl->num_instances());
+      w.member("nets", s->nl->num_nets());
+      w.member("journal_bytes", s->journal.bytes_appended());
+      w.member("edits_applied", s->edits_applied);
+      w.member("degradations", s->degradations).end_object();
+    }
+    const ServerCounters& c = counters_;
+    w.end_array().key("counters").begin_object();
+    w.member("requests", c.requests).member("errors", c.errors);
+    w.member("edits_applied", c.edits_applied);
+    w.member("edits_rejected", c.edits_rejected).member("degraded", c.degraded);
+    w.member("journal_overflow", c.journal_overflow);
+    w.member("overloaded", c.overloaded);
+    w.member("deadline_exceeded", c.deadline_exceeded);
+    w.member("oversized_frames", c.oversized_frames);
+    w.member("recovered_sessions", c.recovered_sessions);
+    w.member("recovered_edits", c.recovered_edits);
+    w.member("diags_dropped", c.diags_dropped).end_object().end_object();
+  });
 }
 
 std::string Server::cmd_dump(const Request& req) {
@@ -1013,16 +958,13 @@ std::string Server::cmd_dump(const Request& req) {
   // records why it exists.
   flight_event(obs::FlightEventKind::kDump, 0, flight_.total());
   const std::vector<std::string> written = dump_flight(session);
-  std::string result = "{\"dumped\":[";
-  for (std::size_t i = 0; i < written.size(); ++i) {
-    if (i != 0) result += ',';
-    result += '"' + json::escape(written[i]) + '"';
-  }
-  result += "],\"events\":" +
-            std::to_string(std::min<std::uint64_t>(flight_.total(),
-                                                   flight_.capacity())) +
-            ",\"dropped\":" + std::to_string(flight_.dropped()) + '}';
-  return ok_reply(req.id_json, result);
+  return ok(req, [&](json::Writer& w) {
+    w.begin_object().key("dumped").begin_array();
+    for (const std::string& path : written) w.value(path);
+    w.end_array().member("events", std::min<std::uint64_t>(
+                                       flight_.total(), flight_.capacity()));
+    w.member("dropped", flight_.dropped()).end_object();
+  });
 }
 
 // --- dispatch loop -------------------------------------------------------
@@ -1044,8 +986,10 @@ std::string Server::dispatch(const Request& req, double t0_us) {
   else if (req.cmd == "stats") reply = cmd_stats(req);
   else if (req.cmd == "shutdown") {
     shutdown_ = true;
-    return ok_reply(req.id_json, "{\"shutdown\":true,\"sessions\":" +
-                                     std::to_string(sessions_.size()) + '}');
+    return ok(req, [&](json::Writer& w) {
+      w.begin_object().member("shutdown", true);
+      w.member("sessions", sessions_.size()).end_object();
+    });
   } else {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, ReplyCode::kUnknownName,

@@ -133,6 +133,12 @@ class Server {
 
  private:
   std::string dispatch(const Request& req, double t0_us);
+  /// The success reply for `req`, its result written by `render(Writer&)`
+  /// straight into the compact reply. A result holding a non-finite
+  /// number is not JSON: the reply is then an `internal` error instead.
+  template <typename Render>
+  std::string ok(const Request& req, Render&& render);
+
   std::string cmd_load(const Request& req, double t0_us);
   std::string cmd_edit(const Request& req, bool undo, double t0_us);
   std::string cmd_timing(const Request& req);

@@ -45,31 +45,31 @@ std::string format_critical_path(const netlist::Netlist& nl,
   return out;
 }
 
+void critical_path_json(common::json::Writer& w, const netlist::Netlist& nl,
+                        const StaOptions& options, const TimingResult& timing) {
+  const tech::Technology& t = nl.lib().technology();
+  const auto arrivals = net_arrivals(nl, options);
+  w.begin_object().key("path").begin_array();
+  for (InstanceId id : timing.critical_path) {
+    const netlist::Instance& inst = nl.instance(id);
+    w.begin_object().member("instance", inst.name);
+    w.member("cell", nl.cell_of(id).name).member("drive", nl.drive_of(id));
+    w.member("load", nl.net_load(inst.output));
+    w.member("arrival_ps", t.tau_to_ps(arrivals[inst.output.index()]));
+    w.end_object();
+  }
+  w.end_array().member("min_period_ps", timing.min_period_ps);
+  w.member("min_period_fo4", timing.min_period_fo4);
+  w.member("frequency_mhz", timing.frequency_mhz());
+  w.member("endpoints", timing.num_endpoints).end_object();
+}
+
 std::string critical_path_json(const netlist::Netlist& nl,
                                const StaOptions& options,
                                const TimingResult& timing) {
-  namespace json = common::json;
-  const tech::Technology& t = nl.lib().technology();
-  const auto arrivals = net_arrivals(nl, options);
-  std::string out = "{\"path\":[";
-  bool first = true;
-  for (InstanceId id : timing.critical_path) {
-    const netlist::Instance& inst = nl.instance(id);
-    const library::Cell& c = nl.cell_of(id);
-    if (!first) out += ',';
-    first = false;
-    out += "{\"instance\":\"" + json::escape(inst.name) + "\",\"cell\":\"" +
-           json::escape(c.name) + "\",\"drive\":" +
-           json::number(nl.drive_of(id)) +
-           ",\"load\":" + json::number(nl.net_load(inst.output)) +
-           ",\"arrival_ps\":" +
-           json::number(t.tau_to_ps(arrivals[inst.output.index()])) + "}";
-  }
-  out += "],\"min_period_ps\":" + json::number(timing.min_period_ps) +
-         ",\"min_period_fo4\":" + json::number(timing.min_period_fo4) +
-         ",\"frequency_mhz\":" + json::number(timing.frequency_mhz()) +
-         ",\"endpoints\":" + std::to_string(timing.num_endpoints) + "}";
-  return out;
+  common::json::Writer w;
+  critical_path_json(w, nl, options, timing);
+  return w.take();
 }
 
 SlackHistogramData compute_slack_histogram(const netlist::Netlist& nl,
@@ -122,19 +122,20 @@ std::string format_slack_histogram(const netlist::Netlist& nl,
   return out;
 }
 
+void slack_histogram_json(common::json::Writer& w,
+                          const SlackHistogramData& h) {
+  w.begin_object(common::json::Layout::kCompact).member("lo", h.lo);
+  w.member("hi", h.hi).member("constrained", h.constrained);
+  w.key("buckets").begin_array();
+  for (std::size_t b = 0; b < h.counts.size(); ++b)
+    w.begin_array().value(h.centers[b]).value(h.counts[b]).end_array();
+  w.end_array().end_object();
+}
+
 std::string slack_histogram_json(const SlackHistogramData& h) {
-  namespace json = common::json;
-  std::string out = "{\"lo\":" + json::number(h.lo) +
-                    ",\"hi\":" + json::number(h.hi) +
-                    ",\"constrained\":" + std::to_string(h.constrained) +
-                    ",\"buckets\":[";
-  for (std::size_t b = 0; b < h.counts.size(); ++b) {
-    if (b != 0) out += ',';
-    out += "[" + json::number(h.centers[b]) + "," +
-           std::to_string(h.counts[b]) + "]";
-  }
-  out += "]}";
-  return out;
+  common::json::Writer w;
+  slack_histogram_json(w, h);
+  return w.take();
 }
 
 }  // namespace gap::sta

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sta/sta.hpp"
 
 namespace gap::sta {
@@ -21,9 +22,13 @@ namespace gap::sta {
                                                const TimingResult& timing,
                                                int max_lines = 40);
 
-/// The same listing as one JSON object:
+/// The same listing as one JSON object, written into `w` in its current
+/// layout:
 ///   {"path":[{"instance","cell","drive","load","arrival_ps"},...],
 ///    "min_period_ps","min_period_fo4","frequency_mhz","endpoints"}
+void critical_path_json(common::json::Writer& w, const netlist::Netlist& nl,
+                        const StaOptions& options, const TimingResult& timing);
+/// The object above as compact text.
 [[nodiscard]] std::string critical_path_json(const netlist::Netlist& nl,
                                              const StaOptions& options,
                                              const TimingResult& timing);
@@ -55,8 +60,11 @@ struct SlackHistogramData {
                                                  double period_tau,
                                                  int buckets = 10);
 
-/// The histogram as one JSON object:
+/// The histogram as one JSON object, always on one line (compact even
+/// inside a pretty document such as the QoR manifest):
 ///   {"lo","hi","constrained","buckets":[[center,count],...]}
+void slack_histogram_json(common::json::Writer& w, const SlackHistogramData& h);
+/// The object above as text.
 [[nodiscard]] std::string slack_histogram_json(const SlackHistogramData& h);
 
 }  // namespace gap::sta

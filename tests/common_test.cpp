@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
 
 #include "common/ids.hpp"
 #include "common/json.hpp"
@@ -223,6 +227,200 @@ TEST(JsonDump, PreservesKeyOrderAndNumberPrecision) {
   EXPECT_EQ(again->object[1].first, "a");
   EXPECT_DOUBLE_EQ(again->object[1].second.num, 0.1);
   EXPECT_DOUBLE_EQ(again->object[2].second.num, 1e300);
+}
+
+// --- json::Writer --------------------------------------------------------
+
+using common::json::Layout;
+using common::json::Value;
+using common::json::Writer;
+
+/// {"e":{},"a":[],"n":{"k":[1,{"x":true}]}} in `layout`.
+std::string nested_doc(Layout layout) {
+  Writer w(layout);
+  w.begin_object().key("e").begin_object().end_object();
+  w.key("a").begin_array().end_array();
+  w.key("n").begin_object().key("k").begin_array().value(1);
+  w.begin_object().member("x", true).end_object();
+  w.end_array().end_object().end_object();
+  return w.take();
+}
+
+TEST(JsonWriter, CompactLayout) {
+  EXPECT_EQ(nested_doc(Layout::kCompact),
+            "{\"e\":{},\"a\":[],\"n\":{\"k\":[1,{\"x\":true}]}}");
+  EXPECT_EQ(Writer().begin_object().end_object().str(), "{}");
+  EXPECT_EQ(Writer().begin_array().end_array().str(), "[]");
+}
+
+TEST(JsonWriter, InlineLayout) {
+  EXPECT_EQ(nested_doc(Layout::kInline),
+            "{ \"e\": {}, \"a\": [], "
+            "\"n\": { \"k\": [ 1, { \"x\": true } ] } }");
+  EXPECT_EQ(Writer(Layout::kInline).begin_object().end_object().str(), "{}");
+  EXPECT_EQ(Writer(Layout::kInline).begin_array().end_array().str(), "[]");
+}
+
+TEST(JsonWriter, PrettyLayout) {
+  EXPECT_EQ(nested_doc(Layout::kPretty),
+            "{\n"
+            "  \"e\": {},\n"
+            "  \"a\": [],\n"
+            "  \"n\": {\n"
+            "    \"k\": [\n"
+            "      1,\n"
+            "      {\n"
+            "        \"x\": true\n"
+            "      }\n"
+            "    ]\n"
+            "  }\n"
+            "}");
+  EXPECT_EQ(Writer(Layout::kPretty).begin_object().end_object().str(), "{}");
+  EXPECT_EQ(Writer(Layout::kPretty).begin_array().end_array().str(), "[]");
+}
+
+TEST(JsonWriter, OnlyAPrettyParentHonorsAChildLayout) {
+  Writer w(Layout::kPretty);
+  w.begin_object().key("one_line").begin_object(Layout::kCompact);
+  w.member("a", 1).key("b").begin_array(Layout::kPretty).value(2).end_array();
+  w.end_object().key("anchor").begin_object(Layout::kInline);
+  w.member("kind", "net").key("in").begin_object(Layout::kPretty);
+  w.member("z", 0).end_object().end_object().end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"one_line\": {\"a\":1,\"b\":[2]},\n"
+            "  \"anchor\": { \"kind\": \"net\", \"in\": { \"z\": 0 } }\n"
+            "}");
+  // A compact writer stays compact whatever its containers ask for.
+  Writer c;
+  c.begin_object(Layout::kPretty).key("x").begin_array(Layout::kInline);
+  c.value(1).value(2).end_array().end_object();
+  EXPECT_EQ(c.str(), "{\"x\":[1,2]}");
+}
+
+TEST(JsonWriter, EscapesControlBytesQuoteBackslashButNotDelOrUtf8) {
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all += static_cast<char>(c);
+  std::string want = "\"";
+  for (int c = 0; c < 0x20; ++c) {
+    if (c == '\n') want += "\\n";
+    else if (c == '\r') want += "\\r";
+    else if (c == '\t') want += "\\t";
+    else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      want += buf;
+    }
+  }
+  want += "\"";
+  EXPECT_EQ(Writer().value(all).str(), want);
+  EXPECT_EQ(Writer().value("a\"b\\c").str(), "\"a\\\"b\\\\c\"");
+  // DEL, then UTF-8 for U+00E9, U+20AC and U+1F600.
+  const std::string raw_bytes =
+      "\x7f" "\xc3\xa9" "\xe2\x82\xac" "\xf0\x9f\x98\x80";
+  EXPECT_EQ(Writer().value(raw_bytes).str(), "\"" + raw_bytes + "\"");
+  EXPECT_EQ(common::json::escape(all + "\"\\" + raw_bytes),
+            want.substr(1, want.size() - 2) + "\\\"\\\\" + raw_bytes);
+  // Keys escape the same way, and every escape parses back to its byte.
+  Writer k;
+  k.begin_object().member(all, all).end_object();
+  const auto v = Value::parse(k.str());
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->object.at(0).first, all);
+  EXPECT_EQ(v->object.at(0).second.str, all);
+}
+
+TEST(JsonWriter, IntegersAreExactUpToTwoToTheFiftyThird) {
+  constexpr std::uint64_t k2p53 = std::uint64_t{1} << 53;
+  Writer w;
+  w.begin_array().value(std::uint64_t{0}).value(k2p53 - 1).value(k2p53);
+  w.value(-42).value(std::numeric_limits<std::int64_t>::min()).end_array();
+  EXPECT_EQ(w.str(), "[0,9007199254740991,9007199254740992,-42,"
+                     "-9223372036854775808]");
+  // Up to 2^53 a counter survives parse + dump unchanged.
+  const auto v = Value::parse("[9007199254740991,9007199254740992]");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->dump(), "[9007199254740991,9007199254740992]");
+}
+
+TEST(JsonWriter, NonFiniteNumbersAreRecordedNotHidden) {
+  Writer w;
+  w.begin_object().member("ok", 1.5).member("bad", std::nan(""));
+  w.member("worse", HUGE_VAL).end_object();
+  EXPECT_FALSE(w.ok());
+  EXPECT_EQ(w.error(), "non-finite number nan at \"bad\"");  // the first one
+  EXPECT_EQ(w.str(), "{\"ok\":1.5,\"bad\":nan,\"worse\":inf}");
+  Writer root;
+  root.value(-HUGE_VAL);
+  EXPECT_EQ(root.error(), "non-finite number -inf");
+  Writer fine;
+  fine.value(0.1);
+  EXPECT_TRUE(fine.ok());
+  EXPECT_TRUE(fine.error().empty());
+}
+
+/// A random DOM of bounded depth: every kind, keys and strings drawn from
+/// bytes that exercise escaping.
+Value random_value(Rng& rng, int depth) {  // NOLINT(misc-no-recursion)
+  const auto text = [&] {
+    std::string s;
+    const std::size_t n = rng.uniform_index(6);
+    for (std::size_t i = 0; i < n; ++i)
+      s += static_cast<char>(rng.uniform_index(128));
+    return s;
+  };
+  Value v;
+  const std::size_t kind = rng.uniform_index(depth > 0 ? 6 : 4);
+  switch (kind) {
+    case 0: v.kind = Value::Kind::kNull; break;
+    case 1:
+      v.kind = Value::Kind::kBool;
+      v.boolean = rng.bernoulli(0.5);
+      break;
+    case 2:
+      v.kind = Value::Kind::kNumber;
+      v.num = rng.bernoulli(0.5)
+                  ? static_cast<double>(rng.uniform_index(1u << 30))
+                  : rng.normal(0.0, 1e6);
+      break;
+    case 3:
+      v.kind = Value::Kind::kString;
+      v.str = text();
+      break;
+    case 4: {
+      v.kind = Value::Kind::kArray;
+      const std::size_t n = rng.uniform_index(4);
+      for (std::size_t i = 0; i < n; ++i)
+        v.array.push_back(random_value(rng, depth - 1));
+      break;
+    }
+    default: {
+      v.kind = Value::Kind::kObject;
+      const std::size_t n = rng.uniform_index(4);
+      for (std::size_t i = 0; i < n; ++i)
+        v.object.emplace_back(text(), random_value(rng, depth - 1));
+      break;
+    }
+  }
+  return v;
+}
+
+TEST(JsonWriter, EveryLayoutParsesBackToTheCompactDump) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Value dom = random_value(rng, 4);
+    Writer compact;
+    dom.write(compact);
+    ASSERT_TRUE(compact.ok());
+    EXPECT_EQ(compact.str(), dom.dump());
+    for (Layout layout : {Layout::kCompact, Layout::kInline, Layout::kPretty}) {
+      Writer w(layout);
+      dom.write(w);
+      const auto back = Value::parse(w.str());
+      ASSERT_TRUE(back.has_value()) << w.str();
+      EXPECT_EQ(back->dump(), compact.str()) << w.str();
+    }
+  }
 }
 
 }  // namespace

@@ -799,6 +799,20 @@ TEST(LintCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(cli({"x.v", "--threads"}).code, kExitUsage);
 }
 
+TEST(LintCliTest, ThreadsOutsideZeroTo1024ExitTwo) {
+  // 4294967297 used to be truncated by the int cast to 1 and accepted.
+  const std::string v = "lint_cli_threads.v";
+  write_file(v, kCleanModule);
+  for (const char* n : {"4294967297", "1025", "-1", "99999999999999999999"}) {
+    const CliResult r = cli({v, "--threads", n});
+    EXPECT_EQ(r.code, kExitUsage) << n;
+    EXPECT_NE(r.err.find("bad --threads"), std::string::npos) << r.err;
+  }
+  EXPECT_EQ(cli({v, "--threads", "8"}).code, kExitOk);
+  EXPECT_EQ(cli({v, "--threads", "0"}).code, kExitOk);
+  std::remove(v.c_str());
+}
+
 TEST(LintCliTest, UnparsableInputsExitThree) {
   const std::string v = "lint_cli_garbage.v";
   write_file(v, "module t (a;\n nonsense\n");

@@ -250,12 +250,27 @@ RunManifest tiny_manifest(double signoff_period, double composed_sizing) {
 
 TEST(ManifestTest, WriteJsonIsValidAndDeterministic) {
   const RunManifest m = tiny_manifest(100.0, 1.2);
-  const std::string a = write_json(m);
-  const std::string b = write_json(m);
+  const std::string a = write_json(m).value();
+  const std::string b = write_json(m).value();
   EXPECT_EQ(a, b);
   EXPECT_TRUE(gap::testing::JsonLint::valid(a)) << a;
   EXPECT_NE(a.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(a.find("\"gapflow\""), std::string::npos);
+}
+
+TEST(ManifestTest, NonFiniteNumberIsAnInternalErrorNotJson) {
+  RunManifest m = tiny_manifest(100.0, 1.2);
+  m.stages[0].qor->min_period_ps = std::nan("");
+  const auto r = write_json(m);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), common::ErrorCode::kInternal);
+  EXPECT_NE(r.status().message().find("nan at \"min_period_ps\""),
+            std::string::npos)
+      << r.status().message();
+
+  m = tiny_manifest(100.0, 1.2);
+  m.freq_mhz = HUGE_VAL;
+  EXPECT_FALSE(write_json(m).ok());
 }
 
 class GapreportTest : public ::testing::Test {
@@ -285,7 +300,7 @@ class GapreportTest : public ::testing::Test {
 
 TEST_F(GapreportTest, ShowRendersTextAndCsv) {
   const std::string path = "qor_test_show.json";
-  write_file(path, write_json(tiny_manifest(100.0, 1.2)));
+  write_file(path, write_json(tiny_manifest(100.0, 1.2)).value());
   const Captured text = gapreport({"show", path});
   EXPECT_EQ(text.code, kExitOk) << text.err;
   EXPECT_NE(text.out.find("alu16"), std::string::npos);
@@ -301,7 +316,7 @@ TEST_F(GapreportTest, ShowRendersTextAndCsv) {
 
 TEST_F(GapreportTest, SelfDiffIsEmptyAndExitsZero) {
   const std::string path = "qor_test_selfdiff.json";
-  write_file(path, write_json(tiny_manifest(100.0, 1.2)));
+  write_file(path, write_json(tiny_manifest(100.0, 1.2)).value());
   const Captured r = gapreport({"diff", path, path, "--strict"});
   EXPECT_EQ(r.code, kExitOk) << r.err;
   EXPECT_NE(r.out.find("no differences"), std::string::npos);
@@ -311,8 +326,9 @@ TEST_F(GapreportTest, SelfDiffIsEmptyAndExitsZero) {
 TEST_F(GapreportTest, RegressionPastThresholdFailsOnlyUnderStrict) {
   const std::string base = "qor_test_base.json";
   const std::string cur = "qor_test_cur.json";
-  write_file(base, write_json(tiny_manifest(100.0, 1.2)));
-  write_file(cur, write_json(tiny_manifest(120.0, 1.2)));  // +20% period
+  write_file(base, write_json(tiny_manifest(100.0, 1.2)).value());
+  // +20% period
+  write_file(cur, write_json(tiny_manifest(120.0, 1.2)).value());
 
   const Captured lax = gapreport({"diff", base, cur});
   EXPECT_EQ(lax.code, kExitOk);  // report-only without --strict
@@ -337,11 +353,37 @@ TEST_F(GapreportTest, RegressionPastThresholdFailsOnlyUnderStrict) {
 TEST_F(GapreportTest, GapScoreRegressionIsCaught) {
   const std::string base = "qor_test_score_base.json";
   const std::string cur = "qor_test_score_cur.json";
-  write_file(base, write_json(tiny_manifest(100.0, 1.2)));
-  write_file(cur, write_json(tiny_manifest(100.0, 1.5)));  // sizing got worse
+  write_file(base, write_json(tiny_manifest(100.0, 1.2)).value());
+  // sizing got worse
+  write_file(cur, write_json(tiny_manifest(100.0, 1.5)).value());
   const Captured r = gapreport({"diff", base, cur, "--strict"});
   EXPECT_EQ(r.code, kExitRegression);
   EXPECT_NE(r.out.find("gap_score.sizing"), std::string::npos);
+  std::remove(base.c_str());
+  std::remove(cur.c_str());
+}
+
+TEST_F(GapreportTest, NonFiniteThresholdIsRejectedNotIgnored) {
+  // A NaN threshold used to compare false against every delta, so
+  // --strict silently passed a 1000x area blow-up.
+  const std::string base = "qor_test_nan_base.json";
+  const std::string cur = "qor_test_nan_cur.json";
+  RunManifest before = tiny_manifest(100.0, 1.2);
+  before.area_um2 = 1000.0;
+  before.stages[0].qor->area_um2 = 1000.0;
+  RunManifest after = before;
+  after.area_um2 = 999999.0;
+  after.stages[0].qor->area_um2 = 999999.0;
+  write_file(base, write_json(before).value());
+  write_file(cur, write_json(after).value());
+  EXPECT_EQ(gapreport({"diff", base, cur, "--strict"}).code,
+            kExitRegression);
+  for (const char* t : {"nan", "NaN", "inf", "-inf", "1e999"}) {
+    const Captured r =
+        gapreport({"diff", base, cur, "--strict", "--threshold", t});
+    EXPECT_EQ(r.code, kExitBadValue) << t;
+    EXPECT_NE(r.err.find("bad --threshold"), std::string::npos) << r.err;
+  }
   std::remove(base.c_str());
   std::remove(cur.c_str());
 }
@@ -361,7 +403,7 @@ TEST_F(GapreportTest, ErrorExitCodes) {
   std::remove(bad.c_str());
 
   const std::string good = "qor_test_good.json";
-  write_file(good, write_json(tiny_manifest(100.0, 1.2)));
+  write_file(good, write_json(tiny_manifest(100.0, 1.2)).value());
   EXPECT_EQ(gapreport({"diff", good, good, "--threshold", "nope"}).code,
             kExitBadValue);
   EXPECT_EQ(gapreport({"diff", good, good, "--threshold"}).code,

@@ -251,6 +251,19 @@ TEST(ServeRobustness, MalformedFramesGetCodedRepliesNeverAbort) {
   EXPECT_TRUE(reply_ok(server.handle_line("{\"cmd\":\"stats\"}")));
 }
 
+TEST(ServeRobustness, NonFiniteIdIsRejectedNotEchoed) {
+  // "1e999" parses to inf; echoing it would put `inf` into the reply.
+  Server server({});
+  for (const char* id : {"1e999", "-1e999", "[1,{\"a\":1e999}]"}) {
+    const std::string reply = server.handle_line(
+        std::string("{\"id\":") + id + ",\"cmd\":\"stats\"}");
+    EXPECT_EQ(error_code_of(reply), "invalid_value") << reply;
+    EXPECT_NE(reply.find("\"id\":null"), std::string::npos) << reply;
+    EXPECT_EQ(reply.find("inf,"), std::string::npos) << reply;
+  }
+  EXPECT_EQ(server.counters().errors, 3u);
+}
+
 TEST(ServeRobustness, OversizedFramesAreBoundedAndCounted) {
   ServerOptions opt;
   opt.max_frame_bytes = 256;

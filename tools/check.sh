@@ -19,7 +19,8 @@
 #
 # The ASan/UBSan pass: the untrusted-input readers must reject hundreds of
 # mutated Liberty/Verilog inputs without aborting AND without any latent
-# memory or UB errors masked by a clean exit.
+# memory or UB errors masked by a clean exit; the JSON Writer and the
+# golden artifacts it renders run under the same fatal UBSan.
 #
 # Build trees default to build-tsan / build-asan / build-bench /
 # build-obs next to the primary build/, overridable so CI and local runs
@@ -108,7 +109,8 @@ run_asan() {
   cmake -B "$BUILD_ASAN" -S . -DGAP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD_ASAN" -j "$JOBS" \
-    --target fault_injection_test io_test diagnostics_test obs_test
+    --target fault_injection_test io_test diagnostics_test obs_test \
+    common_test golden_test
 
   echo "== fault_injection_test under ASan/UBSan =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
@@ -125,6 +127,16 @@ run_asan() {
   echo "== obs_test under ASan/UBSan =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_ASAN/tests/obs_test"
+
+  # The JSON Writer's unit tests, then every golden artifact rendered
+  # through it (manifests, lint reports, gapd transcripts).
+  echo "== common_test under ASan/UBSan =="
+  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
+    "$BUILD_ASAN/tests/common_test"
+
+  echo "== golden_test under ASan/UBSan =="
+  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
+    "$BUILD_ASAN/tests/golden_test"
 }
 
 # The bench gate, exactly as CI runs it: quick-mode microbenchmarks in a
