@@ -1,7 +1,8 @@
-// Golden artifacts: the QoR manifests, metrics JSON, gaplint reports and
-// gapd replies, regenerated through the in-process CLI entry points and
-// compared byte for byte with the files under tests/golden/
-// (tests/golden/README.md lists the command behind each file).
+// Golden artifacts: the QoR manifests, metrics JSON, gapflow's text
+// timing report, gaplint reports and gapd replies, regenerated through
+// the in-process CLI entry points and compared byte for byte with the
+// files under tests/golden/ (tests/golden/README.md lists the command
+// behind each file).
 //
 // Every test changes into the source root first, so relative paths
 // (which gaplint echoes into its reports as the artifact name) match
@@ -67,12 +68,16 @@ class Golden : public ::testing::Test {
     return (dir / name).string();
   }
 
-  static int gapflow(const std::vector<std::string>& args) {
+  /// Run gapflow in-process; its stdout goes to `stdout_text` if given.
+  static int gapflow(const std::vector<std::string>& args,
+                     std::string* stdout_text = nullptr) {
     std::vector<std::string> argv{"gapflow"};
     argv.insert(argv.end(), args.begin(), args.end());
     std::ostringstream out;
     std::ostringstream err;
-    return gap::core::cli::run(argv, out, err);
+    const int code = gap::core::cli::run(argv, out, err);
+    if (stdout_text != nullptr) *stdout_text = out.str();
+    return code;
   }
 };
 
@@ -93,6 +98,13 @@ TEST_F(Golden, GapflowAlu16Manifest) {
   ASSERT_EQ(gapflow({"--design", "alu16", "--qor-out", qor}), 0);
   expect_bytes(golden("gapflow/alu16.qor.json"), slurp(qor),
                "alu16 manifest");
+}
+
+TEST_F(Golden, GapflowAlu16TimingReport) {
+  std::string report;
+  ASSERT_EQ(gapflow({"--design", "alu16", "--report", "timing"}, &report), 0);
+  expect_bytes(golden("gapflow/alu16.report_timing.txt"), report,
+               "alu16 --report timing");
 }
 
 struct LintRun {
