@@ -1,8 +1,8 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -343,9 +343,12 @@ Writer& Writer::value(std::string_view s) {
 }
 
 Writer& Writer::value(double v) {
+  // to_chars with a precision is specified to give printf's %.17g text,
+  // without printf's format parsing and locale lookup.
   char buf[40];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
-  const std::string_view text(buf, static_cast<std::size_t>(n));
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 17);
+  const std::string_view text(buf, static_cast<std::size_t>(r.ptr - buf));
   if (!std::isfinite(v) && error_.empty()) {
     error_ = "non-finite number " + std::string(text);
     if (key_len_ != 0)

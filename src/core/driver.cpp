@@ -502,7 +502,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
       r.pipeline_registers);
 
   if (args.report == "timing" || args.report == "all") {
-    out << sta::format_critical_path(*r.nl, sta_opt, r.timing) << '\n';
+    out << sta::format_critical_path(*r.nl, r.timing) << '\n';
     out << sta::format_slack_histogram(*r.nl, sta_opt,
                                        r.timing.min_period_tau)
         << '\n';

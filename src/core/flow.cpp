@@ -315,6 +315,9 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
     if (!sr.diagnostics.empty()) result.nl.reset();
   });
   capture_qor(ok, result.nl.get());
+  // Every later stage works on the pipelined copy; the mapped netlist is
+  // dead, so free it before placement, routing and sizing allocate.
+  mapped.reset();
 
   const bool have_nl = result.nl != nullptr;
 

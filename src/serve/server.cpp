@@ -196,8 +196,8 @@ std::string Server::journal_path(const std::string& session) const {
 
 bool Server::deadline_expired(const Request& req, double t0_us) const {
   double budget = options_.default_deadline_us;
-  if (const json::Value* d = req.frame.find("deadline_us"))
-    budget = d->number_or(budget);
+  // dispatch() has already rejected a "deadline_us" that is not a number.
+  if (const json::Value* d = req.frame.find("deadline_us")) budget = d->num;
   if (budget <= 0.0) return false;
   return common::tracer().now_us() - t0_us > budget;
 }
@@ -678,7 +678,7 @@ std::string Server::cmd_timing(const Request& req) {
     return error_reply(req.id_json, reply_code(st.code()), st.message());
   }
   return ok(req, [&](json::Writer& w) {
-    sta::critical_path_json(w, *s->nl, opts, timing);
+    sta::critical_path_json(w, *s->nl, timing);
   });
 }
 
@@ -695,10 +695,12 @@ std::string Server::cmd_slacks(const Request& req) {
   }
   double period = 0.0;
   if (const json::Value* p = req.frame.find("period_tau")) {
-    if (!p->is_number() || !(p->num > 0.0)) {
+    // 1e999 parses to inf; reject it before it buys a slack pass whose
+    // reply could only be an `internal` error.
+    if (!p->is_number() || !std::isfinite(p->num) || !(p->num > 0.0)) {
       bump(&ServerCounters::errors, "serve.errors");
       return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                         "\"period_tau\" must be a positive number");
+                         "\"period_tau\" must be a positive finite number");
     }
     period = p->num;
   }
@@ -970,6 +972,14 @@ std::string Server::cmd_dump(const Request& req) {
 // --- dispatch loop -------------------------------------------------------
 
 std::string Server::dispatch(const Request& req, double t0_us) {
+  // Any request may carry a budget; one that is not a number is a client
+  // error, never a silent fall back to the default.
+  if (const json::Value* d = req.frame.find("deadline_us");
+      d != nullptr && !d->is_number()) {
+    bump(&ServerCounters::errors, "serve.errors");
+    return error_reply(req.id_json, ReplyCode::kInvalidValue,
+                       "\"deadline_us\" must be a number");
+  }
   if (req.cmd == "load") return cmd_load(req, t0_us);
   if (req.cmd == "edit") return cmd_edit(req, /*undo=*/false, t0_us);
   if (req.cmd == "undo") return cmd_edit(req, /*undo=*/true, t0_us);

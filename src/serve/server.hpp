@@ -153,7 +153,8 @@ class Server {
   Session* find_session(const Request& req, std::string& error_out);
   void degrade(Session& s, const std::string& why);
   [[nodiscard]] std::string journal_path(const std::string& session) const;
-  /// Microseconds left of the request budget; negative = expired.
+  /// True once the request's budget ("deadline_us", else the server
+  /// default; <= 0 means none) has run out.
   [[nodiscard]] bool deadline_expired(const Request& req, double t0_us) const;
   void bump(std::uint64_t ServerCounters::* field, const char* metric,
             std::uint64_t n = 1);

@@ -212,16 +212,20 @@ inline void relax_instance(const CompactGraph& g, const StaOptions& opt,
   r.min_period_ps = t.tau_to_ps(r.min_period_tau);
   r.min_period_fo4 = t.tau_to_fo4(r.min_period_tau);
 
-  // Trace the critical path back from the worst endpoint.
+  // Trace the critical path back from the worst endpoint, keeping each
+  // instance's output arrival so reports need no second sweep.
   NetId net = worst.net;
   while (net.valid()) {
     const netlist::NetDriver& d = g.driver(net);
     if (d.kind != netlist::NetDriver::Kind::kInstance) break;
     r.critical_path.push_back(d.inst);
+    r.critical_path_arrival_tau.push_back(st.arrival[net.index()]);
     if (g.is_sequential(d.inst)) break;  // launch point
     net = st.crit_input[d.inst.index()];
   }
   std::reverse(r.critical_path.begin(), r.critical_path.end());
+  std::reverse(r.critical_path_arrival_tau.begin(),
+               r.critical_path_arrival_tau.end());
   return r;
 }
 

@@ -3,37 +3,38 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace gap::sta {
 
 std::string format_critical_path(const netlist::Netlist& nl,
-                                 const StaOptions& options,
                                  const TimingResult& timing, int max_lines) {
+  GAP_EXPECTS(timing.critical_path_arrival_tau.size() ==
+              timing.critical_path.size());
   const tech::Technology& t = nl.lib().technology();
-  const auto arrivals = net_arrivals(nl, options);
   std::string out;
   char line[160];
   std::snprintf(line, sizeof line, "%-24s %-12s %7s %8s %10s\n", "instance",
                 "cell", "drive", "load", "arrival");
   out += line;
 
-  int shown = 0;
-  for (InstanceId id : timing.critical_path) {
-    if (shown++ >= max_lines) {
+  for (std::size_t i = 0; i < timing.critical_path.size(); ++i) {
+    if (i >= static_cast<std::size_t>(max_lines)) {
       out += "  ... (";
       out += std::to_string(timing.critical_path.size() -
                             static_cast<std::size_t>(max_lines));
       out += " more)\n";
       break;
     }
+    const InstanceId id = timing.critical_path[i];
     const netlist::Instance& inst = nl.instance(id);
     const library::Cell& c = nl.cell_of(id);
     std::snprintf(line, sizeof line, "%-24s %-12s %7.2f %8.2f %7.1f ps\n",
                   inst.name.c_str(), c.name.c_str(), nl.drive_of(id),
                   nl.net_load(inst.output),
-                  t.tau_to_ps(arrivals[inst.output.index()]));
+                  t.tau_to_ps(timing.critical_path_arrival_tau[i]));
     out += line;
   }
   std::snprintf(line, sizeof line,
@@ -46,16 +47,18 @@ std::string format_critical_path(const netlist::Netlist& nl,
 }
 
 void critical_path_json(common::json::Writer& w, const netlist::Netlist& nl,
-                        const StaOptions& options, const TimingResult& timing) {
+                        const TimingResult& timing) {
+  GAP_EXPECTS(timing.critical_path_arrival_tau.size() ==
+              timing.critical_path.size());
   const tech::Technology& t = nl.lib().technology();
-  const auto arrivals = net_arrivals(nl, options);
   w.begin_object().key("path").begin_array();
-  for (InstanceId id : timing.critical_path) {
+  for (std::size_t i = 0; i < timing.critical_path.size(); ++i) {
+    const InstanceId id = timing.critical_path[i];
     const netlist::Instance& inst = nl.instance(id);
     w.begin_object().member("instance", inst.name);
     w.member("cell", nl.cell_of(id).name).member("drive", nl.drive_of(id));
     w.member("load", nl.net_load(inst.output));
-    w.member("arrival_ps", t.tau_to_ps(arrivals[inst.output.index()]));
+    w.member("arrival_ps", t.tau_to_ps(timing.critical_path_arrival_tau[i]));
     w.end_object();
   }
   w.end_array().member("min_period_ps", timing.min_period_ps);
@@ -65,10 +68,10 @@ void critical_path_json(common::json::Writer& w, const netlist::Netlist& nl,
 }
 
 std::string critical_path_json(const netlist::Netlist& nl,
-                               const StaOptions& options,
+                               const StaOptions& /*options*/,
                                const TimingResult& timing) {
   common::json::Writer w;
-  critical_path_json(w, nl, options, timing);
+  critical_path_json(w, nl, timing);
   return w.take();
 }
 

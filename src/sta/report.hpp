@@ -17,8 +17,9 @@ namespace gap::sta {
 
 /// Critical path report: one line per cell on the path with its cell,
 /// drive, load and cumulative arrival, ending with the period summary.
+/// Arrivals come from timing.critical_path_arrival_tau, so rendering
+/// runs no timing sweep.
 [[nodiscard]] std::string format_critical_path(const netlist::Netlist& nl,
-                                               const StaOptions& options,
                                                const TimingResult& timing,
                                                int max_lines = 40);
 
@@ -27,8 +28,9 @@ namespace gap::sta {
 ///   {"path":[{"instance","cell","drive","load","arrival_ps"},...],
 ///    "min_period_ps","min_period_fo4","frequency_mhz","endpoints"}
 void critical_path_json(common::json::Writer& w, const netlist::Netlist& nl,
-                        const StaOptions& options, const TimingResult& timing);
-/// The object above as compact text.
+                        const TimingResult& timing);
+/// The object above as compact text. `options` is unused (the arrivals
+/// travel in `timing`); it stays for source compatibility with callers.
 [[nodiscard]] std::string critical_path_json(const netlist::Netlist& nl,
                                              const StaOptions& options,
                                              const TimingResult& timing);

@@ -47,6 +47,9 @@ struct TimingResult {
   double min_period_fo4 = 0.0;  ///< "FO4 delays per cycle" of section 4
   /// Instances on the critical path, launch to capture.
   std::vector<InstanceId> critical_path;
+  /// Arrival at each path instance's output net (tau), parallel to
+  /// critical_path: the bits sta::net_arrivals would give for those nets.
+  std::vector<double> critical_path_arrival_tau;
   std::size_t num_endpoints = 0;
 
   [[nodiscard]] double frequency_mhz() const {

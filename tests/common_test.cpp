@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "common/json.hpp"
@@ -357,6 +359,46 @@ TEST(JsonWriter, NonFiniteNumbersAreRecordedNotHidden) {
   fine.value(0.1);
   EXPECT_TRUE(fine.ok());
   EXPECT_TRUE(fine.error().empty());
+}
+
+/// The Writer's number text against an independent reference, printf's
+/// %.17g: random finite bit patterns (every exponent), decimal-looking
+/// values around the fixed/exponent switch, and the edge values.
+TEST(JsonWriter, NumbersMatchPrintfPrecision17) {
+  const auto printf17 = [](double v) {
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf, static_cast<std::size_t>(n));
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1.5, 1e300, -1e300, 1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 9007199254740992.0,
+      9007199254740993.0, 123456789012345678.0, kInf, -kInf, kNan, -kNan};
+  for (int e = -22; e <= 22; ++e) {
+    const double p = std::pow(10.0, e);
+    values.insert(values.end(), {p, -p, std::nextafter(p, 0.0),
+                                 std::nextafter(p, kInf)});
+  }
+  Rng rng(17);
+  for (int i = 0; i < 100000; ++i) {
+    double v = std::bit_cast<double>(rng.next_u64());
+    if (std::isfinite(v)) values.push_back(v);
+    values.push_back(rng.normal(0.0, 1.0) *
+                     std::pow(10.0, rng.uniform(-8.0, 20.0)));
+  }
+  std::size_t mismatches = 0;
+  for (double v : values) {
+    const std::string got = Writer().value(v).take();
+    const std::string want = printf17(v);
+    if (got != want && ++mismatches <= 5)
+      ADD_FAILURE() << "Writer wrote " << got << ", %.17g gives " << want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 /// A random DOM of bounded depth: every kind, keys and strings drawn from

@@ -103,6 +103,8 @@ void expect_equivalent(IncrementalTimer& t) {
             0);
   EXPECT_EQ(inc.num_endpoints, full.num_endpoints);
   EXPECT_EQ(inc.critical_path, full.critical_path);
+  expect_bytes_equal(inc.critical_path_arrival_tau,
+                     full.critical_path_arrival_tau, "path arrivals");
 
   const double period = full.min_period_tau;
   expect_bytes_equal(t.slacks(period), sta::net_slacks(nl, opt, period),
@@ -175,6 +177,8 @@ TEST_F(IncrementalSta, ThreadCountNeverChangesAnswers) {
                           sizeof(double)),
               0);
     EXPECT_EQ(r1.critical_path, r4.critical_path);
+    expect_bytes_equal(r1.critical_path_arrival_tau,
+                       r4.critical_path_arrival_tau, "path arrivals");
     expect_bytes_equal(t1.slacks(r1.min_period_tau),
                        t4.slacks(r4.min_period_tau), "slacks 1 vs 4");
     if (HasFatalFailure()) return;
@@ -213,6 +217,8 @@ TEST_F(IncrementalSta, EditUndoRoundTripIsExact) {
                           sizeof(double)),
               0);
     EXPECT_EQ(after.critical_path, before.critical_path);
+    expect_bytes_equal(after.critical_path_arrival_tau,
+                       before.critical_path_arrival_tau, "path arrivals");
     expect_bytes_equal(timer.slacks(after.min_period_tau), slacks_before,
                        "slacks after undo");
     if (HasFatalFailure()) return;
@@ -256,6 +262,8 @@ TEST_F(IncrementalSta, EditOrderWithInterleavedFlushesConverges) {
   EXPECT_EQ(std::memcmp(&a.min_period_tau, &b.min_period_tau, sizeof(double)),
             0);
   EXPECT_EQ(a.critical_path, b.critical_path);
+  expect_bytes_equal(a.critical_path_arrival_tau,
+                     b.critical_path_arrival_tau, "path arrivals");
   expect_bytes_equal(tf.slacks(a.min_period_tau), tr.slacks(b.min_period_tau),
                      "slacks fwd vs rev");
   expect_bytes_equal(tf.arrivals(), tr.arrivals(), "arrivals fwd vs rev");
@@ -311,6 +319,8 @@ TEST_F(IncrementalSta, RejectedEditLeavesStateExact) {
                         sizeof(double)),
             0);
   EXPECT_EQ(after.critical_path, before.critical_path);
+  expect_bytes_equal(after.critical_path_arrival_tau,
+                     before.critical_path_arrival_tau, "path arrivals");
 }
 
 /// invalidate_all() after an out-of-band netlist mutation converges back

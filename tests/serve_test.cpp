@@ -3,8 +3,9 @@
 /// journal torn-tail/corruption semantics, the never-abort guarantee
 /// under a malformed-frame fuzz corpus, kill-and-recover differential
 /// byte-identity, thread-count invariance, watchdog/backpressure
-/// behavior, and a 10k-request + 1k-garbage-frame soak whose final state
-/// must equal an offline replay of exactly the acknowledged edits.
+/// behavior, counter-backed work invariants (a resident query runs no
+/// full sweep), and a 10k-request + 1k-garbage-frame soak whose final
+/// state must equal an offline replay of exactly the acknowledged edits.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/metrics.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serve_cli.hpp"
@@ -67,9 +70,10 @@ std::string error_code_of(const std::string& reply) {
   return e != nullptr ? e->member_string("code", "") : "";
 }
 
-std::string load_frame(const std::string& session) {
+std::string load_frame(const std::string& session,
+                       const std::string& design = "mac8") {
   return "{\"id\":0,\"cmd\":\"load\",\"session\":\"" + session +
-         "\",\"design\":\"mac8\"}";
+         "\",\"design\":\"" + design + "\"}";
 }
 
 std::string drive_frame(const std::string& session, int inst, double drive) {
@@ -264,6 +268,55 @@ TEST(ServeRobustness, NonFiniteIdIsRejectedNotEchoed) {
   EXPECT_EQ(server.counters().errors, 3u);
 }
 
+TEST(ServeRobustness, NonFinitePeriodIsInvalidValue) {
+  // "1e999" parses to inf, which passes a bare `> 0` check; it must be
+  // refused up front, not answered with an `internal` error after a
+  // whole slack pass.
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("s1"))));
+  const std::uint64_t errors_before = server.counters().errors;
+  for (const char* period : {"1e999", "-1e999"}) {
+    const std::string reply = server.handle_line(
+        std::string("{\"cmd\":\"slacks\",\"session\":\"s1\","
+                    "\"period_tau\":") +
+        period + "}");
+    EXPECT_EQ(error_code_of(reply), "invalid_value") << reply;
+    EXPECT_NE(reply.find("period_tau"), std::string::npos) << reply;
+  }
+  EXPECT_EQ(server.counters().errors, errors_before + 2);
+  EXPECT_TRUE(reply_ok(server.handle_line(
+      "{\"cmd\":\"slacks\",\"session\":\"s1\",\"period_tau\":500}")));
+}
+
+TEST(ServeRobustness, NonNumericDeadlineIsInvalidValue) {
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("s1"))));
+  const std::uint64_t applied_before = server.counters().edits_applied;
+  for (const char* deadline : {"\"soon\"", "null", "true", "[5]", "{}"}) {
+    const std::string tail =
+        std::string(",\"deadline_us\":") + deadline + "}";
+    const std::string query =
+        server.handle_line("{\"cmd\":\"timing\",\"session\":\"s1\"" + tail);
+    EXPECT_EQ(error_code_of(query), "invalid_value") << query;
+    EXPECT_NE(query.find("deadline_us"), std::string::npos) << query;
+    const std::string edit = server.handle_line(
+        "{\"cmd\":\"edit\",\"session\":\"s1\",\"edit\":{\"op\":"
+        "\"set_drive\",\"inst\":3,\"drive\":2.5}" +
+        tail);
+    EXPECT_EQ(error_code_of(edit), "invalid_value") << edit;
+  }
+  EXPECT_EQ(server.counters().edits_applied, applied_before);
+  EXPECT_EQ(server.counters().deadline_exceeded, 0u);
+  // Numbers keep their meaning: <= 0 is no deadline, +inf no limit.
+  for (const char* deadline : {"0", "-5", "1e999"}) {
+    const std::string reply = server.handle_line(
+        std::string("{\"cmd\":\"timing\",\"session\":\"s1\","
+                    "\"deadline_us\":") +
+        deadline + "}");
+    EXPECT_TRUE(reply_ok(reply)) << deadline << ": " << reply;
+  }
+}
+
 TEST(ServeRobustness, OversizedFramesAreBoundedAndCounted) {
   ServerOptions opt;
   opt.max_frame_bytes = 256;
@@ -371,6 +424,80 @@ TEST(ServeWatchdog, DeadlineExpiresQueriesAndProtectsEdits) {
   // The deadline fired before the edit was committed: nothing applied.
   EXPECT_EQ(server.counters().edits_applied, applied_before);
   EXPECT_EQ(server.counters().deadline_exceeded, 2u);
+}
+
+// --- work invariants -----------------------------------------------------
+
+std::uint64_t arrival_passes() {
+  return common::metrics().counter("sta.arrival_passes").value();
+}
+
+TEST(ServeWork, ResidentQueriesRunNoFullSweep) {
+  // Every query on a healthy session answers from the resident timer's
+  // state: after an edit, the dirty cone is re-timed incrementally and
+  // no request class starts a full arrival pass of its own.
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("m", "mac16"))));
+  ASSERT_TRUE(reply_ok(server.handle_line(drive_frame("m", 3, 2.5))));
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"timing", query_frame("timing", "m")},
+      {"slacks", query_frame("slacks", "m")},
+      {"top_paths", query_frame("top_paths", "m")},
+      {"qor", query_frame("qor", "m")},
+      {"lint scan", query_frame("lint", "m")},
+      {"lint dataflow",
+       "{\"id\":0,\"cmd\":\"lint\",\"session\":\"m\",\"mode\":"
+       "\"dataflow\"}"},
+  };
+  for (const auto& [what, frame] : queries) {
+    const std::uint64_t before = arrival_passes();
+    const std::string reply = server.handle_line(frame);
+    EXPECT_TRUE(reply_ok(reply)) << what << ": " << reply;
+    EXPECT_EQ(arrival_passes() - before, 0u) << what;
+  }
+  EXPECT_EQ(server.counters().degraded, 0u);
+}
+
+TEST(ServeWork, DegradedTimingReplyMatchesResident) {
+  // A degraded session answers from a from-scratch analysis; the path's
+  // arrivals travel in its TimingResult exactly as in the resident
+  // timer's, so the two replies are the same bytes.
+  const std::string dir = temp_dir("degraded_timing");
+  {
+    ServerOptions opt;
+    opt.journal_dir = dir;
+    Server a(opt);
+    ASSERT_TRUE(reply_ok(a.handle_line(load_frame("m", "mac16"))));
+    ASSERT_TRUE(reply_ok(a.handle_line(drive_frame("m", 3, 2.5))));
+    ASSERT_TRUE(reply_ok(a.handle_line(drive_frame("m", 7, 4.0))));
+    ASSERT_TRUE(reply_ok(a.handle_line(drive_frame("m", 9, 1.5))));
+  }
+  // Flip a byte inside the record for edit #2 (line 3 of the file); an
+  // interior record, so recovery keeps edit #1 and degrades.
+  std::string text = read_file(dir + "/m.gapj");
+  std::size_t pos = 0;
+  for (int line = 0; line < 2; ++line) pos = text.find('\n', pos) + 1;
+  text[pos + 30] ^= 0x01;
+  std::ofstream(dir + "/m.gapj", std::ios::binary) << text;
+
+  ServerOptions opt;
+  opt.journal_dir = dir;
+  Server degraded(opt);
+  ASSERT_TRUE(degraded.recover().ok());
+  ASSERT_EQ(degraded.counters().degraded, 1u);
+  EXPECT_EQ(degraded.counters().recovered_edits, 1u);
+
+  Server resident({});
+  ASSERT_TRUE(reply_ok(resident.handle_line(load_frame("m", "mac16"))));
+  ASSERT_TRUE(reply_ok(resident.handle_line(drive_frame("m", 3, 2.5))));
+
+  const std::uint64_t before = arrival_passes();
+  const std::string from_scratch =
+      degraded.handle_line(query_frame("timing", "m"));
+  // The fallback is a batch analysis: exactly one full pass.
+  EXPECT_EQ(arrival_passes() - before, 1u);
+  ASSERT_TRUE(reply_ok(from_scratch)) << from_scratch;
+  EXPECT_EQ(from_scratch, resident.handle_line(query_frame("timing", "m")));
 }
 
 // --- kill and recover ----------------------------------------------------

@@ -110,6 +110,8 @@ void expect_matches_oracle(const Netlist& nl, const sta::StaOptions& opt,
                         nl.lib().technology().tau_to_ps(period)));
   EXPECT_EQ(got.timing.num_endpoints, eps.size());
   EXPECT_EQ(got.timing.critical_path, eps[0].insts);
+  expect_bytes_equal(got.timing.critical_path_arrival_tau,
+                     eps[0].arrivals_tau, "critical path arrivals");
 
   std::vector<double> arrivals;
   for (NetId n : nl.all_nets()) arrivals.push_back(o.arrival(n));

@@ -151,7 +151,7 @@ TEST_F(McStaTest, ReportsRender) {
   auto nl = mapped(AdderKind::kCarryLookahead, 8);
   sta::StaOptions opt;
   const auto timing = sta::analyze(nl, opt);
-  const std::string path = sta::format_critical_path(nl, opt, timing);
+  const std::string path = sta::format_critical_path(nl, timing);
   EXPECT_NE(path.find("min period"), std::string::npos);
   EXPECT_NE(path.find("MHz"), std::string::npos);
   const std::string hist =

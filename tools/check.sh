@@ -19,8 +19,9 @@
 #
 # The ASan/UBSan pass: the untrusted-input readers must reject hundreds of
 # mutated Liberty/Verilog inputs without aborting AND without any latent
-# memory or UB errors masked by a clean exit; the JSON Writer and the
-# golden artifacts it renders run under the same fatal UBSan.
+# memory or UB errors masked by a clean exit; the JSON Writer, the
+# golden artifacts it renders, the gapd server suite and the STA oracle
+# suite run under the same fatal UBSan.
 #
 # Build trees default to build-tsan / build-asan / build-bench /
 # build-obs next to the primary build/, overridable so CI and local runs
@@ -110,7 +111,7 @@ run_asan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD_ASAN" -j "$JOBS" \
     --target fault_injection_test io_test diagnostics_test obs_test \
-    common_test golden_test
+    common_test golden_test serve_test soa_graph_test
 
   echo "== fault_injection_test under ASan/UBSan =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
@@ -137,6 +138,16 @@ run_asan() {
   echo "== golden_test under ASan/UBSan =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_ASAN/tests/golden_test"
+
+  # gapd replies render path arrivals carried in TimingResult; the server
+  # suite and the STA oracle suite exercise that render and its source.
+  echo "== serve_test under ASan/UBSan =="
+  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
+    "$BUILD_ASAN/tests/serve_test"
+
+  echo "== soa_graph_test under ASan/UBSan =="
+  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
+    "$BUILD_ASAN/tests/soa_graph_test"
 }
 
 # The bench gate, exactly as CI runs it: quick-mode microbenchmarks in a
