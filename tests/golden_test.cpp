@@ -1,5 +1,6 @@
 // Golden artifacts: the QoR manifests, metrics JSON, gapflow's text
-// timing report, gaplint reports and gapd replies, regenerated through
+// timing report, gaplint reports, gapd replies and every tool's --help
+// text, regenerated through
 // the in-process CLI entry points and compared byte for byte with the
 // files under tests/golden/ (tests/golden/README.md lists the command
 // behind each file).
@@ -25,6 +26,8 @@
 
 #include "core/driver.hpp"
 #include "lint/lint_cli.hpp"
+#include "obs/stat_cli.hpp"
+#include "qor/report_cli.hpp"
 #include "serve/serve_cli.hpp"
 
 namespace {
@@ -189,5 +192,37 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_threads" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// Each tool's --help text, rendered through its in-process entry point.
+class HelpGolden : public Golden,
+                   public ::testing::WithParamInterface<std::string> {};
+
+TEST_P(HelpGolden, HelpTextMatches) {
+  const std::string tool = GetParam();
+  const char* argv[] = {"--help"};
+  std::ostringstream out;
+  std::ostringstream err;
+  int code = -1;
+  if (tool == "gapflow") {
+    code = gap::core::cli::run({"gapflow", "--help"}, out, err);
+  } else if (tool == "gaplint") {
+    code = gap::lint::run_gaplint(1, argv, out, err);
+  } else if (tool == "gapd") {
+    std::istringstream in;
+    code = gap::serve::run_gapd(1, argv, in, out, err);
+  } else if (tool == "gapstat") {
+    code = gap::obs::run_gapstat(1, argv, out, err);
+  } else if (tool == "gapreport") {
+    code = gap::qor::run_gapreport(1, argv, out, err);
+  }
+  ASSERT_EQ(code, 0) << err.str();
+  EXPECT_TRUE(err.str().empty()) << err.str();
+  expect_bytes(golden(tool + "/help.txt"), out.str(), tool + " --help");
+}
+
+INSTANTIATE_TEST_SUITE_P(Tools, HelpGolden,
+                         ::testing::Values(std::string("gapflow"), "gaplint",
+                                           "gapd", "gapstat", "gapreport"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
