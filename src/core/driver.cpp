@@ -1,12 +1,14 @@
 #include "core/driver.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/flow.hpp"
@@ -28,6 +30,7 @@ namespace {
 using common::ErrorCode;
 using common::Result;
 using common::Status;
+namespace cl = common::cli;
 
 template <typename... A>
 void put(std::ostream& os, const char* fmt, A... a) {
@@ -36,63 +39,81 @@ void put(std::ostream& os, const char* fmt, A... a) {
   os << buf;
 }
 
-void print_help(std::ostream& os) {
-  os << "gapflow — implement a design and report timing/power\n\n"
-        "usage: gapflow [options]\n"
-        "  --design NAME          design from the registry (default alu32)\n"
-        "  --list-designs         print available designs and exit\n"
-        "  --methodology M        typical | good | custom | reference\n"
-        "  --tech T               asic025 | custom025 | ibm018 | asic035\n"
-        "  --stages N             override pipeline stage count\n"
-        "  --corner C             typical | worst | conservative | fast\n"
-        "  --macro                use macro-cell datapath style\n"
-        "  --scan                 insert a scan chain before signoff\n"
-        "  --report R             timing | power | noise | all\n"
-        "  --mc N                 Monte Carlo statistical signoff, N samples\n"
-        "  --threads N            fan-out thread count (0 = all cores);\n"
-        "                         results are identical at any setting\n"
-        "  --sta MODE             incremental | full: re-time sizing moves\n"
-        "                         and sign-off through a resident\n"
-        "                         incremental timer (default) or from\n"
-        "                         scratch; results are byte-identical\n"
-        "                         (docs/incremental-sta.md)\n"
-        "  --diagnostics          dump the per-stage flow report\n"
-        "  --lint                 run the gap::lint gate on the mapped\n"
-        "                         netlist (error findings fail the flow;\n"
-        "                         see gaplint for the standalone tool)\n"
-        "  --lint-dataflow        run the dataflow rule families (clock/\n"
-        "                         reset domains, constants, dead logic)\n"
-        "                         on the sized netlist before signoff\n"
-        "  --trace-out FILE       write a Chrome trace_event JSON of the\n"
-        "                         run (chrome://tracing / Perfetto)\n"
-        "  --metrics-out FILE     write engine counters/histograms as\n"
-        "                         JSON (docs/observability.md)\n"
-        "  --qor-out FILE         write the QoR run manifest: per-stage\n"
-        "                         snapshots + gap-factor attribution\n"
-        "                         (docs/qor.md, diff with gapreport)\n"
-        "  --check-liberty FILE   lint a Liberty file and exit\n"
-        "  --check-verilog FILE   lint a Verilog file (against the\n"
-        "                         methodology's library) and exit\n"
-        "  --write-verilog FILE   dump the implemented netlist\n"
-        "  --write-liberty FILE   dump the methodology's cell library\n"
-        "  --help                 this text\n"
-        "\nexit codes: 0 ok, 2 unknown flag, 3 bad flag value,\n"
-        "  4 unknown name, 5 input error, 6 flow failure\n";
+/// The gapflow flag table, storing into `a`.
+std::vector<cl::Flag> flag_table(DriverArgs& a) {
+  return {
+      cl::string_flag("--design", a.design, "NAME",
+                      "design from the registry (default alu32)"),
+      cl::switch_flag("--list-designs", a.list_designs,
+                      "print available designs and exit"),
+      cl::string_flag("--methodology", a.methodology, "M",
+                      "typical | good | custom | reference"),
+      cl::string_flag("--tech", a.tech, "T",
+                      "asic025 | custom025 | ibm018 | asic035"),
+      cl::number_flag("--stages", a.stages, "N", {1, 1000000},
+                      "override pipeline stage count"),
+      cl::string_flag("--corner", a.corner, "C",
+                      "typical | worst | conservative | fast"),
+      cl::switch_flag("--macro", a.macro_style,
+                      "use macro-cell datapath style"),
+      cl::switch_flag("--scan", a.scan, "insert a scan chain before signoff"),
+      cl::string_flag("--report", a.report, "R",
+                      "timing | power | noise | all"),
+      cl::number_flag("--mc", a.mc_samples, "N", {0, 1000000},
+                      "Monte Carlo statistical signoff, N samples"),
+      cl::number_flag("--threads", a.threads, "N", {0, 1024},
+                      "fan-out thread count (0 = all cores); results are "
+                      "identical at any setting"),
+      cl::choice_flag("--sta", a.sta_incremental,
+                      {{"incremental", true}, {"full", false}},
+                      "re-time sizing moves and sign-off through a resident "
+                      "incremental timer (default) or from scratch; results "
+                      "are byte-identical (docs/incremental-sta.md)"),
+      cl::switch_flag("--diagnostics", a.diagnostics,
+                      "dump the per-stage flow report"),
+      cl::switch_flag("--lint", a.lint,
+                      "run the gap::lint gate on the mapped netlist (error "
+                      "findings fail the flow; see gaplint for the "
+                      "standalone tool)"),
+      cl::switch_flag("--lint-dataflow", a.lint_dataflow,
+                      "run the dataflow rule families (clock/reset domains, "
+                      "constants, dead logic) on the sized netlist before "
+                      "signoff"),
+      cl::string_flag("--trace-out", a.trace_out, "FILE",
+                      "write a Chrome trace_event JSON of the run "
+                      "(chrome://tracing / Perfetto)"),
+      cl::string_flag("--metrics-out", a.metrics_out, "FILE",
+                      "write engine counters/histograms as JSON "
+                      "(docs/observability.md)"),
+      cl::string_flag("--qor-out", a.qor_out, "FILE",
+                      "write the QoR run manifest: per-stage snapshots + "
+                      "gap-factor attribution (docs/qor.md, diff with "
+                      "gapreport)"),
+      cl::string_flag("--check-liberty", a.check_liberty, "FILE",
+                      "lint a Liberty file and exit"),
+      cl::string_flag("--check-verilog", a.check_verilog, "FILE",
+                      "lint a Verilog file (against the methodology's "
+                      "library) and exit"),
+      cl::string_flag("--write-verilog", a.verilog_out, "FILE",
+                      "dump the implemented netlist"),
+      cl::string_flag("--write-liberty", a.liberty_out, "FILE",
+                      "dump the methodology's cell library"),
+      cl::help_flag(a.help),
+  };
+}
+
+std::string help_text() {
+  DriverArgs unused;
+  return cl::usage(
+      "gapflow — implement a design and report timing/power\n\n"
+      "usage: gapflow [options]\n",
+      {{"options:", flag_table(unused)}},
+      "exit codes: 0 ok, 2 unknown flag, 3 bad flag value,\n"
+      "  4 unknown name, 5 input error, 6 flow failure\n");
 }
 
 Status usage_error(ErrorCode code, std::string msg) {
   return Status::error(code, std::move(msg), {}, "gapflow");
-}
-
-/// Strict base-10 integer: the whole token must be consumed.
-std::optional<int> parse_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  if (v < -1000000 || v > 1000000) return std::nullopt;
-  return static_cast<int>(v);
 }
 
 /// Emit the one-line diagnostic for a failed status and return its exit
@@ -259,83 +280,11 @@ int exit_code_for(ErrorCode code) {
 
 Result<DriverArgs> parse_args(const std::vector<std::string>& argv) {
   DriverArgs a;
-  for (std::size_t i = 1; i < argv.size(); ++i) {
-    const std::string& flag = argv[i];
-    auto value = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argv.size()) return std::nullopt;
-      return argv[++i];
-    };
-    auto string_arg = [&](std::string& dst) -> std::optional<Status> {
-      if (auto v = value()) {
-        dst = *v;
-        return std::nullopt;
-      }
-      return usage_error(ErrorCode::kMissingValue,
-                         "missing value for " + flag);
-    };
-    auto int_arg = [&](int& dst) -> std::optional<Status> {
-      const auto v = value();
-      if (!v)
-        return usage_error(ErrorCode::kMissingValue,
-                           "missing value for " + flag);
-      const auto n = parse_int(*v);
-      if (!n)
-        return usage_error(ErrorCode::kInvalidValue,
-                           "invalid value '" + *v + "' for " + flag);
-      dst = *n;
-      return std::nullopt;
-    };
-
-    std::optional<Status> bad;
-    if (flag == "--help") a.help = true;
-    else if (flag == "--list-designs") a.list_designs = true;
-    else if (flag == "--macro") a.macro_style = true;
-    else if (flag == "--scan") a.scan = true;
-    else if (flag == "--diagnostics") a.diagnostics = true;
-    else if (flag == "--lint") a.lint = true;
-    else if (flag == "--lint-dataflow") a.lint_dataflow = true;
-    else if (flag == "--design") bad = string_arg(a.design);
-    else if (flag == "--methodology") bad = string_arg(a.methodology);
-    else if (flag == "--tech") bad = string_arg(a.tech);
-    else if (flag == "--report") bad = string_arg(a.report);
-    else if (flag == "--write-verilog") bad = string_arg(a.verilog_out);
-    else if (flag == "--write-liberty") bad = string_arg(a.liberty_out);
-    else if (flag == "--check-liberty") bad = string_arg(a.check_liberty);
-    else if (flag == "--check-verilog") bad = string_arg(a.check_verilog);
-    else if (flag == "--trace-out") bad = string_arg(a.trace_out);
-    else if (flag == "--metrics-out") bad = string_arg(a.metrics_out);
-    else if (flag == "--qor-out") bad = string_arg(a.qor_out);
-    else if (flag == "--corner") {
-      std::string c;
-      bad = string_arg(c);
-      if (!bad) a.corner = c;
-    } else if (flag == "--stages") {
-      int n = 0;
-      bad = int_arg(n);
-      if (!bad) a.stages = n;
-    } else if (flag == "--sta") {
-      std::string v;
-      bad = string_arg(v);
-      if (!bad) {
-        if (v == "incremental") a.sta_incremental = true;
-        else if (v == "full") a.sta_incremental = false;
-        else
-          bad = usage_error(ErrorCode::kInvalidValue,
-                            "invalid value '" + v +
-                                "' for --sta (incremental | full)");
-      }
-    } else if (flag == "--mc") {
-      bad = int_arg(a.mc_samples);
-    } else if (flag == "--threads") {
-      bad = int_arg(a.threads);
-      if (!bad && a.threads < 0)
-        bad = usage_error(ErrorCode::kInvalidValue,
-                          "--threads must be >= 0");
-    } else {
-      bad = usage_error(ErrorCode::kUsage, "unknown flag '" + flag + "'");
-    }
-    if (bad) return *bad;
-  }
+  const std::span<const std::string> args(argv);
+  if (Status s = cl::parse(args.subspan(std::min<std::size_t>(1, args.size())),
+                           flag_table(a));
+      !s.ok())
+    return usage_error(s.code(), s.message());
   if (!a.report.empty() && a.report != "timing" && a.report != "power" &&
       a.report != "noise" && a.report != "all")
     return usage_error(ErrorCode::kUnknownName,
@@ -353,7 +302,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   }
   const DriverArgs& args = *parsed;
   if (args.help) {
-    print_help(out);
+    out << help_text();
     return 0;
   }
   if (args.list_designs) {
@@ -572,13 +521,6 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   if (const Status s = write_manifest(); !s.ok()) return report_failure(s, err);
   if (const Status s = obs.finish(out); !s.ok()) return report_failure(s, err);
   return 0;
-}
-
-int run(int argc, char** argv, std::ostream& out, std::ostream& err) {
-  std::vector<std::string> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) args.emplace_back(argv[i]);
-  return run(args, out, err);
 }
 
 }  // namespace gap::core::cli

@@ -65,8 +65,4 @@ struct DriverArgs {
 [[nodiscard]] int run(const std::vector<std::string>& argv, std::ostream& out,
                       std::ostream& err);
 
-/// argv-style convenience wrapper for main().
-[[nodiscard]] int run(int argc, char** argv, std::ostream& out,
-                      std::ostream& err);
-
 }  // namespace gap::core::cli

@@ -6,6 +6,7 @@
 /// never an abort.
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <utility>
@@ -187,9 +188,13 @@ class Parser {
       return err(ErrorCode::kParse, "expected a number, got '" + value + "'",
                  line_no, vcol);
     }
-    // Out-of-range values (e.g. a negative period) are accepted here and
-    // reported by the constraint rules, so they show up in the lint
-    // report rather than as a config error.
+    if (!std::isfinite(v))
+      return err(ErrorCode::kInvalidValue,
+                 "constraint '" + key + "' must be finite, got '" + value + "'",
+                 line_no, vcol);
+    // Finite out-of-range values (e.g. a negative period) are accepted
+    // here and reported by the constraint rules, so they show up in the
+    // lint report rather than as a config error.
     if (key == "period_tau") {
       config_.constraints.period_tau = v;
     } else if (key == "skew_fraction") {

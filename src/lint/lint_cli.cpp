@@ -1,13 +1,13 @@
 #include "lint/lint_cli.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "library/builders.hpp"
 #include "library/liberty.hpp"
@@ -18,36 +18,11 @@
 namespace gap::lint {
 namespace {
 
-constexpr const char* kUsage =
-    "usage: gaplint FILE [options]\n"
-    "\n"
-    "Run the gap::lint rule catalog over a structural Verilog module.\n"
-    "\n"
-    "options:\n"
-    "  --lib FILE         Liberty cell library (default: built-in rich "
-    "ASIC library)\n"
-    "  --config FILE      gaplint.toml config: severities, waivers, "
-    "constraints\n"
-    "  --format KIND      text (default), json, or sarif\n"
-    "  --out FILE         write the report to FILE instead of stdout\n"
-    "  --threads N        worker threads for rule evaluation (0 = all "
-    "cores);\n"
-    "                     the report is identical at any thread count\n"
-    "  --period-tau F     clock period constraint in tau (overrides "
-    "config)\n"
-    "  --skew-fraction F  clock skew as a fraction of the period "
-    "(overrides config)\n"
-    "  --list-rules       print the rule catalog and exit (honors\n"
-    "                     --format text or json)\n"
-    "  --help             this text\n"
-    "\n"
-    "exit codes: 0 clean or warnings only, 1 error findings, 2 usage,\n"
-    "3 parse failure, 5 I/O failure\n";
+namespace cl = common::cli;
 
 enum class Format : std::uint8_t { kText, kJson, kSarif };
 
 struct Options {
-  std::string file;
   std::string lib_file;
   std::string config_file;
   std::string out_file;
@@ -59,89 +34,43 @@ struct Options {
   bool help = false;
 };
 
-/// Parse the command line; returns an exit code, or -1 to continue.
-int parse_args(int argc, const char* const* argv, Options& opt,
-               std::ostream& err) {
-  std::vector<std::string> args(argv, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        err << "gaplint: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    auto double_value = [&](const char* flag,
-                            std::optional<double>& into) -> bool {
-      const std::string* v = value(flag);
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      const double parsed = std::strtod(v->c_str(), &end);
-      if (end == v->c_str() || *end != '\0') {
-        err << "gaplint: bad " << flag << " value '" << *v << "'\n";
-        return false;
-      }
-      into = parsed;
-      return true;
-    };
-    if (a == "--help") {
-      opt.help = true;
-    } else if (a == "--list-rules") {
-      opt.list_rules = true;
-    } else if (a == "--lib") {
-      const std::string* v = value("--lib");
-      if (v == nullptr) return kExitUsage;
-      opt.lib_file = *v;
-    } else if (a == "--config") {
-      const std::string* v = value("--config");
-      if (v == nullptr) return kExitUsage;
-      opt.config_file = *v;
-    } else if (a == "--out") {
-      const std::string* v = value("--out");
-      if (v == nullptr) return kExitUsage;
-      opt.out_file = *v;
-    } else if (a == "--format") {
-      const std::string* v = value("--format");
-      if (v == nullptr) return kExitUsage;
-      if (*v == "text") {
-        opt.format = Format::kText;
-      } else if (*v == "json") {
-        opt.format = Format::kJson;
-      } else if (*v == "sarif") {
-        opt.format = Format::kSarif;
-      } else {
-        err << "gaplint: bad --format value '" << *v
-            << "' (want text, json or sarif)\n";
-        return kExitUsage;
-      }
-    } else if (a == "--threads") {
-      const std::string* v = value("--threads");
-      if (v == nullptr) return kExitUsage;
-      char* end = nullptr;
-      const long n = std::strtol(v->c_str(), &end, 10);
-      if (end == v->c_str() || *end != '\0' || n < 0 || n > 1024) {
-        err << "gaplint: bad --threads value '" << *v
-            << "' (want an integer in [0, 1024])\n";
-        return kExitUsage;
-      }
-      opt.threads = static_cast<int>(n);
-    } else if (a == "--period-tau") {
-      if (!double_value("--period-tau", opt.period_tau)) return kExitUsage;
-    } else if (a == "--skew-fraction") {
-      if (!double_value("--skew-fraction", opt.skew_fraction))
-        return kExitUsage;
-    } else if (a.rfind("--", 0) == 0) {
-      err << "gaplint: unknown flag " << a << "\n" << kUsage;
-      return kExitUsage;
-    } else if (opt.file.empty()) {
-      opt.file = a;
-    } else {
-      err << "gaplint: only one input file is supported\n";
-      return kExitUsage;
-    }
-  }
-  return -1;
+std::vector<cl::Flag> flag_table(Options& o) {
+  return {
+      cl::string_flag("--lib", o.lib_file, "FILE",
+                      "Liberty cell library (default: built-in rich ASIC "
+                      "library)"),
+      cl::string_flag("--config", o.config_file, "FILE",
+                      "gaplint.toml config: severities, waivers, constraints"),
+      cl::choice_flag("--format", o.format,
+                      {{"text", Format::kText},
+                       {"json", Format::kJson},
+                       {"sarif", Format::kSarif}},
+                      "report format (default text)"),
+      cl::string_flag("--out", o.out_file, "FILE",
+                      "write the report to FILE instead of stdout"),
+      cl::number_flag("--threads", o.threads, "N", {0, 1024},
+                      "worker threads for rule evaluation (0 = all cores); "
+                      "the report is identical at any thread count"),
+      cl::number_flag("--period-tau", o.period_tau, "F", {},
+                      "clock period constraint in tau (overrides config)"),
+      cl::number_flag("--skew-fraction", o.skew_fraction, "F", {},
+                      "clock skew as a fraction of the period (overrides "
+                      "config)"),
+      cl::switch_flag("--list-rules", o.list_rules,
+                      "print the rule catalog and exit (honors --format "
+                      "text or json)"),
+      cl::help_flag(o.help),
+  };
+}
+
+std::string usage_text() {
+  Options unused;
+  return cl::usage(
+      "usage: gaplint FILE [options]\n\n"
+      "Run the gap::lint rule catalog over a structural Verilog module.\n",
+      {{"options:", flag_table(unused)}},
+      "exit codes: 0 clean or warnings only, 1 error findings, 2 usage,\n"
+      "3 parse failure, 5 I/O failure\n");
 }
 
 bool read_file(const std::string& path, std::string& out, std::ostream& err) {
@@ -189,9 +118,15 @@ void list_rules_json(const RuleRegistry& registry, std::ostream& out) {
 int run_gaplint(int argc, const char* const* argv, std::ostream& out,
                 std::ostream& err) {
   Options opt;
-  if (const int rc = parse_args(argc, argv, opt, err); rc >= 0) return rc;
+  const std::vector<std::string> args(argv, argv + argc);
+  std::vector<std::string> files;
+  if (const common::Status s = cl::parse(args, flag_table(opt), &files, 1);
+      !s.ok()) {
+    err << "gaplint: " << s.message() << "\n";
+    return kExitUsage;
+  }
   if (opt.help || argc == 0) {
-    out << kUsage;
+    out << usage_text();
     return argc == 0 ? kExitUsage : kExitOk;
   }
 
@@ -209,10 +144,11 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
     }
     return kExitOk;
   }
-  if (opt.file.empty()) {
-    err << "gaplint: no input file\n" << kUsage;
+  if (files.empty()) {
+    err << "gaplint: no input file\n" << usage_text();
     return kExitUsage;
   }
+  const std::string& file = files.front();
 
   // Library: an explicit Liberty file, or the built-in rich ASIC library
   // (with its domino variants, so any written netlist loads).
@@ -249,11 +185,11 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
     config.constraints.skew_fraction = opt.skew_fraction;
 
   std::string verilog;
-  if (!read_file(opt.file, verilog, err)) return kExitIo;
+  if (!read_file(file, verilog, err)) return kExitIo;
   common::Result<netlist::LenientParse> parsed =
       netlist::read_verilog_lenient(verilog, lib);
   if (!parsed.ok()) {
-    err << "gaplint: " << opt.file << ": " << parsed.status().to_string()
+    err << "gaplint: " << file << ": " << parsed.status().to_string()
         << "\n";
     return kExitParse;
   }
@@ -268,13 +204,13 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
   std::string rendered;
   switch (opt.format) {
     case Format::kText:
-      rendered = format_text(registry, report, opt.file);
+      rendered = format_text(registry, report, file);
       break;
     case Format::kJson:
-      rendered = write_json(registry, report, opt.file);
+      rendered = write_json(registry, report, file);
       break;
     case Format::kSarif:
-      rendered = write_sarif(registry, report, opt.file);
+      rendered = write_sarif(registry, report, file);
       break;
   }
   if (opt.out_file.empty()) {

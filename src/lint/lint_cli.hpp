@@ -3,12 +3,9 @@
 /// Implementation of the `gaplint` command-line tool: run the gap::lint
 /// rule catalog over a structural Verilog module and render the findings
 /// as text, JSON, or SARIF. Lives in the library (not tools/gaplint.cpp)
-/// so tests can drive it in-process with captured streams.
-///
-///   gaplint FILE [--lib FILE] [--config FILE] [--format text|json|sarif]
-///           [--out FILE] [--threads N] [--period-tau F]
-///           [--skew-fraction F]
-///   gaplint --list-rules
+/// so tests can drive it in-process with captured streams. `gaplint
+/// --help` prints the flags, generated from the flag table in
+/// lint_cli.cpp (syntax: common/cli.hpp).
 ///
 /// Exit codes:
 ///   0  clean, or only warnings / notes / waived findings

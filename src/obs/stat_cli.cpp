@@ -5,29 +5,21 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "obs/expose.hpp"
 
 namespace gap::obs {
 
+namespace cl = gap::common::cli;
 namespace json = gap::common::json;
 
 namespace {
-
-constexpr const char* kUsage =
-    "usage: gapstat show FILE            [--format text|csv|json]\n"
-    "       gapstat diff OLD NEW         [--format text|csv|json] [--strict]\n"
-    "       gapstat agg FILE [FILE...]   [--format text|csv|json]\n"
-    "\n"
-    "Load, diff, and aggregate gap telemetry files: metrics JSON\n"
-    "(gapflow --metrics-out), Prometheus exposition text\n"
-    "(gapd --expose-out), and gap-flight-v1 flight-recorder dumps.\n"
-    "The format of each input is sniffed, so mixed diffs work.\n"
-    "See docs/observability.md.\n";
 
 /// How a value combines under `agg` (and renders in `show`).
 enum class StatKind { kCounter, kGauge, kMin };
@@ -38,11 +30,6 @@ struct StatValue {
 };
 
 using StatMap = std::map<std::string, StatValue>;
-
-int usage_error(std::ostream& err, const std::string& message) {
-  err << "gapstat: error: " << message << '\n' << kUsage;
-  return kStatExitUsage;
-}
 
 // --- loaders -------------------------------------------------------------
 
@@ -172,12 +159,49 @@ int load_file(const std::string& path, StatMap& m, std::ostream& err) {
 
 enum class Format { kText, kCsv, kJson };
 
-bool parse_format(const std::string& text, Format* out) {
-  if (text == "text") *out = Format::kText;
-  else if (text == "csv") *out = Format::kCsv;
-  else if (text == "json") *out = Format::kJson;
-  else return false;
-  return true;
+struct Options {
+  Format format = Format::kText;
+  bool strict = false;
+  bool help = false;
+};
+
+/// The flags of subcommand `cmd`: --strict is diff's alone.
+std::vector<cl::Flag> flag_table(const std::string& cmd, Options& o) {
+  std::vector<cl::Flag> table{
+      cl::choice_flag("--format", o.format,
+                      {{"text", Format::kText},
+                       {"csv", Format::kCsv},
+                       {"json", Format::kJson}},
+                      "output format (default text)"),
+      cl::help_flag(o.help)};
+  if (cmd == "diff")
+    table.push_back(cl::switch_flag("--strict", o.strict,
+                                    "exit 1 when the files differ"));
+  return table;
+}
+
+std::string usage_text() {
+  Options unused;
+  return cl::usage(
+      "usage: gapstat show FILE            [options]\n"
+      "       gapstat diff OLD NEW         [options] [--strict]\n"
+      "       gapstat agg FILE [FILE...]   [options]\n"
+      "\n"
+      "Load, diff, and aggregate gap telemetry files: metrics JSON\n"
+      "(gapflow --metrics-out), Prometheus exposition text\n"
+      "(gapd --expose-out), and gap-flight-v1 flight-recorder dumps.\n"
+      "The format of each input is sniffed, so mixed diffs work.\n"
+      "See docs/observability.md.\n",
+      {{"options:", flag_table("show", unused)},
+       {"diff options:", flag_table("diff", unused)}},
+      "exit codes: 0 ok (diff: also differences without --strict),\n"
+      "1 differences under --strict, 2 usage, 4 unparsable input,\n"
+      "5 unreadable input\n");
+}
+
+int usage_error(std::ostream& err, const std::string& message) {
+  err << "gapstat: error: " << message << '\n' << usage_text();
+  return kStatExitUsage;
 }
 
 void render_map(const StatMap& m, Format format, std::ostream& out) {
@@ -260,39 +284,32 @@ void merge_into(StatMap& acc, const StatMap& m) {
 
 int run_gapstat(int argc, const char* const* argv, std::ostream& out,
                 std::ostream& err) {
+  // The subcommand comes first and selects the flag table; without one,
+  // only --help is meaningful.
+  const std::vector<std::string> args(argv, argv + argc);
+  const std::string cmd = args.empty() ? "" : args.front();
+  const bool known = cmd == "show" || cmd == "diff" || cmd == "agg";
+  Options o;
   std::vector<std::string> positional;
-  Format format = Format::kText;
-  bool strict = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      out << kUsage;
-      return kStatExitOk;
-    } else if (arg == "--strict") {
-      strict = true;
-    } else if (arg == "--format") {
-      if (i + 1 >= argc || !parse_format(argv[++i], &format))
-        return usage_error(err, "--format needs 'text', 'csv', or 'json'");
-    } else if (arg.rfind("--format=", 0) == 0) {
-      if (!parse_format(arg.substr(9), &format))
-        return usage_error(err, "--format needs 'text', 'csv', or 'json'");
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage_error(err, "unknown flag '" + arg + "'");
-    } else {
-      positional.push_back(arg);
-    }
+  const std::size_t max_files =
+      cmd == "show" ? 1 : cmd == "diff" ? 2 : SIZE_MAX;
+  if (const common::Status s =
+          cl::parse(std::span(args).subspan(known ? 1 : 0),
+                    flag_table(cmd, o), &positional, max_files);
+      !s.ok())
+    return usage_error(err, s.message());
+  if (o.help) {
+    out << usage_text();
+    return kStatExitOk;
   }
-  if (positional.empty())
+  if (cmd.empty())
     return usage_error(err, "missing command (show | diff | agg)");
-  const std::string cmd = positional.front();
-  positional.erase(positional.begin());
-
   if (cmd == "show") {
     if (positional.size() != 1)
       return usage_error(err, "show needs exactly one FILE");
     StatMap m;
     if (const int rc = load_file(positional[0], m, err); rc != 0) return rc;
-    render_map(m, format, out);
+    render_map(m, o.format, out);
     return kStatExitOk;
   }
   if (cmd == "diff") {
@@ -301,8 +318,8 @@ int run_gapstat(int argc, const char* const* argv, std::ostream& out,
     StatMap a, b;
     if (const int rc = load_file(positional[0], a, err); rc != 0) return rc;
     if (const int rc = load_file(positional[1], b, err); rc != 0) return rc;
-    const std::size_t differing = render_diff(a, b, format, out);
-    return strict && differing != 0 ? kStatExitDiff : kStatExitOk;
+    const std::size_t differing = render_diff(a, b, o.format, out);
+    return o.strict && differing != 0 ? kStatExitDiff : kStatExitOk;
   }
   if (cmd == "agg") {
     if (positional.empty())
@@ -313,7 +330,7 @@ int run_gapstat(int argc, const char* const* argv, std::ostream& out,
       if (const int rc = load_file(path, m, err); rc != 0) return rc;
       merge_into(acc, m);
     }
-    render_map(acc, format, out);
+    render_map(acc, o.format, out);
     return kStatExitOk;
   }
   return usage_error(err, "unknown command '" + cmd + "'");

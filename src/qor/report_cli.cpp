@@ -2,34 +2,57 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "qor/manifest.hpp"
 
 namespace gap::qor {
 namespace {
 
+namespace cl = common::cli;
 using common::json::Value;
 
-constexpr const char* kUsage =
-    "usage: gapreport <command> [options]\n"
-    "\n"
-    "commands:\n"
-    "  show FILE [--csv]            render a QoR run manifest\n"
-    "  diff BASE CURRENT [options]  compare two manifests\n"
-    "\n"
-    "diff options:\n"
-    "  --threshold F   relative increase counting as a regression "
-    "(default 0.05)\n"
-    "  --strict        exit 1 when a regression is found\n"
-    "\n"
-    "exit codes: 0 ok / no regression, 1 regression (--strict), 2 unknown\n"
-    "flag, 3 bad value, 5 unreadable or invalid manifest\n";
+struct Options {
+  double threshold = kDefaultRegressionThreshold;
+  bool csv = false;
+  bool strict = false;
+  bool help = false;
+};
+
+/// The flags of subcommand `cmd` (show or diff).
+std::vector<cl::Flag> flag_table(const std::string& cmd, Options& o) {
+  if (cmd == "show")
+    return {cl::switch_flag("--csv", o.csv, "render as CSV instead of text"),
+            cl::help_flag(o.help)};
+  // NaN would compare false against every delta and never regress; the
+  // parser rejects it with every other non-finite value.
+  return {cl::number_flag("--threshold", o.threshold, "F", {0.0},
+                          "relative increase counting as a regression "
+                          "(default 0.05)"),
+          cl::switch_flag("--strict", o.strict,
+                          "exit 1 when a regression is found"),
+          cl::help_flag(o.help)};
+}
+
+std::string usage_text() {
+  Options unused;
+  return cl::usage(
+      "usage: gapreport <command> [options]\n"
+      "\n"
+      "commands:\n"
+      "  show FILE [--csv]            render a QoR run manifest\n"
+      "  diff BASE CURRENT [options]  compare two manifests\n",
+      {{"show options:", flag_table("show", unused)},
+       {"diff options:", flag_table("diff", unused)}},
+      "exit codes: 0 ok / no regression, 1 regression (--strict), 2 unknown\n"
+      "flag, 3 bad value, 5 unreadable or invalid manifest\n");
+}
 
 std::string fmt(double v) {
   char buf[48];
@@ -299,82 +322,48 @@ int run_diff(const Value& base, const Value& cur, double threshold,
 
 int run_gapreport(int argc, const char* const* argv, std::ostream& out,
                   std::ostream& err) {
-  std::vector<std::string> args(argv, argv + argc);
-  if (args.empty() || args[0] == "--help" || args[0] == "help") {
-    out << kUsage;
+  // The subcommand comes first and selects the flag table; without one,
+  // only --help is meaningful (and a bare `gapreport` or `help` asks).
+  const std::vector<std::string> args(argv, argv + argc);
+  const std::string cmd = args.empty() ? "help" : args.front();
+  const bool known = cmd == "show" || cmd == "diff";
+  Options o;
+  std::vector<std::string> files;
+  if (const common::Status s = cl::parse(std::span(args).subspan(known ? 1 : 0),
+                                         flag_table(cmd, o), &files,
+                                         cmd == "show" ? 1 : 2);
+      !s.ok()) {
+    err << "gapreport: " << s.message() << "\n";
+    return s.code() == common::ErrorCode::kUsage ? kExitUnknownFlag
+                                                 : kExitBadValue;
+  }
+  if (o.help || cmd == "help") {
+    out << usage_text();
     return kExitOk;
   }
-  const std::string& cmd = args[0];
+  if (!known) {
+    err << "gapreport: unknown command '" << cmd << "'\n" << usage_text();
+    return kExitUnknownFlag;
+  }
+  if (files.size() != (cmd == "show" ? 1u : 2u)) {
+    err << "gapreport: " << cmd << " needs "
+        << (cmd == "show" ? "a manifest file" : "BASE and CURRENT") << "\n"
+        << usage_text();
+    return kExitUnknownFlag;
+  }
 
+  Value base;
+  if (const int rc = load(files[0], base, err); rc != kExitOk) return rc;
   if (cmd == "show") {
-    std::string file;
-    bool csv = false;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--csv") {
-        csv = true;
-      } else if (args[i].rfind("--", 0) == 0) {
-        err << "gapreport: unknown flag " << args[i] << "\n";
-        return kExitUnknownFlag;
-      } else if (file.empty()) {
-        file = args[i];
-      } else {
-        err << "gapreport: show takes one file\n";
-        return kExitUnknownFlag;
-      }
-    }
-    if (file.empty()) {
-      err << "gapreport: show needs a manifest file\n" << kUsage;
-      return kExitUnknownFlag;
-    }
-    Value m;
-    if (const int rc = load(file, m, err); rc != kExitOk) return rc;
-    if (csv)
-      show_csv(m, out);
+    if (o.csv)
+      show_csv(base, out);
     else
-      show_text(m, out);
+      show_text(base, out);
     return kExitOk;
   }
-
-  if (cmd == "diff") {
-    std::vector<std::string> files;
-    double threshold = kDefaultRegressionThreshold;
-    bool strict = false;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--strict") {
-        strict = true;
-      } else if (args[i] == "--threshold") {
-        if (i + 1 >= args.size()) {
-          err << "gapreport: --threshold needs a value\n";
-          return kExitBadValue;
-        }
-        char* end = nullptr;
-        threshold = std::strtod(args[++i].c_str(), &end);
-        // NaN would compare false against every delta and never regress.
-        if (end == args[i].c_str() || *end != '\0' ||
-            !std::isfinite(threshold) || threshold < 0.0) {
-          err << "gapreport: bad --threshold value '" << args[i] << "'\n";
-          return kExitBadValue;
-        }
-      } else if (args[i].rfind("--", 0) == 0) {
-        err << "gapreport: unknown flag " << args[i] << "\n";
-        return kExitUnknownFlag;
-      } else {
-        files.push_back(args[i]);
-      }
-    }
-    if (files.size() != 2) {
-      err << "gapreport: diff needs BASE and CURRENT\n" << kUsage;
-      return kExitUnknownFlag;
-    }
-    Value base;
-    Value cur;
-    if (const int rc = load(files[0], base, err); rc != kExitOk) return rc;
-    if (const int rc = load(files[1], cur, err); rc != kExitOk) return rc;
-    return run_diff(base, cur, threshold, strict, out);
-  }
-
-  err << "gapreport: unknown command '" << cmd << "'\n" << kUsage;
-  return kExitUnknownFlag;
+  Value cur;
+  if (const int rc = load(files[1], cur, err); rc != kExitOk) return rc;
+  return run_diff(base, cur, o.threshold, o.strict, out);
 }
 
 }  // namespace gap::qor

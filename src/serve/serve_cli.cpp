@@ -1,14 +1,13 @@
 #include "serve/serve_cli.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <ostream>
 #include <streambuf>
 #include <string>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
@@ -18,6 +17,7 @@
 #include <thread>
 #endif
 
+#include "common/cli.hpp"
 #include "common/trace.hpp"
 #include "serve/server.hpp"
 
@@ -25,22 +25,67 @@ namespace gap::serve {
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: gapd [--journal-dir DIR] [--threads N] [--max-sessions N]\n"
-    "            [--max-frame-bytes N] [--max-journal-edits N]\n"
-    "            [--max-session-diags N] [--deadline-us F] [--no-recover]\n"
-    "            [--trace-out FILE] [--expose-out FILE]\n"
-    "            [--expose-interval N] [--flight-capacity N]\n"
-    "\n"
-    "Resident timing service: answers gap-serve-v1 JSON frames (one per\n"
-    "line) on stdout until stdin closes or a shutdown frame arrives.\n"
-    "With --journal-dir, edits are write-ahead journaled and sessions\n"
-    "are recovered on startup. --expose-out rewrites a Prometheus text\n"
-    "snapshot every --expose-interval requests (and at exit);\n"
-    "--trace-out writes a chrome://tracing JSON of per-request spans.\n"
-    "On SIGTERM the daemon finishes the in-flight request, dumps the\n"
-    "flight recorder next to the journals, and exits 0. See docs/gapd.md\n"
-    "and docs/observability.md.\n";
+namespace cl = common::cli;
+
+/// Everything gapd's command line sets.
+struct Options {
+  ServerOptions server;
+  bool recover = true;
+  std::string trace_out;
+  bool help = false;
+};
+
+std::vector<cl::Flag> flag_table(Options& opt) {
+  ServerOptions& o = opt.server;
+  return {
+      cl::string_flag("--journal-dir", o.journal_dir, "DIR",
+                      "write-ahead journal edits under DIR and recover its "
+                      "sessions on startup"),
+      cl::number_flag("--threads", o.threads, "N", {0, 1024},
+                      "worker threads (0 = all cores); replies are identical "
+                      "at any setting"),
+      cl::number_flag("--max-sessions", o.max_sessions, "N", {1, 1024},
+                      "resident sessions at once"),
+      cl::number_flag("--max-frame-bytes", o.max_frame_bytes, "N", {64, 1e9},
+                      "longest request frame"),
+      cl::number_flag("--max-journal-edits", o.max_journal_edits, "N",
+                      {1, 1e9},
+                      "edit records per session journal before edits bounce "
+                      "overloaded"),
+      cl::number_flag("--max-session-diags", o.max_session_diags, "N",
+                      {1, 1e6}, "diagnostics kept per session"),
+      cl::number_flag("--deadline-us", o.default_deadline_us, "F", {0, 1e12},
+                      "default per-request budget in microseconds (0 = none)"),
+      cl::switch_flag("--no-recover", opt.recover,
+                      "do not replay journals on startup", false),
+      cl::string_flag("--trace-out", opt.trace_out, "FILE",
+                      "write a chrome://tracing JSON of per-request spans"),
+      cl::string_flag("--expose-out", o.expose_out, "FILE",
+                      "rewrite a Prometheus text snapshot every "
+                      "--expose-interval requests (and at exit)"),
+      // Counted in requests, not seconds, so snapshot contents stay a pure
+      // function of the request stream (docs/observability.md).
+      cl::number_flag("--expose-interval", o.expose_every, "N", {1, 1e9},
+                      "requests between exposition snapshots"),
+      cl::number_flag("--flight-capacity", o.flight_capacity, "N", {16, 1e6},
+                      "flight recorder ring size in events"),
+      cl::help_flag(opt.help),
+  };
+}
+
+std::string usage_text() {
+  Options unused;
+  return cl::usage(
+      "usage: gapd [options]\n\n"
+      "Resident timing service: answers gap-serve-v1 JSON frames (one per\n"
+      "line) on stdout until stdin closes or a shutdown frame arrives.\n"
+      "On SIGTERM the daemon finishes the in-flight request, dumps the\n"
+      "flight recorder next to the journals, and exits 0. See docs/gapd.md\n"
+      "and docs/observability.md.\n",
+      {{"options:", flag_table(unused)}},
+      "exit codes: 0 clean EOF, shutdown request or SIGTERM drain,\n"
+      "2 usage, 5 I/O failure\n");
+}
 
 /// SIGTERM latch. All the drain work (flight dump, exposition write,
 /// trace flush) happens on the serve loop after sigterm_stdin() reports
@@ -105,21 +150,6 @@ class SigtermStdinBuf final : public std::streambuf {
 
 #endif  // __unix__ || __APPLE__
 
-/// Parse a non-negative number; false on garbage or trailing characters.
-bool parse_number(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || !(v >= 0.0)) return false;
-  *out = v;
-  return true;
-}
-
-int usage_error(std::ostream& err, const std::string& message) {
-  err << "gapd: error: " << message << '\n' << kUsage;
-  return kExitUsage;
-}
-
 }  // namespace
 
 void install_sigterm_dump() {
@@ -175,95 +205,25 @@ std::istream& sigterm_stdin() {
 
 int run_gapd(int argc, const char* const* argv, std::istream& in,
              std::ostream& out, std::ostream& err) {
-  ServerOptions options;
-  bool recover = true;
-  std::string trace_out;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](std::string* into) {
-      if (i + 1 >= argc) return false;
-      *into = argv[++i];
-      return true;
-    };
-    const auto number = [&](double* into, double lo, double hi) {
-      std::string text;
-      if (!value(&text)) return false;
-      double v = 0.0;
-      if (!parse_number(text, &v) || v < lo || v > hi) return false;
-      *into = v;
-      return true;
-    };
-    // Counts and capacities: a fractional value is a usage error, never
-    // silently truncated.
-    const auto integer = [&](double* into, double lo, double hi) {
-      return number(into, lo, hi) && *into == std::floor(*into);
-    };
-    double v = 0.0;
-    if (arg == "--help" || arg == "-h") {
-      out << kUsage;
-      return kExitOk;
-    } else if (arg == "--journal-dir") {
-      if (!value(&options.journal_dir))
-        return usage_error(err, "--journal-dir needs a directory");
-    } else if (arg == "--threads") {
-      if (!integer(&v, 0, 1024))
-        return usage_error(err, "--threads needs an integer in [0, 1024]");
-      options.threads = static_cast<int>(v);
-    } else if (arg == "--max-sessions") {
-      if (!integer(&v, 1, 1024))
-        return usage_error(err, "--max-sessions needs an integer in [1, 1024]");
-      options.max_sessions = static_cast<std::size_t>(v);
-    } else if (arg == "--max-frame-bytes") {
-      if (!integer(&v, 64, 1e9))
-        return usage_error(err,
-                           "--max-frame-bytes needs an integer in [64, 1e9]");
-      options.max_frame_bytes = static_cast<std::size_t>(v);
-    } else if (arg == "--max-journal-edits") {
-      if (!integer(&v, 1, 1e9))
-        return usage_error(err,
-                           "--max-journal-edits needs an integer in [1, 1e9]");
-      options.max_journal_edits = static_cast<std::uint64_t>(v);
-    } else if (arg == "--max-session-diags") {
-      if (!integer(&v, 1, 1e6))
-        return usage_error(err,
-                           "--max-session-diags needs an integer in [1, 1e6]");
-      options.max_session_diags = static_cast<std::size_t>(v);
-    } else if (arg == "--deadline-us") {
-      if (!number(&v, 0, 1e12))
-        return usage_error(err, "--deadline-us needs a number in [0, 1e12]");
-      options.default_deadline_us = v;
-    } else if (arg == "--no-recover") {
-      recover = false;
-    } else if (arg == "--trace-out") {
-      if (!value(&trace_out))
-        return usage_error(err, "--trace-out needs a file path");
-    } else if (arg == "--expose-out") {
-      if (!value(&options.expose_out))
-        return usage_error(err, "--expose-out needs a file path");
-    } else if (arg == "--expose-interval") {
-      // Counted in requests, not seconds, so snapshot contents stay a
-      // pure function of the request stream (docs/observability.md).
-      if (!integer(&v, 1, 1e9))
-        return usage_error(err,
-                           "--expose-interval needs an integer in [1, 1e9]");
-      options.expose_every = static_cast<std::uint64_t>(v);
-    } else if (arg == "--flight-capacity") {
-      if (!integer(&v, 16, 1e6))
-        return usage_error(err,
-                           "--flight-capacity needs an integer in [16, 1e6]");
-      options.flight_capacity = static_cast<std::size_t>(v);
-    } else {
-      return usage_error(err, "unknown flag '" + arg + "'");
-    }
+  Options opt;
+  const std::vector<std::string> args(argv, argv + argc);
+  if (const common::Status s = cl::parse(args, flag_table(opt)); !s.ok()) {
+    err << "gapd: error: " << s.message() << '\n' << usage_text();
+    return kExitUsage;
+  }
+  if (opt.help) {
+    out << usage_text();
+    return kExitOk;
   }
 
+  const std::string& trace_out = opt.trace_out;
   if (!trace_out.empty()) {
     common::tracer().clear();
     common::tracer().set_enabled(true);
   }
 
-  Server server(std::move(options));
-  if (recover) {
+  Server server(std::move(opt.server));
+  if (opt.recover) {
     const common::Status st = server.recover();
     if (!st.ok()) {
       err << "gapd: " << st.to_string() << '\n';

@@ -3,13 +3,9 @@
 /// Implementation of the `gapd` resident timing daemon: recover journaled
 /// sessions, then answer gap-serve-v1 frames from stdin on stdout until
 /// EOF or a shutdown request. Lives in the library (not tools/gapd.cpp)
-/// so tests can drive it in-process with captured streams.
-///
-///   gapd [--journal-dir DIR] [--threads N] [--max-sessions N]
-///        [--max-frame-bytes N] [--max-journal-edits N]
-///        [--max-session-diags N] [--deadline-us F] [--no-recover]
-///        [--trace-out FILE] [--expose-out FILE] [--expose-interval N]
-///        [--flight-capacity N]
+/// so tests can drive it in-process with captured streams. `gapd --help`
+/// prints the flags, generated from the flag table in serve_cli.cpp
+/// (syntax: common/cli.hpp).
 ///
 /// Exit codes (the same vocabulary as the other tools):
 ///   0  clean EOF, an acknowledged shutdown request, or a SIGTERM drain

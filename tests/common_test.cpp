@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/ids.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -16,6 +18,117 @@
 
 namespace gap {
 namespace {
+
+// --- common::cli: flag table, parser, usage generator ----------------------
+
+/// One flag of every kind, bound to its own destinations.
+struct CliOptions {
+  enum class Mode { kFast, kSlow };
+  bool verbose = false;
+  std::string out;
+  int count = 1;
+  std::optional<double> ratio;
+  Mode mode = Mode::kFast;
+  bool help = false;
+
+  std::vector<common::cli::Flag> table() {
+    namespace cl = common::cli;
+    return {cl::switch_flag("--verbose", verbose, "print more"),
+            cl::string_flag("--out", out, "FILE", "write the result to FILE"),
+            cl::number_flag("--count", count, "N", {0, 8}, "repeat N times"),
+            cl::number_flag("--ratio", ratio, "F", {0.0, 1.0}, "mix ratio"),
+            cl::choice_flag("--mode", mode,
+                            {{"fast", Mode::kFast}, {"slow", Mode::kSlow}},
+                            "how to run"),
+            cl::help_flag(help)};
+  }
+};
+
+TEST(Cli, UsageListsEveryTableEntry) {
+  CliOptions o;
+  const auto table = o.table();
+  const std::string text = common::cli::usage(
+      "usage: t [options]\n", {{"options:", table}, {"again:", table}},
+      "exit codes: 0 ok\n");
+  EXPECT_EQ(text.rfind("usage: t [options]\n\noptions:\n", 0), 0u) << text;
+  for (const common::cli::Flag& f : table) {
+    EXPECT_NE(text.find(f.name), std::string::npos) << f.name;
+    EXPECT_NE(text.find(f.help), std::string::npos) << f.help;
+  }
+  EXPECT_NE(text.find("  --out FILE "), std::string::npos) << text;
+  EXPECT_NE(text.find("  --mode fast|slow "), std::string::npos) << text;
+  EXPECT_NE(text.find("  -h, --help "), std::string::npos) << text;
+  // A flag already listed is not repeated, so the second section is empty.
+  EXPECT_EQ(text.find("again:"), std::string::npos) << text;
+  EXPECT_EQ(text.substr(text.size() - 18), "\nexit codes: 0 ok\n");
+}
+
+TEST(Cli, ParsesBothValueFormsAndOperands) {
+  CliOptions o;
+  std::vector<std::string> operands;
+  const std::vector<std::string> args{"a.v", "--verbose", "--out=x.json",
+                                      "--count", "8", "--ratio=0.25",
+                                      "--mode", "slow", "-h", "-", "--count=0"};
+  ASSERT_TRUE(common::cli::parse(args, o.table(), &operands, 2).ok());
+  EXPECT_EQ(operands, (std::vector<std::string>{"a.v", "-"}));
+  EXPECT_TRUE(o.verbose);
+  EXPECT_EQ(o.out, "x.json");
+  EXPECT_EQ(o.count, 0);  // the last value wins
+  EXPECT_EQ(o.ratio, 0.25);
+  EXPECT_EQ(o.mode, CliOptions::Mode::kSlow);
+  EXPECT_TRUE(o.help);
+}
+
+TEST(Cli, EveryRejectionCarriesItsCode) {
+  using common::ErrorCode;
+  struct Case {
+    std::vector<std::string> args;
+    ErrorCode code;
+  };
+  const Case cases[] = {
+      {{"--bogus"}, ErrorCode::kUsage},
+      {{"-x"}, ErrorCode::kUsage},
+      {{"--bogus=1"}, ErrorCode::kUsage},
+      {{"a", "b"}, ErrorCode::kUsage},  // one operand allowed
+      {{"--out"}, ErrorCode::kMissingValue},
+      {{"--count"}, ErrorCode::kMissingValue},
+      {{"--verbose=yes"}, ErrorCode::kInvalidValue},
+      {{"--count="}, ErrorCode::kInvalidValue},
+      {{"--count", "9"}, ErrorCode::kInvalidValue},
+      {{"--count", "-1"}, ErrorCode::kInvalidValue},
+      {{"--count", " 3"}, ErrorCode::kInvalidValue},
+      {{"--count", "3 "}, ErrorCode::kInvalidValue},
+      {{"--count", "+3"}, ErrorCode::kInvalidValue},
+      {{"--count", "0x3"}, ErrorCode::kInvalidValue},
+      {{"--count", "3.0"}, ErrorCode::kInvalidValue},
+      {{"--count", "1e0"}, ErrorCode::kInvalidValue},
+      {{"--count", "99999999999999999999"}, ErrorCode::kInvalidValue},
+      {{"--ratio", "1.5"}, ErrorCode::kInvalidValue},
+      {{"--ratio", "-0.1"}, ErrorCode::kInvalidValue},
+      {{"--ratio", "nan"}, ErrorCode::kInvalidValue},
+      {{"--ratio", "inf"}, ErrorCode::kInvalidValue},
+      {{"--ratio", "1e999"}, ErrorCode::kInvalidValue},
+      {{"--ratio", "0x0.8p0"}, ErrorCode::kInvalidValue},
+      {{"--mode", "medium"}, ErrorCode::kInvalidValue},
+      {{"--mode="}, ErrorCode::kInvalidValue},
+  };
+  for (const Case& c : cases) {
+    CliOptions o;
+    std::vector<std::string> operands;
+    const common::Status s =
+        common::cli::parse(c.args, o.table(), &operands, 1);
+    ASSERT_FALSE(s.ok()) << c.args[0];
+    EXPECT_EQ(s.code(), c.code) << s.message();
+    EXPECT_NE(s.message().find(c.args[0].substr(0, c.args[0].find('='))),
+              std::string::npos)
+        << s.message();
+  }
+  // Without an operand list, any operand is a usage error.
+  CliOptions o;
+  EXPECT_EQ(common::cli::parse(std::vector<std::string>{"a"}, o.table())
+                .code(),
+            ErrorCode::kUsage);
+}
 
 TEST(Ids, DefaultIsInvalid) {
   NetId id;

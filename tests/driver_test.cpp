@@ -72,6 +72,41 @@ TEST(DriverArgsTest, NonNumericValueIsInvalidNotAbort) {
   EXPECT_EQ(neg.status().code(), common::ErrorCode::kInvalidValue);
 }
 
+TEST(DriverRunTest, ThreadsAbove1024ExitThreeNotAbort) {
+  // --mc 8 --threads 100000 used to reach std::thread and abort with an
+  // uncaught std::system_error (exit 134).
+  for (const char* n : {"100000", "1025", "-1"}) {
+    const RunCapture r = invoke({"--mc", "8", "--threads", n});
+    EXPECT_EQ(r.code, 3) << n;
+    EXPECT_NE(r.err.find("error[invalid-value]"), std::string::npos) << r.err;
+  }
+}
+
+TEST(DriverRunTest, StagesAndMcOutOfRangeExitThree) {
+  // --stages 0 used to pass parsing and fail the pipeline stage's
+  // contract (exit 6); --mc -5 ran as if it were 0.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--stages", "0"},
+        {"--stages", "-3"},
+        {"--stages", "1000001"},
+        {"--mc", "-5"},
+        {"--mc", "1000001"}}) {
+    const RunCapture r = invoke(args);
+    EXPECT_EQ(r.code, 3) << args[0] << ' ' << args[1];
+    EXPECT_NE(r.err.find("error[invalid-value]"), std::string::npos) << r.err;
+  }
+}
+
+TEST(DriverArgsTest, EqualsFormAndShortHelp) {
+  const auto r = parse_args({"gapflow", "--design=mac16", "--stages=4",
+                             "--sta=full", "-h"});
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r->design, "mac16");
+  EXPECT_EQ(*r->stages, 4);
+  EXPECT_FALSE(r->sta_incremental);
+  EXPECT_TRUE(r->help);
+}
+
 TEST(DriverArgsTest, GoodLineParses) {
   const auto r = parse_args({"gapflow", "--design", "mac16", "--stages", "4",
                              "--corner", "worst", "--diagnostics"});

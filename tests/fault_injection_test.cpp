@@ -4,24 +4,37 @@
 /// splices, garbage insertion) and prove that no mutant ever aborts the
 /// process — every rejection is a Status with an error code, a source
 /// location, and the right subsystem tag, and unmutated inputs round-trip
-/// bit-identically. Runs standalone via `ctest -L fault`.
+/// bit-identically. Command lines get the same treatment: argv mutants of
+/// all five CLIs must exit with one of the tool's documented codes. Runs
+/// standalone via `ctest -L fault`.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <limits>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "core/driver.hpp"
 #include "datapath/adders.hpp"
 #include "library/builders.hpp"
 #include "library/liberty.hpp"
 #include "lint/lint.hpp"
+#include "lint/lint_cli.hpp"
 #include "netlist/verilog.hpp"
+#include "obs/stat_cli.hpp"
 #include "pipeline/pipeline.hpp"
+#include "qor/manifest.hpp"
+#include "qor/report_cli.hpp"
+#include "serve/serve_cli.hpp"
 #include "sta/incremental.hpp"
 #include "synth/mapper.hpp"
 #include "tech/technology.hpp"
@@ -718,6 +731,154 @@ TEST(FaultInjectionTest, RandomGarbageEditsNeverAbortTheTimer) {
                         sizeof(double)),
             0);
   EXPECT_EQ(inc.critical_path, full.critical_path);
+}
+
+// --- argv mutants: every CLI entry point -----------------------------------
+
+using Argv = std::vector<std::string>;
+
+/// One deterministic mutant of a well-formed command line: truncated, a
+/// value dropped, `--flag=` left empty, a value replaced by a malformed,
+/// out-of-range or non-finite number, or an unknown token inserted.
+Argv mutate_argv(Argv argv, Rng& rng) {
+  static const char* const kNumbers[] = {
+      " 4", "4 ", "0x10", "-3", "+4", "4.5", "99999999999999999999",
+      "1e999", "nan", "inf", "-inf", "", "1e3"};
+  static const char* const kUnknown[] = {"-x", "--x", "--x=1", "--", "-"};
+  std::vector<std::size_t> valued;  // flags followed by their value
+  for (std::size_t i = 0; i + 1 < argv.size(); ++i)
+    if (argv[i].rfind("--", 0) == 0 && argv[i + 1].rfind('-', 0) != 0)
+      valued.push_back(i);
+  const auto pick = [&] { return valued[rng.uniform_index(valued.size())]; };
+  const std::size_t op = rng.uniform_index(5);
+  if (op == 0 || (op < 4 && valued.empty())) {
+    argv.resize(rng.uniform_index(argv.size() + 1));
+  } else if (op == 1) {
+    argv.erase(argv.begin() + static_cast<std::ptrdiff_t>(pick() + 1));
+  } else if (op == 2) {
+    const std::size_t i = pick();
+    argv[i] += '=';
+    argv.erase(argv.begin() + static_cast<std::ptrdiff_t>(i + 1));
+  } else if (op == 3) {
+    argv[pick() + 1] = kNumbers[rng.uniform_index(std::size(kNumbers))];
+  } else {
+    const std::size_t at = rng.uniform_index(argv.size() + 1);
+    argv.insert(argv.begin() + static_cast<std::ptrdiff_t>(at),
+                kUnknown[rng.uniform_index(std::size(kUnknown))]);
+  }
+  return argv;
+}
+
+/// Run a `run_<tool>(argc, argv, out, err)` entry point on `args`.
+int run_c_argv(int (*entry)(int, const char* const*, std::ostream&,
+                            std::ostream&),
+               const Argv& args) {
+  std::vector<const char*> argv;
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  std::ostringstream out, err;
+  return entry(static_cast<int>(argv.size()), argv.data(), out, err);
+}
+
+struct CliTool {
+  std::string name;
+  std::vector<Argv> lines;  ///< well-formed command lines to mutate
+  std::set<int> exits;      ///< every exit code the tool documents
+  std::function<int(const Argv&)> run;
+};
+
+std::vector<CliTool> cli_tools(const std::string& dir) {
+  const auto write = [&](const std::string& name, const std::string& text) {
+    std::ofstream(dir + "/" + name) << text;
+    return dir + "/" + name;
+  };
+  const std::string v = write(
+      "clean.v",
+      "module clean_core (d_in, q_out);\n  input d_in;\n  output q_out;\n"
+      "  wire q0;\n  wire n1;\n  dff_x2 r0 (.d(d_in), .q(q0));\n"
+      "  inv_x2 u0 (.a(q0), .y(n1));\n  dff_x2 r1 (.d(n1), .q(q_out));\n"
+      "endmodule\n");
+  const std::string m = write(
+      "m.json", "{\"counters\":{\"a\":1},\"gauges\":{\"g\":2},"
+                "\"histograms\":{}}");
+  const std::string q = write(
+      "q.json", "{\"tool\":\"gapflow\",\"schema_version\":" +
+                    std::to_string(qor::kManifestSchemaVersion) + "}");
+  const std::string missing_lib = dir + "/missing.lib";
+  return {
+      // --check-liberty on a missing file ends every line that parses
+      // right after name resolution, instead of running a whole flow.
+      {"gapflow",
+       {{"--design", "alu16", "--methodology", "typical", "--tech",
+         "asic025", "--corner", "worst", "--stages", "4", "--mc", "8",
+         "--threads", "2", "--sta", "full", "--report", "timing", "--macro",
+         "--scan"}},
+       {0, 2, 3, 4, 5, 6},
+       [missing_lib](const Argv& args) {
+         Argv argv{"gapflow", "--check-liberty", missing_lib};
+         argv.insert(argv.end(), args.begin(), args.end());
+         std::ostringstream out, err;
+         return core::cli::run(argv, out, err);
+       }},
+      {"gaplint",
+       {{v, "--format", "json", "--threads", "2", "--period-tau", "40",
+         "--skew-fraction", "0.1"},
+        {"--list-rules", "--format", "text"}},
+       {0, 1, 2, 3, 5},
+       [](const Argv& args) { return run_c_argv(lint::run_gaplint, args); }},
+      {"gapd",
+       {{"--threads", "2", "--max-sessions", "4", "--max-frame-bytes", "4096",
+         "--max-journal-edits", "100", "--max-session-diags", "16",
+         "--deadline-us", "1000", "--expose-interval", "10",
+         "--flight-capacity", "64", "--no-recover"}},
+       {0, 2, 5},
+       [](const Argv& args) {
+         std::vector<const char*> argv;
+         for (const std::string& a : args) argv.push_back(a.c_str());
+         std::istringstream in;
+         std::ostringstream out, err;
+         return serve::run_gapd(static_cast<int>(argv.size()), argv.data(),
+                                in, out, err);
+       }},
+      {"gapstat",
+       {{"diff", m, m, "--format", "csv", "--strict"},
+        {"agg", m, m, "--format=json"},
+        {"show", m, "--format", "text"}},
+       {0, 1, 2, 4, 5},
+       [](const Argv& args) { return run_c_argv(obs::run_gapstat, args); }},
+      {"gapreport",
+       {{"diff", q, q, "--threshold", "0.1", "--strict"},
+        {"show", q, "--csv"}},
+       {0, 1, 2, 3, 5},
+       [](const Argv& args) {
+         return run_c_argv(qor::run_gapreport, args);
+       }},
+  };
+}
+
+TEST(FaultInjectionTest, ArgvMutantsExitWithDocumentedCodes) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "gap_argv").string();
+  std::filesystem::create_directories(dir);
+  for (const CliTool& tool : cli_tools(dir)) {
+    int rejected = 0;
+    int runs = 0;
+    for (std::size_t l = 0; l < tool.lines.size(); ++l) {
+      const int clean = tool.run(tool.lines[l]);
+      EXPECT_EQ(clean, tool.name == "gapflow" ? 5 : 0) << tool.name;
+      for (int i = 0; i < 60; ++i, ++runs) {
+        Rng rng = Rng::stream(0xA26'0000u + l, static_cast<std::uint64_t>(i));
+        const Argv argv = mutate_argv(tool.lines[l], rng);
+        std::string line = tool.name;
+        for (const std::string& a : argv) line += " '" + a + "'";
+        SCOPED_TRACE(line);
+        const int code = tool.run(argv);
+        EXPECT_EQ(tool.exits.count(code), 1u) << "undocumented exit " << code;
+        if (code != clean) ++rejected;
+      }
+    }
+    // The mutants bite: most of them are refused.
+    EXPECT_GT(rejected, runs / 2) << tool.name;
+  }
 }
 
 // --- determinism: same seed, same verdicts ---------------------------------

@@ -560,6 +560,11 @@ TEST_F(LintTest, ConfigRejectsMalformedInput) {
        common::ErrorCode::kDuplicate},
       // Malformed number.
       {"[constraints]\nperiod_tau = fast\n", common::ErrorCode::kParse},
+      // Non-finite numbers used to slip past every constraint rule.
+      {"[constraints]\nperiod_tau = 1e999\n", common::ErrorCode::kInvalidValue},
+      {"[constraints]\nperiod_tau = nan\n", common::ErrorCode::kInvalidValue},
+      {"[constraints]\nskew_fraction = -inf\n",
+       common::ErrorCode::kInvalidValue},
   };
   for (const Case& c : cases) {
     auto cfg = parse_config(c.text, registry_);
@@ -797,6 +802,32 @@ TEST(LintCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(cli({"x.v", "--no-such-flag"}).code, kExitUsage);
   EXPECT_EQ(cli({"x.v", "--format", "xml"}).code, kExitUsage);
   EXPECT_EQ(cli({"x.v", "--threads"}).code, kExitUsage);
+}
+
+TEST(LintCliTest, NonFiniteConstraintsAreRejected) {
+  // --period-tau 1e999 used to produce a clean lint and exit 0.
+  const std::string v = "lint_cli_nonfinite.v";
+  write_file(v, kCleanModule);
+  for (const char* flag : {"--period-tau", "--skew-fraction"}) {
+    for (const char* x : {"nan", "inf", "-inf", "1e999"}) {
+      const CliResult r = cli({v, flag, x});
+      EXPECT_EQ(r.code, kExitUsage) << flag << ' ' << x;
+      EXPECT_NE(r.err.find("finite"), std::string::npos) << r.err;
+    }
+  }
+  // The same hole in a [constraints] line is a config error.
+  const std::string cfg = "lint_cli_nonfinite.toml";
+  write_file(cfg, "[constraints]\nperiod_tau = 1e999\n");
+  const CliResult from_config = cli({v, "--config", cfg});
+  EXPECT_EQ(from_config.code, kExitParse);
+  EXPECT_NE(from_config.err.find("invalid-value"), std::string::npos)
+      << from_config.err;
+  // A finite negative period still reaches the constraint rule.
+  const CliResult negative = cli({v, "--period-tau", "-5"});
+  EXPECT_EQ(negative.code, kExitFindings);
+  EXPECT_NE(negative.out.find("GL-K002"), std::string::npos);
+  std::remove(v.c_str());
+  std::remove(cfg.c_str());
 }
 
 TEST(LintCliTest, ThreadsOutsideZeroTo1024ExitTwo) {

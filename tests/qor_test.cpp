@@ -378,7 +378,10 @@ TEST_F(GapreportTest, NonFiniteThresholdIsRejectedNotIgnored) {
   write_file(cur, write_json(after).value());
   EXPECT_EQ(gapreport({"diff", base, cur, "--strict"}).code,
             kExitRegression);
-  for (const char* t : {"nan", "NaN", "inf", "-inf", "1e999"}) {
+  // Nor may the strict number reader take hex (strtod read 0x10 as 16),
+  // padding or a negative threshold.
+  for (const char* t :
+       {"nan", "NaN", "inf", "-inf", "1e999", "0x10", " 0.5", "-0.1"}) {
     const Captured r =
         gapreport({"diff", base, cur, "--strict", "--threshold", t});
     EXPECT_EQ(r.code, kExitBadValue) << t;

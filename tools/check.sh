@@ -18,10 +18,11 @@
 # deterministic.
 #
 # The ASan/UBSan pass: the untrusted-input readers must reject hundreds of
-# mutated Liberty/Verilog inputs without aborting AND without any latent
-# memory or UB errors masked by a clean exit; the JSON Writer, the
-# golden artifacts it renders, the gapd server suite and the STA oracle
-# suite run under the same fatal UBSan.
+# mutated Liberty/Verilog inputs and argv mutants of every CLI without
+# aborting AND without any latent memory or UB errors masked by a clean
+# exit; the JSON Writer, the golden artifacts it renders, the gapd server
+# suite, the STA oracle suite and the CLI suites run under the same fatal
+# UBSan.
 #
 # Build trees default to build-tsan / build-asan / build-bench /
 # build-obs next to the primary build/, overridable so CI and local runs
@@ -80,74 +81,39 @@ timed() {
 }
 
 run_tsan() {
+  local suites="parallel_test sta_test incremental_sta_test soa_graph_test"
   echo "== ThreadSanitizer build ($BUILD_TSAN) =="
   cmake -B "$BUILD_TSAN" -S . -DGAP_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$BUILD_TSAN" -j "$JOBS" \
-    --target parallel_test sta_test incremental_sta_test soa_graph_test
+  # shellcheck disable=SC2086  # word splitting of $suites is intended
+  cmake --build "$BUILD_TSAN" -j "$JOBS" --target $suites
 
-  echo "== parallel_test under TSan =="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_TSAN/tests/parallel_test"
-
-  echo "== sta_test under TSan =="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_TSAN/tests/sta_test"
-
-  echo "== incremental_sta_test under TSan =="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_TSAN/tests/incremental_sta_test"
-
-  echo "== soa_graph_test under TSan =="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_TSAN/tests/soa_graph_test"
+  for suite in $suites; do
+    echo "== $suite under TSan =="
+    TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" "$BUILD_TSAN/tests/$suite"
+  done
 }
 
 run_asan() {
   # UBSan recovers and keeps going by default; make every finding fatal.
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
+  # The readers' fault-injection corpus and argv mutants, the JSON Writer
+  # and every golden artifact rendered through it, the gapd server suite,
+  # the STA oracle suite, and the CLIs' own argv paths.
+  local suites="fault_injection_test io_test diagnostics_test obs_test
+    common_test golden_test serve_test soa_graph_test driver_test lint_test
+    qor_test"
   echo "== ASan/UBSan build ($BUILD_ASAN) =="
   cmake -B "$BUILD_ASAN" -S . -DGAP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$BUILD_ASAN" -j "$JOBS" \
-    --target fault_injection_test io_test diagnostics_test obs_test \
-    common_test golden_test serve_test soa_graph_test
+  # shellcheck disable=SC2086  # word splitting of $suites is intended
+  cmake --build "$BUILD_ASAN" -j "$JOBS" --target $suites
 
-  echo "== fault_injection_test under ASan/UBSan =="
-  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_ASAN/tests/fault_injection_test"
-
-  echo "== io_test under ASan/UBSan =="
-  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_ASAN/tests/io_test"
-
-  echo "== diagnostics_test under ASan/UBSan =="
-  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_ASAN/tests/diagnostics_test"
-
-  echo "== obs_test under ASan/UBSan =="
-  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_ASAN/tests/obs_test"
-
-  # The JSON Writer's unit tests, then every golden artifact rendered
-  # through it (manifests, lint reports, gapd transcripts).
-  echo "== common_test under ASan/UBSan =="
-  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_ASAN/tests/common_test"
-
-  echo "== golden_test under ASan/UBSan =="
-  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_ASAN/tests/golden_test"
-
-  # gapd replies render path arrivals carried in TimingResult; the server
-  # suite and the STA oracle suite exercise that render and its source.
-  echo "== serve_test under ASan/UBSan =="
-  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_ASAN/tests/serve_test"
-
-  echo "== soa_graph_test under ASan/UBSan =="
-  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_ASAN/tests/soa_graph_test"
+  for suite in $suites; do
+    echo "== $suite under ASan/UBSan =="
+    ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
+      "$BUILD_ASAN/tests/$suite"
+  done
 }
 
 # The bench gate, exactly as CI runs it: quick-mode microbenchmarks in a

@@ -21,6 +21,7 @@
 
 int main(int argc, char** argv) {
   gap::common::ignore_sigpipe();
-  const int code = gap::core::cli::run(argc, argv, std::cout, std::cerr);
+  const int code =
+      gap::core::cli::run({argv, argv + argc}, std::cout, std::cerr);
   return gap::common::finish_stdout(code, std::cout, std::cerr, "gapflow");
 }
