@@ -1,7 +1,9 @@
 #include "common/io_guard.hpp"
 
 #include <csignal>
+#include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "common/status.hpp"
 
@@ -26,6 +28,14 @@ int finish_stdout(int code, std::ostream& out, std::ostream& err,
   // 5 is the documented I/O exit code shared by every tool
   // (docs/diagnostics.md); gap_common cannot see core::cli::exit_code_for.
   return 5;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 }  // namespace gap::common

@@ -14,8 +14,13 @@
 /// exit through finish_stdout(), which turns a broken/short-written
 /// stdout into the documented I/O exit code 5 with a one-line diagnostic
 /// on stderr (docs/diagnostics.md).
+///
+/// The input side is one whole-file reader; each caller words its own
+/// diagnostic and exit code when a file cannot be opened.
 
 #include <iosfwd>
+#include <optional>
+#include <string>
 
 namespace gap::common {
 
@@ -29,5 +34,8 @@ void ignore_sigpipe();
 /// A run that already failed keeps its own (nonzero) exit code.
 [[nodiscard]] int finish_stdout(int code, std::ostream& out,
                                 std::ostream& err, const char* tool);
+
+/// The bytes of the file at `path`, or nullopt when it cannot be opened.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 }  // namespace gap::common

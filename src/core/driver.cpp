@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <utility>
 
 #include "common/cli.hpp"
+#include "common/io_guard.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/flow.hpp"
@@ -249,13 +250,11 @@ qor::RunManifest build_manifest(const DriverArgs& args, const Methodology& m,
 }
 
 Result<std::string> read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
+  std::optional<std::string> text = common::read_file(path);
+  if (!text)
     return Status::error(ErrorCode::kIo, "cannot read '" + path + "'", {},
                          "gapflow");
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
+  return std::move(*text);
 }
 
 }  // namespace

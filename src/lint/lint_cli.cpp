@@ -3,11 +3,11 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/io_guard.hpp"
 #include "common/json.hpp"
 #include "library/builders.hpp"
 #include "library/liberty.hpp"
@@ -74,14 +74,12 @@ std::string usage_text() {
 }
 
 bool read_file(const std::string& path, std::string& out, std::ostream& err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::optional<std::string> text = common::read_file(path);
+  if (!text) {
     err << "gaplint: cannot open " << path << "\n";
     return false;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  out = text.str();
+  out = std::move(*text);
   return true;
 }
 

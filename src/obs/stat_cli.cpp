@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/io_guard.hpp"
 #include "common/json.hpp"
 #include "obs/expose.hpp"
 
@@ -119,14 +120,12 @@ bool load_exposition(const std::string& text, StatMap& m) {
 
 /// Read and sniff one file. Returns an exit code; 0 on success.
 int load_file(const std::string& path, StatMap& m, std::ostream& err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> read = common::read_file(path);
+  if (!read) {
     err << "gapstat: error[io]: cannot read '" << path << "'\n";
     return kStatExitIo;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  const std::string& text = *read;
 
   const std::size_t first = text.find_first_not_of(" \t\r\n");
   if (first == std::string::npos) {

@@ -2,13 +2,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/io_guard.hpp"
 #include "common/json.hpp"
 #include "qor/manifest.hpp"
 
@@ -62,14 +62,12 @@ std::string fmt(double v) {
 
 /// Load and validate one manifest file.
 int load(const std::string& path, Value& out, std::ostream& err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = common::read_file(path);
+  if (!text) {
     err << "gapreport: cannot open " << path << "\n";
     return kExitIo;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto parsed = Value::parse(text.str());
+  auto parsed = Value::parse(*text);
   if (!parsed || !parsed->is_object()) {
     err << "gapreport: " << path << " is not valid JSON\n";
     return kExitIo;

@@ -4,15 +4,15 @@
 #include <cmath>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/diagnostics.hpp"
+#include "common/io_guard.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/flow.hpp"
@@ -25,6 +25,7 @@
 #include "qor/manifest.hpp"
 #include "qor/snapshot.hpp"
 #include "serve/journal.hpp"
+#include "serve/serve_cli.hpp"
 #include "sta/report.hpp"
 
 namespace gap::serve {
@@ -131,16 +132,26 @@ struct Server::Session {
   }
 };
 
+Server::Reply Server::reject(ReplyCode code, std::string message,
+                             common::SourceLoc loc) {
+  return {{}, code, std::move(message), loc};
+}
+
+Server::Reply Server::reject(const Status& st) {
+  return reject(reply_code(st.code()), st.message(), st.loc());
+}
+
 template <typename Render>
-std::string Server::ok(const Request& req, Render&& render) {
+Server::Reply Server::ok(const Request& req, Render&& render) {
   json::Writer w;
   begin_ok_reply(w, req.id_json);
   render(w);
   w.end_object();
-  if (w.ok()) return w.take();
-  bump(&ServerCounters::errors, "serve.errors");
-  return error_reply(req.id_json, ReplyCode::kInternal,
-                     "result holds a " + w.error());
+  if (!w.ok())
+    return reject(ReplyCode::kInternal, "result holds a " + w.error());
+  Reply reply;
+  reply.line = w.take();
+  return reply;
 }
 
 Server::Server(ServerOptions options)
@@ -220,23 +231,62 @@ void Server::degrade(Session& s, const std::string& why) {
   (void)dump_flight(s.name);
 }
 
-Server::Session* Server::find_session(const Request& req,
-                                      std::string& error_out) {
+Result<Server::Session*> Server::find_session(const Request& req) {
   const json::Value* name = req.frame.find("session");
-  if (name == nullptr || !name->is_string()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    error_out = error_reply(req.id_json, ReplyCode::kMissingValue,
-                            "request needs a \"session\" string");
-    return nullptr;
-  }
+  if (name == nullptr || !name->is_string())
+    return Status::error(ErrorCode::kMissingValue,
+                         "request needs a \"session\" string", {}, "serve");
   auto it = sessions_.find(name->str);
-  if (it == sessions_.end()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    error_out = error_reply(req.id_json, ReplyCode::kUnknownName,
-                            "no session named '" + name->str + "'");
-    return nullptr;
-  }
+  if (it == sessions_.end())
+    return Status::error(ErrorCode::kUnknownName,
+                         "no session named '" + name->str + "'", {}, "serve");
   return it->second.get();
+}
+
+template <typename Incremental, typename Batch>
+Status Server::query(Session& s, const char* what, Incremental&& inc,
+                     Batch&& batch) {
+  if (s.degraded) return run_guarded(batch);
+  const Status st = run_guarded(inc);
+  if (st.ok()) return st;
+  const Status fallback = run_guarded(batch);
+  degrade(s, std::string(what) + " tripped the engine");
+  return fallback.ok() ? fallback : st;
+}
+
+Result<sta::Edit> Server::apply_edit(Session& s, const sta::Edit& edit,
+                                     bool undo) {
+  // The record is committed (journaled, or read back from the journal),
+  // so its sequence number is spent even if the engine then trips.
+  ++s.seq;
+  Result<sta::Edit> inverse = sta::Edit{};
+  const Status st =
+      run_guarded([&] { inverse = s.timer->apply_undoable(edit); });
+  if (!st.ok()) return st;
+  if (!inverse.ok()) return inverse;
+
+  // Keep the session's dataflow lattice (if one was ever built; never
+  // during recovery) in sync with the edit just applied. Only an input
+  // rewire changes the lattice structurally; a failed cone update
+  // invalidates the engine and the next dataflow lint rebuilds it.
+  if (s.dataflow != nullptr && s.dataflow->valid()) {
+    if (edit.kind == sta::Edit::Kind::kRewireInput) {
+      (void)run_guarded([&] {
+        (void)s.dataflow->update_rewire(*s.nl, edit.inst, options_.threads);
+      });
+    } else {
+      s.dataflow->resync_value(*s.nl);
+    }
+  }
+
+  if (undo) {
+    if (!s.undo.empty()) s.undo.pop_back();
+  } else {
+    s.undo.push_back(inverse.value());
+    if (s.undo.size() > options_.max_undo_depth)
+      s.undo.erase(s.undo.begin());
+  }
+  return inverse;
 }
 
 // --- load / recover ------------------------------------------------------
@@ -328,36 +378,27 @@ struct LoadInfo {
 
 }  // namespace
 
-std::string Server::cmd_load(const Request& req, double t0_us) {
+Server::Reply Server::cmd_load(const Request& req, double t0_us) {
   const json::Value* name = req.frame.find("session");
   if (name == nullptr || !name->is_string() ||
-      !valid_session_name(name->str)) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(
-        req.id_json, ReplyCode::kInvalidValue,
+      !valid_session_name(name->str))
+    return reject(
+        ReplyCode::kInvalidValue,
         "load needs a \"session\" name matching [A-Za-z0-9_-]{1,64}");
-  }
-  if (sessions_.count(name->str) != 0) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kDuplicate,
-                       "session '" + name->str + "' already exists");
-  }
+  if (sessions_.count(name->str) != 0)
+    return reject(ReplyCode::kDuplicate,
+                  "session '" + name->str + "' already exists");
   if (sessions_.size() >= options_.max_sessions) {
-    bump(&ServerCounters::errors, "serve.errors");
     bump(&ServerCounters::overloaded, "serve.overloaded");
     flight_event(obs::FlightEventKind::kOverloaded, 0, sessions_.size(),
                  "load");
-    return error_reply(req.id_json, ReplyCode::kOverloaded,
-                       "session limit (" +
-                           std::to_string(options_.max_sessions) +
-                           ") reached");
+    return reject(ReplyCode::kOverloaded,
+                  "session limit (" + std::to_string(options_.max_sessions) +
+                      ") reached");
   }
   const json::Value* design = req.frame.find("design");
-  if (design == nullptr || !design->is_string()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kMissingValue,
-                       "load needs a \"design\" string");
-  }
+  if (design == nullptr || !design->is_string())
+    return reject(ReplyCode::kMissingValue, "load needs a \"design\" string");
   const std::string methodology =
       req.frame.member_string("methodology", "typical");
   const std::string tech = req.frame.member_string("tech", "asic025");
@@ -367,19 +408,13 @@ std::string Server::cmd_load(const Request& req, double t0_us) {
   auto built =
       build_session(name->str, design->str, methodology, tech, corner,
                     options_.threads, options_.max_session_diags, &info);
-  if (!built.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, reply_code(built.status().code()),
-                       built.status().message());
-  }
+  if (!built.ok()) return reject(built.status());
   if (deadline_expired(req, t0_us)) {
     // The work is done but the client's budget expired: discard the
     // session so a retry sees a clean slate, and say what happened.
-    bump(&ServerCounters::errors, "serve.errors");
     bump(&ServerCounters::deadline_exceeded, "serve.deadline_exceeded");
     flight_event(obs::FlightEventKind::kDeadline, 0, 0, "load");
-    return error_reply(req.id_json, ReplyCode::kDeadline,
-                       "load exceeded the request deadline");
+    return reject(ReplyCode::kDeadline, "load exceeded the request deadline");
   }
   std::unique_ptr<Session> s = std::move(built).value();
   if (!options_.journal_dir.empty()) {
@@ -391,10 +426,7 @@ std::string Server::cmd_load(const Request& req, double t0_us) {
     } else {
       append_st = journal.status();
     }
-    if (!append_st.ok()) {
-      bump(&ServerCounters::errors, "serve.errors");
-      return error_reply(req.id_json, ReplyCode::kIo, append_st.message());
-    }
+    if (!append_st.ok()) return reject(append_st);
   }
 
   const Session& loaded = *s;
@@ -425,11 +457,9 @@ Status Server::recover() {
 
   for (const std::string& path : paths) {
     if (sessions_.size() >= options_.max_sessions) break;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const Replay replay = replay_journal(buf.str());
+    const std::optional<std::string> text = common::read_file(path);
+    if (!text) continue;
+    const Replay replay = replay_journal(*text);
     if (replay.records.empty()) continue;  // torn header: never acknowledged
 
     const json::Value& header = replay.records.front();
@@ -447,43 +477,27 @@ Status Server::recover() {
     std::unique_ptr<Session> s = std::move(built).value();
     s->recovered = true;
 
-    // Re-apply the acknowledged edits in journal order. Any divergence
-    // (bad record shape, rejected edit, seq gap) means the journal no
-    // longer matches the engine: stop at the consistent prefix and serve
-    // the session degraded rather than guess.
-    bool diverged = false;
-    for (std::size_t i = 1; i < replay.records.size() && !diverged; ++i) {
+    // Re-apply the acknowledged edits in journal order, through the same
+    // apply path a live edit takes. Any divergence (bad record shape,
+    // rejected edit, seq gap) means the journal no longer matches the
+    // engine: stop at the consistent prefix and serve the session
+    // degraded rather than guess.
+    std::size_t i = 1;
+    for (; i < replay.records.size(); ++i) {
       const json::Value& rec = replay.records[i];
       const json::Value* edit_json = rec.find("edit");
-      const double rec_seq = rec.member_number("seq", -1.0);
       if (edit_json == nullptr ||
-          rec_seq != static_cast<double>(s->seq + 1)) {
-        diverged = true;
+          rec.member_number("seq", -1.0) != static_cast<double>(s->seq + 1))
         break;
-      }
       auto edit = edit_from_json(*edit_json);
-      if (!edit.ok()) {
-        diverged = true;
-        break;
-      }
-      Result<sta::Edit> inverse = sta::Edit{};
-      const Status st = run_guarded(
-          [&] { inverse = s->timer->apply_undoable(edit.value()); });
-      if (!st.ok() || !inverse.ok()) {
-        diverged = true;
-        break;
-      }
-      ++s->seq;
-      bump(&ServerCounters::recovered_edits, "serve.recovered_edits");
       const json::Value* undo_flag = rec.find("undo");
-      if (undo_flag != nullptr && undo_flag->boolean) {
-        if (!s->undo.empty()) s->undo.pop_back();
-      } else {
-        s->undo.push_back(std::move(inverse).value());
-        if (s->undo.size() > options_.max_undo_depth)
-          s->undo.erase(s->undo.begin());
-      }
+      if (!edit.ok() ||
+          !apply_edit(*s, *edit, undo_flag != nullptr && undo_flag->boolean)
+               .ok())
+        break;
+      bump(&ServerCounters::recovered_edits, "serve.recovered_edits");
     }
+    const bool diverged = i < replay.records.size();
     if (diverged || replay.halt == ReplayHalt::kCorrupt)
       degrade(*s, diverged ? "journal diverged from the timing engine"
                            : "journal corrupt: " + replay.detail);
@@ -499,139 +513,92 @@ Status Server::recover() {
 
 // --- edits ---------------------------------------------------------------
 
-std::string Server::cmd_edit(const Request& req, bool undo, double t0_us) {
-  std::string err;
-  Session* s = find_session(req, err);
-  if (s == nullptr) return err;
+Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
+  auto found = find_session(req);
+  if (!found.ok()) return reject(found.status());
+  Session& s = **found;
+  // An edit the engine refuses is counted, recorded in the flight ring
+  // and the session's diagnostics, and answered with its own code.
+  const auto refuse = [&](const Status& why) {
+    bump(&ServerCounters::edits_rejected, "serve.edits_rejected");
+    flight_event(obs::FlightEventKind::kEditRejected,
+                 static_cast<std::uint32_t>(why.code()), s.seq, s.name);
+    s.diags.report(why);
+    return reject(why);
+  };
 
   sta::Edit edit;
   if (undo) {
-    if (s->undo.empty()) {
-      bump(&ServerCounters::errors, "serve.errors");
-      return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                         "nothing to undo");
-    }
-    edit = s->undo.back();
+    if (s.undo.empty())
+      return reject(ReplyCode::kInvalidValue, "nothing to undo");
+    edit = s.undo.back();
   } else {
     const json::Value* edit_json = req.frame.find("edit");
-    if (edit_json == nullptr) {
-      bump(&ServerCounters::errors, "serve.errors");
-      return error_reply(req.id_json, ReplyCode::kMissingValue,
-                         "edit needs an \"edit\" object");
-    }
+    if (edit_json == nullptr)
+      return reject(ReplyCode::kMissingValue,
+                    "edit needs an \"edit\" object");
     auto parsed = edit_from_json(*edit_json);
-    if (!parsed.ok()) {
-      bump(&ServerCounters::errors, "serve.errors");
-      bump(&ServerCounters::edits_rejected, "serve.edits_rejected");
-      flight_event(obs::FlightEventKind::kEditRejected,
-                   static_cast<std::uint32_t>(parsed.status().code()),
-                   s->seq, s->name);
-      s->diags.report(parsed.status());
-      return error_reply(req.id_json, reply_code(parsed.status().code()),
-                         parsed.status().message());
-    }
+    if (!parsed.ok()) return refuse(parsed.status());
     edit = std::move(parsed).value();
   }
 
   // 1. Validate against the current netlist (no mutation).
   Status check_st;
   const Status guard_st =
-      run_guarded([&] { check_st = s->timer->check(edit); });
+      run_guarded([&] { check_st = s.timer->check(edit); });
   if (!guard_st.ok()) {
-    degrade(*s, guard_st.message());
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, reply_code(guard_st.code()),
-                       guard_st.message());
+    degrade(s, guard_st.message());
+    return reject(guard_st);
   }
-  if (!check_st.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    bump(&ServerCounters::edits_rejected, "serve.edits_rejected");
-    flight_event(obs::FlightEventKind::kEditRejected,
-                 static_cast<std::uint32_t>(check_st.code()), s->seq,
-                 s->name);
-    s->diags.report(check_st);
-    return error_reply(req.id_json, reply_code(check_st.code()),
-                       check_st.message(), check_st.loc());
-  }
+  if (!check_st.ok()) return refuse(check_st);
 
   // 2. Watchdog checks, before any side effect.
   if (deadline_expired(req, t0_us)) {
-    bump(&ServerCounters::errors, "serve.errors");
     bump(&ServerCounters::deadline_exceeded, "serve.deadline_exceeded");
-    flight_event(obs::FlightEventKind::kDeadline, 0, s->seq, "edit");
-    return error_reply(req.id_json, ReplyCode::kDeadline,
-                       "deadline expired before the edit was committed");
+    flight_event(obs::FlightEventKind::kDeadline, 0, s.seq, "edit");
+    return reject(ReplyCode::kDeadline,
+                  "deadline expired before the edit was committed");
   }
-  if (s->journal.is_open() && s->seq >= options_.max_journal_edits) {
-    bump(&ServerCounters::errors, "serve.errors");
+  if (s.journal.is_open() && s.seq >= options_.max_journal_edits) {
     bump(&ServerCounters::overloaded, "serve.overloaded");
     bump(&ServerCounters::journal_overflow, "serve.journal_overflow");
-    flight_event(obs::FlightEventKind::kOverloaded, 0, s->seq, s->name);
-    return error_reply(req.id_json, ReplyCode::kOverloaded,
-                       "session journal is full (" +
-                           std::to_string(options_.max_journal_edits) +
-                           " edits)");
+    flight_event(obs::FlightEventKind::kOverloaded, 0, s.seq, s.name);
+    return reject(ReplyCode::kOverloaded,
+                  "session journal is full (" +
+                      std::to_string(options_.max_journal_edits) +
+                      " edits)");
   }
 
   // 3. Commit to the journal first (write-ahead): a crash after this
   // point replays the edit; a failure here leaves state untouched.
-  if (s->journal.is_open()) {
+  if (s.journal.is_open()) {
     // Undo records are flagged so replay maintains the same undo stack a
     // live server would have (pop instead of push).
     json::Writer rec;
-    rec.begin_object().member("seq", s->seq + 1).key("edit");
+    rec.begin_object().member("seq", s.seq + 1).key("edit");
     edit_to_json(rec, edit);
     if (undo) rec.member("undo", true);
-    const Status jst = s->journal.append(rec.end_object().str());
+    const Status jst = s.journal.append(rec.end_object().str());
     if (!jst.ok()) {
-      bump(&ServerCounters::errors, "serve.errors");
-      s->diags.report(jst);
-      return error_reply(req.id_json, ReplyCode::kIo, jst.message());
+      s.diags.report(jst);
+      return reject(jst);
     }
     flight_event(obs::FlightEventKind::kJournalFsync, 0,
-                 s->journal.bytes_appended(), s->name);
+                 s.journal.bytes_appended(), s.name);
   }
-  ++s->seq;
 
   // 4. Apply. check() passed, so a failure here is an engine fault:
   // degrade the session (queries fall back to from-scratch analysis).
-  Result<sta::Edit> inverse = sta::Edit{};
-  const Status apply_st =
-      run_guarded([&] { inverse = s->timer->apply_undoable(edit); });
-  if (!apply_st.ok() || !inverse.ok()) {
-    const Status& why = apply_st.ok() ? inverse.status() : apply_st;
-    degrade(*s, why.message());
-    bump(&ServerCounters::errors, "serve.errors");
-    s->diags.report(why);
-    return error_reply(req.id_json, reply_code(why.code()), why.message());
+  const Result<sta::Edit> inverse = apply_edit(s, edit, undo);
+  if (!inverse.ok()) {
+    degrade(s, inverse.status().message());
+    s.diags.report(inverse.status());
+    return reject(inverse.status());
   }
   bump(&ServerCounters::edits_applied, "serve.edits_applied");
-  ++s->edits_applied;
-
-  // 5. Keep the session's dataflow lattice (if one was ever built) in
-  // sync with the edit just applied. Only an input rewire changes the
-  // lattice structurally; a failed cone update invalidates the engine
-  // and the next dataflow lint rebuilds it from scratch.
-  if (s->dataflow != nullptr && s->dataflow->valid()) {
-    if (edit.kind == sta::Edit::Kind::kRewireInput) {
-      (void)run_guarded([&] {
-        (void)s->dataflow->update_rewire(*s->nl, edit.inst,
-                                         options_.threads);
-      });
-    } else {
-      s->dataflow->resync_value(*s->nl);
-    }
-  }
-
-  if (undo) {
-    s->undo.pop_back();
-  } else {
-    s->undo.push_back(inverse.value());
-    if (s->undo.size() > options_.max_undo_depth)
-      s->undo.erase(s->undo.begin());
-  }
+  ++s.edits_applied;
   return ok(req, [&](json::Writer& w) {
-    w.begin_object().member("seq", s->seq).key(undo ? "edit" : "undo");
+    w.begin_object().member("seq", s.seq).key(undo ? "edit" : "undo");
     edit_to_json(w, undo ? edit : inverse.value());
     w.end_object();
   });
@@ -639,92 +606,52 @@ std::string Server::cmd_edit(const Request& req, bool undo, double t0_us) {
 
 // --- queries -------------------------------------------------------------
 
-namespace {
-
-/// Compute a query result with the session's engine of record: the
-/// resident timer normally, the from-scratch batch engine when degraded.
-/// Both produce byte-identical numbers (the timer's contract), so
-/// degradation is invisible in query replies.
-template <typename Incremental, typename Batch>
-[[nodiscard]] Status query(Server::Session& s, Incremental&& inc,
-                           Batch&& batch, bool* degraded_now) {
-  *degraded_now = false;
-  if (!s.degraded) {
-    const Status st = run_guarded(inc);
-    if (st.ok()) return {};
-    *degraded_now = true;  // caller degrades with st's message
-    const Status fallback = run_guarded(batch);
-    return fallback.ok() ? Status{} : st;
-  }
-  return run_guarded(batch);
-}
-
-}  // namespace
-
-std::string Server::cmd_timing(const Request& req) {
-  std::string err;
-  Session* s = find_session(req, err);
-  if (s == nullptr) return err;
+Server::Reply Server::cmd_timing(const Request& req) {
+  auto found = find_session(req);
+  if (!found.ok()) return reject(found.status());
+  Session& s = **found;
 
   sta::TimingResult timing;
-  const sta::StaOptions& opts = s->timer->options();
-  bool degraded_now = false;
-  const Status st =
-      query(*s, [&] { timing = s->timer->timing(); },
-            [&] { timing = sta::analyze(*s->nl, opts); }, &degraded_now);
-  if (degraded_now) degrade(*s, "timing query tripped the engine");
-  if (!st.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, reply_code(st.code()), st.message());
-  }
+  const Status st = query(
+      s, "timing query", [&] { timing = s.timer->timing(); },
+      [&] { timing = sta::analyze(*s.nl, s.timer->options()); });
+  if (!st.ok()) return reject(st);
   return ok(req, [&](json::Writer& w) {
-    sta::critical_path_json(w, *s->nl, timing);
+    sta::critical_path_json(w, *s.nl, timing);
   });
 }
 
-std::string Server::cmd_slacks(const Request& req) {
-  std::string err;
-  Session* s = find_session(req, err);
-  if (s == nullptr) return err;
+Server::Reply Server::cmd_slacks(const Request& req) {
+  auto found = find_session(req);
+  if (!found.ok()) return reject(found.status());
+  Session& s = **found;
 
   auto buckets = int_param(req.frame, "buckets", 10, 1, 1000);
-  if (!buckets.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                       buckets.status().message());
-  }
+  if (!buckets.ok()) return reject(buckets.status());
   double period = 0.0;
   if (const json::Value* p = req.frame.find("period_tau")) {
     // 1e999 parses to inf; reject it before it buys a slack pass whose
     // reply could only be an `internal` error.
-    if (!p->is_number() || !std::isfinite(p->num) || !(p->num > 0.0)) {
-      bump(&ServerCounters::errors, "serve.errors");
-      return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                         "\"period_tau\" must be a positive finite number");
-    }
+    if (!p->is_number() || !std::isfinite(p->num) || !(p->num > 0.0))
+      return reject(ReplyCode::kInvalidValue,
+                    "\"period_tau\" must be a positive finite number");
     period = p->num;
   }
 
-  const sta::StaOptions& opts = s->timer->options();
+  const sta::StaOptions& opts = s.timer->options();
   std::vector<double> slacks;
-  bool degraded_now = false;
   const Status st = query(
-      *s,
+      s, "slack query",
       [&] {
-        if (period <= 0.0) period = s->timer->timing().min_period_tau;
-        slacks = s->timer->slacks(period);
+        if (period <= 0.0) period = s.timer->timing().min_period_tau;
+        slacks = s.timer->slacks(period);
       },
       [&] {
         if (period <= 0.0)
-          period = sta::analyze(*s->nl, opts).min_period_tau;
-        slacks = sta::net_slacks(*s->nl, opts, period);
-      },
-      &degraded_now);
-  if (degraded_now) degrade(*s, "slack query tripped the engine");
-  if (!st.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, reply_code(st.code()), st.message());
-  }
+          period = sta::analyze(*s.nl, opts).min_period_tau;
+        slacks = sta::net_slacks(*s.nl, opts, period);
+      });
+  if (!st.ok()) return reject(st);
   const sta::SlackHistogramData hist =
       sta::slack_histogram_from_slacks(slacks, buckets.value());
   return ok(req, [&](json::Writer& w) {
@@ -734,29 +661,20 @@ std::string Server::cmd_slacks(const Request& req) {
   });
 }
 
-std::string Server::cmd_top_paths(const Request& req) {
-  std::string err;
-  Session* s = find_session(req, err);
-  if (s == nullptr) return err;
+Server::Reply Server::cmd_top_paths(const Request& req) {
+  auto found = find_session(req);
+  if (!found.ok()) return reject(found.status());
+  Session& s = **found;
 
   auto k = int_param(req.frame, "k", 5, 1, 1000);
-  if (!k.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                       k.status().message());
-  }
-  const sta::StaOptions& opts = s->timer->options();
+  if (!k.ok()) return reject(k.status());
   std::vector<sta::CriticalPath> paths;
-  bool degraded_now = false;
   const Status st = query(
-      *s, [&] { paths = s->timer->top_paths(k.value()); },
-      [&] { paths = sta::top_critical_paths(*s->nl, opts, k.value()); },
-      &degraded_now);
-  if (degraded_now) degrade(*s, "path query tripped the engine");
-  if (!st.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, reply_code(st.code()), st.message());
-  }
+      s, "path query", [&] { paths = s.timer->top_paths(k.value()); },
+      [&] {
+        paths = sta::top_critical_paths(*s.nl, s.timer->options(), k.value());
+      });
+  if (!st.ok()) return reject(st);
 
   return ok(req, [&](json::Writer& w) {
     w.begin_object().key("paths").begin_array();
@@ -766,7 +684,7 @@ std::string Server::cmd_top_paths(const Request& req) {
       w.begin_array();
       for (const sta::PathNode& n : p.nodes) {
         w.begin_object().member("inst", n.inst.value());
-        w.member("name", s->nl->instance(n.inst).name);
+        w.member("name", s.nl->instance(n.inst).name);
         w.member("arrival_tau", n.arrival_tau).end_object();
       }
       w.end_array().end_object();
@@ -775,32 +693,23 @@ std::string Server::cmd_top_paths(const Request& req) {
   });
 }
 
-std::string Server::cmd_qor(const Request& req) {
-  std::string err;
-  Session* s = find_session(req, err);
-  if (s == nullptr) return err;
+Server::Reply Server::cmd_qor(const Request& req) {
+  auto found = find_session(req);
+  if (!found.ok()) return reject(found.status());
+  Session& s = **found;
 
   auto buckets = int_param(req.frame, "buckets", 10, 1, 1000);
-  if (!buckets.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                       buckets.status().message());
-  }
+  if (!buckets.ok()) return reject(buckets.status());
   qor::SnapshotOptions opts;
-  opts.sta = s->timer->options();
+  opts.sta = s.timer->options();
   opts.histogram_buckets = buckets.value();
-  opts.continuous_sizing = s->meth.sizing == core::SizingLevel::kContinuous;
+  opts.continuous_sizing = s.meth.sizing == core::SizingLevel::kContinuous;
 
   qor::QorSnapshot snap;
-  bool degraded_now = false;
   const Status st =
-      query(*s, [&] { snap = qor::capture(*s->timer, opts); },
-            [&] { snap = qor::capture(*s->nl, opts); }, &degraded_now);
-  if (degraded_now) degrade(*s, "qor capture tripped the engine");
-  if (!st.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, reply_code(st.code()), st.message());
-  }
+      query(s, "qor capture", [&] { snap = qor::capture(*s.timer, opts); },
+            [&] { snap = qor::capture(*s.nl, opts); });
+  if (!st.ok()) return reject(st);
   return ok(req, [&](json::Writer& w) {
     qor::write_scalars(w.begin_object(), snap);
     w.key("slack_histogram");
@@ -809,17 +718,15 @@ std::string Server::cmd_qor(const Request& req) {
   });
 }
 
-std::string Server::cmd_lint(const Request& req) {
-  std::string err;
-  Session* s = find_session(req, err);
-  if (s == nullptr) return err;
+Server::Reply Server::cmd_lint(const Request& req) {
+  auto found = find_session(req);
+  if (!found.ok()) return reject(found.status());
+  Session& s = **found;
 
   const std::string mode = req.frame.member_string("mode", "scan");
-  if (mode != "scan" && mode != "dataflow") {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                       "\"mode\" must be \"scan\" or \"dataflow\"");
-  }
+  if (mode != "scan" && mode != "dataflow")
+    return reject(ReplyCode::kInvalidValue,
+                  "\"mode\" must be \"scan\" or \"dataflow\"");
 
   // mode=dataflow: make sure the cached per-session lattice is current.
   // A no-op refresh (counted on lint.dataflow.reuses) is the common case
@@ -827,20 +734,15 @@ std::string Server::cmd_lint(const Request& req) {
   // analysis failure (combinational cycle) the engine stays invalid and
   // the GL-D/GL-X rules are silent, like the batch CLI.
   if (mode == "dataflow") {
-    if (s->dataflow == nullptr)
-      s->dataflow = std::make_unique<lint::DataflowEngine>();
+    if (s.dataflow == nullptr)
+      s.dataflow = std::make_unique<lint::DataflowEngine>();
     const Status refresh_st = run_guarded(
-        [&] { (void)s->dataflow->refresh(*s->nl, {}, options_.threads); });
-    if (!refresh_st.ok()) {
-      bump(&ServerCounters::errors, "serve.errors");
-      return error_reply(req.id_json, reply_code(refresh_st.code()),
-                         refresh_st.message());
-    }
+        [&] { (void)s.dataflow->refresh(*s.nl, {}, options_.threads); });
+    if (!refresh_st.ok()) return reject(refresh_st);
   }
 
   lint::RuleRegistry registry;
   lint::LintReport report;
-  bool degraded_now = false;
   const auto run = [&](double period_tau) {
     registry = lint::default_registry();
     lint::LintConfig config;
@@ -857,41 +759,31 @@ std::string Server::cmd_lint(const Request& req) {
       }
     }
     lint::LintContext ctx;
-    ctx.nl = s->nl.get();
+    ctx.nl = s.nl.get();
     ctx.limits = tech::default_electrical_limits();
     ctx.constraints.period_tau = period_tau;
-    ctx.constraints.skew_fraction = s->timer->options().clock.skew_fraction;
-    if (mode == "dataflow" && s->dataflow != nullptr &&
-        s->dataflow->valid()) {
-      ctx.dataflow = s->dataflow.get();
+    ctx.constraints.skew_fraction = s.timer->options().clock.skew_fraction;
+    if (mode == "dataflow" && s.dataflow != nullptr && s.dataflow->valid()) {
+      ctx.dataflow = s.dataflow.get();
     }
     report = lint::run_lint(registry, ctx, config, options_.threads);
   };
   const Status st = query(
-      *s, [&] { run(s->timer->timing().min_period_tau); },
-      [&] {
-        run(sta::analyze(*s->nl, s->timer->options()).min_period_tau);
-      },
-      &degraded_now);
-  if (degraded_now) degrade(*s, "lint run tripped the engine");
-  if (!st.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, reply_code(st.code()), st.message());
-  }
+      s, "lint run", [&] { run(s.timer->timing().min_period_tau); },
+      [&] { run(sta::analyze(*s.nl, s.timer->options()).min_period_tau); });
+  if (!st.ok()) return reject(st);
   return ok(req, [&](json::Writer& w) {
-    lint::write_json(w, registry, report, s->name);
+    lint::write_json(w, registry, report, s.name);
   });
 }
 
 // --- stats / shutdown ----------------------------------------------------
 
-std::string Server::cmd_stats(const Request& req) {
+Server::Reply Server::cmd_stats(const Request& req) {
   const std::string format = req.frame.member_string("format", "json");
-  if (format != "json" && format != "text") {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                       "\"format\" must be \"json\" or \"text\"");
-  }
+  if (format != "json" && format != "text")
+    return reject(ReplyCode::kInvalidValue,
+                  "\"format\" must be \"json\" or \"text\"");
   if (format == "text") {
     // The Prometheus exposition (docs/observability.md) embedded as one
     // JSON string, so the reply stays a single gap-serve-v1 line. Note
@@ -936,24 +828,17 @@ std::string Server::cmd_stats(const Request& req) {
   });
 }
 
-std::string Server::cmd_dump(const Request& req) {
-  if (options_.journal_dir.empty()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                       "dump needs a journal directory (gapd --journal-dir)");
-  }
+Server::Reply Server::cmd_dump(const Request& req) {
+  if (options_.journal_dir.empty())
+    return reject(ReplyCode::kInvalidValue,
+                  "dump needs a journal directory (gapd --journal-dir)");
   std::string session;
   if (const json::Value* name = req.frame.find("session")) {
-    if (!name->is_string()) {
-      bump(&ServerCounters::errors, "serve.errors");
-      return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                         "\"session\" must be a string");
-    }
-    if (sessions_.count(name->str) == 0) {
-      bump(&ServerCounters::errors, "serve.errors");
-      return error_reply(req.id_json, ReplyCode::kUnknownName,
-                         "no session named '" + name->str + "'");
-    }
+    if (!name->is_string())
+      return reject(ReplyCode::kInvalidValue, "\"session\" must be a string");
+    if (sessions_.count(name->str) == 0)
+      return reject(ReplyCode::kUnknownName,
+                    "no session named '" + name->str + "'");
     session = name->str;
   }
   // The dump request itself is the newest event in the ring, so the file
@@ -971,15 +856,12 @@ std::string Server::cmd_dump(const Request& req) {
 
 // --- dispatch loop -------------------------------------------------------
 
-std::string Server::dispatch(const Request& req, double t0_us) {
+Server::Reply Server::dispatch(const Request& req, double t0_us) {
   // Any request may carry a budget; one that is not a number is a client
   // error, never a silent fall back to the default.
   if (const json::Value* d = req.frame.find("deadline_us");
-      d != nullptr && !d->is_number()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInvalidValue,
-                       "\"deadline_us\" must be a number");
-  }
+      d != nullptr && !d->is_number())
+    return reject(ReplyCode::kInvalidValue, "\"deadline_us\" must be a number");
   if (req.cmd == "load") return cmd_load(req, t0_us);
   if (req.cmd == "edit") return cmd_edit(req, /*undo=*/false, t0_us);
   if (req.cmd == "undo") return cmd_edit(req, /*undo=*/true, t0_us);
@@ -987,7 +869,7 @@ std::string Server::dispatch(const Request& req, double t0_us) {
   // budget story rather than joining the discard-the-reply path below.
   if (req.cmd == "dump") return cmd_dump(req);
 
-  std::string reply;
+  Reply reply;
   if (req.cmd == "timing") reply = cmd_timing(req);
   else if (req.cmd == "slacks") reply = cmd_slacks(req);
   else if (req.cmd == "top_paths") reply = cmd_top_paths(req);
@@ -1001,18 +883,16 @@ std::string Server::dispatch(const Request& req, double t0_us) {
       w.member("sessions", sessions_.size()).end_object();
     });
   } else {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kUnknownName,
-                       "unknown command '" + req.cmd + "'");
+    return reject(ReplyCode::kUnknownName,
+                  "unknown command '" + req.cmd + "'");
   }
   // Read-only commands have no side effects, so an expired budget can
-  // simply discard the computed reply.
+  // simply discard the computed reply, an error reply included: the
+  // client gets (and the counters see) one `deadline` error.
   if (deadline_expired(req, t0_us)) {
-    bump(&ServerCounters::errors, "serve.errors");
     bump(&ServerCounters::deadline_exceeded, "serve.deadline_exceeded");
     flight_event(obs::FlightEventKind::kDeadline, 0, 0, req.cmd);
-    return error_reply(req.id_json, ReplyCode::kDeadline,
-                       "request exceeded its deadline");
+    return reject(ReplyCode::kDeadline, "request exceeded its deadline");
   }
   return reply;
 }
@@ -1046,34 +926,36 @@ std::string Server::handle_line(const std::string& line) {
   const std::uint64_t waves0 = c_waves.value();
 
   bump(&ServerCounters::requests, "serve.requests");
-  std::string reply;
+  Reply reply;
   auto req = parse_request(line, options_.max_frame_bytes);
   if (!req.ok()) {
     if (options_.max_frame_bytes != 0 &&
         line.size() > options_.max_frame_bytes)
       bump(&ServerCounters::oversized_frames, "serve.oversized_frames");
-    bump(&ServerCounters::errors, "serve.errors");
-    reply = error_reply("null", reply_code(req.status().code()),
-                        req.status().message(), req.status().loc());
+    reply = reject(req.status());
   } else {
     // The dispatch itself runs under one more guard: whatever slips
     // through the per-command handling still becomes a reply, never an
     // abort.
     const Status st = run_guarded([&] { reply = dispatch(*req, t0_us); });
-    if (!st.ok()) {
-      bump(&ServerCounters::errors, "serve.errors");
-      reply = error_reply(req->id_json, reply_code(st.code()), st.message());
-    }
+    if (!st.ok()) reply = reject(st);
+  }
+  // The one place a rejection becomes its error reply, and the one place
+  // serve.errors moves: exactly once per error reply.
+  if (reply.line.empty()) {
+    bump(&ServerCounters::errors, "serve.errors");
+    reply.line = error_reply(req.ok() ? req->id_json : "null", reply.code,
+                             reply.message, reply.loc);
   }
 
   h_edits.record(static_cast<double>(counters_.edits_applied - edits0));
   h_waves.record(static_cast<double>(c_waves.value() - waves0));
-  flight_event(obs::FlightEventKind::kRequestEnd, 0, reply.size());
+  flight_event(obs::FlightEventKind::kRequestEnd, 0, reply.line.size());
   h_wall.record(common::tracer().now_us() - t0_us);
   if (options_.expose_every != 0 && req_id % options_.expose_every == 0)
     write_expose();
   cur_req_id_ = 0;
-  return reply;
+  return std::move(reply.line);
 }
 
 namespace {
@@ -1102,7 +984,7 @@ int Server::serve(std::istream& in, std::ostream& out) {
          read_frame_line(in, line, options_.max_frame_bytes)) {
     out << handle_line(line) << '\n' << std::flush;
     if (!out) {
-      rc = 5;  // reader closed the pipe; exit code for I/O
+      rc = kExitIo;  // reader closed the pipe
       break;
     }
   }

@@ -132,25 +132,54 @@ class Server {
   std::vector<std::string> dump_flight(const std::string& session);
 
  private:
-  std::string dispatch(const Request& req, double t0_us);
+  /// A handler's answer: the rendered success line, or the code, message
+  /// and location of a rejection. handle_line renders every rejection
+  /// into its error reply and counts it on serve.errors, so each request
+  /// leaves through one reply site.
+  struct Reply {
+    std::string line;  ///< the success reply; empty when rejected
+    ReplyCode code = ReplyCode::kInternal;
+    std::string message;
+    common::SourceLoc loc;
+  };
+  [[nodiscard]] static Reply reject(ReplyCode code, std::string message,
+                                    common::SourceLoc loc = {});
+  /// The rejection a Status describes, its code mapped onto the wire.
+  [[nodiscard]] static Reply reject(const common::Status& st);
+
+  Reply dispatch(const Request& req, double t0_us);
   /// The success reply for `req`, its result written by `render(Writer&)`
   /// straight into the compact reply. A result holding a non-finite
   /// number is not JSON: the reply is then an `internal` error instead.
   template <typename Render>
-  std::string ok(const Request& req, Render&& render);
+  Reply ok(const Request& req, Render&& render);
 
-  std::string cmd_load(const Request& req, double t0_us);
-  std::string cmd_edit(const Request& req, bool undo, double t0_us);
-  std::string cmd_timing(const Request& req);
-  std::string cmd_slacks(const Request& req);
-  std::string cmd_top_paths(const Request& req);
-  std::string cmd_qor(const Request& req);
-  std::string cmd_lint(const Request& req);
-  std::string cmd_stats(const Request& req);
-  std::string cmd_dump(const Request& req);
+  Reply cmd_load(const Request& req, double t0_us);
+  Reply cmd_edit(const Request& req, bool undo, double t0_us);
+  Reply cmd_timing(const Request& req);
+  Reply cmd_slacks(const Request& req);
+  Reply cmd_top_paths(const Request& req);
+  Reply cmd_qor(const Request& req);
+  Reply cmd_lint(const Request& req);
+  Reply cmd_stats(const Request& req);
+  Reply cmd_dump(const Request& req);
 
-  /// Resolve the request's "session" member; nullptr + error reply set.
-  Session* find_session(const Request& req, std::string& error_out);
+  /// Resolve the request's "session" member (missing_value/unknown_name).
+  common::Result<Session*> find_session(const Request& req);
+  /// Compute a query result with the session's engine of record: `inc`
+  /// on the resident timer normally, `batch` from scratch when degraded.
+  /// Both produce byte-identical numbers (the timer's contract), so
+  /// degradation is invisible in replies. If `inc` trips, the session is
+  /// degraded ("<what> tripped the engine") and `batch` answers instead.
+  template <typename Incremental, typename Batch>
+  common::Status query(Session& s, const char* what, Incremental&& inc,
+                       Batch&& batch);
+  /// Apply one committed edit, live or replayed from the journal: spend
+  /// its seq, run the engine, keep the dataflow lattice in sync, then
+  /// push the inverse onto the undo stack (capped), or pop it for an
+  /// undo. Returns the inverse, or the engine's failure.
+  common::Result<sta::Edit> apply_edit(Session& s, const sta::Edit& edit,
+                                       bool undo);
   void degrade(Session& s, const std::string& why);
   [[nodiscard]] std::string journal_path(const std::string& session) const;
   /// True once the request's budget ("deadline_us", else the server

@@ -317,6 +317,31 @@ TEST(ServeRobustness, NonNumericDeadlineIsInvalidValue) {
   }
 }
 
+TEST(ServeRobustness, ErrorReplyCountsOnce) {
+  // A read that fails (unknown session) and also overruns its budget is
+  // answered with one `deadline` reply, and that one reply moves
+  // `errors` once.
+  Server server({});
+  for (const char* cmd : {"timing", "slacks"}) {
+    const ServerCounters before = server.counters();
+    const std::string reply = server.handle_line(
+        std::string("{\"id\":4,\"cmd\":\"") + cmd +
+        "\",\"session\":\"nosuch\",\"deadline_us\":1e-9}");
+    EXPECT_EQ(reply,
+              "{\"serve\":\"gap-serve-v1\",\"id\":4,\"ok\":false,"
+              "\"error\":{\"code\":\"deadline\",\"message\":"
+              "\"request exceeded its deadline\"}}")
+        << cmd;
+    EXPECT_EQ(server.counters().errors - before.errors, 1u) << cmd;
+    EXPECT_EQ(server.counters().deadline_exceeded - before.deadline_exceeded,
+              1u)
+        << cmd;
+  }
+  const Value stats = checked_reply(server.handle_line("{\"cmd\":\"stats\"}"));
+  EXPECT_EQ(stats.find("result")->find("counters")->member_number("errors", -1),
+            2.0);
+}
+
 TEST(ServeRobustness, OversizedFramesAreBoundedAndCounted) {
   ServerOptions opt;
   opt.max_frame_bytes = 256;
@@ -432,6 +457,21 @@ std::uint64_t arrival_passes() {
   return common::metrics().counter("sta.arrival_passes").value();
 }
 
+/// One frame per read class, labeled: every query command, and lint in
+/// both modes.
+std::vector<std::pair<std::string, std::string>> read_classes(
+    const std::string& session) {
+  return {
+      {"timing", query_frame("timing", session)},
+      {"slacks", query_frame("slacks", session)},
+      {"top_paths", query_frame("top_paths", session)},
+      {"qor", query_frame("qor", session)},
+      {"lint scan", query_frame("lint", session)},
+      {"lint dataflow", "{\"id\":0,\"cmd\":\"lint\",\"session\":\"" +
+                            session + "\",\"mode\":\"dataflow\"}"},
+  };
+}
+
 TEST(ServeWork, ResidentQueriesRunNoFullSweep) {
   // Every query on a healthy session answers from the resident timer's
   // state: after an edit, the dirty cone is re-timed incrementally and
@@ -439,17 +479,7 @@ TEST(ServeWork, ResidentQueriesRunNoFullSweep) {
   Server server({});
   ASSERT_TRUE(reply_ok(server.handle_line(load_frame("m", "mac16"))));
   ASSERT_TRUE(reply_ok(server.handle_line(drive_frame("m", 3, 2.5))));
-  const std::vector<std::pair<std::string, std::string>> queries = {
-      {"timing", query_frame("timing", "m")},
-      {"slacks", query_frame("slacks", "m")},
-      {"top_paths", query_frame("top_paths", "m")},
-      {"qor", query_frame("qor", "m")},
-      {"lint scan", query_frame("lint", "m")},
-      {"lint dataflow",
-       "{\"id\":0,\"cmd\":\"lint\",\"session\":\"m\",\"mode\":"
-       "\"dataflow\"}"},
-  };
-  for (const auto& [what, frame] : queries) {
+  for (const auto& [what, frame] : read_classes("m")) {
     const std::uint64_t before = arrival_passes();
     const std::string reply = server.handle_line(frame);
     EXPECT_TRUE(reply_ok(reply)) << what << ": " << reply;
@@ -459,9 +489,10 @@ TEST(ServeWork, ResidentQueriesRunNoFullSweep) {
 }
 
 TEST(ServeWork, DegradedTimingReplyMatchesResident) {
-  // A degraded session answers from a from-scratch analysis; the path's
-  // arrivals travel in its TimingResult exactly as in the resident
-  // timer's, so the two replies are the same bytes.
+  // A degraded session answers every read class from a from-scratch
+  // analysis, and each reply is the same bytes as its resident twin's
+  // (for timing: the path's arrivals travel in the batch TimingResult
+  // exactly as in the resident timer's).
   const std::string dir = temp_dir("degraded_timing");
   {
     ServerOptions opt;
@@ -491,13 +522,16 @@ TEST(ServeWork, DegradedTimingReplyMatchesResident) {
   ASSERT_TRUE(reply_ok(resident.handle_line(load_frame("m", "mac16"))));
   ASSERT_TRUE(reply_ok(resident.handle_line(drive_frame("m", 3, 2.5))));
 
-  const std::uint64_t before = arrival_passes();
-  const std::string from_scratch =
-      degraded.handle_line(query_frame("timing", "m"));
-  // The fallback is a batch analysis: exactly one full pass.
-  EXPECT_EQ(arrival_passes() - before, 1u);
-  ASSERT_TRUE(reply_ok(from_scratch)) << from_scratch;
-  EXPECT_EQ(from_scratch, resident.handle_line(query_frame("timing", "m")));
+  for (const auto& [what, frame] : read_classes("m")) {
+    const std::uint64_t before = arrival_passes();
+    const std::string from_scratch = degraded.handle_line(frame);
+    // The timing fallback is a batch analysis: exactly one full pass.
+    if (what == "timing") {
+      EXPECT_EQ(arrival_passes() - before, 1u);
+    }
+    ASSERT_TRUE(reply_ok(from_scratch)) << what << ": " << from_scratch;
+    EXPECT_EQ(from_scratch, resident.handle_line(frame)) << what;
+  }
 }
 
 // --- kill and recover ----------------------------------------------------
@@ -687,6 +721,7 @@ TEST(ServeSoak, TenThousandRequestsPlusGarbageStayConsistent) {
                                                "top_paths", "stats"};
   std::vector<std::string> acked_edits;
   int scripted = 0, garbage = 0;
+  std::uint64_t error_replies = 0;
 
   const auto scripted_frame = [&]() -> std::string {
     ++scripted;
@@ -739,12 +774,15 @@ TEST(ServeSoak, TenThousandRequestsPlusGarbageStayConsistent) {
       const auto req = parse_request(frame, 0);
       if (req.ok() && (req->cmd == "edit" || req->cmd == "undo"))
         acked_edits.push_back(frame);
+    } else {
+      ++error_replies;
     }
   }
   EXPECT_GE(scripted, 10000);
   EXPECT_GE(garbage, 1000);
   EXPECT_EQ(server.counters().requests,
             static_cast<std::uint64_t>(kTotal) + 1);
+  EXPECT_EQ(server.counters().errors, error_replies);
 
   // Bounded-growth invariants (the RSS proxies): per-session diagnostics
   // and undo history are capped, and the session never degraded.
