@@ -45,8 +45,8 @@ std::vector<int> thread_grid() {
   return grid;
 }
 
-/// GAP_BENCH_QUICK=1 shrinks the workloads so the CI job (ci.yml)
-/// finishes in minutes; the determinism check runs either way.
+/// GAP_BENCH_QUICK=1 shrinks the workloads so the bench gate
+/// (tools/check.sh bench) finishes in minutes; the determinism check runs either way.
 bool quick_mode() { return std::getenv("GAP_BENCH_QUICK") != nullptr; }
 
 }  // namespace

@@ -233,8 +233,8 @@ BENCHMARK(BM_MonteCarloStaCompact)->Arg(20)->Arg(100);
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): GAP_BENCH_QUICK=1 caps the
-// per-benchmark measuring time so the CI snapshot job (ci.yml) finishes
-// in minutes; an explicit --benchmark_min_time on the command line wins.
+// per-benchmark measuring time so the bench gate (tools/check.sh bench)
+// finishes in minutes; an explicit --benchmark_min_time on the command line wins.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   static std::string quick_min_time = "--benchmark_min_time=0.05";

@@ -24,7 +24,9 @@ using netlist::Netlist;
 using netlist::StructuralViolation;
 using netlist::VerilogViolation;
 
-/// Shortest round-trippable rendering of a double (matches the writers).
+/// Compact `%g` rendering of a double for finding messages: at most 6
+/// significant digits, so not round-trippable and not what the JSON
+/// writer emits (`%.17g`-exact via `to_chars`).
 std::string num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%g", v);

@@ -377,25 +377,35 @@ TEST(DriverRunTest, QorOutWithMetricsOutCarriesMetricDeltas) {
 TEST(DriverRunTest, StaModeDoesNotChangeOutputOrManifest) {
   const std::string qi = "driver_test_sta_inc.json";
   const std::string qf = "driver_test_sta_full.json";
-  const RunCapture ri = invoke({"--design", "alu16", "--sta", "incremental",
-                                "--qor-out", qi});
-  const RunCapture rf = invoke({"--design", "alu16", "--sta", "full",
-                                "--qor-out", qf});
-  ASSERT_EQ(ri.code, 0) << ri.err;
-  ASSERT_EQ(rf.code, 0) << rf.err;
   const auto slurp = [](const std::string& path) {
     std::ifstream is(path);
     std::ostringstream ss;
     ss << is.rdbuf();
     return ss.str();
   };
-  // The incremental timer's byte-identity contract, end to end: the
-  // human report and the QoR manifest cannot depend on the engine.
-  EXPECT_EQ(ri.out.substr(0, ri.out.find("wrote ")),
-            rf.out.substr(0, rf.out.find("wrote ")));
-  const std::string a = slurp(qi);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, slurp(qf));
+  // A plain flow, and a Monte Carlo signoff whose variation section is
+  // timed by the same engine.
+  const std::vector<std::vector<std::string>> designs = {
+      {"--design", "alu16"}, {"--design", "mac16", "--mc", "8"}};
+  for (const std::vector<std::string>& design : designs) {
+    const auto run = [&](const char* sta, const std::string& qor) {
+      std::vector<std::string> args = design;
+      args.insert(args.end(), {"--sta", sta, "--qor-out", qor});
+      return invoke(args);
+    };
+    const RunCapture ri = run("incremental", qi);
+    const RunCapture rf = run("full", qf);
+    ASSERT_EQ(ri.code, 0) << ri.err;
+    ASSERT_EQ(rf.code, 0) << rf.err;
+    // The incremental timer's byte-identity contract, end to end: the
+    // human report and the QoR manifest cannot depend on the engine.
+    EXPECT_EQ(ri.out.substr(0, ri.out.find("wrote ")),
+              rf.out.substr(0, rf.out.find("wrote ")))
+        << design[1];
+    const std::string a = slurp(qi);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(a, slurp(qf)) << design[1];
+  }
   std::remove(qi.c_str());
   std::remove(qf.c_str());
 }

@@ -84,23 +84,42 @@ class Golden : public ::testing::Test {
   }
 };
 
+/// Thread counts every thread-invariant golden is regenerated at: each
+/// run must match the one committed file.
+const char* const kThreadCounts[] = {"1", "8"};
+
 TEST_F(Golden, GapflowMac16MonteCarloManifestAndMetrics) {
   const std::string qor = scratch("mac16_mc8.qor.json");
   const std::string metrics = scratch("mac16_mc8.metrics.json");
-  ASSERT_EQ(gapflow({"--design", "mac16", "--mc", "8", "--qor-out", qor,
-                     "--metrics-out", metrics}),
-            0);
-  expect_bytes(golden("gapflow/mac16_mc8.qor.json"), slurp(qor),
-               "mac16 --mc 8 manifest");
-  expect_bytes(golden("gapflow/mac16_mc8.metrics.json"), slurp(metrics),
-               "mac16 --mc 8 metrics");
+  // Default --sta only: under --sta full the metric deltas legitimately
+  // differ (the engines do different work for the same numbers).
+  for (const char* threads : kThreadCounts) {
+    const std::string what = std::string("mac16 --mc 8 --threads ") + threads;
+    ASSERT_EQ(gapflow({"--design", "mac16", "--mc", "8", "--threads", threads,
+                       "--qor-out", qor, "--metrics-out", metrics}),
+              0)
+        << what;
+    expect_bytes(golden("gapflow/mac16_mc8.qor.json"), slurp(qor),
+                 what + " manifest");
+    expect_bytes(golden("gapflow/mac16_mc8.metrics.json"), slurp(metrics),
+                 what + " metrics");
+  }
 }
 
 TEST_F(Golden, GapflowAlu16Manifest) {
   const std::string qor = scratch("alu16.qor.json");
-  ASSERT_EQ(gapflow({"--design", "alu16", "--qor-out", qor}), 0);
-  expect_bytes(golden("gapflow/alu16.qor.json"), slurp(qor),
-               "alu16 manifest");
+  // The manifest depends on neither the STA engine nor the thread count.
+  for (const char* sta : {"incremental", "full"}) {
+    for (const char* threads : kThreadCounts) {
+      const std::string what = std::string("alu16 --sta ") + sta +
+                               " --threads " + threads + " manifest";
+      ASSERT_EQ(gapflow({"--design", "alu16", "--sta", sta, "--threads",
+                         threads, "--qor-out", qor}),
+                0)
+          << what;
+      expect_bytes(golden("gapflow/alu16.qor.json"), slurp(qor), what);
+    }
+  }
 }
 
 TEST_F(Golden, GapflowAlu16TimingReport) {
@@ -141,16 +160,21 @@ TEST_P(GaplintGolden, TextJsonAndSarifReports) {
   }
   args.emplace_back("--config");
   args.push_back(base + ".toml");
+  // Unwaived error findings exit 1 (docs/static-analysis.md).
+  const int want_code = fixture == "cdc" || fixture == "broken" ? 1 : 0;
   const std::pair<const char*, const char*> formats[] = {
       {"text", "txt"}, {"json", "json"}, {"sarif", "sarif"}};
   for (const auto& [format, ext] : formats) {
-    std::vector<std::string> run_args = args;
-    run_args.emplace_back("--format");
-    run_args.emplace_back(format);
-    const LintRun r = gaplint(run_args);
-    EXPECT_TRUE(r.code == 0 || r.code == 1) << fixture << " " << format;
-    expect_bytes(golden("gaplint/" + fixture + "." + ext), r.out,
-                 fixture + " " + format + " report");
+    for (const char* threads : kThreadCounts) {
+      std::vector<std::string> run_args = args;
+      run_args.insert(run_args.end(),
+                      {"--format", format, "--threads", threads});
+      const std::string what = fixture + " " + format + " --threads " + threads;
+      const LintRun r = gaplint(run_args);
+      EXPECT_EQ(r.code, want_code) << what;
+      expect_bytes(golden("gaplint/" + fixture + "." + ext), r.out,
+                   what + " report");
+    }
   }
 }
 

@@ -3,9 +3,10 @@
 /// and its wall-section segregation, the flight-recorder ring (wrap,
 /// drop accounting, concurrent record vs snapshot), gap-flight-v1 dump
 /// schema and deterministic stripping, atomic snapshot writes, gapstat
-/// show/diff/agg, wavefront-profile determinism across capture paths,
-/// and twin gapd servers whose telemetry must byte-match at --threads 1
-/// vs 8 (the determinism contract of docs/observability.md).
+/// show/diff/agg (also over the committed examples/obs fixtures),
+/// wavefront-profile determinism across capture paths, and twin gapd
+/// servers whose telemetry must byte-match at --threads 1 vs 8 (the
+/// determinism contract of docs/observability.md).
 
 #include <gtest/gtest.h>
 
@@ -257,7 +258,7 @@ TEST(Flight, EmptyDetailRecordsEmptyView) {
 TEST(Flight, ConcurrentRecordersNeverTearSnapshots) {
   // Hammer the ring from several threads while a reader snapshots; every
   // surviving event must be internally consistent (value == req_id, the
-  // writer's invariant). Run under TSan in CI (tools/check.sh obs).
+  // writer's invariant). Run under TSan by tools/check.sh tsan.
   FlightRecorder rec(64);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -454,6 +455,36 @@ TEST(GapStat, ExitCodesForBadInput) {
   EXPECT_EQ(gapstat({"show", dir + "/garbage.json", "--format", "xml"},
                     nullptr),
             kStatExitUsage);
+}
+
+/// The committed examples/obs fixtures (a gapd exposition snapshot and a
+/// flight dump) stay readable by gapstat, and --strict trips, exit 1 and
+/// not a crash, on one perturbed counter.
+TEST(GapStat, CommittedFixturesShowAggAndStrictDiff) {
+  const std::string fixtures = std::string(GAP_SOURCE_DIR) + "/examples/obs";
+  const std::string prom = fixtures + "/metrics.prom";
+  std::string text;
+  EXPECT_EQ(gapstat({"show", prom}, &text), kStatExitOk);
+  EXPECT_NE(text.find("gap_serve_requests"), std::string::npos) << text;
+  EXPECT_EQ(gapstat({"show", fixtures + "/s1.flight.json"}, nullptr),
+            kStatExitOk);
+  EXPECT_EQ(gapstat({"agg", prom, prom}, nullptr), kStatExitOk);
+  EXPECT_EQ(gapstat({"diff", prom, prom, "--strict"}, &text), kStatExitOk);
+  EXPECT_NE(text.find("no differences"), std::string::npos) << text;
+
+  const std::string original = read_file(prom);
+  const std::string line = "\ngap_serve_requests ";
+  const std::size_t at = original.find(line);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value = at + line.size();
+  std::string perturbed = original;
+  perturbed.replace(value, original.find('\n', value) - value, "999999");
+  const std::string dir = temp_dir("stat_fixtures");
+  write_file(dir + "/perturbed.prom", perturbed);
+  EXPECT_EQ(gapstat({"diff", prom, dir + "/perturbed.prom", "--strict"},
+                    &text),
+            kStatExitDiff);
+  EXPECT_NE(text.find("999999"), std::string::npos) << text;
 }
 
 // --- wavefront profile ---------------------------------------------------

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# tools/check.sh — build & test gate for the parallel execution layer and
-# the robustness (fault-injection) layer.
+# tools/check.sh — the sanitizer and benchmark gates. CI runs each mode
+# as one step (.github/workflows/ci.yml), so a local run checks exactly
+# what CI checks.
 #
 #   tools/check.sh          # TSan pass + ASan/UBSan pass
 #   tools/check.sh tsan     # ThreadSanitizer pass only
-#   tools/check.sh asan     # ASan/UBSan fault-injection pass only
+#   tools/check.sh asan     # ASan/UBSan pass only
 #   tools/check.sh bench    # quick benchmarks + strict gate vs BENCH_baseline.json
-#   tools/check.sh obs      # observability suite (ctest -L obs) under TSan
 #   tools/check.sh all      # both sanitizer passes + regular build + full ctest
 #
 # Each mode's wall-clock duration is printed at exit, so slow gates are
@@ -15,18 +15,20 @@
 # The ThreadSanitizer pass: gap::common::ThreadPool and its consumers
 # (MC-STA, parameter sweeps, variation binning, incremental-STA
 # wavefronts) must be race-free at any thread count, not merely
-# deterministic.
+# deterministic; so must the observability layer (ctest -L obs: the
+# flight recorder's seqlock ring, the telemetry counters on the STA hot
+# path, gapd's SIGTERM drain).
 #
 # The ASan/UBSan pass: the untrusted-input readers must reject hundreds of
 # mutated Liberty/Verilog inputs and argv mutants of every CLI without
 # aborting AND without any latent memory or UB errors masked by a clean
 # exit; the JSON Writer, the golden artifacts it renders, the gapd server
 # suite, the STA oracle suite and the CLI suites run under the same fatal
-# UBSan.
+# UBSan, and so does a real gapd that is SIGKILLed mid-burst and
+# recovered from its journal (tools/serve_kill_recover.py).
 #
-# Build trees default to build-tsan / build-asan / build-bench /
-# build-obs next to the primary build/, overridable so CI and local runs
-# never collide:
+# Build trees default to build-tsan / build-asan / build-bench next to
+# the primary build/, overridable so CI and local runs never collide:
 #
 #   GAP_BUILD_TSAN=/tmp/ci-tsan GAP_BUILD_ASAN=/tmp/ci-asan tools/check.sh
 
@@ -35,9 +37,9 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-sanitizers}"
 case "$MODE" in
-  sanitizers|tsan|asan|bench|obs|all) ;;
+  sanitizers|tsan|asan|bench|all) ;;
   *)
-    echo "check.sh: unknown mode '$MODE' (expected: tsan | asan | bench | obs | all)" >&2
+    echo "check.sh: unknown mode '$MODE' (expected: tsan | asan | bench | all)" >&2
     exit 2
     ;;
 esac
@@ -61,7 +63,6 @@ JOBS="${JOBS:-$(nproc)}"
 BUILD_TSAN="${GAP_BUILD_TSAN:-build-tsan}"
 BUILD_ASAN="${GAP_BUILD_ASAN:-build-asan}"
 BUILD_BENCH="${GAP_BUILD_BENCH:-build-bench}"
-BUILD_OBS="${GAP_BUILD_OBS:-build-obs}"
 
 # Per-mode wall clock, printed even when a gate fails partway through.
 MODE_TIMES=""
@@ -81,22 +82,29 @@ timed() {
 }
 
 run_tsan() {
+  export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   local suites="parallel_test sta_test incremental_sta_test soa_graph_test"
   echo "== ThreadSanitizer build ($BUILD_TSAN) =="
   cmake -B "$BUILD_TSAN" -S . -DGAP_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   # shellcheck disable=SC2086  # word splitting of $suites is intended
-  cmake --build "$BUILD_TSAN" -j "$JOBS" --target $suites
+  cmake --build "$BUILD_TSAN" -j "$JOBS" --target $suites obs_test gapd
 
   for suite in $suites; do
     echo "== $suite under TSan =="
-    TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" "$BUILD_TSAN/tests/$suite"
+    "$BUILD_TSAN/tests/$suite"
   done
+
+  # obs_test plus the out-of-process SIGTERM drain of the TSan gapd.
+  echo "== obs-labeled suite under TSan (ctest -L obs) =="
+  ctest --test-dir "$BUILD_TSAN" -L obs --output-on-failure -j "$JOBS"
 }
 
 run_asan() {
+  require python3 "needed by tools/serve_kill_recover.py"
   # UBSan recovers and keeps going by default; make every finding fatal.
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
+  export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}"
   # The readers' fault-injection corpus and argv mutants, the JSON Writer
   # and every golden artifact rendered through it, the gapd server suite,
   # the STA oracle suite, and the CLIs' own argv paths.
@@ -107,19 +115,22 @@ run_asan() {
   cmake -B "$BUILD_ASAN" -S . -DGAP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   # shellcheck disable=SC2086  # word splitting of $suites is intended
-  cmake --build "$BUILD_ASAN" -j "$JOBS" --target $suites
+  cmake --build "$BUILD_ASAN" -j "$JOBS" --target $suites gapd
 
   for suite in $suites; do
     echo "== $suite under ASan/UBSan =="
-    ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-      "$BUILD_ASAN/tests/$suite"
+    "$BUILD_ASAN/tests/$suite"
   done
+
+  echo "== gapd SIGKILL mid-burst + journal recovery under ASan/UBSan =="
+  python3 tools/serve_kill_recover.py "$BUILD_ASAN/gapd"
 }
 
-# The bench gate, exactly as CI runs it: quick-mode microbenchmarks in a
-# Release tree, compared strictly against the committed baseline. A >15%
-# regression on any benchmark exits non-zero. After an intentional perf
-# change, refresh the baseline (docs/benchmarks.md):
+# The bench gate: quick-mode microbenchmarks in a Release tree, compared
+# strictly against the committed baseline, plus the parallel-scaling
+# bench, whose bit-identity check exits non-zero on any thread-count
+# dependence. A >15% regression on any benchmark exits non-zero. After an
+# intentional perf change, refresh the baseline (docs/benchmarks.md):
 #
 #   python3 tools/bench_compare.py build-bench/BENCH_local.json \
 #     --baseline BENCH_baseline.json --write-baseline
@@ -127,7 +138,8 @@ run_bench() {
   require python3 "needed by tools/bench_compare.py"
   echo "== bench gate build ($BUILD_BENCH) =="
   cmake -B "$BUILD_BENCH" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$BUILD_BENCH" -j "$JOBS" --target bench_perf_tools
+  cmake --build "$BUILD_BENCH" -j "$JOBS" \
+    --target bench_perf_tools bench_parallel_scaling
 
   echo "== bench_perf_tools (quick mode) =="
   GAP_BENCH_QUICK=1 "$BUILD_BENCH/bench/bench_perf_tools" \
@@ -135,34 +147,18 @@ run_bench() {
     --benchmark_out="$BUILD_BENCH/BENCH_local.json" \
     --benchmark_out_format=json
 
+  echo "== bench_parallel_scaling (quick mode, determinism check) =="
+  GAP_BENCH_QUICK=1 "$BUILD_BENCH/bench/bench_parallel_scaling"
+
   echo "== strict compare vs BENCH_baseline.json =="
   python3 tools/bench_compare.py "$BUILD_BENCH/BENCH_local.json" \
     --baseline BENCH_baseline.json --threshold 0.15 --strict
-}
-
-# The observability gate: the obs-labeled suite (exposition rendering,
-# flight-recorder wraparound and concurrent-writer snapshots, gapstat,
-# wavefront profiling, gapd telemetry determinism, the out-of-process
-# SIGTERM drain) under ThreadSanitizer. The flight recorder's seqlock
-# ring and the telemetry counters on the STA hot path claim race-freedom,
-# not just determinism — TSan is what makes that claim load-bearing
-# (docs/observability.md).
-run_obs() {
-  echo "== observability build ($BUILD_OBS, TSan) =="
-  cmake -B "$BUILD_OBS" -S . -DGAP_SANITIZE=thread \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$BUILD_OBS" -j "$JOBS" --target obs_test gapd
-
-  echo "== obs-labeled suite under TSan (ctest -L obs) =="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    ctest --test-dir "$BUILD_OBS" -L obs --output-on-failure -j "$JOBS"
 }
 
 case "$MODE" in
   tsan) timed tsan run_tsan ;;
   asan) timed asan run_asan ;;
   bench) timed bench run_bench ;;
-  obs) timed obs run_obs ;;
   sanitizers)
     timed tsan run_tsan
     timed asan run_asan
@@ -170,7 +166,6 @@ case "$MODE" in
   all)
     timed tsan run_tsan
     timed asan run_asan
-    timed obs run_obs
     run_full() {
       echo "== regular build + full test suite =="
       cmake -B build -S .
