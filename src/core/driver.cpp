@@ -65,11 +65,6 @@ std::vector<cl::Flag> flag_table(DriverArgs& a) {
       cl::number_flag("--threads", a.threads, "N", {0, 1024},
                       "fan-out thread count (0 = all cores); results are "
                       "identical at any setting"),
-      cl::choice_flag("--sta", a.sta_incremental,
-                      {{"incremental", true}, {"full", false}},
-                      "re-time sizing moves and sign-off through a resident "
-                      "incremental timer (default) or from scratch; results "
-                      "are byte-identical (docs/incremental-sta.md)"),
       cl::switch_flag("--diagnostics", a.diagnostics,
                       "dump the per-stage flow report"),
       cl::switch_flag("--lint", a.lint,
@@ -210,11 +205,10 @@ qor::RunManifest build_manifest(const DriverArgs& args, const Methodology& m,
     ms.name = s.name;
     ms.status = to_string(s.status);
     ms.diagnostics = s.diagnostics.size();
-    // Counter deltas describe which engine did the work (e.g. the
-    // incremental timer's wavefront counters vs full re-analyses), not
-    // the design's QoR, so they belong in the manifest only on an
-    // observability run: plain manifests stay byte-comparable across
-    // --sta modes, and the CI incremental-vs-full cmp relies on that.
+    // Counter deltas describe the work the engines did, not the design's
+    // QoR, so they belong in the manifest only on an observability run:
+    // plain manifests stay byte-equal to the committed goldens and to
+    // earlier runs.
     if (!args.metrics_out.empty()) ms.metric_deltas = s.metric_deltas;
     ms.qor = s.qor;
     man.stages.push_back(std::move(ms));
@@ -385,7 +379,6 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   FlowOptions fopt;
   fopt.lint = args.lint;
   fopt.lint_dataflow = args.lint_dataflow;
-  fopt.incremental_sta = args.sta_incremental;
   if (!args.qor_out.empty()) {
     fopt.qor.enabled = true;
     fopt.qor.mc_samples = args.mc_samples;

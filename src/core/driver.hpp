@@ -40,10 +40,6 @@ struct DriverArgs {
   int threads = 0;
   bool macro_style = false;
   bool scan = false;
-  /// --sta incremental|full: size/sign-off through the resident
-  /// incremental timer (default) or from-scratch analyses. Results are
-  /// byte-identical either way; only the work per re-time differs.
-  bool sta_incremental = true;
   bool list_designs = false;
   bool diagnostics = false;  ///< dump the per-stage FlowReport
   bool lint = false;          ///< run the gap::lint gate after mapping

@@ -33,20 +33,30 @@ common::Diagnostic make_diag(common::ErrorCode code, std::string msg,
   return d;
 }
 
-/// Runs each stage body under a timing + failure guard and appends a
-/// StageReport. Once a stage fails, later stages are skipped unless the
-/// options ask for best-effort continuation (and even then, a stage whose
-/// input data never materialised stays skipped via its `runnable` flag).
+/// Append netlist::verify findings to the stage; any violation fails it.
+void verify_into(StageReport& sr, const netlist::Netlist& nl,
+                 const std::string& stage) {
+  const netlist::CheckResult check = netlist::verify(nl);
+  for (const common::Diagnostic& d : check.diagnostics) {
+    common::Diagnostic copy = d;
+    copy.where = "flow:" + stage + "/" + copy.where;
+    sr.diagnostics.push_back(std::move(copy));
+  }
+}
+
+/// Runs each stage body under a timing + failure guard that turns
+/// GAP_EXPECTS/GAP_ENSURES failures into kContract diagnostics, and
+/// appends a StageReport. Once a stage fails, every later stage is
+/// reported kSkipped, as is a stage that is not `runnable`.
 class StageRunner {
  public:
-  StageRunner(FlowReport& report, const FlowOptions& opt)
-      : report_(report), opt_(opt) {}
+  explicit StageRunner(FlowReport& report) : report_(report) {}
 
   template <typename Body>
   bool run(const std::string& name, bool runnable, Body&& body) {
     StageReport sr;
     sr.name = name;
-    if (!runnable || (failed_ && !opt_.continue_after_failure)) {
+    if (!runnable || failed_) {
       sr.status = StageStatus::kSkipped;
       report_.stages.push_back(std::move(sr));
       return false;
@@ -55,12 +65,8 @@ class StageRunner {
     const auto t0 = std::chrono::steady_clock::now();
     try {
       const common::TraceSpan stage_span("flow::", name);
-      if (opt_.capture_contract_failures) {
-        const ScopedContractCapture guard;
-        body(sr);
-      } else {
-        body(sr);
-      }
+      const ScopedContractCapture guard;
+      body(sr);
     } catch (const ContractViolation& v) {
       sr.diagnostics.push_back(
           make_diag(common::ErrorCode::kContract, v.what(), name));
@@ -87,21 +93,8 @@ class StageRunner {
     return ok;
   }
 
-  /// Append netlist::verify findings to the stage; any violation fails it.
-  void verify_into(StageReport& sr, const netlist::Netlist& nl,
-                   const std::string& stage) const {
-    if (!opt_.verify_between_stages) return;
-    const netlist::CheckResult check = netlist::verify(nl);
-    for (const common::Diagnostic& d : check.diagnostics) {
-      common::Diagnostic copy = d;
-      copy.where = "flow:" + stage + "/" + copy.where;
-      sr.diagnostics.push_back(std::move(copy));
-    }
-  }
-
  private:
   FlowReport& report_;
-  const FlowOptions& opt_;
   bool failed_ = false;
 };
 
@@ -218,13 +211,13 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   runs.add();
   const library::CellLibrary& lib = library_for(m.library);
   FlowResult result;
-  StageRunner stages(result.report, opt);
+  StageRunner stages(result.report);
   const sta::StaOptions sta_opt = signoff_sta_options(m);
 
-  // Resident incremental timer, created by the size stage and shared with
-  // sign-off and the QoR captures after it (FlowOptions::incremental_sta).
-  // It references *result.nl, whose address is stable once the pipeline
-  // stage allocates it.
+  // Resident incremental timer, created by the size stage: TILOS re-times
+  // each move through it, and sign-off and the QoR captures after it
+  // answer from the same cached state. It references *result.nl, whose
+  // address is stable once the pipeline stage allocates it.
   std::optional<sta::IncrementalTimer> timer;
 
   // QoR capture runs after a stage's guard (and outside its timer), on
@@ -235,7 +228,6 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
     if (!opt.qor.enabled || !ok || nl == nullptr) return;
     qor::SnapshotOptions so;
     so.sta = sta_opt;
-    so.histogram_buckets = opt.qor.histogram_buckets;
     so.continuous_sizing =
         m.sizing == SizingLevel::kContinuous && lib.continuous_sizing;
     if (with_mc) {
@@ -257,7 +249,7 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
                                      : library::Family::kStatic;
     mapped = synth::map_to_netlist(design, lib, map_opt,
                                    design.po_name(0) + "_impl");
-    stages.verify_into(sr, *mapped, "map");
+    verify_into(sr, *mapped, "map");
     if (!sr.diagnostics.empty()) mapped.reset();
   });
   capture_qor(ok, mapped ? &*mapped : nullptr);
@@ -311,7 +303,7 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
         pipeline::pipeline_insert(*mapped, pipe_opt);
     result.nl = std::make_shared<netlist::Netlist>(std::move(piped.nl));
     result.pipeline_registers = piped.registers_added;
-    stages.verify_into(sr, *result.nl, "pipeline");
+    verify_into(sr, *result.nl, "pipeline");
     if (!sr.diagnostics.empty()) result.nl.reset();
   });
   capture_qor(ok, result.nl.get());
@@ -330,7 +322,7 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
     const place::PlaceResult placed = place::place(*result.nl, place_opt);
     result.die_w_um = placed.die_w_um;
     result.die_h_um = placed.die_h_um;
-    stages.verify_into(sr, *result.nl, "place");
+    verify_into(sr, *result.nl, "place");
   });
   capture_qor(ok, result.nl.get());
   ok = stages.run("route", have_nl, [&](StageReport&) {
@@ -350,15 +342,12 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
                sizing::insert_buffers(nl, 96.0);
                sizing::initial_drive_assignment(nl);
                sizing::SizingOptions size_opt;
-               size_opt.sta = sta_opt;
                size_opt.continuous = m.sizing == SizingLevel::kContinuous &&
                                      lib.continuous_sizing;
                size_opt.continuous_step = 1.25;
-               size_opt.incremental = opt.incremental_sta;
-               if (opt.incremental_sta) timer.emplace(nl, sta_opt);
+               timer.emplace(nl, sta_opt);
                const sizing::SizingResult sized =
-                   timer ? sizing::tilos_size(*timer, size_opt)
-                         : sizing::tilos_size(nl, size_opt);
+                   sizing::tilos_size(*timer, size_opt);
                result.sizing_moves = sized.moves;
                if (m.sizing == SizingLevel::kContinuous) {
                  // Custom teams also size wires (section 6: "wires may be
@@ -368,9 +357,9 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
                  wopt.sta = sta_opt;
                  sizing::widen_critical_wires(nl, wopt);
                  // Wire widths changed behind the timer's back.
-                 if (timer) timer->invalidate_all();
+                 timer->invalidate_all();
                }
-               stages.verify_into(sr, nl, "size");
+               verify_into(sr, nl, "size");
              });
   capture_qor(ok, result.nl.get());
 
@@ -410,7 +399,8 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   }
 
   // 5. Sign-off timing, answered by the resident timer when the size
-  // stage left one (byte-identical to the from-scratch analysis).
+  // stage left one; without sizing (SizingLevel::kNone) there is none, and
+  // a from-scratch analysis signs off.
   ok = stages.run("signoff", have_nl, [&](StageReport&) {
     result.timing = timer ? timer->timing()
                           : sta::analyze(*result.nl, sta_opt);

@@ -6,9 +6,10 @@
 /// reproduction is produced by running this flow, not by table lookup.
 ///
 /// Each stage runs under a guard: wall time is measured, structural
-/// violations and captured contract failures become diagnostics in a
-/// per-stage report instead of aborting the process, and downstream
-/// stages are skipped (or continued best-effort) after a failure.
+/// violations (netlist::verify after every netlist-mutating stage) and
+/// captured contract failures become diagnostics in a per-stage report
+/// instead of aborting the process, and downstream stages are skipped
+/// after a failure.
 
 #include <cstdint>
 #include <memory>
@@ -68,7 +69,6 @@ struct FlowReport {
 /// --qor-out is bit-identical to one built before this subsystem existed.
 struct QorCaptureOptions {
   bool enabled = false;
-  int histogram_buckets = 10;
   /// Monte Carlo variation spread at signoff only (0 disables). The seed
   /// and thread count feed sta::monte_carlo_sta; results are
   /// thread-invariant by the determinism contract.
@@ -77,26 +77,8 @@ struct QorCaptureOptions {
   int mc_threads = 1;
 };
 
-/// Knobs for the stage guard.
+/// Optional stages and captures of a flow run.
 struct FlowOptions {
-  /// Turn GAP_EXPECTS/GAP_ENSURES failures inside a stage into kContract
-  /// diagnostics on that stage instead of aborting the process.
-  bool capture_contract_failures = true;
-  /// Keep running later stages (best-effort) after a stage fails, as long
-  /// as the data they need exists. Default is a clean stop: remaining
-  /// stages are reported kSkipped.
-  bool continue_after_failure = false;
-  /// Run netlist::verify after each netlist-mutating stage and fail the
-  /// stage on any structural violation.
-  bool verify_between_stages = true;
-  /// Keep one resident sta::IncrementalTimer from the size stage through
-  /// sign-off: TILOS re-times each move through the timer's dirty-cone
-  /// wavefronts instead of a from-scratch analysis, and the signoff stage
-  /// and QoR snapshots answer from the same cached state. Every timing
-  /// number is byte-identical either way (the incremental engine's
-  /// contract, enforced by tests/incremental_sta_test.cpp), so this knob
-  /// changes work done, never results.
-  bool incremental_sta = true;
   /// Per-stage QoR snapshots for the run manifest (gapflow --qor-out).
   QorCaptureOptions qor;
   /// Run the gap::lint rule catalog on the mapped netlist as a "lint"

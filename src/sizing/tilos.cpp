@@ -77,44 +77,24 @@ std::optional<Move> upsize_move(const Netlist& nl, InstanceId id,
   return m;
 }
 
-/// Route a resize through the resident timer when there is one (keeping
-/// its dirty cones exact), directly into the netlist otherwise. These
+/// Route a resize through the timer, keeping its dirty cones exact. These
 /// moves are generated from the library ladder, so timer validation
 /// cannot fail — a rejection would be an internal contract violation.
-void set_drive_override(Netlist& nl, sta::IncrementalTimer* timer,
-                        InstanceId inst, double value) {
-  if (timer != nullptr)
-    GAP_EXPECTS(timer->apply(sta::Edit::set_drive(inst, value)).ok());
-  else
-    nl.instance(inst).drive_override = value;
+void apply(sta::IncrementalTimer& timer, const sta::Edit& edit) {
+  GAP_EXPECTS(timer.apply(edit).ok());
 }
 
-void set_cell(Netlist& nl, sta::IncrementalTimer* timer, InstanceId inst,
-              CellId cell) {
-  if (timer != nullptr)
-    GAP_EXPECTS(timer->apply(sta::Edit::replace_cell(inst, cell)).ok());
-  else
-    nl.replace_cell(inst, cell);
+/// The edit that gives `m.inst` the drive override `drive` (continuous
+/// move) or the cell `cell` (discrete move).
+sta::Edit move_edit(const Move& m, CellId cell, double drive) {
+  return m.new_override > 0.0 ? sta::Edit::set_drive(m.inst, drive)
+                              : sta::Edit::replace_cell(m.inst, cell);
 }
 
-void apply(Netlist& nl, sta::IncrementalTimer* timer, const Move& m) {
-  if (m.new_override > 0.0)
-    set_drive_override(nl, timer, m.inst, m.new_override);
-  else
-    set_cell(nl, timer, m.inst, m.new_cell);
-}
+}  // namespace
 
-void undo(Netlist& nl, sta::IncrementalTimer* timer, const Move& m,
-          CellId old_cell, double old_override) {
-  if (m.new_override > 0.0)
-    set_drive_override(nl, timer, m.inst, old_override);
-  else
-    set_cell(nl, timer, m.inst, old_cell);
-}
-
-SizingResult tilos_size_impl(Netlist& nl, const SizingOptions& options,
-                             const sta::StaOptions& sta_options,
-                             sta::IncrementalTimer* timer) {
+SizingResult tilos_size(sta::IncrementalTimer& timer,
+                        const SizingOptions& options) {
   GAP_TRACE_SPAN("sizing::tilos");
   static common::Counter& runs = common::metrics().counter("tilos.runs");
   static common::Counter& iterations =
@@ -125,12 +105,9 @@ SizingResult tilos_size_impl(Netlist& nl, const SizingOptions& options,
       common::metrics().counter("tilos.moves_rejected");
   runs.add();
 
-  const auto retime = [&] {
-    return timer != nullptr ? timer->timing() : sta::analyze(nl, sta_options);
-  };
-
+  Netlist& nl = timer.netlist();
   SizingResult result;
-  sta::TimingResult timing = retime();
+  sta::TimingResult timing = timer.timing();
   result.initial_period_tau = timing.min_period_tau;
   result.final_period_tau = timing.min_period_tau;
   if (timing.num_endpoints == 0) return result;
@@ -152,8 +129,8 @@ SizingResult tilos_size_impl(Netlist& nl, const SizingOptions& options,
 
     const CellId old_cell = nl.instance(best->inst).cell;
     const double old_override = nl.instance(best->inst).drive_override;
-    apply(nl, timer, *best);
-    const sta::TimingResult after = retime();
+    apply(timer, move_edit(*best, best->new_cell, best->new_override));
+    const sta::TimingResult after = timer.timing();
     if (after.min_period_tau < result.final_period_tau - options.min_gain_tau) {
       timing = after;
       result.final_period_tau = after.min_period_tau;
@@ -161,7 +138,7 @@ SizingResult tilos_size_impl(Netlist& nl, const SizingOptions& options,
       accepted.add();
       blocked.clear();  // the landscape changed; retry earlier failures
     } else {
-      undo(nl, timer, *best, old_cell, old_override);
+      apply(timer, move_edit(*best, old_cell, old_override));
       blocked.insert(best->inst.value());
       rejected.add();
     }
@@ -169,23 +146,24 @@ SizingResult tilos_size_impl(Netlist& nl, const SizingOptions& options,
   return result;
 }
 
-double recover_area_impl(Netlist& nl, const SizingOptions& options,
-                         const sta::StaOptions& sta_options,
-                         sta::IncrementalTimer* timer, double period_tau) {
+SizingResult tilos_size(Netlist& nl, const SizingOptions& options) {
+  sta::IncrementalTimer timer(nl, options.sta);
+  return tilos_size(timer, options);
+}
+
+double recover_area(Netlist& nl, const SizingOptions& options,
+                    double period_tau) {
+  sta::IncrementalTimer timer(nl, options.sta);
   const double area_before = nl.total_area_um2();
   struct Applied {
     InstanceId inst;
     CellId old_cell;
     double old_override;
   };
-  const auto reslack = [&] {
-    return timer != nullptr ? timer->slacks(period_tau)
-                            : sta::net_slacks(nl, sta_options, period_tau);
-  };
 
   double safety = 0.5;  // accept a move only if est. delta < safety * slack
   for (int round = 0; round < 20; ++round) {
-    const auto slacks = reslack();
+    const auto slacks = timer.slacks(period_tau);
     std::vector<Applied> batch;
     for (InstanceId id : nl.all_instances()) {
       const library::Cell& c = nl.cell_of(id);
@@ -209,20 +187,20 @@ double recover_area_impl(Netlist& nl, const SizingOptions& options,
       if (delta >= slack * safety) continue;
       batch.push_back(
           {id, nl.instance(id).cell, nl.instance(id).drive_override});
-      set_drive_override(nl, timer, id, 0.0);
-      set_cell(nl, timer, id, smaller);
+      apply(timer, sta::Edit::set_drive(id, 0.0));
+      apply(timer, sta::Edit::replace_cell(id, smaller));
     }
     if (batch.empty()) break;
 
     // One global verification per batch; revert wholesale on violation
     // and retry more conservatively.
-    const auto after = reslack();
+    const auto after = timer.slacks(period_tau);
     double worst = 1e30;
     for (double s : after) worst = std::min(worst, s);
     if (worst < 0.0) {
       for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-        set_cell(nl, timer, it->inst, it->old_cell);
-        set_drive_override(nl, timer, it->inst, it->old_override);
+        apply(timer, sta::Edit::replace_cell(it->inst, it->old_cell));
+        apply(timer, sta::Edit::set_drive(it->inst, it->old_override));
       }
       safety *= 0.5;
       if (safety < 0.05) break;
@@ -230,8 +208,6 @@ double recover_area_impl(Netlist& nl, const SizingOptions& options,
   }
   return area_before - nl.total_area_um2();
 }
-
-}  // namespace
 
 void initial_drive_assignment(Netlist& nl, double stage_effort,
                               int iterations) {
@@ -250,34 +226,6 @@ void initial_drive_assignment(Netlist& nl, double stage_effort,
       if (*cell != nl.instance(id).cell) nl.replace_cell(id, *cell);
     }
   }
-}
-
-SizingResult tilos_size(Netlist& nl, const SizingOptions& options) {
-  if (options.incremental) {
-    sta::IncrementalTimer timer(nl, options.sta);
-    return tilos_size_impl(nl, options, options.sta, &timer);
-  }
-  return tilos_size_impl(nl, options, options.sta, nullptr);
-}
-
-SizingResult tilos_size(sta::IncrementalTimer& timer,
-                        const SizingOptions& options) {
-  return tilos_size_impl(timer.netlist(), options, timer.options(), &timer);
-}
-
-double recover_area(Netlist& nl, const SizingOptions& options,
-                    double period_tau) {
-  if (options.incremental) {
-    sta::IncrementalTimer timer(nl, options.sta);
-    return recover_area_impl(nl, options, options.sta, &timer, period_tau);
-  }
-  return recover_area_impl(nl, options, options.sta, nullptr, period_tau);
-}
-
-double recover_area(sta::IncrementalTimer& timer,
-                    const SizingOptions& options, double period_tau) {
-  return recover_area_impl(timer.netlist(), options, timer.options(), &timer,
-                           period_tau);
 }
 
 double path_upsize_headroom_tau(const Netlist& nl,

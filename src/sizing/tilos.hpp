@@ -27,13 +27,6 @@ struct SizingOptions {
 
   int max_moves = 4000;
   double min_gain_tau = 1e-4;  ///< stop when the best move gains less
-
-  /// Re-time each move through a resident sta::IncrementalTimer instead
-  /// of a from-scratch sta::analyze. Timing queries are byte-identical
-  /// either way (the incremental engine's contract), so moves — and the
-  /// final netlist — do not depend on this switch; only the work per
-  /// re-time does.
-  bool incremental = true;
 };
 
 struct SizingResult {
@@ -56,25 +49,21 @@ struct SizingResult {
 void initial_drive_assignment(netlist::Netlist& nl, double stage_effort = 4.0,
                               int iterations = 3);
 
-/// Upsize critical-path gates until no move helps. Modifies `nl` in place.
-/// With options.incremental (the default) a timer resident for the run
-/// re-times each move; options.sta still defines the analysis.
+/// Upsize critical-path gates until no move helps. Modifies `nl` in place;
+/// a sta::IncrementalTimer built with options.sta re-times each move.
 SizingResult tilos_size(netlist::Netlist& nl, const SizingOptions& options);
 
 /// tilos_size on an existing resident timer (its netlist is sized in
 /// place through edits). `options.sta` is ignored in favor of the
-/// timer's own options; `options.incremental` is moot.
+/// timer's own options.
 SizingResult tilos_size(sta::IncrementalTimer& timer,
                         const SizingOptions& options);
 
 /// Downsize gates with positive slack at the given period without creating
-/// violations (checked by re-running STA). Returns area saved in um^2.
+/// violations (checked through an incremental timer built with
+/// options.sta). Returns area saved in um^2.
 double recover_area(netlist::Netlist& nl, const SizingOptions& options,
                     double period_tau);
-
-/// recover_area through a resident timer (see tilos_size overload).
-double recover_area(sta::IncrementalTimer& timer,
-                    const SizingOptions& options, double period_tau);
 
 /// Remaining sizing headroom along a path (tau): the sum of the positive
 /// TILOS gain estimates of the best next upsize of each gate on `path`.

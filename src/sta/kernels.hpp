@@ -26,6 +26,10 @@ namespace gap::sta::kern {
 inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 inline constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
+/// Nets longer than this take the optimal-repeater branch of the wire
+/// model when StaOptions::optimal_repeaters is set.
+inline constexpr double kRepeaterThresholdUm = 400.0;
+
 /// Arc delay of an instance driving the given load, in tau (pre-corner).
 [[nodiscard]] inline double arc_delay(const CompactGraph& g, InstanceId id,
                                       double load_units) {
@@ -319,7 +323,7 @@ inline void relax_instance(const CompactGraph& g, const StaOptions& opt,
                                    const StaOptions& opt) {
   WireModel m;
   m.driver_load_units = net_load(g, id);
-  if (!opt.include_wire_delay || g.net_length_um(id) <= 0.0) return m;
+  if (g.net_length_um(id) <= 0.0) return m;
   const tech::Technology& t = g.technology();
 
   double sink_units = g.net_extra_cap_units(id);
@@ -332,8 +336,7 @@ inline void relax_instance(const CompactGraph& g, const StaOptions& opt,
   seg.width_multiple = g.net_width_multiple(id);
   m.delay_tau = wire::elmore_delay_tau(t, seg, sink_units);
 
-  if (opt.optimal_repeaters &&
-      g.net_length_um(id) > opt.repeater_threshold_um) {
+  if (opt.optimal_repeaters && g.net_length_um(id) > kRepeaterThresholdUm) {
     // "Proper driving" (section 5): a fanout-of-4 buffer chain ramps up
     // from the net's driver to the plan's repeater size, then the
     // optimally repeated line carries the signal to the sinks. Pick

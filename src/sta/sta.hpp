@@ -27,11 +27,10 @@ struct ClockSpec {
 struct StaOptions {
   double corner_delay_factor = 1.0;  ///< process corner multiplier
   ClockSpec clock;
-  bool include_wire_delay = true;
-  /// Assume long nets are optimally repeated (section 5's "proper driving
-  /// of a wire") instead of unbuffered RC lines.
+  /// Assume long nets (over kern::kRepeaterThresholdUm) are optimally
+  /// repeated (section 5's "proper driving of a wire") instead of
+  /// unbuffered RC lines.
   bool optimal_repeaters = false;
-  double repeater_threshold_um = 400.0;
 
   /// Optional per-instance delay multipliers (indexed by InstanceId),
   /// used by Monte Carlo statistical STA. Not owned; may be null.

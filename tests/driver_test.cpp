@@ -99,11 +99,11 @@ TEST(DriverRunTest, StagesAndMcOutOfRangeExitThree) {
 
 TEST(DriverArgsTest, EqualsFormAndShortHelp) {
   const auto r = parse_args({"gapflow", "--design=mac16", "--stages=4",
-                             "--sta=full", "-h"});
+                             "--corner=worst", "-h"});
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_EQ(r->design, "mac16");
   EXPECT_EQ(*r->stages, 4);
-  EXPECT_FALSE(r->sta_incremental);
+  EXPECT_EQ(*r->corner, "worst");
   EXPECT_TRUE(r->help);
 }
 
@@ -374,46 +374,13 @@ TEST(DriverRunTest, QorOutWithMetricsOutCarriesMetricDeltas) {
   std::remove(mpath.c_str());
 }
 
-TEST(DriverRunTest, StaModeDoesNotChangeOutputOrManifest) {
-  const std::string qi = "driver_test_sta_inc.json";
-  const std::string qf = "driver_test_sta_full.json";
-  const auto slurp = [](const std::string& path) {
-    std::ifstream is(path);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-  };
-  // A plain flow, and a Monte Carlo signoff whose variation section is
-  // timed by the same engine.
-  const std::vector<std::vector<std::string>> designs = {
-      {"--design", "alu16"}, {"--design", "mac16", "--mc", "8"}};
-  for (const std::vector<std::string>& design : designs) {
-    const auto run = [&](const char* sta, const std::string& qor) {
-      std::vector<std::string> args = design;
-      args.insert(args.end(), {"--sta", sta, "--qor-out", qor});
-      return invoke(args);
-    };
-    const RunCapture ri = run("incremental", qi);
-    const RunCapture rf = run("full", qf);
-    ASSERT_EQ(ri.code, 0) << ri.err;
-    ASSERT_EQ(rf.code, 0) << rf.err;
-    // The incremental timer's byte-identity contract, end to end: the
-    // human report and the QoR manifest cannot depend on the engine.
-    EXPECT_EQ(ri.out.substr(0, ri.out.find("wrote ")),
-              rf.out.substr(0, rf.out.find("wrote ")))
-        << design[1];
-    const std::string a = slurp(qi);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, slurp(qf)) << design[1];
-  }
-  std::remove(qi.c_str());
-  std::remove(qf.c_str());
-}
-
-TEST(DriverArgsTest, BadStaModeIsInvalidValue) {
-  const RunCapture r = invoke({"--design", "alu16", "--sta", "sometimes"});
-  EXPECT_EQ(r.code, 3);
-  EXPECT_NE(r.err.find("--sta"), std::string::npos);
+TEST(DriverArgsTest, StaFlagIsUnknown) {
+  // Sizing and sign-off have one timing engine, so there is no engine
+  // switch to set.
+  const RunCapture r = invoke({"--design", "alu16", "--sta", "full"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("error[usage]"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--sta"), std::string::npos) << r.err;
 }
 
 TEST(DriverRunTest, QorOutDeterministicAcrossThreadCounts) {

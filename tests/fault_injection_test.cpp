@@ -810,8 +810,7 @@ std::vector<CliTool> cli_tools(const std::string& dir) {
       {"gapflow",
        {{"--design", "alu16", "--methodology", "typical", "--tech",
          "asic025", "--corner", "worst", "--stages", "4", "--mc", "8",
-         "--threads", "2", "--sta", "full", "--report", "timing", "--macro",
-         "--scan"}},
+         "--threads", "2", "--report", "timing", "--macro", "--scan"}},
        {0, 2, 3, 4, 5, 6},
        [missing_lib](const Argv& args) {
          Argv argv{"gapflow", "--check-liberty", missing_lib};

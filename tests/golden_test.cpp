@@ -91,8 +91,6 @@ const char* const kThreadCounts[] = {"1", "8"};
 TEST_F(Golden, GapflowMac16MonteCarloManifestAndMetrics) {
   const std::string qor = scratch("mac16_mc8.qor.json");
   const std::string metrics = scratch("mac16_mc8.metrics.json");
-  // Default --sta only: under --sta full the metric deltas legitimately
-  // differ (the engines do different work for the same numbers).
   for (const char* threads : kThreadCounts) {
     const std::string what = std::string("mac16 --mc 8 --threads ") + threads;
     ASSERT_EQ(gapflow({"--design", "mac16", "--mc", "8", "--threads", threads,
@@ -108,17 +106,14 @@ TEST_F(Golden, GapflowMac16MonteCarloManifestAndMetrics) {
 
 TEST_F(Golden, GapflowAlu16Manifest) {
   const std::string qor = scratch("alu16.qor.json");
-  // The manifest depends on neither the STA engine nor the thread count.
-  for (const char* sta : {"incremental", "full"}) {
-    for (const char* threads : kThreadCounts) {
-      const std::string what = std::string("alu16 --sta ") + sta +
-                               " --threads " + threads + " manifest";
-      ASSERT_EQ(gapflow({"--design", "alu16", "--sta", sta, "--threads",
-                         threads, "--qor-out", qor}),
-                0)
-          << what;
-      expect_bytes(golden("gapflow/alu16.qor.json"), slurp(qor), what);
-    }
+  for (const char* threads : kThreadCounts) {
+    const std::string what =
+        std::string("alu16 --threads ") + threads + " manifest";
+    ASSERT_EQ(gapflow({"--design", "alu16", "--threads", threads,
+                       "--qor-out", qor}),
+              0)
+        << what;
+    expect_bytes(golden("gapflow/alu16.qor.json"), slurp(qor), what);
   }
 }
 

@@ -4,11 +4,12 @@
 ///
 ///  1. **Agreement with an independent STA.** Every batch query (analyze,
 ///     net_arrivals, net_slacks, top_critical_paths) and a resident
-///     IncrementalTimer after a randomized edit script must return the
-///     bytes a naive textbook STA (sta_oracle.hpp, which shares no code
-///     with src/sta) computes, on every registry design at corner factors
-///     1.0 and 1.15, with and without optimal repeaters. Monte Carlo STA
-///     over one shared graph must equal per-sample sta::analyze calls.
+///     IncrementalTimer after a randomized edit script, and again after
+///     TILOS has sized through it, must return the bytes a naive textbook
+///     STA (sta_oracle.hpp, which shares no code with src/sta) computes,
+///     on every registry design at corner factors 1.0 and 1.15, with and
+///     without optimal repeaters. Monte Carlo STA over one shared graph
+///     must equal per-sample sta::analyze calls.
 ///
 ///  2. **Construction round-trips.** For every designs::registry entry:
 ///     node/edge/port counts match the netlist, ids are positional and
@@ -29,6 +30,7 @@
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
 #include "place/place.hpp"
+#include "sizing/tilos.hpp"
 #include "sta/compact_graph.hpp"
 #include "sta/incremental.hpp"
 #include "sta/statistical.hpp"
@@ -70,9 +72,7 @@ Netlist implemented(const std::string& name,
   o.corner = opt.corner_delay_factor;
   o.skew_fraction = opt.clock.skew_fraction;
   o.extra_skew_tau = opt.clock.extra_skew_tau;
-  o.wire_delay = opt.include_wire_delay;
   o.repeaters = opt.optimal_repeaters;
-  o.repeater_threshold_um = opt.repeater_threshold_um;
   return o;
 }
 
@@ -386,30 +386,55 @@ TEST_F(SoaGraph, BuiltVersionTracksStructuralRebuilds) {
 
 /// A resident timer driven by a randomized edit script (swaps, resizes,
 /// rewires, clock changes) on every registry design answers every query
-/// with the bytes the oracle computes on the edited netlist. Lane counts
-/// alternate 1/4; incremental_sta_test covers thread-count invariance.
+/// with the bytes the oracle computes on the edited netlist — and so it
+/// does after TILOS has sized that netlist through the same timer
+/// (discrete ladder moves on variant 0, continuous drive steps on
+/// variant 1), which is how the flow's size stage and sign-off run.
+/// Lane counts alternate 1/4; incremental_sta_test covers thread-count
+/// invariance.
 TEST_F(SoaGraph, IncrementalTimerMatchesOracleAfterEdits) {
   constexpr std::uint64_t kSeed = 0x50A0ull;
   int script = 0;
   int applied = 0;
+  int sized_moves[2] = {0, 0};
   for (const std::string& name : designs::design_names()) {
     SCOPED_TRACE(name);
     const Netlist base = implemented(name, lib_);
     for (int v : {0, 1}) {
       Netlist nl = base;
       IncrementalTimer timer(nl, options_variant(v), v == 0 ? 1 : 4);
+      const auto expect_timer_matches_oracle = [&] {
+        const sta::TimingResult t = timer.timing();
+        expect_matches_oracle(nl, timer.options(),
+                              {t, timer.arrivals(),
+                               timer.slacks(t.min_period_tau),
+                               timer.top_paths(5)});
+        return t;
+      };
       Rng rng = Rng::stream(kSeed, static_cast<std::uint64_t>(script++));
       for (int e = 0; e < 12; ++e)
         applied += timer.apply(random_edit(rng, nl)).ok() ? 1 : 0;
-      const sta::TimingResult t = timer.timing();
-      expect_matches_oracle(nl, timer.options(),
-                            {t, timer.arrivals(),
-                             timer.slacks(t.min_period_tau),
-                             timer.top_paths(5)});
+      expect_timer_matches_oracle();
       if (HasFatalFailure()) return;
+
+      // Budgets that reach rejected (undone) moves in both regimes:
+      // discrete upsizing rarely misses early, while most continuous
+      // steps are tried and undone.
+      sizing::SizingOptions sopt;
+      sopt.continuous = v == 1;
+      sopt.max_moves = v == 0 ? 60 : 2;
+      const sizing::SizingResult sized = sizing::tilos_size(timer, sopt);
+      sized_moves[v] += sized.moves;
+      const sta::TimingResult t = expect_timer_matches_oracle();
+      if (HasFatalFailure()) return;
+      EXPECT_TRUE(same_bits(sized.final_period_tau, t.min_period_tau))
+          << "variant " << v;
     }
   }
   EXPECT_GT(applied, script * 12 / 2);
+  // Both sizing regimes made moves, so the post-sizing checks bite.
+  EXPECT_GT(sized_moves[0], 0);
+  EXPECT_GT(sized_moves[1], 0);
 }
 
 }  // namespace
