@@ -35,7 +35,6 @@ int main() {
   std::printf("%s\n", t.render().c_str());
 
   // The paper's 6-8x spans the (custom, typical-ASIC) pairings.
-  const double gap_lo = custom_best / asic_fast / (custom_best / asic_fast > 0 ? 1.0 : 1.0);
   const double gap = custom_best / (0.5 * (asic_fast + asic_slow));
   Table g({"metric", "measured", "paper", "verdict"});
   g.add_row({"gap range (fast..slow typical ASIC)",
@@ -44,7 +43,6 @@ int main() {
              "x6.0-x8.0", "-"});
   g.add_row({"custom vs mid typical ASIC", fmt_factor(gap, 1), "x6.0-x8.0",
              verdict(gap, 6.0, 8.0)});
-  (void)gap_lo;
   const double generations = tech::generations_equivalent(gap);
   g.add_row({"equivalent process generations", fmt(generations, 1), "~5",
              verdict(generations, 4.0, 6.0)});

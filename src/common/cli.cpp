@@ -1,11 +1,11 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <sstream>
 
 #include "common/json.hpp"
+#include "common/source_reader.hpp"
 
 namespace gap::common::cli {
 namespace {
@@ -13,17 +13,6 @@ namespace {
 /// Usage layout: help text starts at this column and wraps at the width.
 constexpr std::size_t kHelpColumn = 26;
 constexpr std::size_t kWidth = 79;
-
-/// The one strict number reader: the whole token, base 10, finite.
-template <typename T>
-std::optional<double> read_number(std::string_view text) {
-  T v{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, v);
-  const auto x = static_cast<double>(v);
-  if (ec != std::errc() || stop != end || !std::isfinite(x)) return {};
-  return x;
-}
 
 std::string join(const std::vector<std::string>& items, std::string_view sep) {
   std::string s;
@@ -49,8 +38,8 @@ std::string expected(const Flag& f) {
 /// Check `text` against `f` and store it; false if it does not fit.
 bool store(const Flag& f, std::string_view text) {
   std::optional<double> v = 0.0;
-  if (f.kind == Kind::kInteger) v = read_number<std::int64_t>(text);
-  if (f.kind == Kind::kReal) v = read_number<double>(text);
+  if (f.kind == Kind::kInteger || f.kind == Kind::kReal)
+    v = read_number(text, f.kind == Kind::kInteger).value;
   if (f.kind == Kind::kChoice) {
     const auto it = std::find(f.choices.begin(), f.choices.end(), text);
     if (it == f.choices.end()) return false;

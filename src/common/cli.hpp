@@ -5,8 +5,8 @@
 ///
 /// The rule: `--flag VALUE` or `--flag=VALUE` (a switch takes no value);
 /// `-h` is `--help`; other tokens starting with '-' (but "-") are flags,
-/// the rest operands; a repeated flag keeps its last value. Numbers are
-/// strict base 10 (whole token, no whitespace, '+' or hex) and finite.
+/// the rest operands; a repeated flag keeps its last value. Numbers
+/// follow the one rule of common::read_number (source_reader.hpp).
 /// parse() never throws: a bad line is a Status coded kUsage (unknown
 /// flag, extra operand), kMissingValue or kInvalidValue (malformed, out of
 /// range, not a choice); each tool maps the code to its exit number.
@@ -26,6 +26,12 @@
 #include "common/status.hpp"
 
 namespace gap::common::cli {
+
+/// Exit numbers every tool shares; each tool defines its own others next
+/// to its entry point (docs/diagnostics.md).
+inline constexpr int kExitOk = 0;
+inline constexpr int kExitUsage = 2;  ///< malformed command line
+inline constexpr int kExitIo = 5;     ///< a file unreadable or unwritable
 
 enum class Kind : std::uint8_t { kSwitch, kString, kInteger, kReal, kChoice };
 

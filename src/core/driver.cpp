@@ -255,14 +255,14 @@ Result<std::string> read_file(const std::string& path) {
 
 int exit_code_for(ErrorCode code) {
   switch (code) {
-    case ErrorCode::kOk: return 0;
-    case ErrorCode::kUsage: return 2;
+    case ErrorCode::kOk: return cl::kExitOk;
+    case ErrorCode::kUsage: return cl::kExitUsage;
     case ErrorCode::kMissingValue:
     case ErrorCode::kInvalidValue: return 3;
     case ErrorCode::kUnknownName: return 4;
     case ErrorCode::kParse:
     case ErrorCode::kDuplicate:
-    case ErrorCode::kIo: return 5;
+    case ErrorCode::kIo: return cl::kExitIo;
     case ErrorCode::kStructural:
     case ErrorCode::kContract:
     case ErrorCode::kInternal:

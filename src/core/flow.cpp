@@ -33,6 +33,18 @@ common::Diagnostic make_diag(common::ErrorCode code, std::string msg,
   return d;
 }
 
+/// An unwaived lint finding as a diagnostic of `stage`.
+common::Diagnostic lint_diag(const lint::Finding& f,
+                             const std::string& stage) {
+  common::Diagnostic d = make_diag(
+      common::ErrorCode::kLint,
+      "[" + f.rule + "] " + std::string(lint::to_string(f.anchor)) + " '" +
+          f.anchor_name + "': " + f.message,
+      stage);
+  d.severity = f.severity;
+  return d;
+}
+
 /// Append netlist::verify findings to the stage; any violation fails it.
 void verify_into(StageReport& sr, const netlist::Netlist& nl,
                  const std::string& stage) {
@@ -280,17 +292,8 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
       ctx.limits = tech::default_electrical_limits();
       ctx.constraints.skew_fraction = m.skew_fraction;
       const lint::LintReport rep = lint::run_lint(registry, ctx, config);
-      for (const lint::Finding& f : rep.findings) {
-        if (f.waived) continue;
-        common::Diagnostic d;
-        d.severity = f.severity;
-        d.code = common::ErrorCode::kLint;
-        d.message = "[" + f.rule + "] " +
-                    std::string(lint::to_string(f.anchor)) + " '" +
-                    f.anchor_name + "': " + f.message;
-        d.where = "flow:lint";
-        sr.diagnostics.push_back(std::move(d));
-      }
+      for (const lint::Finding& f : rep.findings)
+        if (!f.waived) sr.diagnostics.push_back(lint_diag(f, "lint"));
     });
   }
 
@@ -384,17 +387,9 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
       ctx.limits = tech::default_electrical_limits();
       ctx.constraints.skew_fraction = m.skew_fraction;
       const lint::LintReport rep = lint::run_lint(registry, ctx, config);
-      for (const lint::Finding& f : rep.findings) {
-        if (f.waived) continue;
-        common::Diagnostic d;
-        d.severity = f.severity;
-        d.code = common::ErrorCode::kLint;
-        d.message = "[" + f.rule + "] " +
-                    std::string(lint::to_string(f.anchor)) + " '" +
-                    f.anchor_name + "': " + f.message;
-        d.where = "flow:lint-dataflow";
-        sr.diagnostics.push_back(std::move(d));
-      }
+      for (const lint::Finding& f : rep.findings)
+        if (!f.waived)
+          sr.diagnostics.push_back(lint_diag(f, "lint-dataflow"));
     });
   }
 

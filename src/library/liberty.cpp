@@ -1,15 +1,13 @@
 #include "library/liberty.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <vector>
 
-#include "common/check.hpp"
+#include "common/source_reader.hpp"
 
 namespace gap::library {
 
@@ -117,23 +115,9 @@ namespace {
 
 using common::ErrorCode;
 using common::SourceLoc;
-using common::Status;
+using common::Token;
 
-/// Internal unwinding carrier for the first parse error; converted to a
-/// failed Status at the read_liberty boundary.
-struct ParseError {
-  Status status;
-};
-
-[[noreturn]] void fail(ErrorCode code, std::string message, SourceLoc loc) {
-  throw ParseError{Status::error(code, std::move(message), loc, "liberty")};
-}
-
-struct Token {
-  std::string text;
-  SourceLoc loc;
-  bool quoted = false;  ///< came from a "..." string literal
-};
+constexpr const char* kSource = "liberty";
 
 /// Tokenizer for the emitted subset: identifiers/numbers, quoted strings,
 /// and the punctuation ( ) { } : ; with /* */ comments stripped. Tracks
@@ -154,14 +138,7 @@ LexResult lex(const std::string& text) {
       cur.clear();
     }
   };
-  auto advance = [&](char c) {
-    if (c == '\n') {
-      ++pos.line;
-      pos.column = 1;
-    } else {
-      ++pos.column;
-    }
-  };
+  const auto advance = [&pos](char c) { common::advance(pos, c); };
   for (std::size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
     if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
@@ -179,7 +156,9 @@ LexResult lex(const std::string& text) {
       i += 2;
       while (i + 1 < text.size() && !(text[i] == '*' && text[i + 1] == '/'))
         advance(text[i++]);
-      if (i + 1 >= text.size()) fail(ErrorCode::kParse, "unterminated comment", open);
+      if (i + 1 >= text.size())
+        common::fail(kSource, ErrorCode::kParse, "unterminated comment",
+                     open);
       advance(text[i]);
       advance(text[i + 1]);
       ++i;
@@ -196,7 +175,8 @@ LexResult lex(const std::string& text) {
         advance(text[i++]);
       }
       if (i >= text.size())
-        fail(ErrorCode::kParse, "unterminated string literal", open);
+        common::fail(kSource, ErrorCode::kParse, "unterminated string literal",
+                     open);
       advance(text[i]);  // closing quote
       out.tokens.push_back(Token{std::move(s), open, true});
       continue;
@@ -218,39 +198,10 @@ LexResult lex(const std::string& text) {
   return out;
 }
 
-double parse_double(const Token& t) {
-  if (t.text.empty())
-    fail(ErrorCode::kInvalidValue, "expected a number, got an empty token",
-         t.loc);
-  const char* begin = t.text.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end != begin + t.text.size())
-    fail(ErrorCode::kInvalidValue,
-         "expected a number, got '" + t.text + "'", t.loc);
-  if (!std::isfinite(v))
-    fail(ErrorCode::kInvalidValue,
-         "number '" + t.text + "' is out of range", t.loc);
-  return v;
-}
-
-int parse_int(const Token& t) {
-  const char* begin = t.text.c_str();
-  char* end = nullptr;
-  const long v = std::strtol(begin, &end, 10);
-  if (t.text.empty() || end != begin + t.text.size())
-    fail(ErrorCode::kInvalidValue,
-         "expected an integer, got '" + t.text + "'", t.loc);
-  if (v < -1000000 || v > 1000000)
-    fail(ErrorCode::kInvalidValue,
-         "integer '" + t.text + "' is out of range", t.loc);
-  return static_cast<int>(v);
-}
-
-class Parser {
+class Parser : common::TokenCursor {
  public:
   explicit Parser(LexResult lexed)
-      : tokens_(std::move(lexed.tokens)), end_(lexed.end) {}
+      : TokenCursor(kSource, std::move(lexed.tokens), lexed.end) {}
 
   CellLibrary parse() {
     expect("library");
@@ -339,27 +290,6 @@ class Parser {
   }
 
  private:
-  [[nodiscard]] bool at_end() const { return i_ >= tokens_.size(); }
-  [[nodiscard]] const Token& cur() const { return tokens_[i_]; }
-  [[nodiscard]] SourceLoc here() const {
-    return at_end() ? end_ : cur().loc;
-  }
-
-  const Token& next(const char* what) {
-    if (at_end())
-      fail(ErrorCode::kParse,
-           std::string("unexpected end of input: expected ") + what, end_);
-    return tokens_[i_++];
-  }
-
-  void expect(const char* t) {
-    const Token& tok = next(t);
-    if (tok.quoted || tok.text != t)
-      fail(ErrorCode::kParse,
-           std::string("expected '") + t + "', got '" + tok.text + "'",
-           tok.loc);
-  }
-
   Token attr_value() {
     expect(":");
     Token v = next("attribute value");
@@ -367,16 +297,16 @@ class Parser {
     return v;
   }
 
-  double attr_double() { return parse_double(attr_value()); }
-  int attr_int() { return parse_int(attr_value()); }
+  double attr_double() { return real(attr_value()); }
+  int attr_int() { return integer(attr_value()); }
   std::pair<int, SourceLoc> attr_int_loc() {
     const Token v = attr_value();
-    return {parse_int(v), v.loc};
+    return {integer(v), v.loc};
   }
 
   double attr_positive(const char* attr) {
     const Token v = attr_value();
-    const double d = parse_double(v);
+    const double d = real(v);
     if (!(d > 0.0))
       fail(ErrorCode::kInvalidValue,
            std::string(attr) + " must be positive, got '" + v.text + "'",
@@ -385,7 +315,7 @@ class Parser {
   }
   double attr_non_negative(const char* attr) {
     const Token v = attr_value();
-    const double d = parse_double(v);
+    const double d = real(v);
     if (d < 0.0)
       fail(ErrorCode::kInvalidValue,
            std::string(attr) + " must be non-negative, got '" + v.text + "'",
@@ -397,7 +327,7 @@ class Parser {
   void skip_statement(const Token& intro) {
     int depth = 0;
     while (!at_end()) {
-      const Token& t = tokens_[i_++];
+      const Token& t = next("");
       if (t.quoted) continue;
       if (t.text == "{") ++depth;
       else if (t.text == "}") {
@@ -437,7 +367,7 @@ class Parser {
       fail(ErrorCode::kParse,
            "unexpected end of input inside a pin group of cell '" + c.name +
                "'",
-           end_);
+           here());
     expect("}");
   }
 
@@ -472,32 +402,18 @@ class Parser {
     }
     if (at_end())
       fail(ErrorCode::kParse,
-           "unexpected end of input inside cell '" + c.name + "'", end_);
+           "unexpected end of input inside cell '" + c.name + "'", here());
   }
-
-  std::vector<Token> tokens_;
-  SourceLoc end_;
-  std::size_t i_ = 0;
 };
 
 }  // namespace
 
 common::Result<CellLibrary> read_liberty(const std::string& text) {
-  try {
-    // Belt and braces: even if a malformed value slips past the semantic
-    // validation above, a tripped internal contract surfaces as a failed
-    // Status instead of killing the process. The capture is scoped to this
-    // thread and this call only.
-    const ScopedContractCapture guard;
-    Parser parser(lex(text));
-    return parser.parse();
-  } catch (const ParseError& e) {
-    return e.status;
-  } catch (const ContractViolation& v) {
-    return Status::error(ErrorCode::kContract, v.what(), {}, "liberty");
-  } catch (const std::exception& e) {
-    return Status::error(ErrorCode::kInternal, e.what(), {}, "liberty");
-  }
+  // Belt and braces: even if a malformed value slips past the semantic
+  // validation above, a tripped internal contract surfaces as a failed
+  // Status instead of killing the process.
+  return common::guarded_read<CellLibrary>(
+      kSource, [&] { return Parser(lex(text)).parse(); });
 }
 
 }  // namespace gap::library

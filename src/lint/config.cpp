@@ -6,11 +6,10 @@
 /// never an abort.
 
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
+#include "common/source_reader.hpp"
 #include "lint/lint.hpp"
 
 namespace gap::lint {
@@ -182,16 +181,16 @@ class Parser {
 
   Status constraint_line(const std::string& key, const std::string& value,
                          int line_no, int vcol) {
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return err(ErrorCode::kParse, "expected a number, got '" + value + "'",
-                 line_no, vcol);
-    }
-    if (!std::isfinite(v))
+    const common::Number n = common::read_number(value, /*integer=*/false);
+    if (n.out_of_range)
       return err(ErrorCode::kInvalidValue,
                  "constraint '" + key + "' must be finite, got '" + value + "'",
                  line_no, vcol);
+    if (!n.value) {
+      return err(ErrorCode::kParse, "expected a number, got '" + value + "'",
+                 line_no, vcol);
+    }
+    const double v = *n.value;
     // Finite out-of-range values (e.g. a negative period) are accepted
     // here and reported by the constraint rules, so they show up in the
     // lint report rather than as a config error.
@@ -264,19 +263,18 @@ class Parser {
       d.d.name = text.value();
       d.has_name = true;
     } else if (key == "phase") {
-      char* end = nullptr;
-      const long v = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+      const common::Number n = common::read_number(value, /*integer=*/true);
+      if (!n.value && !n.out_of_range) {
         return err(ErrorCode::kParse,
                    "expected an integer phase, got '" + value + "'",
                    line_no, vcol);
       }
-      if (v < 0 || v > 255) {
+      if (!n.value || *n.value < 0 || *n.value > 255) {
         return err(ErrorCode::kInvalidValue,
                    "clock phase " + value + " out of range [0, 255]",
                    line_no, vcol);
       }
-      d.d.phase = static_cast<int>(v);
+      d.d.phase = static_cast<int>(*n.value);
       d.has_phase = true;
     } else {
       return err(ErrorCode::kUnknownName, "unknown domain key '" + key + "'",

@@ -121,11 +121,11 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
   if (const common::Status s = cl::parse(args, flag_table(opt), &files, 1);
       !s.ok()) {
     err << "gaplint: " << s.message() << "\n";
-    return kExitUsage;
+    return cl::kExitUsage;
   }
   if (opt.help || argc == 0) {
     out << usage_text();
-    return argc == 0 ? kExitUsage : kExitOk;
+    return argc == 0 ? cl::kExitUsage : cl::kExitOk;
   }
 
   const RuleRegistry registry = default_registry();
@@ -133,18 +133,18 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
     if (opt.format == Format::kSarif) {
       err << "gaplint: --list-rules supports --format text or json (the "
              "SARIF catalog is part of every sarif report)\n";
-      return kExitUsage;
+      return cl::kExitUsage;
     }
     if (opt.format == Format::kJson) {
       list_rules_json(registry, out);
     } else {
       list_rules(registry, out);
     }
-    return kExitOk;
+    return cl::kExitOk;
   }
   if (files.empty()) {
     err << "gaplint: no input file\n" << usage_text();
-    return kExitUsage;
+    return cl::kExitUsage;
   }
   const std::string& file = files.front();
 
@@ -155,7 +155,7 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
   library::add_domino_cells(lib);
   if (!opt.lib_file.empty()) {
     std::string text;
-    if (!read_file(opt.lib_file, text, err)) return kExitIo;
+    if (!read_file(opt.lib_file, text, err)) return cl::kExitIo;
     common::Result<library::CellLibrary> parsed = library::read_liberty(text);
     if (!parsed.ok()) {
       err << "gaplint: " << opt.lib_file << ": "
@@ -168,7 +168,7 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
   LintConfig config;
   if (!opt.config_file.empty()) {
     std::string text;
-    if (!read_file(opt.config_file, text, err)) return kExitIo;
+    if (!read_file(opt.config_file, text, err)) return cl::kExitIo;
     common::Result<LintConfig> parsed = parse_config(text, registry);
     if (!parsed.ok()) {
       err << "gaplint: " << opt.config_file << ": "
@@ -183,7 +183,7 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
     config.constraints.skew_fraction = opt.skew_fraction;
 
   std::string verilog;
-  if (!read_file(file, verilog, err)) return kExitIo;
+  if (!read_file(file, verilog, err)) return cl::kExitIo;
   common::Result<netlist::LenientParse> parsed =
       netlist::read_verilog_lenient(verilog, lib);
   if (!parsed.ok()) {
@@ -217,15 +217,15 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
     std::ofstream os(opt.out_file, std::ios::binary);
     if (!os) {
       err << "gaplint: cannot write " << opt.out_file << "\n";
-      return kExitIo;
+      return cl::kExitIo;
     }
     os << rendered;
     if (!os.good()) {
       err << "gaplint: cannot write " << opt.out_file << "\n";
-      return kExitIo;
+      return cl::kExitIo;
     }
   }
-  return report.has_errors() ? kExitFindings : kExitOk;
+  return report.has_errors() ? kExitFindings : cl::kExitOk;
 }
 
 }  // namespace gap::lint

@@ -7,7 +7,7 @@
 /// --help` prints the flags, generated from the flag table in
 /// lint_cli.cpp (syntax: common/cli.hpp).
 ///
-/// Exit codes:
+/// Exit codes (0, 2 and 5 are common::cli's kExitOk, kExitUsage, kExitIo):
 ///   0  clean, or only warnings / notes / waived findings
 ///   1  at least one unwaived error-severity finding
 ///   2  malformed command line (unknown flag, missing or bad value)
@@ -16,13 +16,12 @@
 
 #include <ostream>
 
+#include "common/cli.hpp"
+
 namespace gap::lint {
 
-inline constexpr int kExitOk = 0;
 inline constexpr int kExitFindings = 1;
-inline constexpr int kExitUsage = 2;
 inline constexpr int kExitParse = 3;
-inline constexpr int kExitIo = 5;
 
 /// Run the tool. `argv` excludes the program name (pass argc-1/argv+1
 /// from main). Reports go to `out`, errors to `err`.

@@ -1,14 +1,12 @@
 #include "netlist/verilog.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
 
-#include "common/check.hpp"
+#include "common/source_reader.hpp"
 
 namespace gap::netlist {
 namespace {
@@ -166,22 +164,9 @@ namespace {
 
 using common::ErrorCode;
 using common::SourceLoc;
-using common::Status;
+using common::Token;
 
-/// Internal unwinding carrier for the first parse error; converted to a
-/// failed Status at the read_verilog boundary.
-struct ParseError {
-  Status status;
-};
-
-[[noreturn]] void fail(ErrorCode code, std::string message, SourceLoc loc) {
-  throw ParseError{Status::error(code, std::move(message), loc, "verilog")};
-}
-
-struct Token {
-  std::string text;
-  SourceLoc loc;
-};
+constexpr const char* kSource = "verilog";
 
 /// One `// gap: key name value` annotation.
 struct Directive {
@@ -216,9 +201,10 @@ Directive parse_directive(const std::string& body, SourceLoc start) {
   }
   // words[0] is the "gap:" marker itself.
   if (words.size() != 4)
-    fail(ErrorCode::kParse,
-         "malformed gap directive: expected '// gap: <key> <name> <value>'",
-         start);
+    common::fail(kSource, ErrorCode::kParse,
+                 "malformed gap directive: expected '// gap: <key> <name> "
+                 "<value>'",
+                 start);
   return Directive{words[1].text, words[2], words[3]};
 }
 
@@ -233,14 +219,7 @@ LexResult lex(const std::string& text) {
       cur.clear();
     }
   };
-  auto advance = [&](char c) {
-    if (c == '\n') {
-      ++pos.line;
-      pos.column = 1;
-    } else {
-      ++pos.column;
-    }
-  };
+  const auto advance = [&pos](char c) { common::advance(pos, c); };
   for (std::size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
     if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
@@ -289,39 +268,11 @@ LexResult lex(const std::string& text) {
   return true;
 }
 
-/// Strict double: the whole token must be consumed and the value finite.
-double parse_double(const Token& t) {
-  const char* begin = t.text.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (t.text.empty() || end != begin + t.text.size())
-    fail(ErrorCode::kInvalidValue, "expected a number, got '" + t.text + "'",
-         t.loc);
-  if (!std::isfinite(v))
-    fail(ErrorCode::kInvalidValue, "number '" + t.text + "' is out of range",
-         t.loc);
-  return v;
-}
-
-int parse_int(const Token& t) {
-  const char* begin = t.text.c_str();
-  char* end = nullptr;
-  const long v = std::strtol(begin, &end, 10);
-  if (t.text.empty() || end != begin + t.text.size())
-    fail(ErrorCode::kInvalidValue,
-         "expected an integer, got '" + t.text + "'", t.loc);
-  if (v < -1000000 || v > 1000000)
-    fail(ErrorCode::kInvalidValue,
-         "integer '" + t.text + "' is out of range", t.loc);
-  return static_cast<int>(v);
-}
-
-class Parser {
+class Parser : common::TokenCursor {
  public:
   Parser(LexResult lexed, const library::CellLibrary& lib, bool lenient)
-      : tokens_(std::move(lexed.tokens)),
+      : TokenCursor(kSource, std::move(lexed.tokens), lexed.end),
         directives_(std::move(lexed.directives)),
-        end_(lexed.end),
         lib_(lib),
         lenient_(lenient) {}
 
@@ -337,7 +288,7 @@ class Parser {
     expect("(");
     while (!at_end() && cur().text != ")") {
       next("port name");  // port order comes from the declarations below
-      if (!at_end() && cur().text == ",") ++i_;
+      if (!at_end() && cur().text == ",") next(",");
     }
     expect(")");
     expect(";");
@@ -438,7 +389,7 @@ class Parser {
                    pin.loc);
           }
           if (!at_end() && cur().text == ",") {
-            ++i_;
+            next(",");
             continue;
           }
           break;
@@ -495,95 +446,65 @@ class Parser {
     std::unordered_map<std::string, NetId> output_nets(outputs.begin(),
                                                        outputs.end());
     for (const Directive& d : directives_) {
+      // The named target, then the value: a directive on an unknown name
+      // is reported as such whatever its value.
+      const auto target = [&d, this](const auto& names, const char* what) {
+        const auto it = names.find(d.name.text);
+        if (it == names.end())
+          fail(ErrorCode::kUnknownName,
+               "gap directive: unknown " + std::string(what) + " '" +
+                   d.name.text + "'",
+               d.name.loc);
+        return it->second;
+      };
+      const auto non_negative = [&d, this] {
+        const double v = real(d.value);
+        if (v < 0.0)
+          fail(ErrorCode::kInvalidValue,
+               "gap directive: " + d.key + " must be non-negative",
+               d.value.loc);
+        return v;
+      };
+      const auto zero_or_one = [&d, this] {
+        const int v = integer(d.value);
+        if (v != 0 && v != 1)
+          fail(ErrorCode::kInvalidValue,
+               "gap directive: " + d.key + " must be 0 or 1", d.value.loc);
+        return v;
+      };
       if (d.key == "drive") {
-        const auto it = input_ports.find(d.name.text);
-        if (it == input_ports.end())
-          fail(ErrorCode::kUnknownName,
-               "gap directive: unknown input port '" + d.name.text + "'",
-               d.name.loc);
-        const double v = parse_double(d.value);
-        if (v < 0.0)
-          fail(ErrorCode::kInvalidValue,
-               "gap directive: drive must be non-negative", d.value.loc);
-        nl.port(it->second).ext_drive = v;
+        const PortId p = target(input_ports, "input port");
+        nl.port(p).ext_drive = non_negative();
       } else if (d.key == "load") {
-        const auto it = output_nets.find(d.name.text);
-        if (it == output_nets.end())
-          fail(ErrorCode::kUnknownName,
-               "gap directive: unknown output port '" + d.name.text + "'",
-               d.name.loc);
-        const double v = parse_double(d.value);
-        if (v < 0.0)
-          fail(ErrorCode::kInvalidValue,
-               "gap directive: load must be non-negative", d.value.loc);
-        nl.net(it->second).extra_cap_units = v;
+        const NetId n = target(output_nets, "output port");
+        nl.net(n).extra_cap_units = non_negative();
       } else if (d.key == "length") {
-        const auto it = nets.find(d.name.text);
-        if (it == nets.end())
-          fail(ErrorCode::kUnknownName,
-               "gap directive: unknown net '" + d.name.text + "'",
-               d.name.loc);
-        const double v = parse_double(d.value);
-        if (v < 0.0)
-          fail(ErrorCode::kInvalidValue,
-               "gap directive: length must be non-negative", d.value.loc);
-        nl.net(it->second).length_um = v;
+        const NetId n = target(nets, "net");
+        nl.net(n).length_um = non_negative();
       } else if (d.key == "phase") {
-        const auto it = instances.find(d.name.text);
-        if (it == instances.end())
-          fail(ErrorCode::kUnknownName,
-               "gap directive: unknown instance '" + d.name.text + "'",
-               d.name.loc);
-        const int v = parse_int(d.value);
+        const InstanceId i = target(instances, "instance");
+        const int v = integer(d.value);
         if (v < 0)
           fail(ErrorCode::kInvalidValue,
                "gap directive: phase must be non-negative", d.value.loc);
-        nl.instance(it->second).clock_phase = v;
+        nl.instance(i).clock_phase = v;
       } else if (d.key == "domain") {
-        const auto it = input_ports.find(d.name.text);
-        if (it == input_ports.end())
-          fail(ErrorCode::kUnknownName,
-               "gap directive: unknown input port '" + d.name.text + "'",
-               d.name.loc);
+        const PortId p = target(input_ports, "input port");
         if (!is_identifier(d.value.text))
           fail(ErrorCode::kInvalidValue,
                "gap directive: domain name must be an identifier, got '" +
                    d.value.text + "'",
                d.value.loc);
-        nl.port(it->second).domain = d.value.text;
+        nl.port(p).domain = d.value.text;
       } else if (d.key == "tie") {
-        const auto it = input_ports.find(d.name.text);
-        if (it == input_ports.end())
-          fail(ErrorCode::kUnknownName,
-               "gap directive: unknown input port '" + d.name.text + "'",
-               d.name.loc);
-        const int v = parse_int(d.value);
-        if (v != 0 && v != 1)
-          fail(ErrorCode::kInvalidValue,
-               "gap directive: tie must be 0 or 1", d.value.loc);
-        nl.port(it->second).tie = v;
+        const PortId p = target(input_ports, "input port");
+        nl.port(p).tie = zero_or_one();
       } else if (d.key == "reset") {
-        const auto it = input_ports.find(d.name.text);
-        if (it == input_ports.end())
-          fail(ErrorCode::kUnknownName,
-               "gap directive: unknown input port '" + d.name.text + "'",
-               d.name.loc);
-        const int v = parse_int(d.value);
-        if (v != 0 && v != 1)
-          fail(ErrorCode::kInvalidValue,
-               "gap directive: reset must be 0 or 1", d.value.loc);
-        nl.port(it->second).is_reset = v != 0;
+        const PortId p = target(input_ports, "input port");
+        nl.port(p).is_reset = zero_or_one() != 0;
       } else if (d.key == "hasreset") {
-        const auto it = instances.find(d.name.text);
-        if (it == instances.end())
-          fail(ErrorCode::kUnknownName,
-               "gap directive: unknown instance '" + d.name.text + "'",
-               d.name.loc);
-        const int v = parse_int(d.value);
-        if (v != 0 && v != 1)
-          fail(ErrorCode::kInvalidValue,
-               "gap directive: hasreset must be 0 or 1", d.value.loc);
-        nl.instance(it->second).has_reset = v != 0;
+        const InstanceId i = target(instances, "instance");
+        nl.instance(i).has_reset = zero_or_one() != 0;
       } else {
         fail(ErrorCode::kUnknownName,
              "unknown gap directive '" + d.key + "'", d.name.loc);
@@ -593,24 +514,6 @@ class Parser {
   }
 
  private:
-  [[nodiscard]] bool at_end() const { return i_ >= tokens_.size(); }
-  [[nodiscard]] const Token& cur() const { return tokens_[i_]; }
-
-  const Token& next(const char* what) {
-    if (at_end())
-      fail(ErrorCode::kParse,
-           std::string("unexpected end of input: expected ") + what, end_);
-    return tokens_[i_++];
-  }
-
-  void expect(const char* t) {
-    const Token& tok = next(t);
-    if (tok.text != t)
-      fail(ErrorCode::kParse,
-           std::string("expected '") + t + "', got '" + tok.text + "'",
-           tok.loc);
-  }
-
   std::string identifier(const char* what) {
     const Token& tok = next(what);
     if (!is_identifier(tok.text))
@@ -620,35 +523,16 @@ class Parser {
     return tok.text;
   }
 
-  std::vector<Token> tokens_;
   std::vector<Directive> directives_;
-  SourceLoc end_;
-  std::size_t i_ = 0;
   const library::CellLibrary& lib_;
   bool lenient_ = false;
 };
-
-template <typename T, typename Fn>
-common::Result<T> guarded_parse(Fn&& body) {
-  try {
-    // Belt and braces: a tripped internal contract surfaces as a failed
-    // Status instead of killing the process (thread-local, this call only).
-    const ScopedContractCapture guard;
-    return body();
-  } catch (const ParseError& e) {
-    return e.status;
-  } catch (const ContractViolation& v) {
-    return Status::error(ErrorCode::kContract, v.what(), {}, "verilog");
-  } catch (const std::exception& e) {
-    return Status::error(ErrorCode::kInternal, e.what(), {}, "verilog");
-  }
-}
 
 }  // namespace
 
 common::Result<Netlist> read_verilog(const std::string& text,
                                      const library::CellLibrary& lib) {
-  return guarded_parse<Netlist>([&]() -> Netlist {
+  return common::guarded_read<Netlist>(kSource, [&]() -> Netlist {
     Parser parser(lex(text), lib, /*lenient=*/false);
     return std::move(parser.parse().nl);
   });
@@ -656,7 +540,7 @@ common::Result<Netlist> read_verilog(const std::string& text,
 
 common::Result<LenientParse> read_verilog_lenient(
     const std::string& text, const library::CellLibrary& lib) {
-  return guarded_parse<LenientParse>([&] {
+  return common::guarded_read<LenientParse>(kSource, [&] {
     Parser parser(lex(text), lib, /*lenient=*/true);
     return parser.parse();
   });

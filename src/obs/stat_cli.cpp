@@ -123,7 +123,7 @@ int load_file(const std::string& path, StatMap& m, std::ostream& err) {
   const std::optional<std::string> read = common::read_file(path);
   if (!read) {
     err << "gapstat: error[io]: cannot read '" << path << "'\n";
-    return kStatExitIo;
+    return cl::kExitIo;
   }
   const std::string& text = *read;
 
@@ -151,7 +151,7 @@ int load_file(const std::string& path, StatMap& m, std::ostream& err) {
         << "' is not a metrics JSON, exposition, or flight file\n";
     return kStatExitParse;
   }
-  return kStatExitOk;
+  return cl::kExitOk;
 }
 
 // --- rendering -----------------------------------------------------------
@@ -200,7 +200,7 @@ std::string usage_text() {
 
 int usage_error(std::ostream& err, const std::string& message) {
   err << "gapstat: error: " << message << '\n' << usage_text();
-  return kStatExitUsage;
+  return cl::kExitUsage;
 }
 
 void render_map(const StatMap& m, Format format, std::ostream& out) {
@@ -299,7 +299,7 @@ int run_gapstat(int argc, const char* const* argv, std::ostream& out,
     return usage_error(err, s.message());
   if (o.help) {
     out << usage_text();
-    return kStatExitOk;
+    return cl::kExitOk;
   }
   if (cmd.empty())
     return usage_error(err, "missing command (show | diff | agg)");
@@ -309,7 +309,7 @@ int run_gapstat(int argc, const char* const* argv, std::ostream& out,
     StatMap m;
     if (const int rc = load_file(positional[0], m, err); rc != 0) return rc;
     render_map(m, o.format, out);
-    return kStatExitOk;
+    return cl::kExitOk;
   }
   if (cmd == "diff") {
     if (positional.size() != 2)
@@ -318,7 +318,7 @@ int run_gapstat(int argc, const char* const* argv, std::ostream& out,
     if (const int rc = load_file(positional[0], a, err); rc != 0) return rc;
     if (const int rc = load_file(positional[1], b, err); rc != 0) return rc;
     const std::size_t differing = render_diff(a, b, o.format, out);
-    return o.strict && differing != 0 ? kStatExitDiff : kStatExitOk;
+    return o.strict && differing != 0 ? kStatExitDiff : cl::kExitOk;
   }
   if (cmd == "agg") {
     if (positional.empty())
@@ -330,7 +330,7 @@ int run_gapstat(int argc, const char* const* argv, std::ostream& out,
       merge_into(acc, m);
     }
     render_map(acc, o.format, out);
-    return kStatExitOk;
+    return cl::kExitOk;
   }
   return usage_error(err, "unknown command '" + cmd + "'");
 }

@@ -17,7 +17,7 @@
 /// be diffed against each other. `agg` merges by metric kind: counters
 /// sum, gauges and maxima keep the max, minima keep the min.
 ///
-/// Exit codes (the shared tool vocabulary):
+/// Exit codes (0, 2 and 5 are common::cli's kExitOk, kExitUsage, kExitIo):
 ///   0  success (for diff: also "differences found" without --strict)
 ///   1  diff --strict found differences
 ///   2  malformed command line
@@ -26,13 +26,12 @@
 
 #include <iosfwd>
 
+#include "common/cli.hpp"
+
 namespace gap::obs {
 
-inline constexpr int kStatExitOk = 0;
 inline constexpr int kStatExitDiff = 1;
-inline constexpr int kStatExitUsage = 2;
 inline constexpr int kStatExitParse = 4;
-inline constexpr int kStatExitIo = 5;
 
 /// Run gapstat over explicit streams. `argv` excludes the program name
 /// (pass argc-1/argv+1 from main).

@@ -65,16 +65,16 @@ int load(const std::string& path, Value& out, std::ostream& err) {
   const std::optional<std::string> text = common::read_file(path);
   if (!text) {
     err << "gapreport: cannot open " << path << "\n";
-    return kExitIo;
+    return cl::kExitIo;
   }
   auto parsed = Value::parse(*text);
   if (!parsed || !parsed->is_object()) {
     err << "gapreport: " << path << " is not valid JSON\n";
-    return kExitIo;
+    return cl::kExitIo;
   }
   if (parsed->member_string("tool", "") != "gapflow") {
     err << "gapreport: " << path << " is not a gapflow QoR manifest\n";
-    return kExitIo;
+    return cl::kExitIo;
   }
   const int ver = static_cast<int>(parsed->member_number("schema_version", 0));
   if (ver != kManifestSchemaVersion)
@@ -82,7 +82,7 @@ int load(const std::string& path, Value& out, std::ostream& err) {
         << " (tool expects " << kManifestSchemaVersion
         << "); diffing shared keys only\n";
   out = std::move(*parsed);
-  return kExitOk;
+  return cl::kExitOk;
 }
 
 /// The scalar QoR keys rendered and diffed per stage, in display order.
@@ -299,7 +299,7 @@ int run_diff(const Value& base, const Value& cur, double threshold,
 
   if (deltas.empty()) {
     out << "no differences\n";
-    return kExitOk;
+    return cl::kExitOk;
   }
   bool regressed = false;
   for (const Delta& d : deltas) {
@@ -313,7 +313,7 @@ int run_diff(const Value& base, const Value& cur, double threshold,
   }
   out << deltas.size() << " difference(s)"
       << (regressed ? ", regression past threshold" : "") << "\n";
-  return regressed && strict ? kExitRegression : kExitOk;
+  return regressed && strict ? kExitRegression : cl::kExitOk;
 }
 
 }  // namespace
@@ -332,35 +332,35 @@ int run_gapreport(int argc, const char* const* argv, std::ostream& out,
                                          cmd == "show" ? 1 : 2);
       !s.ok()) {
     err << "gapreport: " << s.message() << "\n";
-    return s.code() == common::ErrorCode::kUsage ? kExitUnknownFlag
+    return s.code() == common::ErrorCode::kUsage ? cl::kExitUsage
                                                  : kExitBadValue;
   }
   if (o.help || cmd == "help") {
     out << usage_text();
-    return kExitOk;
+    return cl::kExitOk;
   }
   if (!known) {
     err << "gapreport: unknown command '" << cmd << "'\n" << usage_text();
-    return kExitUnknownFlag;
+    return cl::kExitUsage;
   }
   if (files.size() != (cmd == "show" ? 1u : 2u)) {
     err << "gapreport: " << cmd << " needs "
         << (cmd == "show" ? "a manifest file" : "BASE and CURRENT") << "\n"
         << usage_text();
-    return kExitUnknownFlag;
+    return cl::kExitUsage;
   }
 
   Value base;
-  if (const int rc = load(files[0], base, err); rc != kExitOk) return rc;
+  if (const int rc = load(files[0], base, err); rc != cl::kExitOk) return rc;
   if (cmd == "show") {
     if (o.csv)
       show_csv(base, out);
     else
       show_text(base, out);
-    return kExitOk;
+    return cl::kExitOk;
   }
   Value cur;
-  if (const int rc = load(files[1], cur, err); rc != kExitOk) return rc;
+  if (const int rc = load(files[1], cur, err); rc != cl::kExitOk) return rc;
   return run_diff(base, cur, o.threshold, o.strict, out);
 }
 

@@ -9,7 +9,8 @@
 ///   gapreport show FILE [--csv]
 ///   gapreport diff BASE CURRENT [--threshold F] [--strict]
 ///
-/// Exit codes follow gapflow's conventions:
+/// Exit codes follow gapflow's conventions (0, 2 and 5 are common::cli's
+/// kExitOk, kExitUsage, kExitIo):
 ///   0  success; for diff: no *regression* (differences alone are fine)
 ///   1  regression past the threshold, --strict only
 ///   2  unknown flag or command
@@ -18,13 +19,12 @@
 
 #include <ostream>
 
+#include "common/cli.hpp"
+
 namespace gap::qor {
 
-inline constexpr int kExitOk = 0;
 inline constexpr int kExitRegression = 1;
-inline constexpr int kExitUnknownFlag = 2;
 inline constexpr int kExitBadValue = 3;
-inline constexpr int kExitIo = 5;
 
 /// Default relative-increase threshold for `gapreport diff`.
 inline constexpr double kDefaultRegressionThreshold = 0.05;

@@ -209,11 +209,11 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
   const std::vector<std::string> args(argv, argv + argc);
   if (const common::Status s = cl::parse(args, flag_table(opt)); !s.ok()) {
     err << "gapd: error: " << s.message() << '\n' << usage_text();
-    return kExitUsage;
+    return cl::kExitUsage;
   }
   if (opt.help) {
     out << usage_text();
-    return kExitOk;
+    return cl::kExitOk;
   }
 
   const std::string& trace_out = opt.trace_out;
@@ -227,7 +227,7 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
     const common::Status st = server.recover();
     if (!st.ok()) {
       err << "gapd: " << st.to_string() << '\n';
-      return kExitIo;
+      return cl::kExitIo;
     }
   }
   int code = server.serve(in, out);
@@ -239,7 +239,7 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
     err << "gapd: SIGTERM: drained";
     for (const std::string& path : dumped) err << ' ' << path;
     err << '\n';
-    if (code == kExitOk || code == kExitIo) code = kExitOk;
+    if (code == cl::kExitOk || code == cl::kExitIo) code = cl::kExitOk;
   }
   if (!trace_out.empty()) {
     common::tracer().set_enabled(false);
@@ -248,10 +248,10 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
       common::tracer().write_chrome_json(os);
     } else {
       err << "gapd: error[io]: cannot write '" << trace_out << "'\n";
-      if (code == kExitOk) code = kExitIo;
+      if (code == cl::kExitOk) code = cl::kExitIo;
     }
   }
-  if (code == kExitIo)
+  if (code == cl::kExitIo)
     err << "gapd: error[io]: short write on stdout (reader closed the "
            "pipe?)\n";
   return code;

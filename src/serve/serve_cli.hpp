@@ -7,7 +7,7 @@
 /// prints the flags, generated from the flag table in serve_cli.cpp
 /// (syntax: common/cli.hpp).
 ///
-/// Exit codes (the same vocabulary as the other tools):
+/// Exit codes (common::cli's kExitOk, kExitUsage and kExitIo):
 ///   0  clean EOF, an acknowledged shutdown request, or a SIGTERM drain
 ///   2  malformed command line (unknown flag, missing or bad value)
 ///   5  I/O failure: journal directory unscannable, or stdout broke
@@ -18,11 +18,9 @@
 
 #include <iosfwd>
 
-namespace gap::serve {
+#include "common/cli.hpp"
 
-inline constexpr int kExitOk = 0;
-inline constexpr int kExitUsage = 2;
-inline constexpr int kExitIo = 5;
+namespace gap::serve {
 
 /// Install the SIGTERM latch. On POSIX, SIGTERM is *blocked*
 /// process-wide — pool workers spawned later inherit the mask, so the

@@ -984,7 +984,7 @@ int Server::serve(std::istream& in, std::ostream& out) {
          read_frame_line(in, line, options_.max_frame_bytes)) {
     out << handle_line(line) << '\n' << std::flush;
     if (!out) {
-      rc = kExitIo;  // reader closed the pipe
+      rc = common::cli::kExitIo;  // reader closed the pipe
       break;
     }
   }

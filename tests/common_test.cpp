@@ -13,6 +13,7 @@
 #include "common/ids.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
+#include "common/source_reader.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
@@ -128,6 +129,52 @@ TEST(Cli, EveryRejectionCarriesItsCode) {
   EXPECT_EQ(common::cli::parse(std::vector<std::string>{"a"}, o.table())
                 .code(),
             ErrorCode::kUsage);
+}
+
+// --- common::read_number: the one number rule ----------------------------
+
+TEST(ReadNumber, OneRuleForArgvAndEveryFileReader) {
+  struct Read {
+    std::optional<double> value;
+    bool out_of_range = false;
+  };
+  const Read bad{};
+  const Read huge{std::nullopt, true};
+  struct Case {
+    const char* text;
+    Read real;
+    Read integer;
+  };
+  // The argv mutant table's numbers (fault_injection_test.cpp), then the
+  // hex and '+' spellings the file readers used to accept, and underflow.
+  const Case cases[] = {
+      {" 4", bad, bad},
+      {"4 ", bad, bad},
+      {"0x10", bad, bad},
+      {"-3", {-3.0}, {-3.0}},
+      {"+4", bad, bad},
+      {"4.5", {4.5}, bad},
+      {"99999999999999999999", {1e20}, huge},
+      {"1e999", huge, bad},
+      {"nan", huge, bad},
+      {"inf", huge, bad},
+      {"-inf", huge, bad},
+      {"", bad, bad},
+      {"1e3", {1000.0}, bad},
+      {"0x28", bad, bad},
+      {"+40", bad, bad},
+      {"0x1.4p5", bad, bad},
+      {"1e-999", huge, bad},
+  };
+  for (const Case& c : cases) {
+    for (const bool integer : {false, true}) {
+      const Read& want = integer ? c.integer : c.real;
+      const common::Number got = common::read_number(c.text, integer);
+      EXPECT_EQ(got.value, want.value) << "'" << c.text << "' " << integer;
+      EXPECT_EQ(got.out_of_range, want.out_of_range)
+          << "'" << c.text << "' " << integer;
+    }
+  }
 }
 
 TEST(Ids, DefaultIsInvalid) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -381,6 +383,74 @@ TEST(FaultInjectionTest, VerilogTargetedFaultsCarrySpecificCodes) {
   EXPECT_EQ(multi.status().code(), ErrorCode::kStructural);
   EXPECT_NE(multi.status().message().find("multiply driven"),
             std::string::npos);
+}
+
+// --- the one number rule: hex, '+', hex floats and overflow -------------
+
+/// Numbers argv already refuses; no file reader may read them either.
+constexpr const char* kNonDecimal[] = {"0x28", "+40", "0x1.4p5", "1e999"};
+
+/// `text` with the value after the first `key` (up to the next ';' or
+/// newline) replaced by `value`, and where that value now starts.
+std::pair<std::string, common::SourceLoc> with_value(
+    const std::string& text, const std::string& key, const std::string& value) {
+  const std::size_t at = text.find(key);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return {text, {}};
+  const std::size_t b = at + key.size();
+  const std::size_t line_start = text.rfind('\n', b) + 1;  // npos + 1 == 0
+  const auto line = 1 + std::count(text.begin(), text.begin() + b, '\n');
+  return {text.substr(0, b) + value + text.substr(text.find_first_of(";\n", b)),
+          {static_cast<int>(line), static_cast<int>(b - line_start) + 1}};
+}
+
+/// A rejection coded `code` that points at `loc`.
+void expect_rejected_at(const Status& s, ErrorCode code,
+                        common::SourceLoc loc) {
+  EXPECT_EQ(s.code(), code) << s.to_string();
+  EXPECT_TRUE(s.loc().valid()) << s.to_string();
+  EXPECT_EQ(s.loc().line, loc.line) << s.to_string();
+  EXPECT_EQ(s.loc().column, loc.column) << s.to_string();
+}
+
+TEST(FaultInjectionTest, LibertyNumbersFollowTheOneNumberRule) {
+  const std::string good = liberty_corpus().front();
+  for (const char* bad : kNonDecimal) {
+    for (const char* key : {"area : ", "gap_drive : ", "gap_vdd_v : "}) {
+      SCOPED_TRACE(std::string(key) + bad);
+      const auto [text, loc] = with_value(good, key, bad);
+      const auto r = library::read_liberty(text);
+      ASSERT_FALSE(r.ok());
+      expect_rejected_at(r.status(), ErrorCode::kInvalidValue, loc);
+      EXPECT_EQ(r.status().where(), "liberty");
+    }
+  }
+}
+
+TEST(FaultInjectionTest, VerilogDirectiveNumbersFollowTheOneNumberRule) {
+  const CellLibrary lib = library::make_rich_asic_library(tech::asic_025um());
+  netlist::Netlist nl("t", &lib);
+  const PortId a = nl.add_input("a", 2.0);
+  const NetId out = nl.add_net("out");
+  nl.add_instance("u1",
+                  *lib.smallest(library::Func::kInv, library::Family::kStatic),
+                  {nl.port(a).net}, out);
+  nl.add_output("y", out);
+  nl.net(out).extra_cap_units = 3.0;
+  nl.net(out).length_um = 177.0;
+  const std::string good = netlist::to_verilog(nl);
+  ASSERT_TRUE(netlist::read_verilog(good, lib).ok());
+  for (const char* bad : kNonDecimal) {
+    for (const char* key :
+         {"// gap: drive a ", "// gap: load y ", "// gap: length y "}) {
+      SCOPED_TRACE(std::string(key) + bad);
+      const auto [text, loc] = with_value(good, key, bad);
+      const auto r = netlist::read_verilog(text, lib);
+      ASSERT_FALSE(r.ok());
+      expect_rejected_at(r.status(), ErrorCode::kInvalidValue, loc);
+      EXPECT_EQ(r.status().where(), "verilog");
+    }
+  }
 }
 
 // --- gaplint inputs: config, lenient Verilog, and the rules themselves -----

@@ -20,6 +20,9 @@
 namespace gap::lint {
 namespace {
 
+using common::cli::kExitIo;
+using common::cli::kExitOk;
+using common::cli::kExitUsage;
 using library::Family;
 using library::Func;
 using netlist::Netlist;
@@ -565,6 +568,15 @@ TEST_F(LintTest, ConfigRejectsMalformedInput) {
       {"[constraints]\nperiod_tau = nan\n", common::ErrorCode::kInvalidValue},
       {"[constraints]\nskew_fraction = -inf\n",
        common::ErrorCode::kInvalidValue},
+      // The number rule argv follows: no hex, hex float or leading '+'.
+      {"[constraints]\nperiod_tau = 0x28\n", common::ErrorCode::kParse},
+      {"[constraints]\nperiod_tau = +40\n", common::ErrorCode::kParse},
+      {"[constraints]\nperiod_tau = 0x1.4p5\n", common::ErrorCode::kParse},
+      {"[[domain]]\nphase = 0x28\n", common::ErrorCode::kParse},
+      {"[[domain]]\nphase = +40\n", common::ErrorCode::kParse},
+      {"[[domain]]\nphase = 0x1.4p5\n", common::ErrorCode::kParse},
+      {"[[domain]]\nphase = 1e999\n", common::ErrorCode::kParse},
+      {"[[domain]]\nphase = 256\n", common::ErrorCode::kInvalidValue},
   };
   for (const Case& c : cases) {
     auto cfg = parse_config(c.text, registry_);

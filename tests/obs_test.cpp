@@ -33,6 +33,10 @@
 namespace gap::obs {
 namespace {
 
+using common::cli::kExitIo;
+using common::cli::kExitOk;
+using common::cli::kExitUsage;
+
 namespace fs = std::filesystem;
 using common::json::Value;
 
@@ -348,19 +352,19 @@ TEST(GapStat, ShowsMetricsJson) {
   write_file(dir + "/m.json", reg.json());
 
   std::string text;
-  EXPECT_EQ(gapstat({"show", dir + "/m.json"}, &text), kStatExitOk);
+  EXPECT_EQ(gapstat({"show", dir + "/m.json"}, &text), kExitOk);
   EXPECT_NE(text.find("serve.requests"), std::string::npos) << text;
   EXPECT_NE(text.find("serve.req.frame_bytes.count"), std::string::npos)
       << text;
 
   std::string csv;
   EXPECT_EQ(gapstat({"show", dir + "/m.json", "--format", "csv"}, &csv),
-            kStatExitOk);
+            kExitOk);
   EXPECT_EQ(csv.rfind("name,value\n", 0), 0u) << csv;
 
   std::string js;
   EXPECT_EQ(gapstat({"show", dir + "/m.json", "--format=json"}, &js),
-            kStatExitOk);
+            kExitOk);
   auto v = Value::parse(js);
   ASSERT_TRUE(v.has_value()) << js;
   EXPECT_EQ(v->member_number("serve.requests", 0), 5.0);
@@ -379,12 +383,12 @@ TEST(GapStat, ShowsExpositionAndFlight) {
   write_file(dir + "/f.json", flight_json(rec));
 
   std::string text;
-  EXPECT_EQ(gapstat({"show", dir + "/e.prom"}, &text), kStatExitOk);
+  EXPECT_EQ(gapstat({"show", dir + "/e.prom"}, &text), kExitOk);
   EXPECT_NE(text.find("gap_sta_wave_sweeps"), std::string::npos) << text;
 
   std::string fl;
   EXPECT_EQ(gapstat({"show", dir + "/f.json", "--format=json"}, &fl),
-            kStatExitOk);
+            kExitOk);
   auto v = Value::parse(fl);
   ASSERT_TRUE(v.has_value()) << fl;
   EXPECT_EQ(v->member_number("flight.events.request_begin", 0), 2.0);
@@ -404,7 +408,7 @@ TEST(GapStat, DiffFindsChangesAndStrictGatesExit) {
 
   std::string text;
   EXPECT_EQ(gapstat({"diff", dir + "/old.json", dir + "/new.json"}, &text),
-            kStatExitOk);
+            kExitOk);
   EXPECT_NE(text.find("serve.requests"), std::string::npos) << text;
   EXPECT_NE(text.find("serve.errors"), std::string::npos) << text;
 
@@ -416,7 +420,7 @@ TEST(GapStat, DiffFindsChangesAndStrictGatesExit) {
   EXPECT_EQ(gapstat({"diff", dir + "/old.json", dir + "/old.json",
                      "--strict"},
                     &text),
-            kStatExitOk);
+            kExitOk);
   EXPECT_NE(text.find("no differences"), std::string::npos) << text;
 }
 
@@ -435,7 +439,7 @@ TEST(GapStat, AggregatesAcrossFiles) {
   EXPECT_EQ(gapstat({"agg", dir + "/a.json", dir + "/b.json",
                      "--format=json"},
                     &js),
-            kStatExitOk);
+            kExitOk);
   auto v = Value::parse(js);
   ASSERT_TRUE(v.has_value()) << js;
   EXPECT_EQ(v->member_number("serve.requests", 0), 5.0);  // counters sum
@@ -447,14 +451,14 @@ TEST(GapStat, AggregatesAcrossFiles) {
 TEST(GapStat, ExitCodesForBadInput) {
   const std::string dir = temp_dir("stat_bad");
   write_file(dir + "/garbage.json", "{not json");
-  EXPECT_EQ(gapstat({}, nullptr), kStatExitUsage);
-  EXPECT_EQ(gapstat({"show"}, nullptr), kStatExitUsage);
-  EXPECT_EQ(gapstat({"show", dir + "/missing.json"}, nullptr), kStatExitIo);
+  EXPECT_EQ(gapstat({}, nullptr), kExitUsage);
+  EXPECT_EQ(gapstat({"show"}, nullptr), kExitUsage);
+  EXPECT_EQ(gapstat({"show", dir + "/missing.json"}, nullptr), kExitIo);
   EXPECT_EQ(gapstat({"show", dir + "/garbage.json"}, nullptr),
             kStatExitParse);
   EXPECT_EQ(gapstat({"show", dir + "/garbage.json", "--format", "xml"},
                     nullptr),
-            kStatExitUsage);
+            kExitUsage);
 }
 
 /// The committed examples/obs fixtures (a gapd exposition snapshot and a
@@ -464,12 +468,12 @@ TEST(GapStat, CommittedFixturesShowAggAndStrictDiff) {
   const std::string fixtures = std::string(GAP_SOURCE_DIR) + "/examples/obs";
   const std::string prom = fixtures + "/metrics.prom";
   std::string text;
-  EXPECT_EQ(gapstat({"show", prom}, &text), kStatExitOk);
+  EXPECT_EQ(gapstat({"show", prom}, &text), kExitOk);
   EXPECT_NE(text.find("gap_serve_requests"), std::string::npos) << text;
   EXPECT_EQ(gapstat({"show", fixtures + "/s1.flight.json"}, nullptr),
-            kStatExitOk);
-  EXPECT_EQ(gapstat({"agg", prom, prom}, nullptr), kStatExitOk);
-  EXPECT_EQ(gapstat({"diff", prom, prom, "--strict"}, &text), kStatExitOk);
+            kExitOk);
+  EXPECT_EQ(gapstat({"agg", prom, prom}, nullptr), kExitOk);
+  EXPECT_EQ(gapstat({"diff", prom, prom, "--strict"}, &text), kExitOk);
   EXPECT_NE(text.find("no differences"), std::string::npos) << text;
 
   const std::string original = read_file(prom);

@@ -23,6 +23,10 @@
 namespace gap::qor {
 namespace {
 
+using common::cli::kExitIo;
+using common::cli::kExitOk;
+using common::cli::kExitUsage;
+
 sta::StaOptions sta_options_for(const core::Methodology& m) {
   sta::StaOptions so;
   so.corner_delay_factor = m.corner.delay_factor;
@@ -393,10 +397,10 @@ TEST_F(GapreportTest, NonFiniteThresholdIsRejectedNotIgnored) {
 
 TEST_F(GapreportTest, ErrorExitCodes) {
   EXPECT_EQ(gapreport({"show", "/no/such/file.json"}).code, kExitIo);
-  EXPECT_EQ(gapreport({"frobnicate"}).code, kExitUnknownFlag);
-  EXPECT_EQ(gapreport({"show"}).code, kExitUnknownFlag);
-  EXPECT_EQ(gapreport({"diff", "a"}).code, kExitUnknownFlag);
-  EXPECT_EQ(gapreport({"show", "x.json", "--bogus"}).code, kExitUnknownFlag);
+  EXPECT_EQ(gapreport({"frobnicate"}).code, kExitUsage);
+  EXPECT_EQ(gapreport({"show"}).code, kExitUsage);
+  EXPECT_EQ(gapreport({"diff", "a"}).code, kExitUsage);
+  EXPECT_EQ(gapreport({"show", "x.json", "--bogus"}).code, kExitUsage);
 
   const std::string bad = "qor_test_bad.json";
   write_file(bad, "this is not json");

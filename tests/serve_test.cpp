@@ -28,6 +28,8 @@
 namespace gap::serve {
 namespace {
 
+using common::cli::kExitUsage;
+
 namespace fs = std::filesystem;
 using common::json::Value;
 

@@ -105,12 +105,14 @@ run_asan() {
   # UBSan recovers and keeps going by default; make every finding fatal.
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
   export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}"
-  # The readers' fault-injection corpus and argv mutants, the JSON Writer
-  # and every golden artifact rendered through it, the gapd server suite,
-  # the STA oracle suite, and the CLIs' own argv paths.
+  # The readers' fault-injection corpus and argv mutants, their Liberty
+  # and Verilog round trips (property_test) and lenient directive paths
+  # (dataflow_test), the JSON Writer and every golden artifact rendered
+  # through it, the gapd server suite, the STA oracle suite, and the CLIs'
+  # own argv paths.
   local suites="fault_injection_test io_test diagnostics_test obs_test
     common_test golden_test serve_test soa_graph_test driver_test lint_test
-    qor_test"
+    qor_test dataflow_test property_test"
   echo "== ASan/UBSan build ($BUILD_ASAN) =="
   cmake -B "$BUILD_ASAN" -S . -DGAP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
