@@ -56,10 +56,7 @@ ChipResult implement_chip(const Flow& flow, const Methodology& m,
   result.die_area_mm2 = fp.die_w_um * fp.die_h_um * 1e-6;
 
   // --- buffering, sizing, signoff ---
-  sta::StaOptions sta_opt;
-  sta_opt.corner_delay_factor = m.corner.delay_factor;
-  sta_opt.clock.skew_fraction = m.skew_fraction;
-  sta_opt.optimal_repeaters = m.optimal_repeaters;
+  const sta::StaOptions sta_opt = signoff_sta_options(m);
   if (m.sizing != SizingLevel::kNone) {
     sizing::initial_drive_assignment(nl);
     sizing::insert_buffers(nl, 96.0);

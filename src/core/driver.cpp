@@ -226,10 +226,7 @@ qor::RunManifest build_manifest(const DriverArgs& args, const Methodology& m,
     man.pipeline_registers = r.pipeline_registers;
     man.sizing_moves = r.sizing_moves;
 
-    sta::StaOptions so;
-    so.corner_delay_factor = m.corner.delay_factor;
-    so.clock.skew_fraction = m.skew_fraction;
-    so.optimal_repeaters = m.optimal_repeaters;
+    const sta::StaOptions so = signoff_sta_options(m);
     const auto paths =
         sta::top_critical_paths(*r.nl, so, kManifestTopPaths);
     if (!paths.empty()) {
@@ -417,10 +414,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
     return exit_code_for(code);
   }
 
-  sta::StaOptions sta_opt;
-  sta_opt.corner_delay_factor = m->corner.delay_factor;
-  sta_opt.clock.skew_fraction = m->skew_fraction;
-  sta_opt.optimal_repeaters = m->optimal_repeaters;
+  const sta::StaOptions sta_opt = signoff_sta_options(*m);
 
   if (args.scan) {
     const auto scan = dft::insert_scan(*r.nl);

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "common/check.hpp"
+#include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "lint/dataflow.hpp"
 
@@ -68,6 +69,14 @@ bool glob_match(const std::string& pattern, const std::string& text) {
   return p == pattern.size();
 }
 
+std::vector<netlist::StructuralViolation> scan_structure(
+    const netlist::Netlist& nl) {
+  static common::Counter& scans =
+      common::metrics().counter("lint.structural_scans");
+  scans.add(1);
+  return netlist::structural_scan(nl);
+}
+
 namespace {
 
 common::Severity apply_override(common::Severity def, SeverityOverride o) {
@@ -100,17 +109,25 @@ LintReport run_lint(const RuleRegistry& registry, const LintContext& ctx,
     }
   }
 
-  // The GL-D/GL-X rules read the dataflow lattice. Build it on demand
-  // when the caller did not supply a cached engine; a failed analysis
-  // (combinational cycle — GL-S004 already owns that) leaves ctx.dataflow
-  // null and those rules silent.
+  // The structural rules share one scan, and the GL-D/GL-X rules read
+  // the dataflow lattice. Build each on demand when the caller did not
+  // supply a cached one; a failed dataflow analysis (combinational
+  // cycle — GL-S004 already owns that) leaves ctx.dataflow null and
+  // those rules silent.
   LintContext eval_ctx = ctx;
+  std::vector<netlist::StructuralViolation> local_scan;
   std::optional<DataflowEngine> local_engine;
+  bool wants_structure = false;
   bool wants_dataflow = false;
   for (std::size_t i = 0; i < registry.size(); ++i) {
     const Category cat = registry.rule(i).info().category;
+    wants_structure |= enabled[i] && cat == Category::kStructural;
     wants_dataflow |= enabled[i] && (cat == Category::kDomain ||
                                      cat == Category::kDataflow);
+  }
+  if (wants_structure && ctx.structure == nullptr) {
+    local_scan = scan_structure(*ctx.nl);
+    eval_ctx.structure = &local_scan;
   }
   if (wants_dataflow && ctx.dataflow == nullptr) {
     local_engine.emplace();

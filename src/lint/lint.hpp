@@ -25,6 +25,7 @@
 
 #include "common/status.hpp"
 #include "lint/domains.hpp"
+#include "netlist/checks.hpp"
 #include "netlist/verilog.hpp"
 #include "tech/technology.hpp"
 
@@ -87,7 +88,17 @@ struct LintContext {
   /// run_lint() builds one on demand if any such rule is enabled; a
   /// resident service (gapd) passes its cached per-session engine here.
   const DataflowEngine* dataflow = nullptr;
+  /// Precomputed scan_structure() of `nl` for the structural rules. When
+  /// null, run_lint() scans once per run if any structural rule is
+  /// enabled, and those rules share that one scan; a resident service
+  /// (gapd) passes its cached per-session scan here.
+  const std::vector<netlist::StructuralViolation>* structure = nullptr;
 };
+
+/// netlist::structural_scan() of `nl`, counted on the
+/// `lint.structural_scans` metric: the one place lint pays for a scan.
+[[nodiscard]] std::vector<netlist::StructuralViolation> scan_structure(
+    const netlist::Netlist& nl);
 
 /// One rule. Implementations must be pure functions of the context:
 /// run() is called concurrently with other rules' run() on the same

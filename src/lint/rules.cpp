@@ -11,6 +11,7 @@
 
 #include <bit>
 
+#include "common/check.hpp"
 #include "lint/dataflow.hpp"
 #include "lint/lint.hpp"
 #include "netlist/checks.hpp"
@@ -100,12 +101,15 @@ void add_rule(RuleRegistry& reg, const char* id, Category cat, Severity sev,
 }
 
 /// Scan-kind filter shared by the structural rules: report the matching
-/// subset of structural_scan() violations with their original messages.
+/// subset of the run's one structural scan (ctx.structure, which
+/// run_lint() always supplies to an enabled structural rule) with the
+/// violations' original messages.
 void emit_scan(const LintContext& ctx,
                std::initializer_list<StructuralViolation::Kind> kinds,
                std::vector<Finding>& out) {
+  GAP_EXPECTS(ctx.structure != nullptr);
   const Netlist& nl = *ctx.nl;
-  for (const StructuralViolation& v : netlist::structural_scan(nl)) {
+  for (const StructuralViolation& v : *ctx.structure) {
     bool match = false;
     for (auto k : kinds) match |= v.kind == k;
     if (!match) continue;

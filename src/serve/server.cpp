@@ -86,6 +86,21 @@ template <typename Fn>
   return out;
 }
 
+/// `lint` mode=scan keeps the pre-dataflow reply surface: the GL-D/GL-X
+/// families stay off so existing clients see identical reports.
+[[nodiscard]] lint::LintConfig scan_mode_config(
+    const lint::RuleRegistry& registry) {
+  lint::LintConfig config;
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    const lint::RuleInfo& info = registry.rule(i).info();
+    if (info.category == lint::Category::kDomain ||
+        info.category == lint::Category::kDataflow) {
+      config.rule_levels.emplace_back(info.id, lint::SeverityOverride::kOff);
+    }
+  }
+  return config;
+}
+
 }  // namespace
 
 /// One resident design. The Flow owns the cell libraries the netlist
@@ -108,6 +123,22 @@ struct Server::Session {
   /// version resync (clock *phases* are not editable over the wire — the
   /// set_clock edit moves the STA clock constraint, not a phase).
   std::unique_ptr<lint::DataflowEngine> dataflow;
+
+  /// Structural scan for `lint` in both modes, taken at Netlist::version()
+  /// `structure_version`. Value edits (set_drive, set_clock) leave the
+  /// version, and so the scan, current; replace_cell, rewire and their
+  /// undos bump it, and the next lint rescans.
+  std::optional<std::vector<netlist::StructuralViolation>> structure;
+  std::uint64_t structure_version = 0;
+
+  /// The cached scan, retaken first when the netlist has moved on.
+  const std::vector<netlist::StructuralViolation>& current_structure() {
+    if (!structure || structure_version != nl->version()) {
+      structure = lint::scan_structure(*nl);
+      structure_version = nl->version();
+    }
+    return *structure;
+  }
 
   Journal journal;  ///< !is_open() when journaling is disabled
   std::uint64_t seq = 0;
@@ -155,7 +186,10 @@ Server::Reply Server::ok(const Request& req, Render&& render) {
 }
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), flight_(options_.flight_capacity) {}
+    : options_(std::move(options)),
+      lint_registry_(lint::default_registry()),
+      lint_scan_config_(scan_mode_config(lint_registry_)),
+      flight_(options_.flight_capacity) {}
 Server::~Server() = default;
 
 void Server::bump(std::uint64_t ServerCounters::* field, const char* metric,
@@ -741,39 +775,34 @@ Server::Reply Server::cmd_lint(const Request& req) {
     if (!refresh_st.ok()) return reject(refresh_st);
   }
 
-  lint::RuleRegistry registry;
+  using Scan = std::vector<netlist::StructuralViolation>;
+  const lint::LintConfig all_rules;
+  const lint::LintConfig& config =
+      mode == "scan" ? lint_scan_config_ : all_rules;
   lint::LintReport report;
-  const auto run = [&](double period_tau) {
-    registry = lint::default_registry();
-    lint::LintConfig config;
-    if (mode == "scan") {
-      // Scan mode keeps the pre-dataflow reply surface: the GL-D/GL-X
-      // families stay off so existing clients see identical reports.
-      for (std::size_t i = 0; i < registry.size(); ++i) {
-        const lint::RuleInfo& info = registry.rule(i).info();
-        if (info.category == lint::Category::kDomain ||
-            info.category == lint::Category::kDataflow) {
-          config.rule_levels.emplace_back(info.id,
-                                          lint::SeverityOverride::kOff);
-        }
-      }
-    }
+  const auto run = [&](double period_tau, const Scan* structure) {
     lint::LintContext ctx;
     ctx.nl = s.nl.get();
     ctx.limits = tech::default_electrical_limits();
     ctx.constraints.period_tau = period_tau;
     ctx.constraints.skew_fraction = s.timer->options().clock.skew_fraction;
+    ctx.structure = structure;
     if (mode == "dataflow" && s.dataflow != nullptr && s.dataflow->valid()) {
       ctx.dataflow = s.dataflow.get();
     }
-    report = lint::run_lint(registry, ctx, config, options_.threads);
+    report = lint::run_lint(lint_registry_, ctx, config, options_.threads);
   };
+  // The resident path reads the session's cached structural scan; the
+  // degraded (batch) fallback trusts no cached state and scans afresh.
   const Status st = query(
-      s, "lint run", [&] { run(s.timer->timing().min_period_tau); },
-      [&] { run(sta::analyze(*s.nl, s.timer->options()).min_period_tau); });
+      s, "lint run",
+      [&] { run(s.timer->timing().min_period_tau, &s.current_structure()); },
+      [&] {
+        run(sta::analyze(*s.nl, s.timer->options()).min_period_tau, nullptr);
+      });
   if (!st.ok()) return reject(st);
   return ok(req, [&](json::Writer& w) {
-    lint::write_json(w, registry, report, s.name);
+    lint::write_json(w, lint_registry_, report, s.name);
   });
 }
 

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "lint/lint.hpp"
 #include "obs/flight.hpp"
 #include "serve/protocol.hpp"
 #include "sta/sta.hpp"
@@ -196,6 +197,10 @@ class Server {
   ServerOptions options_;
   ServerCounters counters_;
   std::map<std::string, std::unique_ptr<Session>> sessions_;
+  /// The `lint` rule catalog and its scan-mode config (GL-D/GL-X off),
+  /// built once for every request.
+  lint::RuleRegistry lint_registry_;
+  lint::LintConfig lint_scan_config_;
   bool shutdown_ = false;
   obs::FlightRecorder flight_;
   std::uint64_t next_req_id_ = 0;  ///< monotonic; threaded through spans

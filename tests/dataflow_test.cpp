@@ -527,6 +527,59 @@ TEST(DataflowServeTest, HundredEditUndoRoundTripsKeepVerdicts) {
   EXPECT_EQ(server.handle_line(lint_frame("s1", "dataflow")), baseline);
 }
 
+TEST(DataflowServeTest, ResidentLintMatchesFreshReplayAfterEveryEdit) {
+  // The resident session lints on its cached structural scan and
+  // lattice; a second server that loads the design and replays the
+  // accepted edits lints from nothing. Both must agree after every step
+  // of a mix of cell swaps, rewires, drive edits and undos.
+  const std::vector<std::string> cells = {"dff_x1", "dff_x2", "dff_x4",
+                                          "dff_x8"};
+  const std::string head =
+      "{\"id\":0,\"cmd\":\"edit\",\"session\":\"s1\",\"edit\":";
+  std::vector<std::string> script;
+  for (int i = 0; i < 24; ++i) {
+    switch (i % 4) {
+      case 0:
+        script.push_back(head + "{\"op\":\"replace_cell\",\"inst\":" +
+                         std::to_string(3 + i % 3) + ",\"cell\":\"" +
+                         cells[(i / 4) % cells.size()] + "\"}}");
+        break;
+      case 1:
+        script.push_back(head + "{\"op\":\"rewire\",\"inst\":" +
+                         std::to_string(100 + 7 * i) +
+                         ",\"pin\":0,\"net\":" + std::to_string(i % 5) + "}}");
+        break;
+      case 2: script.push_back(drive_frame("s1", 50 + 11 * i, 2.5)); break;
+      default:
+        script.push_back("{\"id\":0,\"cmd\":\"undo\",\"session\":\"s1\"}");
+        break;
+    }
+  }
+
+  serve::Server resident({});
+  ASSERT_TRUE(reply_ok(resident.handle_line(kLoad)));
+  std::vector<std::string> accepted;
+  int accepted_per_kind[4] = {};
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i) + ": " + script[i]);
+    if (!reply_ok(resident.handle_line(script[i]))) continue;
+    accepted.push_back(script[i]);
+    ++accepted_per_kind[i % 4];
+
+    serve::Server fresh({});
+    ASSERT_TRUE(reply_ok(fresh.handle_line(kLoad)));
+    for (const std::string& frame : accepted)
+      ASSERT_TRUE(reply_ok(fresh.handle_line(frame)));
+    for (const char* mode : {"scan", "dataflow"}) {
+      const std::string reply = resident.handle_line(lint_frame("s1", mode));
+      ASSERT_TRUE(reply_ok(reply)) << mode;
+      EXPECT_EQ(reply, fresh.handle_line(lint_frame("s1", mode))) << mode;
+    }
+  }
+  for (int kind = 0; kind < 4; ++kind)
+    EXPECT_GT(accepted_per_kind[kind], 0) << "edit kind " << kind;
+}
+
 TEST(DataflowServeTest, ValueEditRelintReusesTheCachedLattice) {
   serve::Server server({});
   ASSERT_TRUE(reply_ok(server.handle_line(kLoad)));

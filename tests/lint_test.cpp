@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/metrics.hpp"
 #include "json_lint.hpp"
 #include "library/builders.hpp"
+#include "library/liberty.hpp"
 #include "lint/lint.hpp"
 #include "lint/lint_cli.hpp"
 #include "lint/report.hpp"
@@ -672,6 +674,79 @@ TEST_F(LintTest, DuplicateNetFindingsCollapseToTheLocatedCopy) {
         EXPECT_EQ(f.loc.line, 5);  // the located copy survives
       }
     EXPECT_EQ(hits, 1) << "threads=" << threads;
+  }
+}
+
+// --- one structural scan per run -----------------------------------------
+
+std::uint64_t structural_scans() {
+  return common::metrics().counter("lint.structural_scans").value();
+}
+
+std::string slurp(const std::string& rel) {
+  std::ifstream in(std::string(GAP_SOURCE_DIR) + "/" + rel, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST_F(LintTest, BatchRunScansTheStructureOnce) {
+  // GL-S001..GL-S004 read one shared scan per run, at any thread count;
+  // with the whole structural family off there is nothing to scan for.
+  Netlist nl("t", &lib_);
+  const PortId a = nl.add_input("a");
+  const PortId b = nl.add_input("b");
+  const NetId out = nl.add_net("out");
+  nl.add_instance("u1", cell(Func::kInv), {nl.port(a).net}, out);
+  nl.add_output("y", out);
+  nl.port(b).net = out;  // contention: GL-S001 fires on "out"
+
+  for (int threads : {1, 8}) {
+    const std::uint64_t before = structural_scans();
+    EXPECT_TRUE(fired(run(nl, {}, threads), "GL-S001"));
+    EXPECT_EQ(structural_scans() - before, 1u) << "threads=" << threads;
+  }
+
+  LintConfig off;
+  for (const char* id :
+       {"GL-S001", "GL-S002", "GL-S003", "GL-S004", "GL-S005", "GL-S006"})
+    off.rule_levels.emplace_back(id, SeverityOverride::kOff);
+  const std::uint64_t before = structural_scans();
+  EXPECT_FALSE(fired(run(nl, off, 8), "GL-S001"));
+  EXPECT_EQ(structural_scans() - before, 0u);
+}
+
+TEST(LintScanTest, SuppliedStructureGivesTheSameReportWithoutAScan) {
+  // A caller-supplied scan (gapd's resident one) must lint exactly like
+  // the scan run_lint() would take itself, and must not be retaken.
+  const RuleRegistry registry = default_registry();
+  auto lib = library::read_liberty(slurp("examples/lint/broken.lib"));
+  ASSERT_TRUE(lib.ok()) << lib.status().to_string();
+  auto config = parse_config(slurp("examples/lint/broken.toml"), registry);
+  ASSERT_TRUE(config.ok()) << config.status().to_string();
+  auto parsed =
+      netlist::read_verilog_lenient(slurp("examples/lint/broken.v"), *lib);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+
+  LintContext c;
+  c.nl = &parsed->nl;
+  c.limits = tech::default_electrical_limits();
+  c.constraints = config->constraints;
+  c.parse_violations = &parsed->violations;
+  ASSERT_FALSE(parsed->violations.empty());
+  const LintReport fresh = run_lint(registry, c, *config, 1);
+
+  const std::vector<netlist::StructuralViolation> scan =
+      netlist::structural_scan(parsed->nl);
+  ASSERT_FALSE(scan.empty());
+  c.structure = &scan;
+  for (int threads : {1, 8}) {
+    const std::uint64_t before = structural_scans();
+    const LintReport cached = run_lint(registry, c, *config, threads);
+    EXPECT_EQ(structural_scans() - before, 0u) << "threads=" << threads;
+    EXPECT_EQ(write_json(registry, cached, "broken.v"),
+              write_json(registry, fresh, "broken.v"))
+        << "threads=" << threads;
   }
 }
 

@@ -490,6 +490,42 @@ TEST(ServeWork, ResidentQueriesRunNoFullSweep) {
   EXPECT_EQ(server.counters().degraded, 0u);
 }
 
+TEST(ServeWork, ResidentLintRunsNoStructuralScan) {
+  // A session keeps one structural scan per Netlist::version(): a value
+  // edit re-lints on the cached scan in either mode, while a rewire and
+  // its undo each bump the version and pay one rescan on the next lint.
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("m"))));
+  const common::Counter& scans =
+      common::metrics().counter("lint.structural_scans");
+  const auto scans_by = [&](const std::string& frame) {
+    const std::uint64_t before = scans.value();
+    const std::string reply = server.handle_line(frame);
+    EXPECT_TRUE(reply_ok(reply)) << reply;
+    return scans.value() - before;
+  };
+  const std::string scan = query_frame("lint", "m");
+  const std::string dataflow =
+      "{\"id\":0,\"cmd\":\"lint\",\"session\":\"m\",\"mode\":\"dataflow\"}";
+
+  EXPECT_EQ(scans_by(scan), 1u);  // a fresh session scans once
+
+  ASSERT_TRUE(reply_ok(server.handle_line(drive_frame("m", 3, 2.5))));
+  EXPECT_EQ(scans_by(scan), 0u);
+  EXPECT_EQ(scans_by(dataflow), 0u);
+
+  EXPECT_EQ(scans_by("{\"cmd\":\"edit\",\"session\":\"m\",\"edit\":"
+                     "{\"op\":\"rewire\",\"inst\":100,\"pin\":0,\"net\":0}}"),
+            0u);  // edits never scan; the next lint does
+  EXPECT_EQ(scans_by(scan), 1u);
+  EXPECT_EQ(scans_by(dataflow), 0u);
+
+  ASSERT_TRUE(reply_ok(server.handle_line(query_frame("undo", "m"))));
+  EXPECT_EQ(scans_by(dataflow), 1u);
+  EXPECT_EQ(scans_by(scan), 0u);
+  EXPECT_EQ(server.counters().degraded, 0u);
+}
+
 TEST(ServeWork, DegradedTimingReplyMatchesResident) {
   // A degraded session answers every read class from a from-scratch
   // analysis, and each reply is the same bytes as its resident twin's
@@ -524,12 +560,19 @@ TEST(ServeWork, DegradedTimingReplyMatchesResident) {
   ASSERT_TRUE(reply_ok(resident.handle_line(load_frame("m", "mac16"))));
   ASSERT_TRUE(reply_ok(resident.handle_line(drive_frame("m", 3, 2.5))));
 
+  const common::Counter& scans =
+      common::metrics().counter("lint.structural_scans");
   for (const auto& [what, frame] : read_classes("m")) {
     const std::uint64_t before = arrival_passes();
+    const std::uint64_t scans_before = scans.value();
     const std::string from_scratch = degraded.handle_line(frame);
     // The timing fallback is a batch analysis: exactly one full pass.
     if (what == "timing") {
       EXPECT_EQ(arrival_passes() - before, 1u);
+    }
+    // The lint fallback trusts no cached scan: one fresh scan per lint.
+    if (what.rfind("lint", 0) == 0) {
+      EXPECT_EQ(scans.value() - scans_before, 1u) << what;
     }
     ASSERT_TRUE(reply_ok(from_scratch)) << what << ": " << from_scratch;
     EXPECT_EQ(from_scratch, resident.handle_line(frame)) << what;

@@ -14,8 +14,9 @@
 #
 # The ThreadSanitizer pass: gap::common::ThreadPool and its consumers
 # (MC-STA, parameter sweeps, variation binning, incremental-STA
-# wavefronts) must be race-free at any thread count, not merely
-# deterministic; so must the observability layer (ctest -L obs: the
+# wavefronts, lint's rule fan-out over one shared structural scan) must
+# be race-free at any thread count, not merely deterministic; so must the
+# observability layer (ctest -L obs: the
 # flight recorder's seqlock ring, the telemetry counters on the STA hot
 # path, gapd's SIGTERM drain).
 #
@@ -83,7 +84,8 @@ timed() {
 
 run_tsan() {
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-  local suites="parallel_test sta_test incremental_sta_test soa_graph_test"
+  local suites="parallel_test sta_test incremental_sta_test soa_graph_test
+    lint_test"
   echo "== ThreadSanitizer build ($BUILD_TSAN) =="
   cmake -B "$BUILD_TSAN" -S . -DGAP_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
