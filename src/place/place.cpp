@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
@@ -41,6 +43,78 @@ double net_hpwl(const Netlist& nl, NetId id) {
 struct Region {
   double x, y, w, h;
   std::vector<InstanceId> members;
+};
+
+/// Flat tables for the SA loop, built once per place() call and indexed
+/// by the netlist's own ids (docs/data-layout.md, "SA placement tables").
+/// net_hpwl() visits a net's pins in the order net_hpwl(nl, id) above
+/// does, so both give the same double for the same coordinates.
+struct SaTables {
+  std::vector<std::uint32_t> inst_net_off;  ///< CSR rows, one per instance
+  std::vector<std::uint32_t> inst_nets;     ///< inputs in pin order, output
+  std::vector<std::uint32_t> net_pin_off;   ///< CSR rows, one per net
+  std::vector<std::uint32_t> net_pins;      ///< driver instance, then sinks
+  std::vector<double> x, y;                 ///< coordinates by instance
+  std::vector<double> hpwl;                 ///< cached HPWL by net
+  std::size_t max_degree = 0;               ///< longest instance row
+  std::uint64_t evals = 0;                  ///< net_hpwl() calls
+
+  explicit SaTables(const Netlist& nl) {
+    const std::size_t ni = nl.num_instances();
+    const std::size_t nn = nl.num_nets();
+    inst_net_off.reserve(ni + 1);
+    x.reserve(ni);
+    y.reserve(ni);
+    for (InstanceId id : nl.all_instances()) {
+      const netlist::Instance& i = nl.instance(id);
+      inst_net_off.push_back(static_cast<std::uint32_t>(inst_nets.size()));
+      for (NetId n : i.inputs) inst_nets.push_back(n.value());
+      inst_nets.push_back(i.output.value());
+      max_degree = std::max(max_degree, i.inputs.size() + 1);
+      x.push_back(i.x_um);
+      y.push_back(i.y_um);
+    }
+    inst_net_off.push_back(static_cast<std::uint32_t>(inst_nets.size()));
+    net_pin_off.reserve(nn + 1);
+    for (NetId id : nl.all_nets()) {
+      const netlist::Net& n = nl.net(id);
+      net_pin_off.push_back(static_cast<std::uint32_t>(net_pins.size()));
+      if (n.driver.kind == NetDriver::Kind::kInstance)
+        net_pins.push_back(n.driver.inst.value());
+      for (const NetSink& s : n.sinks)
+        if (s.kind == NetSink::Kind::kInstancePin)
+          net_pins.push_back(s.inst.value());
+    }
+    net_pin_off.push_back(static_cast<std::uint32_t>(net_pins.size()));
+  }
+
+  [[nodiscard]] double net_hpwl(std::uint32_t net) {
+    ++evals;
+    double x0 = 1e30, x1 = -1e30, y0 = 1e30, y1 = -1e30;
+    int pins = 0;
+    for (std::uint32_t k = net_pin_off[net]; k < net_pin_off[net + 1]; ++k) {
+      const std::uint32_t i = net_pins[k];
+      if (x[i] < 0.0) continue;  // unplaced
+      x0 = std::min(x0, x[i]);
+      x1 = std::max(x1, x[i]);
+      y0 = std::min(y0, y[i]);
+      y1 = std::max(y1, y[i]);
+      ++pins;
+    }
+    if (pins < 2) return 0.0;
+    return (x1 - x0) + (y1 - y0);
+  }
+
+  /// Fills the cache; returns the total summed in net order.
+  double fill_cache() {
+    hpwl.resize(net_pin_off.size() - 1);
+    double total = 0.0;
+    for (std::uint32_t n = 0; n < hpwl.size(); ++n) {
+      hpwl[n] = net_hpwl(n);
+      total += hpwl[n];
+    }
+    return total;
+  }
 };
 
 }  // namespace
@@ -108,6 +182,7 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
   if (!whole.members.empty()) regions.push_back(std::move(whole));
 
   // --- initial placement: grid sites per region ---
+  SaTables t(nl);
   for (Region& r : regions) {
     const std::size_t count = r.members.size();
     if (count == 0) continue;
@@ -126,29 +201,25 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
                   members[static_cast<std::size_t>(rng.uniform_index(i))]);
     }
     for (std::size_t k = 0; k < members.size(); ++k) {
-      netlist::Instance& inst = nl.instance(members[k]);
-      inst.x_um = r.x + (static_cast<double>(k % cols) + 0.5) * sx;
-      inst.y_um = r.y + (static_cast<double>(k / cols) + 0.5) * sy;
+      t.x[members[k].index()] = r.x + (static_cast<double>(k % cols) + 0.5) * sx;
+      t.y[members[k].index()] = r.y + (static_cast<double>(k / cols) + 0.5) * sy;
     }
   }
-  result.initial_hpwl_um = total_hpwl(nl);
+  result.initial_hpwl_um = t.fill_cache();
 
   // --- SA refinement (careful mode only) ---
+  // Bit-identical to a pointer walk that recomputes both costs: the same
+  // draws, and each cost summed left to right over nets(a) then nets(b),
+  // duplicates included. "Before" comes from the cache; an accepted swap
+  // stores its "after" values as the new cache entries.
   if (options.mode == PlacementMode::kCareful && options.sa_moves > 0) {
     GAP_TRACE_SPAN("place::sa_refine");
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
-    // Nets touching an instance, for incremental cost evaluation.
-    auto nets_of = [&](InstanceId id) {
-      std::vector<NetId> nets = nl.instance(id).inputs;
-      nets.push_back(nl.instance(id).output);
-      return nets;
-    };
-    auto local_cost = [&](InstanceId a, InstanceId b) {
-      double c = 0.0;
-      for (NetId n : nets_of(a)) c += net_hpwl(nl, n);
-      for (NetId n : nets_of(b)) c += net_hpwl(nl, n);
-      return c;
+    std::vector<std::uint32_t> pair_nets(2 * t.max_degree);
+    std::vector<double> after_hpwl(2 * t.max_degree);
+    const auto row = [&](std::uint32_t i) {
+      return t.inst_nets.begin() + t.inst_net_off[i];
     };
 
     double temp = 0.05 * (die_w + die_h);
@@ -160,23 +231,34 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
         temp *= cooling;
         continue;
       }
-      const InstanceId a = r.members[rng.uniform_index(r.members.size())];
-      const InstanceId b = r.members[rng.uniform_index(r.members.size())];
+      const std::uint32_t a =
+          r.members[rng.uniform_index(r.members.size())].value();
+      const std::uint32_t b =
+          r.members[rng.uniform_index(r.members.size())].value();
       if (a == b) {
         temp *= cooling;
         continue;
       }
-      const double before = local_cost(a, b);
-      netlist::Instance& ia = nl.instance(a);
-      netlist::Instance& ib = nl.instance(b);
-      std::swap(ia.x_um, ib.x_um);
-      std::swap(ia.y_um, ib.y_um);
-      const double delta = local_cost(a, b) - before;
+      // nets(a) then nets(b), repeats kept.
+      const auto mid = std::copy(row(a), row(a + 1), pair_nets.begin());
+      const auto m = static_cast<std::size_t>(
+          std::copy(row(b), row(b + 1), mid) - pair_nets.begin());
+      double before = 0.0;
+      for (std::size_t j = 0; j < m; ++j) before += t.hpwl[pair_nets[j]];
+      std::swap(t.x[a], t.x[b]);
+      std::swap(t.y[a], t.y[b]);
+      double after = 0.0;
+      for (std::size_t j = 0; j < m; ++j) {
+        after_hpwl[j] = t.net_hpwl(pair_nets[j]);
+        after += after_hpwl[j];
+      }
+      const double delta = after - before;
       if (!(delta <= 0.0 || rng.uniform() < std::exp(-delta / temp))) {
-        std::swap(ia.x_um, ib.x_um);  // reject: swap back
-        std::swap(ia.y_um, ib.y_um);
+        std::swap(t.x[a], t.x[b]);  // reject: swap back
+        std::swap(t.y[a], t.y[b]);
         ++rejected;
       } else {
+        for (std::size_t j = 0; j < m; ++j) t.hpwl[pair_nets[j]] = after_hpwl[j];
         ++accepted;
       }
       temp *= cooling;
@@ -189,9 +271,19 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
     acc.add(accepted);
     rej.add(rejected);
   }
+  static common::Counter& hpwl_evals =
+      common::metrics().counter("place.net_hpwl_evals");
+  hpwl_evals.add(t.evals);
 
+  for (std::uint32_t i = 0; i < t.x.size(); ++i) {
+    netlist::Instance& inst = nl.instance(InstanceId{i});
+    inst.x_um = t.x[i];
+    inst.y_um = t.y[i];
+  }
+  // One pointer pass: annotate, then sum the annotations in net order
+  // (the same per-net values and order total_hpwl() would use).
   annotate_net_lengths(nl);
-  result.total_hpwl_um = total_hpwl(nl);
+  for (NetId n : nl.all_nets()) result.total_hpwl_um += nl.net(n).length_um;
   return result;
 }
 

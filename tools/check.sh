@@ -24,7 +24,8 @@
 # mutated Liberty/Verilog inputs and argv mutants of every CLI without
 # aborting AND without any latent memory or UB errors masked by a clean
 # exit; the JSON Writer, the golden artifacts it renders, the gapd server
-# suite, the STA oracle suite and the CLI suites run under the same fatal
+# suite, the STA oracle suite, the placer's flat-table oracle (place_test:
+# CSR offset arithmetic) and the CLI suites run under the same fatal
 # UBSan, and so does a real gapd that is SIGKILLed mid-burst and
 # recovered from its journal (tools/serve_kill_recover.py).
 #
@@ -110,11 +111,12 @@ run_asan() {
   # The readers' fault-injection corpus and argv mutants, their Liberty
   # and Verilog round trips (property_test) and lenient directive paths
   # (dataflow_test), the JSON Writer and every golden artifact rendered
-  # through it, the gapd server suite, the STA oracle suite, and the CLIs'
-  # own argv paths.
+  # through it, the gapd server suite, the STA oracle suite, the placer's
+  # CSR tables against their pointer-walk reference, and the CLIs' own argv
+  # paths.
   local suites="fault_injection_test io_test diagnostics_test obs_test
     common_test golden_test serve_test soa_graph_test driver_test lint_test
-    qor_test dataflow_test property_test"
+    qor_test dataflow_test property_test place_test"
   echo "== ASan/UBSan build ($BUILD_ASAN) =="
   cmake -B "$BUILD_ASAN" -S . -DGAP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
