@@ -65,16 +65,6 @@ std::size_t DiagnosticEngine::count_at_least(Severity severity) const {
   return n;
 }
 
-std::string DiagnosticEngine::format_all() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
-  for (const Diagnostic& d : diags_) {
-    out += d.format();
-    out += '\n';
-  }
-  return out;
-}
-
 void DiagnosticEngine::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   diags_.clear();

@@ -47,9 +47,6 @@ class DiagnosticEngine {
     return count_at_least(Severity::kError) > 0;
   }
 
-  /// All diagnostics, one Diagnostic::format() line each.
-  [[nodiscard]] std::string format_all() const;
-
   void clear();
 
  private:

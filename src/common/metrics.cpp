@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <ostream>
 
 #include "common/json.hpp"
 
@@ -166,10 +165,6 @@ std::string MetricsRegistry::json(bool include_wall) const {
   }
   w.end_object().end_object();
   return w.take() + '\n';
-}
-
-void MetricsRegistry::write_json(std::ostream& os, bool include_wall) const {
-  os << json(include_wall);
 }
 
 MetricsRegistry& metrics() {

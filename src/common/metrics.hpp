@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -159,10 +158,9 @@ class MetricsRegistry {
   ///
   /// Metrics whose name starts with "wall." hold wall-clock measurements
   /// (latencies, dispatch decisions taken by the pool) and are the one
-  /// sanctioned exception to the determinism contract. write_json drops
+  /// sanctioned exception to the determinism contract. json() drops
   /// them by default so `--metrics-out` files stay byte-identical across
   /// thread counts; pass include_wall=true for exposition-style dumps.
-  void write_json(std::ostream& os, bool include_wall = false) const;
   [[nodiscard]] std::string json(bool include_wall = false) const;
 
   /// True for metric names in the non-deterministic wall-clock section.

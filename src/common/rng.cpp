@@ -78,8 +78,6 @@ double Rng::normal(double mean, double sigma) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-Rng Rng::split() { return Rng(next_u64()); }
-
 Rng Rng::stream(std::uint64_t seed, std::uint64_t index) {
   // Avalanche the master seed, fold in the counter, avalanche again. The
   // Rng constructor runs splitmix64 four more times to fill the xoshiro

@@ -35,13 +35,10 @@ class Rng {
   /// Bernoulli draw with probability p of true.
   bool bernoulli(double p);
 
-  /// Derive an independent stream (for per-die / per-wafer seeding).
-  Rng split();
-
   /// Counter-based stream derivation: the generator for stream `index` of
-  /// master `seed`. Unlike split(), this is a pure function of
-  /// (seed, index) — stream i can be constructed on any thread, in any
-  /// order, and always yields the same draws. This is the determinism
+  /// master `seed`. It is a pure function of (seed, index) — stream i can
+  /// be constructed on any thread, in any order, and always yields the
+  /// same draws. This is the determinism
   /// contract of the parallel Monte Carlo paths (docs/parallelism.md):
   /// sample i uses Rng::stream(seed, i) whether it runs serially or on a
   /// 64-lane pool, so thread count never changes numeric results.

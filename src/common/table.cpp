@@ -57,11 +57,6 @@ std::string fmt_pct(double fraction, int digits) {
   return fmt(fraction * 100.0, digits) + "%";
 }
 
-std::string fmt_mhz_from_ps(double period_ps, int digits) {
-  GAP_EXPECTS(period_ps > 0.0);
-  return fmt(1.0e6 / period_ps, digits) + " MHz";
-}
-
 std::string verdict(double measured, double lo, double hi) {
   GAP_EXPECTS(lo <= hi);
   if (measured >= lo && measured <= hi) return "PASS";

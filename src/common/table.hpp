@@ -36,9 +36,6 @@ class Table {
 /// Format as a percentage, e.g. "25.0%".
 [[nodiscard]] std::string fmt_pct(double fraction, int digits = 1);
 
-/// Format a frequency in MHz from a period in picoseconds.
-[[nodiscard]] std::string fmt_mhz_from_ps(double period_ps, int digits = 0);
-
 /// Shape verdict for experiment reports: is `measured` within the
 /// inclusive band [lo, hi]? Returns "PASS", "NEAR" (within 20% of the
 /// nearer bound), or "FAIL".

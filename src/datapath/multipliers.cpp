@@ -40,7 +40,7 @@ std::vector<Lit> array_multiplier(Aig& aig, const std::vector<Lit>& a,
 }
 
 /// 3:2 / 2:2 compression of weighted columns followed by a Kogge-Stone
-/// carry-propagate add; shared by Wallace and Booth.
+/// carry-propagate add.
 std::vector<Lit> compress_and_add(Aig& aig,
                                   std::vector<std::vector<Lit>> cols,
                                   std::size_t out_width) {
@@ -121,83 +121,6 @@ Aig make_multiplier_aig(MultiplierKind kind, int width) {
   for (std::size_t i = 0; i < prod.size(); ++i)
     aig.add_po(prod[i], "p" + std::to_string(i));
   return aig;
-}
-
-std::vector<Lit> build_booth_multiplier(Aig& aig, const std::vector<Lit>& a,
-                                        const std::vector<Lit>& b) {
-  GAP_EXPECTS(a.size() == b.size());
-  GAP_EXPECTS(a.size() >= 2);
-  const std::size_t w = a.size();
-  const std::size_t out_w = 2 * w;
-
-  // Sign-extended multiplicand and its double, out_w bits wide.
-  auto sext = [&](const std::vector<Lit>& v, std::size_t shift) {
-    std::vector<Lit> out(out_w);
-    for (std::size_t j = 0; j < out_w; ++j) {
-      if (j < shift)
-        out[j] = logic::lit_false();
-      else if (j - shift < w)
-        out[j] = v[j - shift];
-      else
-        out[j] = v[w - 1];
-    }
-    return out;
-  };
-
-  std::vector<std::vector<Lit>> cols(out_w);
-  auto b_bit = [&](int i) {
-    if (i < 0) return logic::lit_false();
-    if (i >= static_cast<int>(w)) return b[w - 1];  // sign extension
-    return b[static_cast<std::size_t>(i)];
-  };
-
-  const std::size_t digits = (w + 1) / 2;
-  for (std::size_t d = 0; d < digits; ++d) {
-    const int i = static_cast<int>(2 * d);
-    const Lit x = b_bit(i - 1), y = b_bit(i), z = b_bit(i + 1);
-    // Radix-4 recode of (z, y, x): value = -2z + y + x.
-    const Lit one = aig.create_xor(x, y);
-    const Lit two = aig.create_or(
-        aig.create_and(aig.create_and(!z, y), x),
-        aig.create_and(aig.create_and(z, !y), !x));
-    const Lit neg = z;
-
-    const std::vector<Lit> a1 = sext(a, 2 * d);      // +-1 * a << 2d
-    const std::vector<Lit> a2 = sext(a, 2 * d + 1);  // +-2 * a << 2d
-    for (std::size_t j = 0; j < out_w; ++j) {
-      const Lit mag = aig.create_mux(two, a2[j],
-                                     aig.create_mux(one, a1[j],
-                                                    logic::lit_false()));
-      // Conditional invert applies to the shifted field only: the zeros
-      // below bit 2d stay zero, and the +1 correction lands at bit 2d.
-      cols[j].push_back(j < 2 * d ? mag : aig.create_xor(mag, neg));
-    }
-    // Two's-complement correction: +1 at the digit's LSB when negative.
-    cols[2 * d].push_back(neg);
-  }
-  return compress_and_add(aig, std::move(cols), out_w);
-}
-
-Aig make_booth_multiplier_aig(int width) {
-  GAP_EXPECTS(width >= 2);
-  Aig aig;
-  std::vector<Lit> a, b;
-  for (int i = 0; i < width; ++i)
-    a.push_back(aig.create_pi("a" + std::to_string(i)));
-  for (int i = 0; i < width; ++i)
-    b.push_back(aig.create_pi("b" + std::to_string(i)));
-  const auto prod = build_booth_multiplier(aig, a, b);
-  for (std::size_t i = 0; i < prod.size(); ++i)
-    aig.add_po(prod[i], "p" + std::to_string(i));
-  return aig;
-}
-
-const char* multiplier_name(MultiplierKind kind) {
-  switch (kind) {
-    case MultiplierKind::kArray: return "array";
-    case MultiplierKind::kWallace: return "wallace";
-  }
-  return "?";
 }
 
 }  // namespace gap::datapath

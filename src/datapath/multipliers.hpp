@@ -24,16 +24,4 @@ enum class MultiplierKind {
 /// Standalone multiplier network for tests/benchmarks.
 [[nodiscard]] Aig make_multiplier_aig(MultiplierKind kind, int width);
 
-[[nodiscard]] const char* multiplier_name(MultiplierKind kind);
-
-/// Radix-4 Booth multiplier over two's-complement operands: recodes the
-/// multiplier into {-2,-1,0,1,2} digits, halving the partial-product
-/// count — the custom macro style for signed DSP datapaths. Returns the
-/// signed 2*width product.
-[[nodiscard]] std::vector<Lit> build_booth_multiplier(
-    Aig& aig, const std::vector<Lit>& a, const std::vector<Lit>& b);
-
-/// Standalone signed Booth multiplier network.
-[[nodiscard]] Aig make_booth_multiplier_aig(int width);
-
 }  // namespace gap::datapath

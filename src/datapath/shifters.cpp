@@ -1,7 +1,5 @@
 #include "datapath/shifters.hpp"
 
-#include <string>
-
 #include "common/check.hpp"
 
 namespace gap::datapath {
@@ -24,22 +22,6 @@ std::vector<Lit> build_barrel_shifter(Aig& aig, const std::vector<Lit>& data,
     cur = std::move(next);
   }
   return cur;
-}
-
-Aig make_barrel_shifter_aig(int width) {
-  GAP_EXPECTS(width >= 2);
-  Aig aig;
-  std::vector<Lit> data, amount;
-  for (int i = 0; i < width; ++i)
-    data.push_back(aig.create_pi("d" + std::to_string(i)));
-  int bits = 0;
-  while ((1 << bits) < width) ++bits;
-  for (int i = 0; i < bits; ++i)
-    amount.push_back(aig.create_pi("s" + std::to_string(i)));
-  const auto out = build_barrel_shifter(aig, data, amount);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    aig.add_po(out[i], "q" + std::to_string(i));
-  return aig;
 }
 
 Lit build_equal(Aig& aig, const std::vector<Lit>& a,

@@ -20,9 +20,6 @@ using logic::Lit;
     Aig& aig, const std::vector<Lit>& data,
     const std::vector<Lit>& shift_amount);
 
-/// Standalone shifter network.
-[[nodiscard]] Aig make_barrel_shifter_aig(int width);
-
 /// Equality comparator: a == b.
 [[nodiscard]] Lit build_equal(Aig& aig, const std::vector<Lit>& a,
                               const std::vector<Lit>& b);

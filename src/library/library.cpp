@@ -58,29 +58,10 @@ std::optional<CellId> CellLibrary::smallest(Func f, Family fam) const {
   return ids.front();
 }
 
-std::optional<CellId> CellLibrary::largest(Func f, Family fam) const {
-  const auto& ids = cells_of(f, fam);
-  if (ids.empty()) return std::nullopt;
-  return ids.back();
-}
-
 std::optional<CellId> CellLibrary::find(const std::string& name) const {
   for (std::size_t i = 0; i < cells_.size(); ++i)
     if (cells_[i].name == name) return CellId{static_cast<std::uint32_t>(i)};
   return std::nullopt;
-}
-
-std::vector<double> CellLibrary::drives_of(Func f, Family fam) const {
-  std::vector<double> out;
-  for (CellId id : cells_of(f, fam)) out.push_back(cells_[id.index()].drive);
-  return out;
-}
-
-double total_area(const CellLibrary& lib) {
-  double a = 0.0;
-  for (std::size_t i = 0; i < lib.size(); ++i)
-    a += lib.cell(CellId{static_cast<std::uint32_t>(i)}).area_um2;
-  return a;
 }
 
 }  // namespace gap::library

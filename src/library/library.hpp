@@ -44,14 +44,8 @@ class CellLibrary {
   /// Smallest (minimum-drive) cell of (func, family), if any.
   [[nodiscard]] std::optional<CellId> smallest(Func f, Family fam) const;
 
-  /// Largest-drive cell of (func, family), if any.
-  [[nodiscard]] std::optional<CellId> largest(Func f, Family fam) const;
-
   /// Find by name (exact); nullopt if absent.
   [[nodiscard]] std::optional<CellId> find(const std::string& name) const;
-
-  /// Distinct drive values offered for (func, family).
-  [[nodiscard]] std::vector<double> drives_of(Func f, Family fam) const;
 
   // --- methodology capabilities ---
 
@@ -78,8 +72,5 @@ class CellLibrary {
   // (func, family) -> cell ids sorted by drive.
   std::vector<std::vector<CellId>> by_func_;
 };
-
-/// Sum of areas of all cells (diagnostic).
-[[nodiscard]] double total_area(const CellLibrary& lib);
 
 }  // namespace gap::library

@@ -384,24 +384,4 @@ common::Status DataflowEngine::update_rewire(const netlist::Netlist& nl,
   return recompute_cones(nl, {inst});
 }
 
-common::Status DataflowEngine::update_clock(const netlist::Netlist& nl,
-                                            InstanceId inst, int threads) {
-  if (!valid_ || graph_.num_instances() != nl.num_instances() ||
-      graph_.num_nets() != nl.num_nets() ||
-      graph_.num_ports() != nl.num_ports()) {
-    return analyze(nl, decls_, threads);
-  }
-  // A phase edit can change the domain universe itself (a brand-new
-  // phase, or the design flipping between single- and multi-clock).
-  // Rebuilding the table is O(ports + instances) — cheap next to a
-  // sweep — and any difference forces the full path.
-  const DomainTable fresh = DomainTable::build(nl, decls_);
-  if (!(fresh == table_)) return analyze(nl, decls_, threads);
-  if (!graph_.is_sequential(inst)) {
-    resync_value(nl);
-    return {};
-  }
-  return recompute_cones(nl, {inst});
-}
-
 }  // namespace gap::lint

@@ -24,7 +24,9 @@
 /// The engine is resident-service friendly: gapd caches one per session
 /// and resynchronizes it against Netlist::version() per edit kind —
 /// value-only edits reuse everything, an input rewire re-evaluates only
-/// the forward cone of the edited instance (update_rewire). All metrics
+/// the forward cone of the edited instance (update_rewire). gapd has no
+/// clock-phase edit: its clock edit changes only the skew spec, which the
+/// lattice does not read, so it is a value-only edit. All metrics
 /// ("lint.dataflow.*") are derived from the schedule, never from pool
 /// behavior, so counters are thread-count-invariant.
 
@@ -97,16 +99,9 @@ class DataflowEngine {
   [[nodiscard]] common::Status update_rewire(const netlist::Netlist& nl,
                                              InstanceId inst, int threads = 1);
 
-  /// After a clock-phase edit on a sequential instance: re-seed that
-  /// register and re-evaluate its combinational forward cone. Falls back
-  /// to a full analyze() when the new phase has no bit in the domain
-  /// table yet (the table itself must grow).
-  [[nodiscard]] common::Status update_clock(const netlist::Netlist& nl,
-                                            InstanceId inst, int threads = 1);
-
   /// After a value-only edit with no lattice impact (drive override,
-  /// same-function cell swap): mark the lattice synchronized with the
-  /// netlist's current version. No recomputation.
+  /// same-function cell swap, clock skew): mark the lattice synchronized
+  /// with the netlist's current version. No recomputation.
   void resync_value(const netlist::Netlist& nl) {
     if (valid_) synced_version_ = nl.version();
   }

@@ -70,11 +70,6 @@ class DomainTable {
   /// '|'-joined, '?' for the unknown bit ("a|b", "?", "a|?").
   [[nodiscard]] std::string describe(std::uint32_t mask) const;
 
-  /// Two tables agree when every bit assignment and gating flag matches —
-  /// the incremental engine's cheap "did a value edit move the domain
-  /// universe" check.
-  friend bool operator==(const DomainTable&, const DomainTable&) = default;
-
  private:
   int add(const std::string& name);  // returns bit or kMaxNamedDomains
 

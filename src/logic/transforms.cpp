@@ -1,8 +1,5 @@
 #include "logic/transforms.hpp"
 
-#include <algorithm>
-#include <functional>
-
 #include "common/rng.hpp"
 
 namespace gap::logic {
@@ -52,64 +49,6 @@ Lit translate_plain(Aig& out, const Node& n, const auto& get) {
 }
 
 }  // namespace
-
-Aig sweep(const Aig& aig) {
-  // First mark reachable nodes from POs so dead logic is not copied.
-  std::vector<bool> live(aig.num_nodes(), false);
-  std::vector<std::uint32_t> stack;
-  for (std::size_t i = 0; i < aig.num_pos(); ++i) stack.push_back(aig.po(i).node());
-  while (!stack.empty()) {
-    const std::uint32_t v = stack.back();
-    stack.pop_back();
-    if (live[v]) continue;
-    live[v] = true;
-    const Node& n = aig.node(v);
-    for (int k = 0; k < n.num_fanins; ++k) stack.push_back(n.fanin[k].node());
-  }
-  return rebuild(aig, [&](Aig& out, const Node& n, const auto& get) {
-    // Dead nodes translate to constant false; they are unreferenced.
-    const auto index = static_cast<std::uint32_t>(&n - &aig.node(0));
-    if (!live[index]) return lit_false();
-    return translate_plain(out, n, get);
-  });
-}
-
-Aig balance(const Aig& aig) {
-  return rebuild(aig, [&](Aig& out, const Node& n, const auto& get) {
-    if (n.kind != NodeKind::kAnd && n.kind != NodeKind::kXor)
-      return translate_plain(out, n, get);
-    // Collect the n-ary AND/XOR cone through single-fanout fanins of the
-    // same kind (AND additionally requires non-complemented edges; XOR
-    // absorbs complements by parity), then rebuild sorted by level so the
-    // balanced tree pairs shallow leaves first.
-    const NodeKind kind = n.kind;
-    std::vector<Lit> leaves;
-    bool parity = false;  // accumulated XOR output complement
-    std::function<void(Lit)> collect = [&](Lit l) {
-      const Node& f = aig.node(l.node());
-      const bool absorbable =
-          f.kind == kind && f.fanout_count == 1 &&
-          (kind == NodeKind::kXor || !l.complemented());
-      if (absorbable) {
-        if (l.complemented()) parity = !parity;  // x ^ !y == !(x ^ y)
-        collect(f.fanin[0]);
-        collect(f.fanin[1]);
-      } else {
-        leaves.push_back(get(l));
-      }
-    };
-    collect(n.fanin[0]);
-    collect(n.fanin[1]);
-    // Sort by new-network level so the balanced tree pairs shallow nodes.
-    std::sort(leaves.begin(), leaves.end(), [&](Lit a, Lit b) {
-      return out.node(a.node()).level < out.node(b.node()).level;
-    });
-    Lit r = kind == NodeKind::kAnd ? out.create_and_n(leaves)
-                                   : out.create_xor_n(leaves);
-    if (parity) r = !r;
-    return r;
-  });
-}
 
 Aig expand_structural(const Aig& aig, const ExpandOptions& opts) {
   return rebuild(aig, [&](Aig& out, const Node& n, const auto& get) {

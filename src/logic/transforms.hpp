@@ -1,8 +1,9 @@
 #pragma once
 /// \file transforms.hpp
-/// Technology-independent optimization passes over the Aig. All passes are
-/// functional: they return a freshly built network (structural hashing in
-/// the builder deduplicates and drops dead logic automatically).
+/// Technology-independent passes over the Aig: library-aware lowering of
+/// structural nodes, which returns a freshly built network (structural
+/// hashing in the builder deduplicates and drops dead logic
+/// automatically), and a functional equivalence check.
 
 #include "logic/aig.hpp"
 
@@ -16,14 +17,6 @@ struct ExpandOptions {
   bool expand_mux = false;
   bool expand_maj = false;
 };
-
-/// Rebuild the network, dropping dead nodes and re-hashing (CSE).
-[[nodiscard]] Aig sweep(const Aig& aig);
-
-/// Tree balancing: flatten single-fanout AND (and XOR) chains into n-ary
-/// operators and rebuild them as balanced trees, reducing depth. This is
-/// the classic "balance" pass of SIS/ABC.
-[[nodiscard]] Aig balance(const Aig& aig);
 
 /// Decompose structural XOR/MUX/MAJ nodes into AND-inverter logic
 /// according to `opts` (library-aware lowering).

@@ -91,17 +91,6 @@ void Netlist::rewire_input(InstanceId inst, int pin, NetId net) {
   i.inputs[pin] = net;
 }
 
-void Netlist::rewire_output(InstanceId inst, NetId net) {
-  ++version_;
-  Instance& i = instance(inst);
-  GAP_EXPECTS(net.valid() && net.index() < nets_.size());
-  GAP_EXPECTS(nets_[net.index()].driver.kind == NetDriver::Kind::kNone);
-  nets_[i.output.index()].driver = NetDriver{};
-  nets_[net.index()].driver.kind = NetDriver::Kind::kInstance;
-  nets_[net.index()].driver.inst = inst;
-  i.output = net;
-}
-
 void Netlist::replace_cell(InstanceId inst, CellId cell) {
   ++version_;
   Instance& i = instance(inst);

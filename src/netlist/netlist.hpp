@@ -117,9 +117,6 @@ class Netlist {
   /// Rewire input pin `pin` of `inst` to `net`, maintaining sink lists.
   void rewire_input(InstanceId inst, int pin, NetId net);
 
-  /// Move the output of `inst` to drive `net` (which must be driverless).
-  void rewire_output(InstanceId inst, NetId net);
-
   /// Replace the cell of an instance (repowering / family swap). The new
   /// cell must implement the same function with the same pin count.
   void replace_cell(InstanceId inst, CellId cell);

@@ -18,20 +18,4 @@ NetlistStats collect_stats(const Netlist& nl) {
   return s;
 }
 
-std::string format_stats(const NetlistStats& s) {
-  std::string out;
-  out += "instances: " + std::to_string(s.instances) +
-         " (sequential: " + std::to_string(s.sequential) + ")\n";
-  out += "nets: " + std::to_string(s.nets) + ", ports: " +
-         std::to_string(s.inputs) + " in / " + std::to_string(s.outputs) +
-         " out\n";
-  out += "logic depth: " + std::to_string(s.logic_depth) + " levels\n";
-  out += "area: " + std::to_string(s.area_um2) + " um^2\n";
-  out += "cells:";
-  for (const auto& [func, count] : s.cells_by_func)
-    out += " " + func + ":" + std::to_string(count);
-  out += "\n";
-  return out;
-}
-
 }  // namespace gap::netlist

@@ -22,7 +22,4 @@ struct NetlistStats {
 
 [[nodiscard]] NetlistStats collect_stats(const Netlist& nl);
 
-/// Human-readable one-block summary.
-[[nodiscard]] std::string format_stats(const NetlistStats& s);
-
 }  // namespace gap::netlist

@@ -4,90 +4,8 @@
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
-#include "netlist/checks.hpp"
 
 namespace gap::netlist {
-
-SweepResult sweep_dead(const Netlist& nl) {
-  // Mark live instances: backwards reachability from primary outputs.
-  std::vector<bool> live_inst(nl.num_instances(), false);
-  std::vector<bool> live_net(nl.num_nets(), false);
-  std::vector<NetId> stack;
-  for (PortId p : nl.all_ports())
-    if (!nl.port(p).is_input) stack.push_back(nl.port(p).net);
-
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    if (live_net[n.index()]) continue;
-    live_net[n.index()] = true;
-    const NetDriver& d = nl.net(n).driver;
-    if (d.kind != NetDriver::Kind::kInstance) continue;
-    if (live_inst[d.inst.index()]) continue;
-    live_inst[d.inst.index()] = true;
-    for (NetId in : nl.instance(d.inst).inputs) stack.push_back(in);
-  }
-  // Input-port nets always survive (the interface is part of the design).
-  for (PortId p : nl.all_ports())
-    if (nl.port(p).is_input) live_net[nl.port(p).net.index()] = true;
-
-  SweepResult result{Netlist(nl.name(), &nl.lib()), 0, 0};
-  Netlist& out = result.nl;
-
-  std::vector<NetId> net_map(nl.num_nets());
-  for (PortId p : nl.all_ports()) {
-    const Port& port = nl.port(p);
-    if (!port.is_input) continue;
-    const PortId np = out.add_input(port.name, port.ext_drive);
-    net_map[port.net.index()] = out.port(np).net;
-  }
-  for (NetId n : nl.all_nets()) {
-    if (!live_net[n.index()]) {
-      ++result.removed_nets;
-      continue;
-    }
-    if (net_map[n.index()].valid()) continue;  // input net, already made
-    net_map[n.index()] = out.add_net(nl.net(n).name);
-    out.net(net_map[n.index()]).length_um = nl.net(n).length_um;
-    out.net(net_map[n.index()]).width_multiple = nl.net(n).width_multiple;
-    out.net(net_map[n.index()]).extra_cap_units = nl.net(n).extra_cap_units;
-  }
-
-  for (InstanceId id : nl.all_instances()) {
-    if (!live_inst[id.index()]) {
-      ++result.removed_instances;
-      continue;
-    }
-    const Instance& inst = nl.instance(id);
-    std::vector<NetId> ins;
-    ins.reserve(inst.inputs.size());
-    for (NetId in : inst.inputs) {
-      // A live instance may read a dead-marked net only if that net is
-      // undriven side input — but reachability marked all inputs of live
-      // instances, so this holds by construction.
-      GAP_EXPECTS(live_net[in.index()]);
-      ins.push_back(net_map[in.index()]);
-    }
-    const InstanceId ni =
-        out.add_instance(inst.name, inst.cell, std::move(ins),
-                         net_map[inst.output.index()]);
-    Instance& copy = out.instance(ni);
-    copy.drive_override = inst.drive_override;
-    copy.clock_phase = inst.clock_phase;
-    copy.x_um = inst.x_um;
-    copy.y_um = inst.y_um;
-    copy.module = inst.module;
-  }
-
-  for (PortId p : nl.all_ports()) {
-    const Port& port = nl.port(p);
-    if (port.is_input) continue;
-    out.add_output(port.name, net_map[port.net.index()], 0.0);
-  }
-
-  GAP_ENSURES(verify(out).ok());
-  return result;
-}
 
 Netlist apply_sweep_point(const Netlist& nl, const SweepPoint& point) {
   GAP_EXPECTS(point.wire_width_scale > 0.0);

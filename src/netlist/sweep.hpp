@@ -1,36 +1,18 @@
 #pragma once
 /// \file sweep.hpp
-/// Netlist sweeps, in both senses:
-///
-///  - dead-logic sweep: rebuild a netlist keeping only instances that
-///    (transitively) reach a primary output. Transform passes in this
-///    repository never delete in place (ids stay stable); this pass is
-///    the complementary garbage collection, used after experiments that
-///    orphan logic (mapping leftovers, hold fixing on removed paths, ...);
-///  - parameter sweep: evaluate a metric over systematically perturbed
-///    copies of the netlist (wire width / length / extra load scaling) —
-///    the what-if grids behind wire-sizing and repeater studies. Points
-///    are independent, so the sweep fans out over a
-///    gap::common::ThreadPool; results come back in point order and are
-///    bit-identical at any thread count.
+/// Parameter sweeps: evaluate a metric over systematically perturbed
+/// copies of the netlist (wire width / length / extra load scaling) — the
+/// what-if grids behind wire-sizing and repeater studies. Points are
+/// independent, so the sweep fans out over a gap::common::ThreadPool;
+/// results come back in point order and are bit-identical at any thread
+/// count.
 
-#include <cstddef>
 #include <functional>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace gap::netlist {
-
-struct SweepResult {
-  Netlist nl;
-  std::size_t removed_instances = 0;
-  std::size_t removed_nets = 0;
-};
-
-/// Rebuild without dead logic. Port order and names are preserved; live
-/// instances keep their cells, drive overrides and placement.
-[[nodiscard]] SweepResult sweep_dead(const Netlist& nl);
 
 /// One point of a parameter sweep: multiplicative perturbations applied
 /// to every net of a copy of the base netlist.

@@ -241,12 +241,6 @@ PipelineResult pipeline_insert(const Netlist& comb,
   return result;
 }
 
-netlist::Netlist make_registered(const netlist::Netlist& comb) {
-  PipelineOptions opt;
-  opt.stages = 1;
-  return pipeline_insert(comb, opt).nl;
-}
-
 double ideal_pipeline_speedup(int stages, double overhead) {
   GAP_EXPECTS(stages >= 1);
   GAP_EXPECTS(overhead >= 0.0);

@@ -42,9 +42,6 @@ struct PipelineResult {
 [[nodiscard]] PipelineResult pipeline_insert(const netlist::Netlist& comb,
                                              const PipelineOptions& options);
 
-/// Register-bound a combinational netlist (1-stage pipeline).
-[[nodiscard]] netlist::Netlist make_registered(const netlist::Netlist& comb);
-
 /// The paper's analytical pipelining model (section 4): an N-stage
 /// pipeline with per-stage overhead fraction `overhead` of the logic delay
 /// speeds up by N / (1 + overhead). With the paper's numbers: 5 stages at

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "netlist/checks.hpp"
 
 namespace gap::sta {
 
@@ -60,84 +59,6 @@ double latch_min_period(const std::vector<double>& stage_delays_tau,
       lo = mid;
   }
   return hi;
-}
-
-LatchPipelineResult analyze_latch_pipeline(
-    const netlist::Netlist& nl, const LatchPipelineOptions& options) {
-  using netlist::NetDriver;
-  using netlist::NetSink;
-  GAP_EXPECTS(nl.num_sequential() > 0);
-
-  // Rank of every net: registers crossed from the primary inputs. The
-  // pipeline invariant requires this to be unique per net.
-  constexpr int kUnset = -1;
-  std::vector<int> net_rank(nl.num_nets(), kUnset);
-  for (PortId p : nl.all_ports())
-    if (nl.port(p).is_input) net_rank[nl.port(p).net.index()] = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (InstanceId id : nl.all_instances()) {
-      const netlist::Instance& inst = nl.instance(id);
-      int r = kUnset;
-      for (NetId in : inst.inputs) {
-        const int ri = net_rank[in.index()];
-        if (ri == kUnset) continue;
-        GAP_EXPECTS(r == kUnset || r == ri);  // uniform-latency invariant
-        r = ri;
-      }
-      if (r == kUnset) continue;
-      const int out_rank = r + (nl.is_sequential(id) ? 1 : 0);
-      auto& slot = net_rank[inst.output.index()];
-      GAP_EXPECTS(slot == kUnset || slot == out_rank);
-      if (slot == kUnset) {
-        slot = out_rank;
-        changed = true;
-      }
-    }
-  }
-
-  LatchPipelineResult result;
-  for (int r : net_rank) result.ranks = std::max(result.ranks, r);
-
-  // Measured stage delays: arrival at each register's D (or PO), bucketed
-  // by the capturing rank. net_arrivals launches every register at the
-  // clock edge, which is exactly the per-stage propagation needed.
-  const auto arrivals = net_arrivals(nl, options.sta);
-  result.stage_delays_tau.assign(
-      static_cast<std::size_t>(result.ranks) + 1, 0.0);
-  const double k = options.sta.corner_delay_factor;
-  for (NetId nid : nl.all_nets()) {
-    if (net_rank[nid.index()] == kUnset) continue;
-    for (const NetSink& s : nl.net(nid).sinks) {
-      double d;
-      std::size_t stage;
-      if (s.kind == NetSink::Kind::kPrimaryOutput) {
-        d = arrivals[nid.index()];
-        stage = static_cast<std::size_t>(net_rank[nid.index()]);
-        if (stage >= result.stage_delays_tau.size()) continue;
-      } else if (nl.is_sequential(s.inst)) {
-        d = arrivals[nid.index()] + k * nl.cell_of(s.inst).setup_tau;
-        stage = static_cast<std::size_t>(net_rank[nid.index()]);
-      } else {
-        continue;
-      }
-      result.stage_delays_tau[stage] =
-          std::max(result.stage_delays_tau[stage], d);
-    }
-  }
-  // Drop empty trailing stages (e.g. rank 0 feeds straight into input
-  // registers with negligible delay buckets are fine to keep).
-  while (!result.stage_delays_tau.empty() &&
-         result.stage_delays_tau.back() <= 0.0)
-    result.stage_delays_tau.pop_back();
-  GAP_EXPECTS(!result.stage_delays_tau.empty());
-
-  result.flop_period_tau =
-      flop_min_period(result.stage_delays_tau, options.flop);
-  result.latch_period_tau =
-      latch_min_period(result.stage_delays_tau, options.latch);
-  return result;
 }
 
 }  // namespace gap::sta

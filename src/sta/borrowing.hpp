@@ -10,8 +10,6 @@
 
 #include <vector>
 
-#include "sta/sta.hpp"
-
 namespace gap::sta {
 
 struct FlopTimingModel {
@@ -34,31 +32,5 @@ struct LatchTimingModel {
 /// search over the borrowing recurrence).
 [[nodiscard]] double latch_min_period(
     const std::vector<double>& stage_delays_tau, const LatchTimingModel& model);
-
-/// Netlist-level pipeline clocking analysis: extract the per-rank stage
-/// delays of a rank-structured pipeline (every path must cross the same
-/// number of registers — the invariant pipeline_insert and retiming
-/// maintain), then evaluate both clocking styles on the *measured* stage
-/// delays. This connects the analytical borrowing model to real mapped
-/// netlists.
-struct LatchPipelineResult {
-  int ranks = 0;
-  std::vector<double> stage_delays_tau;
-  double flop_period_tau = 0.0;   ///< edge-triggered clocking
-  double latch_period_tau = 0.0;  ///< transparent latches with borrowing
-
-  [[nodiscard]] double borrowing_gain() const {
-    return latch_period_tau > 0.0 ? flop_period_tau / latch_period_tau : 1.0;
-  }
-};
-
-struct LatchPipelineOptions {
-  StaOptions sta;
-  FlopTimingModel flop;
-  LatchTimingModel latch;
-};
-
-[[nodiscard]] LatchPipelineResult analyze_latch_pipeline(
-    const netlist::Netlist& nl, const LatchPipelineOptions& options);
 
 }  // namespace gap::sta

@@ -11,10 +11,6 @@ double generations_equivalent(double speed_ratio) {
   return std::log(speed_ratio) / std::log(kSpeedPerGeneration);
 }
 
-double speed_from_generations(double generations) {
-  return std::pow(kSpeedPerGeneration, generations);
-}
-
 double speed_from_shrink(double shrink_fraction) {
   GAP_EXPECTS(shrink_fraction >= 0.0 && shrink_fraction < 1.0);
   // Delay scales roughly with L^alpha in velocity-saturated short-channel

@@ -14,9 +14,6 @@ inline constexpr double kSpeedPerGeneration = 1.5;
 /// i.e. log_{1.5}(ratio). Requires ratio > 0.
 [[nodiscard]] double generations_equivalent(double speed_ratio);
 
-/// Speed ratio from n generations (n may be fractional).
-[[nodiscard]] double speed_from_generations(double generations);
-
 /// Speed gain from an optical shrink of the given linear fraction
 /// (e.g. 0.05 for a 5% shrink). Model: gate delay ~ CV/I with channel
 /// length; empirically calibrated so a 5% shrink yields about 18%

@@ -68,14 +68,6 @@ std::vector<double> monte_carlo_speeds(const FabProfile& fab, int n,
       });
 }
 
-double relative_spread(const std::vector<double>& samples) {
-  if (samples.empty()) return 0.0;
-  SampleStats s;
-  s.add_all(samples);
-  const double med = s.quantile(0.5);
-  return med > 0.0 ? (s.quantile(0.95) - s.quantile(0.05)) / med : 0.0;
-}
-
 BinStats bin_stats(const std::vector<double>& speeds,
                    const SignoffDerating& derating) {
   GAP_EXPECTS(!speeds.empty());

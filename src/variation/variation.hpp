@@ -77,12 +77,6 @@ struct SignoffDerating {
                                                      std::uint64_t seed,
                                                      int threads = 1);
 
-/// Relative spread of a sample: (q95 - q05) / median, the same statistic
-/// McStaResult reports for period distributions. Zero for empty samples
-/// or a non-positive median. Shared by the binning analysis and the QoR
-/// manifest's variation section (gap::qor).
-[[nodiscard]] double relative_spread(const std::vector<double>& samples);
-
 /// Binning statistics over a speed-factor sample.
 struct BinStats {
   double worst_case_quote = 0.0;  ///< signoff speed: slow 3-sigma + derating

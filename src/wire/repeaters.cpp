@@ -59,11 +59,4 @@ RepeaterPlan plan_repeaters(const tech::Technology& t, const WireSegment& seg,
   return best;
 }
 
-double repeated_delay_ps_per_mm(const tech::Technology& t) {
-  WireSegment seg;
-  seg.length_um = 10000.0;  // long enough to be in the linear regime
-  const RepeaterPlan plan = plan_repeaters(t, seg, t.unit_inv_cin_ff);
-  return plan.delay_ps / 10.0;
-}
-
 }  // namespace gap::wire

@@ -34,8 +34,4 @@ struct RepeaterPlan {
                                           const WireSegment& seg,
                                           double sink_cap_ff);
 
-/// Delay in ps per mm of an optimally repeated minimum-width wire
-/// (technology figure of merit used by the floorplanning experiment).
-[[nodiscard]] double repeated_delay_ps_per_mm(const tech::Technology& t);
-
 }  // namespace gap::wire

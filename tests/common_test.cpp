@@ -239,16 +239,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(s.stddev(), 2.0, 0.05);
 }
 
-TEST(Rng, SplitIndependent) {
-  Rng a(17);
-  Rng b = a.split();
-  // Streams should not be identical.
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    if (a.next_u64() == b.next_u64()) ++same;
-  EXPECT_LT(same, 2);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng r(19);
   int hits = 0;
@@ -310,7 +300,6 @@ TEST(Format, Numbers) {
   EXPECT_EQ(fmt(1.2345, 2), "1.23");
   EXPECT_EQ(fmt_factor(1.5), "x1.50");
   EXPECT_EQ(fmt_pct(0.25), "25.0%");
-  EXPECT_EQ(fmt_mhz_from_ps(4000.0), "250 MHz");
 }
 
 TEST(Format, Verdict) {

@@ -3,7 +3,7 @@
 /// folding, clock/reset-domain propagation with 2-flop synchronizer
 /// recognition, the GL-D/GL-X rule family on the shipped example
 /// fixtures, thread-count invariance of reports and lattice state,
-/// incremental update_rewire/update_clock vs fresh-analysis equality,
+/// incremental update_rewire vs fresh-analysis equality,
 /// counter-based "incremental re-lint is cheaper" assertions, and the
 /// gapd lint mode=dataflow surface including a 100-round randomized
 /// edit+undo differential.
@@ -403,32 +403,6 @@ TEST_F(DataflowTest, UpdateRewireMatchesFreshAnalysis) {
   EXPECT_EQ(write_json(registry_, ri, "cdc.v"),
             write_json(registry_, rf, "cdc.v"));
   EXPECT_EQ(count(ri, "GL-D002"), 0);
-}
-
-TEST_F(DataflowTest, UpdateClockMatchesFreshAnalysis) {
-  Netlist nl = parse(kCdcSrc);
-  DataflowEngine inc;
-  ASSERT_TRUE(inc.analyze(nl, cdc_decls(), 1).ok());
-
-  // Move the second synchronizer stage to phase 1: s1 loses its
-  // sync-head exemption and both stages become reported crossings.
-  const InstanceId s2 = inst_by_name(nl, "s2");
-  nl.instance(s2).clock_phase = 1;
-  ASSERT_TRUE(inc.update_clock(nl, s2, 1).ok());
-  // Both phases were already in the domain table, so this must have
-  // taken the incremental path, not the full-analyze fallback.
-  EXPECT_EQ(inc.stats().full_sweeps, 1u);
-  EXPECT_EQ(inc.stats().cone_passes, 1u);
-
-  DataflowEngine fresh;
-  ASSERT_TRUE(fresh.analyze(nl, cdc_decls(), 1).ok());
-  for (NetId n : nl.all_nets())
-    EXPECT_TRUE(inc.state(n) == fresh.state(n)) << nl.net(n).name;
-
-  LintContext ci = ctx(nl);
-  ci.dataflow = &inc;
-  const LintReport r = run_lint(registry_, ci, cdc_config(), 1);
-  EXPECT_EQ(count(r, "GL-D001"), 3);  // ra1, s1, s2
 }
 
 TEST_F(DataflowTest, ValueOnlyEditsRefreshForFree) {

@@ -2,7 +2,6 @@
 
 #include "common/rng.hpp"
 #include "datapath/adders.hpp"
-#include "datapath/encoders.hpp"
 #include "datapath/multipliers.hpp"
 #include "datapath/shifters.hpp"
 
@@ -129,98 +128,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          MultiplierKind::kWallace),
                        ::testing::Values(2, 4, 8, 16)),
     [](const auto& info) {
-      std::string n = multiplier_name(std::get<0>(info.param));
-      for (char& c : n) if (c == '-') c = '_';
+      const std::string n =
+          std::get<0>(info.param) == MultiplierKind::kArray ? "array"
+                                                             : "wallace";
       return n + "_w" + std::to_string(std::get<1>(info.param));
     });
-
-TEST(BoothMultiplier, MatchesSignedMultiplication) {
-  for (int width : {4, 8, 16}) {
-    const Aig aig = make_booth_multiplier_aig(width);
-    ASSERT_EQ(aig.num_pos(), static_cast<std::size_t>(2 * width));
-    Rng rng(0xB007 + static_cast<std::uint64_t>(width));
-    const std::uint64_t in_mask = (1ull << width) - 1;
-    const std::uint64_t out_mask =
-        2 * width >= 64 ? ~0ull : (1ull << (2 * width)) - 1;
-    std::vector<std::uint64_t> as(64), bs(64);
-    for (int k = 0; k < 64; ++k) {
-      as[k] = rng.next_u64() & in_mask;
-      bs[k] = rng.next_u64() & in_mask;
-    }
-    std::vector<std::uint64_t> pi = bit_words(as, width);
-    const auto bw = bit_words(bs, width);
-    pi.insert(pi.end(), bw.begin(), bw.end());
-    const auto po = aig.simulate(pi);
-    for (std::size_t k = 0; k < 64; ++k) {
-      // Interpret operands as signed width-bit values.
-      auto sign = [&](std::uint64_t v) {
-        return static_cast<std::int64_t>(v << (64 - width)) >> (64 - width);
-      };
-      const std::uint64_t expect =
-          static_cast<std::uint64_t>(sign(as[k]) * sign(bs[k])) & out_mask;
-      EXPECT_EQ(extract_result(po, k, 2 * width), expect)
-          << "w=" << width << " a=" << as[k] << " b=" << bs[k];
-    }
-  }
-}
-
-TEST(BoothMultiplier, FewerPartialProductLevels) {
-  // Radix-4 recoding halves the partial products: shallower than array.
-  const int d_booth = make_booth_multiplier_aig(16).depth();
-  const int d_array = make_multiplier_aig(MultiplierKind::kArray, 16).depth();
-  EXPECT_LT(d_booth, d_array / 2);
-}
-
-TEST(LeadingZeroCount, MatchesReference) {
-  const int w = 16;
-  const Aig aig = make_lzc_aig(w);
-  Rng rng(0x12C);
-  std::vector<std::uint64_t> vals(64);
-  for (int k = 0; k < 64; ++k) {
-    // Mix random values with values that have long leading-zero runs and
-    // the all-zero case.
-    if (k % 8 == 0)
-      vals[k] = 0;
-    else if (k % 8 == 1)
-      vals[k] = 1ull << rng.uniform_index(w);
-    else
-      vals[k] = rng.next_u64() & 0xFFFF;
-  }
-  const auto po = aig.simulate(bit_words(vals, w));
-  for (std::size_t k = 0; k < 64; ++k) {
-    int expect = 0;
-    for (int i = w - 1; i >= 0 && !((vals[k] >> i) & 1u); --i) ++expect;
-    EXPECT_EQ(extract_result(po, k, 5), static_cast<std::uint64_t>(expect))
-        << vals[k];
-  }
-}
-
-TEST(PriorityEncoder, MatchesReference) {
-  const int w = 16;
-  const Aig aig = make_priority_encoder_aig(w);
-  Rng rng(0xE2C);
-  std::vector<std::uint64_t> vals(64);
-  for (int k = 0; k < 64; ++k)
-    vals[k] = k == 0 ? 0 : rng.next_u64() & 0xFFFF;
-  const auto po = aig.simulate(bit_words(vals, w));
-  for (std::size_t k = 0; k < 64; ++k) {
-    const bool valid = vals[k] != 0;
-    EXPECT_EQ((po[4] >> k) & 1u, valid ? 1u : 0u);
-    if (!valid) continue;
-    int expect = 0;
-    for (int i = w - 1; i >= 0; --i)
-      if ((vals[k] >> i) & 1u) {
-        expect = i;
-        break;
-      }
-    EXPECT_EQ(extract_result(po, k, 4), static_cast<std::uint64_t>(expect));
-  }
-}
-
-TEST(Encoders, LogDepth) {
-  EXPECT_LE(make_lzc_aig(64).depth(), 14);
-  EXPECT_LE(make_priority_encoder_aig(64).depth(), 12);
-}
 
 TEST(MultiplierDepth, WallaceShallowerThanArray) {
   const int w = 16;
@@ -229,9 +141,19 @@ TEST(MultiplierDepth, WallaceShallowerThanArray) {
   EXPECT_LT(d_wal, d_arr / 2);
 }
 
+/// A width-bit left shifter: data PIs first, then log2(width) amount PIs.
+Aig barrel_shifter_aig(int width) {
+  Aig aig;
+  std::vector<Lit> data, amount;
+  for (int i = 0; i < width; ++i) data.push_back(aig.create_pi());
+  for (int i = 1; i < width; i *= 2) amount.push_back(aig.create_pi());
+  for (Lit q : build_barrel_shifter(aig, data, amount)) aig.add_po(q);
+  return aig;
+}
+
 TEST(BarrelShifter, MatchesShift) {
   const int w = 16;
-  const Aig aig = make_barrel_shifter_aig(w);
+  const Aig aig = barrel_shifter_aig(w);
   Rng rng(0x5417);
   std::vector<std::uint64_t> data(64), amounts(64);
   for (int k = 0; k < 64; ++k) {
@@ -249,7 +171,7 @@ TEST(BarrelShifter, MatchesShift) {
 }
 
 TEST(BarrelShifter, LogDepth) {
-  EXPECT_LE(make_barrel_shifter_aig(32).depth(), 8);
+  EXPECT_LE(barrel_shifter_aig(32).depth(), 8);
 }
 
 TEST(Comparators, EqualAndLessThan) {

@@ -85,9 +85,10 @@ TEST(DiagnosticEngineTest, CollectsAndCounts) {
   EXPECT_EQ(engine.count_at_least(Severity::kWarning), 2u);
   EXPECT_EQ(engine.count_at_least(Severity::kError), 1u);
   EXPECT_TRUE(engine.has_errors());
-  const std::string all = engine.format_all();
-  EXPECT_NE(all.find("note[ok]: fyi"), std::string::npos);
-  EXPECT_NE(all.find("error[parse] verilog:9:2: bad token"),
+  const std::vector<Diagnostic> all = engine.diagnostics();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_NE(all[0].format().find("note[ok]: fyi"), std::string::npos);
+  EXPECT_NE(all[2].format().find("error[parse] verilog:9:2: bad token"),
             std::string::npos);
   engine.clear();
   EXPECT_EQ(engine.size(), 0u);

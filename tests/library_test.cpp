@@ -79,7 +79,9 @@ TEST(CellLibrary, CellsOfSortedByDrive) {
     c.drive = d;
     lib.add(c);
   }
-  const auto drives = lib.drives_of(Func::kInv, Family::kStatic);
+  std::vector<double> drives;
+  for (CellId id : lib.cells_of(Func::kInv, Family::kStatic))
+    drives.push_back(lib.cell(id).drive);
   ASSERT_EQ(drives.size(), 3u);
   EXPECT_TRUE(std::is_sorted(drives.begin(), drives.end()));
 }
@@ -104,13 +106,13 @@ TEST(Builders, RichLibraryHasDualPolarity) {
   EXPECT_TRUE(lib.has(Func::kAnd2));
   EXPECT_TRUE(lib.has(Func::kNor2));
   EXPECT_TRUE(lib.has(Func::kOr2));
-  EXPECT_EQ(lib.drives_of(Func::kInv, Family::kStatic).size(), 10u);
+  EXPECT_EQ(lib.cells_of(Func::kInv, Family::kStatic).size(), 10u);
 }
 
 TEST(Builders, PoorLibraryIsRestricted) {
   const CellLibrary lib = make_poor_asic_library(t025());
   // Two drive strengths, single polarity (section 6.1).
-  EXPECT_EQ(lib.drives_of(Func::kNand2, Family::kStatic).size(), 2u);
+  EXPECT_EQ(lib.cells_of(Func::kNand2, Family::kStatic).size(), 2u);
   EXPECT_FALSE(lib.has(Func::kAnd2));
   EXPECT_FALSE(lib.has(Func::kOr2));
   EXPECT_FALSE(lib.has(Func::kBuf));
@@ -124,7 +126,7 @@ TEST(Builders, CustomLibraryCapabilities) {
   EXPECT_FALSE(lib.guard_banded_sequentials);
   EXPECT_TRUE(lib.has(Func::kLatch));
   // Fine drive ladder: many more sizes than the rich ASIC library.
-  EXPECT_GT(lib.drives_of(Func::kInv, Family::kStatic).size(), 15u);
+  EXPECT_GT(lib.cells_of(Func::kInv, Family::kStatic).size(), 15u);
 }
 
 TEST(Builders, CustomSequentialsLeanerThanAsic) {

@@ -103,43 +103,6 @@ TEST(Aig, DepthAndLevels) {
   EXPECT_EQ(aig.depth(), 3);
 }
 
-TEST(Transforms, BalanceReducesChainDepth) {
-  Aig aig;
-  std::vector<Lit> pis;
-  for (int i = 0; i < 8; ++i) pis.push_back(aig.create_pi());
-  Lit acc = pis[0];
-  for (int i = 1; i < 8; ++i) acc = aig.create_and(acc, pis[i]);
-  aig.add_po(acc);
-  EXPECT_EQ(aig.depth(), 7);
-
-  const Aig bal = balance(aig);
-  EXPECT_EQ(bal.depth(), 3);  // log2(8)
-  EXPECT_TRUE(equivalent(aig, bal));
-}
-
-TEST(Transforms, BalancePreservesSharedNodes) {
-  Aig aig;
-  const Lit a = aig.create_pi();
-  const Lit b = aig.create_pi();
-  const Lit c = aig.create_pi();
-  const Lit shared = aig.create_and(a, b);
-  aig.add_po(aig.create_and(shared, c));
-  aig.add_po(shared);  // multi-fanout: must not be absorbed incorrectly
-  const Aig bal = balance(aig);
-  EXPECT_TRUE(equivalent(aig, bal));
-}
-
-TEST(Transforms, SweepDropsDeadLogic) {
-  Aig aig;
-  const Lit a = aig.create_pi();
-  const Lit b = aig.create_pi();
-  aig.create_and(a, b);  // dead
-  aig.add_po(aig.create_or(a, b));
-  const Aig swept = sweep(aig);
-  EXPECT_TRUE(equivalent(aig, swept));
-  EXPECT_LT(swept.num_gates(), aig.num_gates() + 1);
-}
-
 TEST(Transforms, ExpandXorPreservesFunction) {
   Aig aig;
   const Lit a = aig.create_pi();

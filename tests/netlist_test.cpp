@@ -203,7 +203,6 @@ TEST_F(NetlistTest, StatsCollect) {
   EXPECT_EQ(s.outputs, 1u);
   EXPECT_GT(s.area_um2, 0.0);
   EXPECT_EQ(s.cells_by_func.at("inv"), 1u);
-  EXPECT_FALSE(format_stats(s).empty());
 }
 
 TEST_F(NetlistTest, FreshNamesUnique) {

@@ -31,7 +31,9 @@ class PipelineTest : public ::testing::Test {
 TEST_F(PipelineTest, OneStageAddsBoundaryRegistersOnly) {
   auto comb = mapped(AdderKind::kRipple, 8);
   const std::size_t comb_insts = comb.num_instances();
-  auto nl = make_registered(comb);
+  PipelineOptions opt;
+  opt.stages = 1;
+  auto nl = pipeline_insert(comb, opt).nl;
   // 17 PIs + 9 POs worth of registers.
   EXPECT_EQ(nl.num_sequential(), 17u + 9u);
   EXPECT_EQ(nl.num_instances(), comb_insts + 17u + 9u);

@@ -5,7 +5,6 @@
 #include "designs/crc.hpp"
 #include "designs/fir.hpp"
 #include "library/builders.hpp"
-#include "logic/transforms.hpp"
 #include "netlist/sequential_sim.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/retiming.hpp"
@@ -194,15 +193,6 @@ TEST(DesignRef, CrcMatchesReference) {
     EXPECT_EQ(got, designs::crc_reference(states[static_cast<std::size_t>(k)],
                                           msgs[static_cast<std::size_t>(k)]));
   }
-}
-
-TEST(DesignRef, CrcIsDeepButBalanceable) {
-  // The unrolled CRC is deep serial XOR logic; balance() restructures it
-  // (associativity) — the "resynthesis can help" case, unlike the FSM.
-  const auto aig = designs::make_crc_aig();
-  const auto bal = logic::balance(aig);
-  EXPECT_LT(bal.depth(), aig.depth());
-  EXPECT_TRUE(logic::equivalent(aig, bal, 32));
 }
 
 }  // namespace

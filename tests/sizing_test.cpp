@@ -117,7 +117,8 @@ TEST_F(SizingTest, RecoverAreaActuallySavesWhenOversized) {
   // Oversize everything massively.
   for (InstanceId id : nl.all_instances()) {
     const library::Cell& c = nl.cell_of(id);
-    if (auto big = nl.lib().largest(c.func, c.family)) nl.replace_cell(id, *big);
+    const auto& ids = nl.lib().cells_of(c.func, c.family);
+    if (!ids.empty()) nl.replace_cell(id, ids.back());
   }
   SizingOptions opt;
   const auto timing = sta::analyze(nl, opt.sta);

@@ -19,6 +19,12 @@
 ///
 ///  3. **Staleness bookkeeping.** built_version() tracks structural
 ///     (re)builds of Netlist::version(); value patches refresh in place.
+///
+///  4. **One load formula.** Netlist::net_load and kern::net_load are two
+///     copies of one expression; they must agree bit for bit on every net
+///     of every flow-implemented registry design, so lint (which reads
+///     the netlist) and STA (which reads the graph) cannot disagree about
+///     a load.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +33,15 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/flow.hpp"
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
+#include "netlist/sweep.hpp"
 #include "place/place.hpp"
 #include "sizing/tilos.hpp"
 #include "sta/compact_graph.hpp"
 #include "sta/incremental.hpp"
+#include "sta/kernels.hpp"
 #include "sta/statistical.hpp"
 #include "sta/sta.hpp"
 #include "sta_oracle.hpp"
@@ -380,6 +389,39 @@ TEST_F(SoaGraph, BuiltVersionTracksStructuralRebuilds) {
   EXPECT_LT(g.built_version(), nl.version());
   g.rebuild_structure(nl);
   EXPECT_EQ(g.built_version(), nl.version());
+}
+
+// --- 4. one load formula -----------------------------------------------------
+
+/// Netlist::net_load and kern::net_load agree bit for bit on every net,
+/// after the full flow under every methodology (routed lengths, sized and
+/// continuous drives, pipeline registers), and again on a sweep-point copy
+/// whose width scale and extra cap exercise the width_multiple and
+/// extra_cap_units terms.
+TEST(SoaGraphLoad, NetlistAndKernelLoadsAgreeAfterFlow) {
+  const core::Flow flow(tech::asic_025um());
+  netlist::SweepPoint point;
+  point.wire_width_scale = 1.7;
+  point.extra_cap_units = 0.75;
+  std::size_t wired = 0;
+  for (const std::string& m_name : core::methodology_names()) {
+    const core::Methodology m = *core::methodology_by_name(m_name);
+    for (const std::string& name : designs::design_names()) {
+      const core::FlowResult r =
+          flow.run(designs::make_design(name, m.datapath), m);
+      ASSERT_TRUE(r.ok()) << name << " " << m_name;
+      for (const Netlist& nl :
+           {*r.nl, netlist::apply_sweep_point(*r.nl, point)}) {
+        const CompactGraph g(nl);
+        for (NetId n : nl.all_nets()) {
+          ASSERT_TRUE(same_bits(nl.net_load(n), sta::kern::net_load(g, n)))
+              << name << " " << m_name << " net " << nl.net(n).name;
+          if (nl.net(n).length_um > 0.0) ++wired;
+        }
+      }
+    }
+  }
+  EXPECT_GT(wired, 0u);  // the wire term was exercised, not just pins
 }
 
 // --- incremental timer vs the oracle -----------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tech/scaling.hpp"
 #include "tech/technology.hpp"
 
@@ -56,7 +58,8 @@ TEST(Scaling, GapOfSevenIsAboutFiveGenerations) {
 }
 
 TEST(Scaling, GenerationsRoundTrip) {
-  EXPECT_NEAR(speed_from_generations(generations_equivalent(3.3)), 3.3, 1e-9);
+  EXPECT_NEAR(std::pow(kSpeedPerGeneration, generations_equivalent(3.3)), 3.3,
+              1e-9);
 }
 
 TEST(Scaling, ShrinkMatchesIntel856DataPoint) {

@@ -9,6 +9,14 @@ namespace {
 
 tech::Technology t025() { return tech::asic_025um(); }
 
+/// Delay in ps per mm of an optimally repeated minimum-width wire: a
+/// 10 mm segment, long enough to be in the linear regime.
+double repeated_ps_per_mm(const tech::Technology& t) {
+  WireSegment seg;
+  seg.length_um = 10000.0;
+  return plan_repeaters(t, seg, t.unit_inv_cin_ff).delay_ps / 10.0;
+}
+
 TEST(Elmore, MatchesHandCalculation) {
   const tech::Technology t = t025();
   WireSegment seg;
@@ -79,15 +87,15 @@ TEST(Repeaters, ShortWireNeedsNone) {
 TEST(Repeaters, FigureOfMeritSane) {
   // Optimally repeated minimum-width aluminum at 0.25 um: on the order
   // of 50-150 ps/mm (BACPAC-era numbers).
-  const double d = repeated_delay_ps_per_mm(t025());
+  const double d = repeated_ps_per_mm(t025());
   EXPECT_GT(d, 30.0);
   EXPECT_LT(d, 200.0);
 }
 
 TEST(Repeaters, CopperBeatsAluminum) {
   // IBM's 0.18 um copper process routes faster per mm.
-  EXPECT_LT(repeated_delay_ps_per_mm(tech::ibm_018um()),
-            repeated_delay_ps_per_mm(t025()));
+  EXPECT_LT(repeated_ps_per_mm(tech::ibm_018um()),
+            repeated_ps_per_mm(t025()));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# tools/check.sh — the sanitizer and benchmark gates. CI runs each mode
-# as one step (.github/workflows/ci.yml), so a local run checks exactly
-# what CI checks.
+# tools/check.sh — the sanitizer, benchmark and dead-code gates. CI runs
+# each mode as one step (.github/workflows/ci.yml), so a local run checks
+# exactly what CI checks.
 #
 #   tools/check.sh          # TSan pass + ASan/UBSan pass
 #   tools/check.sh tsan     # ThreadSanitizer pass only
 #   tools/check.sh asan     # ASan/UBSan pass only
+#   tools/check.sh sanitizers  # TSan pass + ASan/UBSan pass (the default)
 #   tools/check.sh bench    # quick benchmarks + strict gate vs BENCH_baseline.json
+#   tools/check.sh deadcode # fail on a libgap_* function no shipped binary reaches
 #   tools/check.sh all      # both sanitizer passes + regular build + full ctest
 #
 # Each mode's wall-clock duration is printed at exit, so slow gates are
@@ -39,9 +41,9 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-sanitizers}"
 case "$MODE" in
-  sanitizers|tsan|asan|bench|all) ;;
+  sanitizers|tsan|asan|bench|deadcode|all) ;;
   *)
-    echo "check.sh: unknown mode '$MODE' (expected: tsan | asan | bench | all)" >&2
+    echo "check.sh: unknown mode '$MODE' (expected: sanitizers | tsan | asan | bench | deadcode | all)" >&2
     exit 2
     ;;
 esac
@@ -161,10 +163,46 @@ run_bench() {
     --baseline BENCH_baseline.json --threshold 0.15 --strict
 }
 
+# The dead-code gate: every global function in a libgap_* archive must be
+# kept by at least one shipped executable, or be named with a reason in
+# tools/deadcode_allowlist.txt (test oracles, references and probes).
+# Shipped means every executable target outside tests/ (the CLIs, the
+# benches, the examples) plus perfbench's gap_e2e, built as its own
+# package; tools/deadcode.py reads the set from the CMake file API, so a
+# new binary joins it without an edit here. Both trees are Debug (-O0)
+# with -ffunction-sections -Wl,--gc-sections: nothing is inlined, so a
+# same-file caller cannot hide a function, and the linker drops every
+# function no executable can reach. A stale allowlist entry (now
+# referenced, or gone) fails too. Out of scope: functions defined in
+# headers (inline, templates), which no archive holds as a T symbol.
+run_deadcode() {
+  require python3 "needed by tools/deadcode.py"
+  require nm "install binutils"
+  local main=build-deadcode perf=build-deadcode/perfbench tree
+  for tree in "$main" "$perf"; do
+    mkdir -p "$tree/.cmake/api/v1/query"
+    touch "$tree/.cmake/api/v1/query/codemodel-v2"
+  done
+  local flags=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-ffunction-sections
+    -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+  echo "== dead-code build ($main, $perf) =="
+  cmake -B "$main" -S . "${flags[@]}"
+  cmake -B "$perf" -S perfbench "${flags[@]}"
+  for tree in "$main" "$perf"; do
+    # shellcheck disable=SC2046  # one target per word is intended
+    cmake --build "$tree" -j "$JOBS" \
+      --target $(python3 tools/deadcode.py targets "$tree")
+  done
+
+  echo "== unreferenced libgap_* functions vs tools/deadcode_allowlist.txt =="
+  python3 tools/deadcode.py check tools/deadcode_allowlist.txt "$main" "$perf"
+}
+
 case "$MODE" in
   tsan) timed tsan run_tsan ;;
   asan) timed asan run_asan ;;
   bench) timed bench run_bench ;;
+  deadcode) timed deadcode run_deadcode ;;
   sanitizers)
     timed tsan run_tsan
     timed asan run_asan
