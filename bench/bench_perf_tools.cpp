@@ -7,12 +7,16 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/flow.hpp"
+#include "core/methodology.hpp"
 #include "datapath/multipliers.hpp"
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
+#include "lint/lint.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/retiming.hpp"
 #include "place/place.hpp"
@@ -157,6 +161,80 @@ void BM_StaIncrementalRetimeSingleEditCompact(benchmark::State& state) {
   state.counters["instances"] = static_cast<double>(nl.num_instances());
 }
 BENCHMARK(BM_StaIncrementalRetimeSingleEditCompact);
+
+// Lint on the netlist a gapd `load` of cpu32 builds (the typical flow,
+// so wire lengths come from placement), with gapd's scan-mode rules
+// (GL-D/GL-X off). BM_LintFullRun is a one-shot run_lint: every rule,
+// every net. BM_LintAfterSetDrive is gapd's resident re-lint: one drive
+// edit noted on a warm LintCache, then the cache's evaluation, which
+// re-checks only the edited gate's output and input nets. The ratio of
+// the two is what the cache saves per ECO step.
+struct LintDesign {
+  std::unique_ptr<core::Flow> flow;  ///< owns the libraries `nl` uses
+  std::shared_ptr<netlist::Netlist> nl;
+  lint::RuleRegistry registry = lint::default_registry();
+  lint::LintConfig scan_mode;
+};
+
+LintDesign& lint_design() {
+  static LintDesign d = [] {
+    const auto m = core::methodology_by_name("typical");
+    LintDesign out;
+    out.flow = std::make_unique<core::Flow>(tech::asic_025um());
+    out.nl = out.flow->run(designs::make_design("cpu32", m->datapath), *m).nl;
+    for (std::size_t i = 0; i < out.registry.size(); ++i) {
+      const lint::RuleInfo& info = out.registry.rule(i).info();
+      if (info.category == lint::Category::kDomain ||
+          info.category == lint::Category::kDataflow)
+        out.scan_mode.rule_levels.emplace_back(info.id,
+                                               lint::SeverityOverride::kOff);
+    }
+    return out;
+  }();
+  return d;
+}
+
+lint::LintContext lint_context(const netlist::Netlist& nl) {
+  lint::LintContext ctx;
+  ctx.nl = &nl;
+  ctx.limits = tech::default_electrical_limits();
+  ctx.constraints.period_tau = 100.0;
+  return ctx;
+}
+
+void BM_LintFullRun(benchmark::State& state) {
+  const LintDesign& d = lint_design();
+  const lint::LintContext ctx = lint_context(*d.nl);
+  for (auto _ : state) {
+    const auto r = lint::run_lint(d.registry, ctx, d.scan_mode);
+    benchmark::DoNotOptimize(r.findings.size());
+  }
+  state.counters["nets"] = static_cast<double>(d.nl->num_nets());
+}
+BENCHMARK(BM_LintFullRun);
+
+void BM_LintAfterSetDrive(benchmark::State& state) {
+  LintDesign& d = lint_design();
+  netlist::Netlist& nl = *d.nl;
+  const lint::LintContext ctx = lint_context(nl);
+  lint::LintCache cache;
+  benchmark::DoNotOptimize(cache.run(d.registry, ctx, d.scan_mode));  // warm
+  InstanceId victim;
+  for (InstanceId id : nl.all_instances())
+    if (!nl.is_sequential(id)) victim = id;
+  const double original = nl.instance(victim).drive_override;
+  double drive = 4.0;
+  for (auto _ : state) {
+    nl.instance(victim).drive_override = drive;
+    cache.note(sta::edit_effect(nl, sta::Edit::set_drive(victim, drive)));
+    const auto r = cache.run(d.registry, ctx, d.scan_mode);
+    benchmark::DoNotOptimize(r.findings.size());
+    drive = drive == 4.0 ? 8.0 : 4.0;
+  }
+  nl.instance(victim).drive_override = original;
+  state.counters["nets"] = static_cast<double>(nl.num_nets());
+}
+BENCHMARK(BM_LintAfterSetDrive);
 
 void BM_Placement(benchmark::State& state) {
   const auto aig =

@@ -357,6 +357,20 @@ common::Status DataflowEngine::recompute_cones(
   return {};
 }
 
+common::Status DataflowEngine::sync(const netlist::Netlist& nl,
+                                    const sta::EditEffect& effect,
+                                    int threads) {
+  if (!effect.connectivity) {
+    resync_value(nl);
+    return {};
+  }
+  for (InstanceId inst : effect.instances) {
+    if (common::Status st = update_rewire(nl, inst, threads); !st.ok())
+      return st;
+  }
+  return {};
+}
+
 common::Status DataflowEngine::update_rewire(const netlist::Netlist& nl,
                                              InstanceId inst, int threads) {
   if (!valid_ || graph_.num_instances() != nl.num_instances() ||

@@ -22,7 +22,7 @@
 /// rule family (rules.cpp) reads all of it through LintContext::dataflow.
 ///
 /// The engine is resident-service friendly: gapd caches one per session
-/// and resynchronizes it against Netlist::version() per edit kind —
+/// and resynchronizes it from each edit's sta::edit_effect (sync) —
 /// value-only edits reuse everything, an input rewire re-evaluates only
 /// the forward cone of the edited instance (update_rewire). gapd has no
 /// clock-phase edit: its clock edit changes only the skew spec, which the
@@ -37,6 +37,7 @@
 #include "lint/domains.hpp"
 #include "netlist/netlist.hpp"
 #include "sta/compact_graph.hpp"
+#include "sta/incremental.hpp"
 
 namespace gap::lint {
 
@@ -98,6 +99,14 @@ class DataflowEngine {
   /// when the engine is invalid or the netlist grew.
   [[nodiscard]] common::Status update_rewire(const netlist::Netlist& nl,
                                              InstanceId inst, int threads = 1);
+
+  /// Resident-service sync after one applied edit, from its
+  /// sta::edit_effect: a connectivity change re-evaluates the forward
+  /// cone of the edited instance (update_rewire); any other edit has no
+  /// lattice impact (resync_value).
+  [[nodiscard]] common::Status sync(const netlist::Netlist& nl,
+                                    const sta::EditEffect& effect,
+                                    int threads = 1);
 
   /// After a value-only edit with no lattice impact (drive override,
   /// same-function cell swap, clock skew): mark the lattice synchronized

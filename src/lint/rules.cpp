@@ -1,11 +1,11 @@
 /// \file rules.cpp
 /// The built-in gap::lint rule catalog. Each rule is a pure scan over the
-/// LintContext; docs/static-analysis.md documents every rule with its
-/// default severity and the knobs that feed it.
+/// LintContext, or (GL-E*) a pure check of one net against its NetRow;
+/// docs/static-analysis.md documents every rule with its scope, default
+/// severity and the knobs that feed it.
 
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <queue>
 #include <utility>
 
@@ -51,53 +51,41 @@ Finding make(AnchorKind anchor, std::string name, std::string message,
   return f;
 }
 
-/// Drive strength and (when the driver is an instance) the driving cell
-/// of a net. Returns drive <= 0 for undriven nets and for primary inputs
-/// with a non-positive external drive — callers skip those (GL-S002 and
-/// GL-K003 own them).
-struct DriverModel {
-  double drive = 0.0;
-  const library::Cell* cell = nullptr;
-};
-
-DriverModel driver_model(const Netlist& nl, NetId id) {
-  const netlist::Net& n = nl.net(id);
-  DriverModel m;
-  switch (n.driver.kind) {
-    case netlist::NetDriver::Kind::kInstance:
-      m.drive = nl.drive_of(n.driver.inst);
-      m.cell = &nl.cell_of(n.driver.inst);
-      break;
-    case netlist::NetDriver::Kind::kPrimaryInput:
-      m.drive = nl.port(n.driver.port).ext_drive;
-      break;
-    case netlist::NetDriver::Kind::kNone:
-      break;
-  }
-  return m;
-}
-
-/// A rule defined by its info plus a scan function.
+/// A rule defined by its info plus a whole-design scan or a per-net check.
 class LambdaRule final : public Rule {
  public:
-  using Fn = std::function<void(const LintContext&, std::vector<Finding>&)>;
-  LambdaRule(RuleInfo info, Fn fn)
-      : info_(std::move(info)), fn_(std::move(fn)) {}
+  using ScanFn = void (*)(const LintContext&, std::vector<Finding>&);
+  using NetFn = void (*)(const LintContext&, NetId, const NetRow&,
+                         std::vector<Finding>&);
+  LambdaRule(RuleInfo info, ScanFn scan, NetFn net)
+      : info_(std::move(info)), scan_(scan), net_(net) {}
 
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
   void run(const LintContext& ctx, std::vector<Finding>& out) const override {
-    fn_(ctx, out);
+    if (scan_ != nullptr) scan_(ctx, out);
+  }
+  void check_net(const LintContext& ctx, NetId id, const NetRow& row,
+                 std::vector<Finding>& out) const override {
+    if (net_ != nullptr) net_(ctx, id, row, out);
   }
 
  private:
   RuleInfo info_;
-  Fn fn_;
+  ScanFn scan_;
+  NetFn net_;
 };
 
-void add_rule(RuleRegistry& reg, const char* id, Category cat, Severity sev,
-              const char* title, LambdaRule::Fn fn) {
+void add_rule(RuleRegistry& reg, const char* id, Category cat, Scope scope,
+              Severity sev, const char* title, LambdaRule::ScanFn fn) {
+  GAP_EXPECTS(scope != Scope::kNet);
+  reg.add(std::make_unique<LambdaRule>(RuleInfo{id, cat, scope, sev, title},
+                                       fn, nullptr));
+}
+
+void add_net_rule(RuleRegistry& reg, const char* id, Category cat,
+                  Severity sev, const char* title, LambdaRule::NetFn fn) {
   reg.add(std::make_unique<LambdaRule>(
-      RuleInfo{id, cat, sev, title}, std::move(fn)));
+      RuleInfo{id, cat, Scope::kNet, sev, title}, nullptr, fn));
 }
 
 /// Scan-kind filter shared by the structural rules: report the matching
@@ -221,81 +209,68 @@ void rule_unreachable_instance(const LintContext& ctx,
 
 // --- electrical ----------------------------------------------------------
 
-void rule_max_fanout(const LintContext& ctx, std::vector<Finding>& out) {
-  const Netlist& nl = *ctx.nl;
-  for (NetId id : nl.all_nets()) {
-    const netlist::Net& n = nl.net(id);
-    const DriverModel d = driver_model(nl, id);
-    if (d.drive <= 0.0) continue;
-    const double limit = (d.cell != nullptr && d.cell->max_fanout > 0.0)
-                             ? d.cell->max_fanout
-                             : ctx.limits.max_fanout;
-    const double fanout = static_cast<double>(n.sinks.size());
-    if (fanout <= limit) continue;
-    out.push_back(make(AnchorKind::kNet, n.name,
-                       "net '" + n.name + "' has fanout " + num(fanout) +
-                           " exceeding the limit of " + num(limit)));
-  }
+void rule_max_fanout(const LintContext& ctx, NetId id, const NetRow& row,
+                     std::vector<Finding>& out) {
+  if (row.drive <= 0.0) return;
+  const netlist::Net& n = ctx.nl->net(id);
+  const double limit = (row.cell != nullptr && row.cell->max_fanout > 0.0)
+                           ? row.cell->max_fanout
+                           : ctx.limits.max_fanout;
+  const double fanout = static_cast<double>(n.sinks.size());
+  if (fanout <= limit) return;
+  out.push_back(make(AnchorKind::kNet, n.name,
+                     "net '" + n.name + "' has fanout " + num(fanout) +
+                         " exceeding the limit of " + num(limit)));
 }
 
-void rule_max_load(const LintContext& ctx, std::vector<Finding>& out) {
-  const Netlist& nl = *ctx.nl;
-  const tech::Technology& t = nl.lib().technology();
-  for (NetId id : nl.all_nets()) {
-    const netlist::Net& n = nl.net(id);
-    const DriverModel d = driver_model(nl, id);
-    if (d.drive <= 0.0) continue;
-    const double load = nl.net_load(id);
-    const double limit =
-        (d.cell != nullptr && d.cell->max_capacitance_ff > 0.0)
-            ? t.cap_to_units(d.cell->max_capacitance_ff)
-            : ctx.limits.max_load_units_per_drive * d.drive;
-    if (load <= limit) continue;
-    out.push_back(make(
-        AnchorKind::kNet, n.name,
-        "net '" + n.name + "' carries a load of " + num(load) +
-            " unit caps, past its driver's limit of " + num(limit)));
-  }
+void rule_max_load(const LintContext& ctx, NetId id, const NetRow& row,
+                   std::vector<Finding>& out) {
+  if (row.drive <= 0.0) return;
+  const tech::Technology& t = ctx.nl->lib().technology();
+  const double limit =
+      (row.cell != nullptr && row.cell->max_capacitance_ff > 0.0)
+          ? t.cap_to_units(row.cell->max_capacitance_ff)
+          : ctx.limits.max_load_units_per_drive * row.drive;
+  if (row.load <= limit) return;
+  const std::string& name = ctx.nl->net(id).name;
+  out.push_back(make(
+      AnchorKind::kNet, name,
+      "net '" + name + "' carries a load of " + num(row.load) +
+          " unit caps, past its driver's limit of " + num(limit)));
 }
 
-void rule_max_transition(const LintContext& ctx, std::vector<Finding>& out) {
-  const Netlist& nl = *ctx.nl;
-  const tech::Technology& t = nl.lib().technology();
-  for (NetId id : nl.all_nets()) {
-    const netlist::Net& n = nl.net(id);
-    const DriverModel d = driver_model(nl, id);
-    if (d.drive <= 0.0) continue;
-    // Transition proxy: electrical effort plus the distributed-wire
-    // Elmore term (R * C / 2; ohm * fF = 1e-3 ps), in tau.
-    const double r_ohm = t.wire_r_ohm_per_um * n.length_um / n.width_multiple;
-    const double c_ff = t.wire_c_ff_per_um * n.length_um;
-    const double slew_tau =
-        nl.net_load(id) / d.drive + t.ps_to_tau(0.5 * r_ohm * c_ff * 1e-3);
-    const double limit =
-        (d.cell != nullptr && d.cell->max_transition_ps > 0.0)
-            ? t.ps_to_tau(d.cell->max_transition_ps)
-            : ctx.limits.max_transition_tau;
-    if (slew_tau <= limit) continue;
-    out.push_back(make(AnchorKind::kNet, n.name,
-                       "net '" + n.name + "' has transition proxy " +
-                           num(slew_tau) + " tau, past the limit of " +
-                           num(limit) + " tau"));
-  }
+void rule_max_transition(const LintContext& ctx, NetId id, const NetRow& row,
+                         std::vector<Finding>& out) {
+  if (row.drive <= 0.0) return;
+  const netlist::Net& n = ctx.nl->net(id);
+  const tech::Technology& t = ctx.nl->lib().technology();
+  // Transition proxy: electrical effort plus the distributed-wire
+  // Elmore term (R * C / 2; ohm * fF = 1e-3 ps), in tau.
+  const double r_ohm = t.wire_r_ohm_per_um * n.length_um / n.width_multiple;
+  const double c_ff = t.wire_c_ff_per_um * n.length_um;
+  const double slew_tau =
+      row.load / row.drive + t.ps_to_tau(0.5 * r_ohm * c_ff * 1e-3);
+  const double limit =
+      (row.cell != nullptr && row.cell->max_transition_ps > 0.0)
+          ? t.ps_to_tau(row.cell->max_transition_ps)
+          : ctx.limits.max_transition_tau;
+  if (slew_tau <= limit) return;
+  out.push_back(make(AnchorKind::kNet, n.name,
+                     "net '" + n.name + "' has transition proxy " +
+                         num(slew_tau) + " tau, past the limit of " +
+                         num(limit) + " tau"));
 }
 
-void rule_weak_driver(const LintContext& ctx, std::vector<Finding>& out) {
-  const Netlist& nl = *ctx.nl;
-  for (NetId id : nl.all_nets()) {
-    const netlist::Net& n = nl.net(id);
-    if (n.length_um < ctx.limits.long_wire_um) continue;
-    const DriverModel d = driver_model(nl, id);
-    if (d.drive <= 0.0 || d.drive >= ctx.limits.weak_drive) continue;
-    out.push_back(make(
-        AnchorKind::kNet, n.name,
-        "net '" + n.name + "' spans " + num(n.length_um) +
-            " um but is driven at only " + num(d.drive) +
-            "x; upsize the driver or insert repeaters"));
-  }
+void rule_weak_driver(const LintContext& ctx, NetId id, const NetRow& row,
+                      std::vector<Finding>& out) {
+  const netlist::Net& n = ctx.nl->net(id);
+  if (n.length_um < ctx.limits.long_wire_um) return;
+  if (row.drive <= 0.0 || row.drive >= ctx.limits.weak_drive) return;
+  out.push_back(make(
+      AnchorKind::kNet, n.name,
+      "net '" + n.name + "' spans " + num(n.length_um) +
+          " um but is driven at only " + num(row.drive) +
+          "x; upsize the driver or insert repeaters"));
 }
 
 // --- clock ---------------------------------------------------------------
@@ -619,62 +594,94 @@ void rule_no_reset(const LintContext& ctx, std::vector<Finding>& out) {
 
 }  // namespace
 
+NetRow net_row(const Netlist& nl, NetId id) {
+  const netlist::Net& n = nl.net(id);
+  NetRow row;
+  switch (n.driver.kind) {
+    case netlist::NetDriver::Kind::kInstance:
+      row.drive = nl.drive_of(n.driver.inst);
+      row.cell = &nl.cell_of(n.driver.inst);
+      break;
+    case netlist::NetDriver::Kind::kPrimaryInput:
+      row.drive = nl.port(n.driver.port).ext_drive;
+      break;
+    case netlist::NetDriver::Kind::kNone:
+      break;
+  }
+  if (row.drive > 0.0) row.load = nl.net_load(id);
+  return row;
+}
+
 RuleRegistry default_registry() {
   RuleRegistry reg;
-  add_rule(reg, "GL-S001", Category::kStructural, Severity::kError,
-           "net driven by more than one source", rule_multiply_driven);
-  add_rule(reg, "GL-S002", Category::kStructural, Severity::kError,
-           "net with sinks but no driver", rule_undriven);
-  add_rule(reg, "GL-S003", Category::kStructural, Severity::kError,
+  add_rule(reg, "GL-S001", Category::kStructural, Scope::kConnectivity,
+           Severity::kError, "net driven by more than one source",
+           rule_multiply_driven);
+  add_rule(reg, "GL-S002", Category::kStructural, Scope::kConnectivity,
+           Severity::kError, "net with sinks but no driver", rule_undriven);
+  add_rule(reg, "GL-S003", Category::kStructural, Scope::kConnectivity,
+           Severity::kError,
            "pin connectivity mismatch (floating or inconsistent pins)",
            rule_pin_connectivity);
-  add_rule(reg, "GL-S004", Category::kStructural, Severity::kError,
-           "combinational cycle", rule_comb_cycle);
-  add_rule(reg, "GL-S005", Category::kStructural, Severity::kWarning,
-           "driven net with no sinks or external load", rule_unloaded_net);
-  add_rule(reg, "GL-S006", Category::kStructural, Severity::kWarning,
-           "instance output never reaches a primary output",
+  add_rule(reg, "GL-S004", Category::kStructural, Scope::kConnectivity,
+           Severity::kError, "combinational cycle", rule_comb_cycle);
+  add_rule(reg, "GL-S005", Category::kStructural, Scope::kConnectivity,
+           Severity::kWarning, "driven net with no sinks or external load",
+           rule_unloaded_net);
+  add_rule(reg, "GL-S006", Category::kStructural, Scope::kConnectivity,
+           Severity::kWarning, "instance output never reaches a primary output",
            rule_unreachable_instance);
-  add_rule(reg, "GL-E001", Category::kElectrical, Severity::kWarning,
-           "fanout above the driver's limit", rule_max_fanout);
-  add_rule(reg, "GL-E002", Category::kElectrical, Severity::kError,
-           "capacitive load above the driver's limit", rule_max_load);
-  add_rule(reg, "GL-E003", Category::kElectrical, Severity::kWarning,
-           "output transition proxy above the limit", rule_max_transition);
-  add_rule(reg, "GL-E004", Category::kElectrical, Severity::kWarning,
-           "long wire with a weak driver", rule_weak_driver);
-  add_rule(reg, "GL-C001", Category::kClock, Severity::kError,
-           "clock phase outside the library's range", rule_clock_phase);
-  add_rule(reg, "GL-C002", Category::kClock, Severity::kWarning,
-           "design mixes flip-flops and latches", rule_mixed_sequentials);
-  add_rule(reg, "GL-C003", Category::kClock, Severity::kWarning,
-           "register unreachable from any primary input",
+  add_net_rule(reg, "GL-E001", Category::kElectrical, Severity::kWarning,
+               "fanout above the driver's limit", rule_max_fanout);
+  add_net_rule(reg, "GL-E002", Category::kElectrical, Severity::kError,
+               "capacitive load above the driver's limit", rule_max_load);
+  add_net_rule(reg, "GL-E003", Category::kElectrical, Severity::kWarning,
+               "output transition proxy above the limit", rule_max_transition);
+  add_net_rule(reg, "GL-E004", Category::kElectrical, Severity::kWarning,
+               "long wire with a weak driver", rule_weak_driver);
+  add_rule(reg, "GL-C001", Category::kClock, Scope::kConnectivity,
+           Severity::kError, "clock phase outside the library's range",
+           rule_clock_phase);
+  add_rule(reg, "GL-C002", Category::kClock, Scope::kConnectivity,
+           Severity::kWarning, "design mixes flip-flops and latches",
+           rule_mixed_sequentials);
+  add_rule(reg, "GL-C003", Category::kClock, Scope::kConnectivity,
+           Severity::kWarning, "register unreachable from any primary input",
            rule_unreachable_register);
-  add_rule(reg, "GL-D001", Category::kDomain, Severity::kError,
-           "clock-domain crossing without a synchronizer",
+  add_rule(reg, "GL-D001", Category::kDomain, Scope::kConnectivity,
+           Severity::kError, "clock-domain crossing without a synchronizer",
            rule_domain_crossing);
-  add_rule(reg, "GL-D002", Category::kDomain, Severity::kWarning,
+  add_rule(reg, "GL-D002", Category::kDomain, Scope::kConnectivity,
+           Severity::kWarning,
            "register captures data from multiple clock domains",
            rule_mixed_domains);
-  add_rule(reg, "GL-D003", Category::kDomain, Severity::kWarning,
+  add_rule(reg, "GL-D003", Category::kDomain, Scope::kConnectivity,
+           Severity::kWarning,
            "register captures data of unresolved clock domain",
            rule_unknown_domain);
-  add_rule(reg, "GL-D004", Category::kDomain, Severity::kWarning,
-           "foreign reset domain reaches a register", rule_reset_crossing);
-  add_rule(reg, "GL-K001", Category::kConstraint, Severity::kWarning,
-           "no clock period constraint supplied", rule_no_period);
-  add_rule(reg, "GL-K002", Category::kConstraint, Severity::kError,
-           "non-positive clock period constraint", rule_bad_period);
-  add_rule(reg, "GL-K003", Category::kConstraint, Severity::kWarning,
-           "port with unmodeled external drive or load", rule_port_model);
-  add_rule(reg, "GL-X001", Category::kDataflow, Severity::kWarning,
-           "net is provably constant", rule_constant_net);
-  add_rule(reg, "GL-X002", Category::kDataflow, Severity::kWarning,
-           "dead logic cone behind a constant mux select", rule_dead_logic);
-  add_rule(reg, "GL-X003", Category::kDataflow, Severity::kWarning,
+  add_rule(reg, "GL-D004", Category::kDomain, Scope::kConnectivity,
+           Severity::kWarning, "foreign reset domain reaches a register",
+           rule_reset_crossing);
+  add_rule(reg, "GL-K001", Category::kConstraint, Scope::kConstraints,
+           Severity::kWarning, "no clock period constraint supplied",
+           rule_no_period);
+  add_rule(reg, "GL-K002", Category::kConstraint, Scope::kConstraints,
+           Severity::kError, "non-positive clock period constraint",
+           rule_bad_period);
+  add_rule(reg, "GL-K003", Category::kConstraint, Scope::kConnectivity,
+           Severity::kWarning, "port with unmodeled external drive or load",
+           rule_port_model);
+  add_rule(reg, "GL-X001", Category::kDataflow, Scope::kConnectivity,
+           Severity::kWarning, "net is provably constant", rule_constant_net);
+  add_rule(reg, "GL-X002", Category::kDataflow, Scope::kConnectivity,
+           Severity::kWarning, "dead logic cone behind a constant mux select",
+           rule_dead_logic);
+  add_rule(reg, "GL-X003", Category::kDataflow, Scope::kConnectivity,
+           Severity::kWarning,
            "register recirculates through a constant mux select",
            rule_disabled_enable);
-  add_rule(reg, "GL-X004", Category::kDataflow, Severity::kWarning,
+  add_rule(reg, "GL-X004", Category::kDataflow, Scope::kConnectivity,
+           Severity::kWarning,
            "register without a reset in a reset-disciplined design",
            rule_no_reset);
   return reg;

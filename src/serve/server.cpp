@@ -118,27 +118,18 @@ struct Server::Session {
   std::unique_ptr<sta::IncrementalTimer> timer;
 
   /// Dataflow lattice for `lint` mode=dataflow, built lazily on first
-  /// use and kept in sync per edit kind: an input rewire re-evaluates
-  /// only the edited instance's forward cone, every other edit is a pure
-  /// version resync (clock *phases* are not editable over the wire — the
-  /// set_clock edit moves the STA clock constraint, not a phase).
+  /// use and kept in sync from each edit's effect: an input rewire
+  /// re-evaluates only the edited instance's forward cone, every other
+  /// edit is a pure version resync (clock *phases* are not editable over
+  /// the wire — the set_clock edit moves the STA clock constraint, not a
+  /// phase).
   std::unique_ptr<lint::DataflowEngine> dataflow;
 
-  /// Structural scan for `lint` in both modes, taken at Netlist::version()
-  /// `structure_version`. Value edits (set_drive, set_clock) leave the
-  /// version, and so the scan, current; replace_cell, rewire and their
-  /// undos bump it, and the next lint rescans.
-  std::optional<std::vector<netlist::StructuralViolation>> structure;
-  std::uint64_t structure_version = 0;
-
-  /// The cached scan, retaken first when the netlist has moved on.
-  const std::vector<netlist::StructuralViolation>& current_structure() {
-    if (!structure || structure_version != nl->version()) {
-      structure = lint::scan_structure(*nl);
-      structure_version = nl->version();
-    }
-    return *structure;
-  }
+  /// Resident lint findings for both modes (the structural scan and each
+  /// rule's findings), built by the first resident `lint` and told of
+  /// every later edit's effect, so a re-lint re-checks only the nets an
+  /// edit touched and re-runs connectivity rules only after a rewire.
+  std::unique_ptr<lint::LintCache> lint;
 
   Journal journal;  ///< !is_open() when journaling is disabled
   std::uint64_t seq = 0;
@@ -299,18 +290,19 @@ Result<sta::Edit> Server::apply_edit(Session& s, const sta::Edit& edit,
   if (!st.ok()) return st;
   if (!inverse.ok()) return inverse;
 
-  // Keep the session's dataflow lattice (if one was ever built; never
-  // during recovery) in sync with the edit just applied. Only an input
-  // rewire changes the lattice structurally; a failed cone update
+  // Tell the session's resident lint state (if it has any; never during
+  // recovery) what the edit touched: the lattice syncs now, and the lint
+  // cache only marks what its next run re-checks. A failed lattice update
   // invalidates the engine and the next dataflow lint rebuilds it.
-  if (s.dataflow != nullptr && s.dataflow->valid()) {
-    if (edit.kind == sta::Edit::Kind::kRewireInput) {
+  const bool lattice = s.dataflow != nullptr && s.dataflow->valid();
+  if (lattice || s.lint != nullptr) {
+    const sta::EditEffect effect = sta::edit_effect(*s.nl, edit);
+    if (lattice) {
       (void)run_guarded([&] {
-        (void)s.dataflow->update_rewire(*s.nl, edit.inst, options_.threads);
+        (void)s.dataflow->sync(*s.nl, effect, options_.threads);
       });
-    } else {
-      s.dataflow->resync_value(*s.nl);
     }
+    if (s.lint != nullptr) s.lint->note(effect);
   }
 
   if (undo) {
@@ -775,30 +767,37 @@ Server::Reply Server::cmd_lint(const Request& req) {
     if (!refresh_st.ok()) return reject(refresh_st);
   }
 
-  using Scan = std::vector<netlist::StructuralViolation>;
   const lint::LintConfig all_rules;
   const lint::LintConfig& config =
       mode == "scan" ? lint_scan_config_ : all_rules;
-  lint::LintReport report;
-  const auto run = [&](double period_tau, const Scan* structure) {
+  const auto context = [&](double period_tau) {
     lint::LintContext ctx;
     ctx.nl = s.nl.get();
     ctx.limits = tech::default_electrical_limits();
     ctx.constraints.period_tau = period_tau;
     ctx.constraints.skew_fraction = s.timer->options().clock.skew_fraction;
-    ctx.structure = structure;
     if (mode == "dataflow" && s.dataflow != nullptr && s.dataflow->valid()) {
       ctx.dataflow = s.dataflow.get();
     }
-    report = lint::run_lint(lint_registry_, ctx, config, options_.threads);
+    return ctx;
   };
-  // The resident path reads the session's cached structural scan; the
-  // degraded (batch) fallback trusts no cached state and scans afresh.
+  // The resident path asks the session's lint cache, which re-checks only
+  // what the edits since its last run touched; the degraded (batch)
+  // fallback trusts no cached state and lints afresh.
+  lint::LintReport report;
   const Status st = query(
       s, "lint run",
-      [&] { run(s.timer->timing().min_period_tau, &s.current_structure()); },
       [&] {
-        run(sta::analyze(*s.nl, s.timer->options()).min_period_tau, nullptr);
+        if (s.lint == nullptr) s.lint = std::make_unique<lint::LintCache>();
+        report = s.lint->run(lint_registry_,
+                             context(s.timer->timing().min_period_tau),
+                             config, options_.threads);
+      },
+      [&] {
+        report = lint::run_lint(
+            lint_registry_,
+            context(sta::analyze(*s.nl, s.timer->options()).min_period_tau),
+            config, options_.threads);
       });
   if (!st.ok()) return reject(st);
   return ok(req, [&](json::Writer& w) {

@@ -68,6 +68,31 @@ Edit Edit::set_clock(ClockSpec clock) {
   return e;
 }
 
+EditEffect edit_effect(const netlist::Netlist& nl, const Edit& e) {
+  EditEffect effect;
+  switch (e.kind) {
+    case Edit::Kind::kReplaceCell:
+    case Edit::Kind::kSetDriveOverride: {
+      effect.instances.push_back(e.inst);
+      const netlist::Instance& inst = nl.instance(e.inst);
+      if (inst.output.valid()) effect.nets.push_back(inst.output);
+      for (NetId in : inst.inputs) {
+        if (in.valid() && std::find(effect.nets.begin(), effect.nets.end(),
+                                    in) == effect.nets.end())
+          effect.nets.push_back(in);
+      }
+      break;
+    }
+    case Edit::Kind::kRewireInput:
+      effect.instances.push_back(e.inst);
+      effect.connectivity = true;
+      break;
+    case Edit::Kind::kSetClock:
+      break;
+  }
+  return effect;
+}
+
 IncrementalTimer::IncrementalTimer(netlist::Netlist& nl, StaOptions options,
                                    int threads)
     : nl_(&nl),

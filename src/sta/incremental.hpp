@@ -71,6 +71,25 @@ struct Edit {
   [[nodiscard]] static Edit set_clock(ClockSpec clock);
 };
 
+/// What one edit touched, for the resident engines that sit beside the
+/// timer (gapd's dataflow lattice and lint cache).
+struct EditEffect {
+  /// Nets whose electrical facts (driver drive, driver cell, load) may
+  /// have changed: a resize's output net and its distinct input nets,
+  /// whose load holds the instance's pin capacitance. Output net first,
+  /// then inputs in pin order.
+  std::vector<NetId> nets;
+  std::vector<InstanceId> instances;  ///< the edited instance, if any
+  /// Pin connectivity changed (a rewire): every net and every
+  /// connectivity-derived fact is suspect, whatever `nets` lists.
+  bool connectivity = false;
+};
+
+/// The effect of `e` on `nl`. Every field is the same before and after
+/// `e` is applied. A clock edit touches nothing a net carries.
+[[nodiscard]] EditEffect edit_effect(const netlist::Netlist& nl,
+                                     const Edit& e);
+
 class IncrementalTimer {
  public:
   /// The timer keeps a reference to `nl` and mutates it through apply().

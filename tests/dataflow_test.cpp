@@ -11,11 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "core/flow.hpp"
+#include "core/methodology.hpp"
+#include "designs/registry.hpp"
 #include "library/builders.hpp"
 #include "lint/dataflow.hpp"
 #include "lint/lint.hpp"
@@ -552,6 +558,133 @@ TEST(DataflowServeTest, ResidentLintMatchesFreshReplayAfterEveryEdit) {
   }
   for (int kind = 0; kind < 4; ++kind)
     EXPECT_GT(accepted_per_kind[kind], 0) << "edit kind " << kind;
+}
+
+/// The design a gapd `load` of `design` (typical, asic025) builds. The
+/// flow is deterministic, so its ids name the session's instances/nets.
+struct LoadedDesign {
+  std::unique_ptr<core::Flow> flow;  ///< owns the libraries `nl` uses
+  std::shared_ptr<Netlist> nl;
+};
+
+LoadedDesign load_design(const std::string& design) {
+  const auto m = core::methodology_by_name("typical");
+  const auto t = tech::technology_by_name("asic025");
+  LoadedDesign d;
+  d.flow = std::make_unique<core::Flow>(*t);
+  d.nl = d.flow->run(designs::make_design(design, m->datapath), *m).nl;
+  return d;
+}
+
+/// (rule, anchor name) of every finding in a `lint` reply.
+std::set<std::pair<std::string, std::string>> findings_of(
+    const std::string& reply) {
+  std::set<std::pair<std::string, std::string>> out;
+  const auto v = common::json::Value::parse(reply);
+  if (!v) return out;
+  const common::json::Value* result = v->find("result");
+  const common::json::Value* findings =
+      result != nullptr ? result->find("findings") : nullptr;
+  if (findings == nullptr) return out;
+  for (const common::json::Value& f : findings->array) {
+    const common::json::Value* anchor = f.find("anchor");
+    out.emplace(f.member_string("rule", ""),
+                anchor != nullptr ? anchor->member_string("name", "") : "");
+  }
+  return out;
+}
+
+TEST(DataflowServeTest,
+     ResidentLintMatchesFreshReplayThroughElectricalFindings) {
+  // The script above makes no electrical rule fire on mac8, so it cannot
+  // see a stale GL-E finding. Here a sink driven at 1000x makes GL-E002/
+  // E003 fire on its input net (its pin cap loads it), a driver at 0.05x
+  // makes GL-E002/E003 fire on its longest-wired output net (GL-E004 too
+  // when that wire is long), and restoring drives and undos clear them
+  // again. After every step both modes of
+  // the resident session must equal a server that replays the accepted
+  // edits from nothing, at 1 and 4 threads.
+  const double long_wire_um = tech::default_electrical_limits().long_wire_um;
+  for (const std::string design : {"mac8", "cpu32"}) {
+    SCOPED_TRACE(design);
+    const LoadedDesign d = load_design(design);
+    ASSERT_NE(d.nl, nullptr);
+    const Netlist& nl = *d.nl;
+    // The driver: the combinational instance with the longest output
+    // net. The sink: the first other combinational instance whose first
+    // input net an instance drives.
+    InstanceId driver, sink;
+    for (InstanceId id : nl.all_instances()) {
+      const netlist::Instance& inst = nl.instance(id);
+      if (nl.is_sequential(id) || !inst.output.valid()) continue;
+      if (!driver.valid() || nl.net(inst.output).length_um >
+                                 nl.net(nl.instance(driver).output).length_um)
+        driver = id;
+    }
+    ASSERT_TRUE(driver.valid());
+    const NetId long_net = nl.instance(driver).output;
+    // GL-E004 also needs a wire of at least long_wire_um; neither
+    // design's flow places one (mac8's longest is ~160 um, cpu32's
+    // ~630 um), and no gapd edit changes a wire.
+    const bool long_wire = nl.net(long_net).length_um >= long_wire_um;
+    for (InstanceId id : nl.all_instances()) {
+      const netlist::Instance& inst = nl.instance(id);
+      if (id == driver || nl.is_sequential(id) || inst.inputs.empty() ||
+          nl.net(inst.inputs.front()).driver.kind !=
+              netlist::NetDriver::Kind::kInstance)
+        continue;
+      sink = id;
+      break;
+    }
+    ASSERT_TRUE(sink.valid());
+    const std::string& sink_net = nl.net(nl.instance(sink).inputs.front()).name;
+    const std::string& driver_net = nl.net(long_net).name;
+
+    const std::string load = "{\"id\":0,\"cmd\":\"load\",\"session\":"
+                             "\"s1\",\"design\":\"" + design + "\"}";
+    const std::string undo = "{\"id\":0,\"cmd\":\"undo\",\"session\":\"s1\"}";
+    const int s_id = static_cast<int>(sink.value());
+    const int d_id = static_cast<int>(driver.value());
+    const std::vector<std::string> script = {
+        drive_frame("s1", s_id, 1000.0), drive_frame("s1", d_id, 0.05),
+        drive_frame("s1", d_id, 0.0),    undo,
+        undo,                            undo};
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      serve::ServerOptions opt;
+      opt.threads = threads;
+      serve::Server resident(opt);
+      ASSERT_TRUE(reply_ok(resident.handle_line(load)));
+      ASSERT_TRUE(reply_ok(resident.handle_line(lint_frame("s1", "scan"))));
+      std::vector<std::set<std::pair<std::string, std::string>>> seen;
+      for (std::size_t i = 0; i < script.size(); ++i) {
+        SCOPED_TRACE("step " + std::to_string(i) + ": " + script[i]);
+        ASSERT_TRUE(reply_ok(resident.handle_line(script[i])));
+        serve::Server fresh(opt);
+        ASSERT_TRUE(reply_ok(fresh.handle_line(load)));
+        for (std::size_t j = 0; j <= i; ++j)
+          ASSERT_TRUE(reply_ok(fresh.handle_line(script[j])));
+        for (const char* mode : {"scan", "dataflow"}) {
+          const std::string reply =
+              resident.handle_line(lint_frame("s1", mode));
+          ASSERT_TRUE(reply_ok(reply)) << mode;
+          EXPECT_EQ(reply, fresh.handle_line(lint_frame("s1", mode))) << mode;
+          if (std::string(mode) == "scan") seen.push_back(findings_of(reply));
+        }
+      }
+      // The script made the findings appear, and took them away again.
+      using F = std::pair<std::string, std::string>;
+      EXPECT_TRUE(seen[0].count(F{"GL-E002", sink_net}));
+      EXPECT_TRUE(seen[0].count(F{"GL-E003", sink_net}));
+      EXPECT_TRUE(seen[1].count(F{"GL-E002", driver_net}));
+      EXPECT_TRUE(seen[1].count(F{"GL-E003", driver_net}));
+      EXPECT_EQ(seen[1].count(F{"GL-E004", driver_net}), long_wire ? 1u : 0u);
+      EXPECT_FALSE(seen[2].count(F{"GL-E002", driver_net}));
+      EXPECT_TRUE(seen[3].count(F{"GL-E002", driver_net}));
+      for (const F& f : seen.back())
+        EXPECT_NE(f.first.rfind("GL-E", 0), 0u) << f.first << " " << f.second;
+    }
+  }
 }
 
 TEST(DataflowServeTest, ValueEditRelintReusesTheCachedLattice) {

@@ -17,6 +17,7 @@
 #include "lint/report.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
+#include "sta/incremental.hpp"
 #include "tech/technology.hpp"
 
 namespace gap::lint {
@@ -748,6 +749,65 @@ TEST(LintScanTest, SuppliedStructureGivesTheSameReportWithoutAScan) {
               write_json(registry, fresh, "broken.v"))
         << "threads=" << threads;
   }
+}
+
+// --- resident cache --------------------------------------------------------
+
+TEST_F(LintTest, CacheReportsWhatAFreshRunReportsAcrossEditsAndSkips) {
+  // A LintCache told of every edit must report exactly what run_lint()
+  // reports on the current netlist, including after a rule the config
+  // turned off for a while is turned back on: a per-net rule skipped
+  // while its nets changed must not come back with its old findings,
+  // and a connectivity rule skipped across a rewire must re-run.
+  Netlist nl("t", &lib_);
+  const PortId a = nl.add_input("a");
+  const PortId b = nl.add_input("b");
+  const NetId n1 = nl.add_net("n1");
+  const NetId n2 = nl.add_net("n2");
+  const NetId n4 = nl.add_net("n4");
+  const NetId y = nl.add_net("y");
+  nl.add_instance("u1", cell(Func::kInv), {nl.port(a).net}, n1);
+  const InstanceId u2 =
+      nl.add_instance("u2", cell(Func::kNand2), {n1, nl.port(b).net}, n2);
+  const InstanceId u3 = nl.add_instance("u3", cell(Func::kInv), {n2}, y);
+  nl.add_instance("u4", cell(Func::kInv), {nl.port(b).net}, n4);  // GL-S005
+  nl.add_output("y", y, 1.0);
+
+  LintConfig all;
+  LintConfig skip;  // one per-net and one connectivity rule off
+  skip.rule_levels.emplace_back("GL-E002", SeverityOverride::kOff);
+  skip.rule_levels.emplace_back("GL-S005", SeverityOverride::kOff);
+
+  LintCache cache;
+  const auto same_as_fresh = [&](const LintConfig& config) {
+    const std::string cached =
+        write_json(registry_, cache.run(registry_, ctx(nl), config), "t");
+    EXPECT_EQ(cached, write_json(registry_, run(nl, config), "t"));
+    return cached;
+  };
+  const auto set_drive = [&](InstanceId inst, double drive) {
+    nl.instance(inst).drive_override = drive;
+    cache.note(sta::edit_effect(nl, sta::Edit::set_drive(inst, drive)));
+  };
+  const auto rewire = [&](NetId net) {
+    nl.rewire_input(u3, 0, net);
+    cache.note(sta::edit_effect(nl, sta::Edit::rewire(u3, 0, net)));
+  };
+
+  EXPECT_NE(same_as_fresh(all).find("\"n4\""), std::string::npos);
+  set_drive(u2, 1000.0);  // u2's pin cap overloads its input net n1
+  EXPECT_NE(same_as_fresh(all).find("GL-E002"), std::string::npos);
+  set_drive(u2, 0.0);
+  same_as_fresh(skip);
+  EXPECT_EQ(same_as_fresh(all).find("GL-E002"), std::string::npos);
+
+  rewire(n4);  // n2 loses its only sink, n4 gains one
+  same_as_fresh(skip);
+  const std::string after = same_as_fresh(all);
+  EXPECT_NE(after.find("\"n2\""), std::string::npos);
+  EXPECT_EQ(after.find("\"n4\""), std::string::npos);
+  rewire(n2);
+  same_as_fresh(all);
 }
 
 // --- catalog self-consistency --------------------------------------------

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,11 +21,15 @@
 
 #include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "core/flow.hpp"
+#include "core/methodology.hpp"
+#include "designs/registry.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serve_cli.hpp"
 #include "serve/server.hpp"
 #include "sta/incremental.hpp"
+#include "tech/technology.hpp"
 
 namespace gap::serve {
 namespace {
@@ -491,9 +497,10 @@ TEST(ServeWork, ResidentQueriesRunNoFullSweep) {
 }
 
 TEST(ServeWork, ResidentLintRunsNoStructuralScan) {
-  // A session keeps one structural scan per Netlist::version(): a value
-  // edit re-lints on the cached scan in either mode, while a rewire and
-  // its undo each bump the version and pay one rescan on the next lint.
+  // A session keeps one structural scan until connectivity changes: a
+  // value edit or a cell swap re-lints on the cached scan in either
+  // mode, while a rewire and its undo each pay one rescan on the next
+  // lint.
   Server server({});
   ASSERT_TRUE(reply_ok(server.handle_line(load_frame("m"))));
   const common::Counter& scans =
@@ -514,6 +521,18 @@ TEST(ServeWork, ResidentLintRunsNoStructuralScan) {
   EXPECT_EQ(scans_by(scan), 0u);
   EXPECT_EQ(scans_by(dataflow), 0u);
 
+  // A cell swap keeps connectivity (same function, same pins), and so
+  // does its undo.
+  EXPECT_EQ(scans_by("{\"cmd\":\"edit\",\"session\":\"m\",\"edit\":"
+                     "{\"op\":\"replace_cell\",\"inst\":3,"
+                     "\"cell\":\"dff_x4\"}}"),
+            0u);
+  EXPECT_EQ(scans_by(scan), 0u);
+  EXPECT_EQ(scans_by(dataflow), 0u);
+  EXPECT_EQ(scans_by(query_frame("undo", "m")), 0u);
+  EXPECT_EQ(scans_by(dataflow), 0u);
+  EXPECT_EQ(scans_by(scan), 0u);
+
   EXPECT_EQ(scans_by("{\"cmd\":\"edit\",\"session\":\"m\",\"edit\":"
                      "{\"op\":\"rewire\",\"inst\":100,\"pin\":0,\"net\":0}}"),
             0u);  // edits never scan; the next lint does
@@ -523,6 +542,81 @@ TEST(ServeWork, ResidentLintRunsNoStructuralScan) {
   ASSERT_TRUE(reply_ok(server.handle_line(query_frame("undo", "m"))));
   EXPECT_EQ(scans_by(dataflow), 1u);
   EXPECT_EQ(scans_by(scan), 0u);
+  EXPECT_EQ(server.counters().degraded, 0u);
+}
+
+/// The design a `load` of `design` (typical, asic025) builds. The flow
+/// is deterministic, so its ids name the session's instances and nets.
+struct LoadedDesign {
+  std::unique_ptr<core::Flow> flow;  ///< owns the libraries `nl` uses
+  std::shared_ptr<netlist::Netlist> nl;
+};
+
+LoadedDesign load_design(const std::string& design) {
+  const auto m = core::methodology_by_name("typical");
+  const auto t = tech::technology_by_name("asic025");
+  LoadedDesign d;
+  d.flow = std::make_unique<core::Flow>(*t);
+  d.nl = d.flow->run(designs::make_design(design, m->datapath), *m).nl;
+  return d;
+}
+
+/// The distinct nets on `inst`'s input pins.
+std::size_t distinct_inputs(const netlist::Netlist& nl, InstanceId inst) {
+  std::vector<NetId> nets = nl.instance(inst).inputs;
+  std::sort(nets.begin(), nets.end());
+  return static_cast<std::size_t>(
+      std::unique(nets.begin(), nets.end()) - nets.begin());
+}
+
+TEST(ServeWork, ResidentLintChecksOnlyTouchedNets) {
+  // lint.nets_evaluated counts electrical rows: the first lint of a
+  // session checks every net and a repeat none, in either mode. A drive
+  // edit dirties the instance's output net and its distinct input nets
+  // (its pin cap loads them); a rewire dirties every net.
+  const LoadedDesign d = load_design("cpu32");
+  ASSERT_NE(d.nl, nullptr);
+  const netlist::Netlist& nl = *d.nl;
+  InstanceId inst;
+  for (InstanceId id : nl.all_instances()) {
+    if (!nl.is_sequential(id) && distinct_inputs(nl, id) >= 2) {
+      inst = id;
+      break;
+    }
+  }
+  ASSERT_TRUE(inst.valid());
+  const std::uint64_t touched = 1 + distinct_inputs(nl, inst);
+
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("c", "cpu32"))));
+  const common::Counter& rows =
+      common::metrics().counter("lint.nets_evaluated");
+  const auto rows_by = [&](const std::string& frame) {
+    const std::uint64_t before = rows.value();
+    const std::string reply = server.handle_line(frame);
+    EXPECT_TRUE(reply_ok(reply)) << reply;
+    return rows.value() - before;
+  };
+  const std::string scan = query_frame("lint", "c");
+  const std::string dataflow =
+      "{\"id\":0,\"cmd\":\"lint\",\"session\":\"c\",\"mode\":\"dataflow\"}";
+
+  EXPECT_EQ(rows_by(scan), nl.num_nets());
+  EXPECT_EQ(rows_by(scan), 0u);
+  EXPECT_EQ(rows_by(dataflow), 0u);
+
+  const int id = static_cast<int>(inst.value());
+  EXPECT_EQ(rows_by(drive_frame("c", id, 2.5)), 0u);  // edits check nothing
+  EXPECT_EQ(rows_by(scan), touched);
+  EXPECT_EQ(rows_by(dataflow), 0u);
+  EXPECT_EQ(rows_by(query_frame("undo", "c")), 0u);
+  EXPECT_EQ(rows_by(dataflow), touched);
+
+  EXPECT_EQ(rows_by("{\"cmd\":\"edit\",\"session\":\"c\",\"edit\":"
+                    "{\"op\":\"rewire\",\"inst\":100,\"pin\":0,\"net\":0}}"),
+            0u);
+  EXPECT_EQ(rows_by(scan), nl.num_nets());
+  EXPECT_EQ(rows_by(scan), 0u);
   EXPECT_EQ(server.counters().degraded, 0u);
 }
 
