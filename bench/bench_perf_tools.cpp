@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "core/flow.hpp"
 #include "core/methodology.hpp"
 #include "datapath/multipliers.hpp"
@@ -161,6 +162,41 @@ void BM_StaIncrementalRetimeSingleEditCompact(benchmark::State& state) {
   state.counters["instances"] = static_cast<double>(nl.num_instances());
 }
 BENCHMARK(BM_StaIncrementalRetimeSingleEditCompact);
+
+// The resident edit loop at gapd's lane counts: a drive edit of the first
+// level-1 combinational gate (a cone of about a dozen instances, in waves
+// far narrower than sta::kWaveDispatchHint) and a slacks read, which
+// refreshes the required times the edit moved. The row above edits the
+// last instance, a one-instance cone that no lane count dispatches; here
+// /2 would pay a pool wake-up per wave if narrow waves reached the pool.
+void BM_StaIncrementalConeEditSlacks(benchmark::State& state) {
+  const auto aig =
+      designs::make_design("mac16", designs::DatapathStyle::kSynthesized);
+  auto nl = synth::map_to_netlist(aig, rich_lib(), synth::MapOptions{}, "m");
+  sta::IncrementalTimer timer(nl, sta::StaOptions{},
+                              static_cast<int>(state.range(0)));
+  const double period = timer.timing().min_period_tau;  // warm build
+  benchmark::DoNotOptimize(timer.slacks(period).data());  // warm required
+  const sta::CompactGraph& g = timer.graph();
+  InstanceId victim;
+  for (std::uint32_t i = 0; i < g.num_instances() && !victim.valid(); ++i)
+    if (!g.is_sequential(InstanceId{i}) && g.levels()[i] == 1)
+      victim = InstanceId{i};
+  const common::Counter& reprops =
+      common::metrics().counter("sta.incremental.nodes_repropagated");
+  const std::uint64_t reprops_before = reprops.value();
+  double drive = 4.0;
+  for (auto _ : state) {
+    const auto st = timer.apply(sta::Edit::set_drive(victim, drive));
+    benchmark::DoNotOptimize(st.ok());
+    benchmark::DoNotOptimize(timer.slacks(period).data());
+    drive = drive == 4.0 ? 8.0 : 4.0;
+  }
+  state.counters["nodes_per_edit"] = benchmark::Counter(
+      static_cast<double>(reprops.value() - reprops_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_StaIncrementalConeEditSlacks)->Arg(1)->Arg(2);
 
 // Lint on the netlist a gapd `load` of cpu32 builds (the typical flow,
 // so wire lengths come from placement), with gapd's scan-mode rules

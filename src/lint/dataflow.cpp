@@ -1,7 +1,6 @@
 #include "lint/dataflow.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 
 #include "common/check.hpp"
@@ -173,20 +172,15 @@ void DataflowEngine::eval_instance(const netlist::Netlist& nl, InstanceId id) {
 }
 
 void DataflowEngine::forward_sweep(const netlist::Netlist& nl, int threads) {
-  std::optional<common::ThreadPool> pool;
-  if (threads != 1) pool.emplace(threads);
+  common::ThreadPool pool(threads);  // 1 lane: no worker threads
   const int levels = graph_.num_levels();
   for (int l = 0; l < levels; ++l) {
     const std::span<const InstanceId> w = graph_.wave(l);
     // Every instance in a wave writes its own single-driver output net
     // and reads nets finalized at lower levels: disjoint writes, so the
     // parallel relaxation is bit-identical to the serial loop.
-    if (pool) {
-      pool->parallel_for(w.size(),
-                         [&](std::size_t i) { eval_instance(nl, w[i]); });
-    } else {
-      for (std::size_t i = 0; i < w.size(); ++i) eval_instance(nl, w[i]);
-    }
+    sta::run_wave(&pool, w.size(),
+                  [&](std::size_t i) { eval_instance(nl, w[i]); });
   }
 }
 

@@ -150,7 +150,8 @@ namespace {
 /// per-level width histogram, all derived from the schedule itself —
 /// never from what a pool actually did — so metric content is identical
 /// at any lane count. The one thread-dependent fact, whether the sweep
-/// dispatched to a pool, goes to the segregated wall section
+/// ran with a multi-lane pool (its levels of kWaveDispatchHint or more
+/// fan out, the rest run serially), goes to the segregated wall section
 /// ("wall.sta.wave.{pooled,serial}_sweeps").
 void profile_wave_sweep(const CompactGraph& g, bool pooled_dispatch) {
   static common::Counter& sweeps =
@@ -185,23 +186,16 @@ void compact_propagate(const CompactGraph& g, const StaOptions& opt,
   st.driver_load.resize(nets);
   st.crit_input.assign(g.num_instances(), NetId{});
   const double k = opt.corner_delay_factor;
-  const bool par = pool != nullptr && pool->size() > 1;
-
-  profile_wave_sweep(g, par);
+  profile_wave_sweep(g, pool != nullptr && pool->size() > 1);
 
   // Wire models: each net's model is a pure function of the graph, and
   // every lane writes only its own net's slots.
-  const auto wire_at = [&](std::size_t i) {
+  run_wave(pool, nets, [&](std::size_t i) {
     const NetId n{static_cast<std::uint32_t>(i)};
     const WireModel m = kern::wire_model(g, n, opt);
     st.wire_delay[i] = k * m.delay_tau;
     st.driver_load[i] = m.driver_load_units;
-  };
-  if (par) {
-    pool->parallel_for(nets, wire_at);
-  } else {
-    for (std::size_t i = 0; i < nets; ++i) wire_at(i);
-  }
+  });
 
   // Primary inputs: external driver of the port's declared strength.
   for (std::uint32_t i = 0; i < g.num_ports(); ++i) {
@@ -212,17 +206,13 @@ void compact_propagate(const CompactGraph& g, const StaOptions& opt,
 
   // Levelized relaxation. A level-L instance reads only arrivals written
   // at levels < L (sequential drivers are read at level >= 1) and writes
-  // its own output net + crit slot, so in-level parallelism cannot change
-  // values or ordering.
-  if (par) {
-    for (int lvl = 0; lvl < g.num_levels(); ++lvl) {
-      const std::span<const InstanceId> wave = g.wave(lvl);
-      pool->parallel_for(wave.size(), [&](std::size_t i) {
-        kern::relax_instance(g, opt, st, wave[i]);
-      });
-    }
-  } else {
-    for (InstanceId id : g.order()) kern::relax_instance(g, opt, st, id);
+  // its own output net + crit slot, so neither the order within a level
+  // nor in-level parallelism can change values.
+  for (int lvl = 0; lvl < g.num_levels(); ++lvl) {
+    const std::span<const InstanceId> wave = g.wave(lvl);
+    run_wave(pool, wave.size(), [&](std::size_t i) {
+      kern::relax_instance(g, opt, st, wave[i]);
+    });
   }
 }
 

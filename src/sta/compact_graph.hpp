@@ -40,13 +40,30 @@
 
 namespace gap::sta {
 
-/// Nominal wavefront width below which per-level pool dispatch is
-/// expected to lose to serial relaxation (the open tuning problem in
-/// ROADMAP.md). The propagation kernels do NOT branch on this today —
-/// they go parallel per sweep, not per level — but the wavefront profile
-/// (docs/observability.md, "sta.wave.*") classifies levels against it so
-/// the crossover can be sized from production telemetry.
+/// Wavefront width below which pool dispatch loses to a serial loop: a
+/// parallel_for is a mutex, a condvar wake and a join, which costs more
+/// than relaxing a few dozen instances. Every wavefront loop (the levels
+/// of compact_propagate, the arrival and required flushes of the
+/// incremental timer, the dataflow lattice's forward sweep) dispatches
+/// through run_wave, which branches on it. The wavefront profile
+/// (docs/observability.md, "sta.wave.*") classifies levels against the
+/// same value, so `sta.wave.levels_below_dispatch_hint` counts the
+/// levels a full sweep runs serially at any lane count.
 inline constexpr std::size_t kWaveDispatchHint = 64;
+
+/// Run fn(i) for every i in [0, n): through `pool` when it has more than
+/// one lane and the wave is at least kWaveDispatchHint wide, otherwise as
+/// a plain loop on the calling thread. Callers guarantee that fn(i)
+/// writes only its own slots and reads nothing another index writes, so
+/// both branches produce the same bytes.
+template <typename Fn>
+void run_wave(common::ThreadPool* pool, std::size_t n, Fn&& fn) {
+  if (pool != nullptr && pool->size() > 1 && n >= kWaveDispatchHint) {
+    pool->parallel_for(n, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(i);
+}
 
 class CompactGraph {
  public:
@@ -197,10 +214,10 @@ class CompactGraph {
 
 /// Forward arrival propagation over a compact graph into `st` (arrays are
 /// resized): wire models for every net, primary-input seeds, then the
-/// levelized relaxation. With a pool of >1 lanes, wire models and each
-/// level's relaxations fan out in parallel (all writes disjoint, reads
-/// strictly below the level) — results are bit-identical to the serial
-/// loop at any lane count.
+/// levelized relaxation, one level at a time. The net fan-out and each
+/// level go through run_wave, so with a pool of >1 lanes a wide level
+/// fans out (all writes disjoint, reads strictly below the level) and a
+/// narrow one runs serially — bit-identical at any lane count.
 void compact_propagate(const CompactGraph& g, const StaOptions& opt,
                        detail::ArrivalState& st,
                        common::ThreadPool* pool = nullptr);

@@ -483,12 +483,13 @@ void IncrementalTimer::flush_arrivals() {
     common::Histogram::accumulate(width_batch,
                                   static_cast<double>(wave.size()));
 
-    // Phase 1 (parallel): pure recompute into scratch. Lanes read the
-    // committed state and write disjoint scratch slots — race-free and
+    // Phase 1 (pooled when the wave is kWaveDispatchHint wide, serial
+    // otherwise): pure recompute into scratch. Lanes read the committed
+    // state and write disjoint scratch slots — race-free and
     // value-independent of the lane count.
     new_arr.resize(wave.size());
     new_crit.resize(wave.size());
-    pool_.parallel_for(wave.size(), [&](std::size_t i) {
+    run_wave(&pool_, wave.size(), [&](std::size_t i) {
       new_arr[i] =
           kern::instance_arrival(g, options_, st_, wave[i], &new_crit[i]);
     });
@@ -609,8 +610,10 @@ void IncrementalTimer::refresh_required(double period_tau) {
     std::sort(wave.begin(), wave.end(),
               [](NetId a, NetId b) { return a.index() < b.index(); });
     total += wave.size();
+    // Phase 1 through run_wave, as in flush_arrivals: only scratch[i]
+    // is written, and only required[] of higher buckets is read.
     scratch.resize(wave.size());
-    pool_.parallel_for(wave.size(), [&](std::size_t i) {
+    run_wave(&pool_, wave.size(), [&](std::size_t i) {
       scratch[i] = kern::required_of_net(g, options_, st_, required_,
                                          budget, wave[i]);
     });

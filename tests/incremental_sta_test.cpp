@@ -8,17 +8,22 @@
 /// from-scratch recompute bit for bit, at any thread count. Plus property
 /// tests: edit+undo round-trips to the exact initial state, the same edit
 /// set applied in two orders (flushing between edits) converges, and an
-/// empty edit set re-propagates zero nodes.
+/// empty edit set re-propagates zero nodes. A hand-built netlist with
+/// waves wider than sta::kWaveDispatchHint covers the pooled branch of
+/// every wavefront loop, which alu16's narrow waves never reach.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "library/builders.hpp"
+#include "sta/compact_graph.hpp"
 #include "sta/incremental.hpp"
 #include "sta/sta.hpp"
 #include "tech/technology.hpp"
@@ -337,6 +342,134 @@ TEST_F(IncrementalSta, InvalidateAllRecoversFromOutOfBandEdits) {
   timer.invalidate_all();
 
   expect_equivalent(timer);
+}
+
+// --- waves wide enough to dispatch ------------------------------------------
+
+/// One inverter fans out to 2 x kWaveDispatchHint inverters on level 1,
+/// and a NAND2 reduction tree joins their outputs into one primary
+/// output. An edit of the fan-out driver re-times forward waves of 128
+/// and 64 instances; an edit of the tree's root re-times backward
+/// (required) waves of 2, 4, ..., 64 and 128 nets. Every instance gets
+/// its own drive and every net its own length, so no two slots of a wave
+/// hold the same bytes and a value written to the wrong slot shows.
+struct WideFanout {
+  Netlist nl;
+  InstanceId driver;
+  InstanceId root;
+};
+
+WideFanout wide_fanout(const library::CellLibrary& lib) {
+  using library::Family;
+  using library::Func;
+  const CellId inv = *lib.smallest(Func::kInv, Family::kStatic);
+  const CellId nand2 = *lib.smallest(Func::kNand2, Family::kStatic);
+  WideFanout w{Netlist("wide_fanout", &lib), {}, {}};
+  Netlist& nl = w.nl;
+  const PortId a = nl.add_input("a");
+  const NetId fan = nl.add_net("fan");
+  w.driver = nl.add_instance("drv", inv, {nl.port(a).net}, fan);
+  std::vector<NetId> layer;
+  for (std::size_t i = 0; i < 2 * sta::kWaveDispatchHint; ++i) {
+    const std::string name = "s" + std::to_string(i);
+    layer.push_back(nl.add_net(name));
+    nl.add_instance(name, inv, {fan}, layer.back());
+  }
+  for (int depth = 0; layer.size() > 1; ++depth) {
+    std::vector<NetId> next;
+    for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
+      const std::string name =
+          "t" + std::to_string(depth) + "_" + std::to_string(i / 2);
+      next.push_back(nl.add_net(name));
+      w.root = nl.add_instance(name, nand2, {layer[i], layer[i + 1]},
+                               next.back());
+    }
+    layer = std::move(next);
+  }
+  nl.add_output("y", layer.front());
+  for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
+    nl.instance(InstanceId(i)).drive_override = 1.0 + 0.03 * i;
+  for (std::uint32_t i = 0; i < nl.num_nets(); ++i)
+    nl.net(NetId(i)).length_um = 20.0 + 0.5 * i;
+  return w;
+}
+
+/// The same set_drive script on a serial and a 4-lane timer over waves
+/// that reach the pool: arrivals, slacks and the timing summary agree
+/// byte for byte after every edit, and the 4-lane timer dispatches
+/// exactly the wide waves — its full sweep, its arrival flush and its
+/// required refresh each fan out, while the serial timer never does.
+TEST(IncrementalStaWideWaves, PooledWavesMatchSerialBytes) {
+  const library::CellLibrary lib =
+      library::make_rich_asic_library(tech::asic_025um());
+  WideFanout w1 = wide_fanout(lib);
+  WideFanout w4 = wide_fanout(lib);
+  const sta::StaOptions opt;
+  IncrementalTimer t1(w1.nl, opt, 1);
+  IncrementalTimer t4(w4.nl, opt, 4);
+
+  const common::Counter& items =
+      common::metrics().counter("wall.pool.items_dispatched");
+  const auto dispatched_by = [&](auto&& query) {
+    const std::uint64_t before = items.value();
+    query();
+    return items.value() - before;
+  };
+  constexpr std::uint64_t kWideCone = 3 * sta::kWaveDispatchHint;  // 128+64
+
+  // The full sweep hands the net fan-out and every wide level to the pool.
+  EXPECT_EQ(dispatched_by([&] { t1.flush(); }), 0u);
+  EXPECT_EQ(dispatched_by([&] { t4.flush(); }),
+            w4.nl.num_nets() + kWideCone);
+
+  const double period = t1.timing().min_period_tau;
+  const auto expect_same = [&](const char* step) {
+    SCOPED_TRACE(step);
+    expect_bytes_equal(t1.arrivals(), t4.arrivals(), "arrivals 1 vs 4");
+    expect_bytes_equal(t1.slacks(period), t4.slacks(period),
+                       "slacks 1 vs 4");
+    const sta::TimingResult r1 = t1.timing();
+    const sta::TimingResult r4 = t4.timing();
+    EXPECT_EQ(std::memcmp(&r1.worst_path_tau, &r4.worst_path_tau,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&r1.min_period_tau, &r4.min_period_tau,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(r1.critical_path, r4.critical_path);
+    expect_bytes_equal(r1.critical_path_arrival_tau,
+                       r4.critical_path_arrival_tau, "path arrivals 1 vs 4");
+  };
+  expect_same("initial");
+
+  const auto edit_both = [&](InstanceId id, double drive) {
+    ASSERT_TRUE(t1.apply(Edit::set_drive(id, drive)).ok());
+    ASSERT_TRUE(t4.apply(Edit::set_drive(id, drive)).ok());
+  };
+
+  // The driver's arc delay moves every fan-out sink and the whole tree:
+  // forward waves of 128 and 64 go to the pool in the arrival flush.
+  edit_both(w1.driver, 3.0);
+  EXPECT_EQ(dispatched_by([&] { (void)t1.arrivals(); }), 0u);
+  EXPECT_EQ(dispatched_by([&] { (void)t4.arrivals(); }), kWideCone);
+  expect_same("driver edit");
+
+  // The root's arc delay moves the required time of every net below it:
+  // backward waves of 64 and 128 go to the pool in the required refresh.
+  edit_both(w1.root, 5.0);
+  (void)t1.arrivals();
+  (void)t4.arrivals();
+  EXPECT_EQ(dispatched_by([&] { (void)t1.slacks(period); }), 0u);
+  EXPECT_EQ(dispatched_by([&] { (void)t4.slacks(period); }), kWideCone);
+  expect_same("root edit");
+
+  // A fan-out sink's pin cap loads the driver, which re-times all of it.
+  edit_both(InstanceId(5), 7.5);
+  expect_same("sink edit");
+  edit_both(w1.driver, 0.0);
+  expect_same("driver override cleared");
+
+  expect_equivalent(t4);
 }
 
 }  // namespace

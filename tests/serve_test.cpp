@@ -620,6 +620,52 @@ TEST(ServeWork, ResidentLintChecksOnlyTouchedNets) {
   EXPECT_EQ(server.counters().degraded, 0u);
 }
 
+TEST(ServeWork, NarrowConesNeverWakeThePool) {
+  // A typical mac16 edit re-times waves of a few instances, narrower than
+  // sta::kWaveDispatchHint, so a 2-lane session runs them on the calling
+  // thread: across these set_drive edits and slacks reads no item reaches
+  // the pool. (A wave of the hint or wider does go to the pool; some
+  // edits' required-time refreshes have one.) The session's full sweep
+  // still fans its wide levels out, and a 2-lane session re-propagates
+  // exactly the nodes a 1-lane session does.
+  struct Work {
+    std::uint64_t sweep_items = 0, edit_items = 0, repropagated = 0;
+  };
+  const auto run = [](int threads, Work& w) {
+    const common::Counter& items =
+        common::metrics().counter("wall.pool.items_dispatched");
+    const common::Counter& reprops =
+        common::metrics().counter("sta.incremental.nodes_repropagated");
+    ServerOptions opt;
+    opt.threads = threads;
+    Server server(opt);
+    const std::uint64_t items_at_start = items.value();
+    ASSERT_TRUE(reply_ok(server.handle_line(load_frame("m", "mac16"))));
+    // Load and the first read run the full sweep and build the
+    // required-time cache in one full backward pass.
+    ASSERT_TRUE(reply_ok(server.handle_line(query_frame("slacks", "m"))));
+    w.sweep_items = items.value() - items_at_start;
+    const std::uint64_t items_before = items.value();
+    const std::uint64_t reprops_before = reprops.value();
+    for (int k = 0; k < 24; ++k) {
+      ASSERT_TRUE(reply_ok(
+          server.handle_line(drive_frame("m", 3 + 53 * k, 1.5 + 0.5 * k))));
+      ASSERT_TRUE(reply_ok(server.handle_line(query_frame("slacks", "m"))));
+    }
+    w.edit_items = items.value() - items_before;
+    w.repropagated = reprops.value() - reprops_before;
+  };
+  Work one, two;
+  run(1, one);
+  run(2, two);
+  EXPECT_EQ(one.sweep_items, 0u);
+  EXPECT_GT(two.sweep_items, 0u);
+  EXPECT_EQ(one.edit_items, 0u);
+  EXPECT_EQ(two.edit_items, 0u);
+  EXPECT_GT(one.repropagated, 24u);
+  EXPECT_EQ(two.repropagated, one.repropagated);
+}
+
 TEST(ServeWork, DegradedTimingReplyMatchesResident) {
   // A degraded session answers every read class from a from-scratch
   // analysis, and each reply is the same bytes as its resident twin's
