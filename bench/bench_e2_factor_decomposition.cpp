@@ -73,10 +73,7 @@ int main() {
     const auto run = flow.run(
         designs::make_design("alu32", all_asic.datapath), all_asic);
 
-    sta::StaOptions so;
-    so.corner_delay_factor = all_asic.corner.delay_factor;
-    so.clock.skew_fraction = all_asic.skew_fraction;
-    so.optimal_repeaters = all_asic.optimal_repeaters;
+    const sta::StaOptions so = core::signoff_sta_options(all_asic);
     GAP_EXPECTS(run.ok() && run.nl != nullptr);
     const auto paths = sta::top_critical_paths(*run.nl, so, 1);
     GAP_EXPECTS(!paths.empty());

@@ -89,8 +89,13 @@ class StageRunner {
     const auto t1 = std::chrono::steady_clock::now();
     sr.wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
+    // Wall metrics depend on the lane count; manifests stay
+    // thread-invariant without them, as MetricsRegistry::json does.
     sr.metric_deltas =
         common::metrics().snapshot().counter_deltas_since(before);
+    std::erase_if(sr.metric_deltas, [](const auto& d) {
+      return common::MetricsRegistry::is_wall_metric(d.first);
+    });
     // Only error-or-worse diagnostics fail the stage; the lint stage
     // records warning findings on an otherwise healthy run.
     bool blocking = false;
@@ -148,7 +153,10 @@ std::vector<common::Diagnostic> FlowReport::all_diagnostics() const {
   return out;
 }
 
-std::string FlowReport::format_with_metrics() const {
+namespace {
+
+std::string format_stages(const std::vector<StageReport>& stages,
+                          bool with_metrics) {
   std::ostringstream os;
   for (const StageReport& s : stages) {
     os << "  " << s.name;
@@ -160,30 +168,21 @@ std::string FlowReport::format_with_metrics() const {
       os << buf;
     }
     os << '\n';
-    for (const auto& [name, delta] : s.metric_deltas)
-      os << "    " << name << " +" << delta << '\n';
+    if (with_metrics)
+      for (const auto& [name, delta] : s.metric_deltas)
+        os << "    " << name << " +" << delta << '\n';
     for (const common::Diagnostic& d : s.diagnostics)
       os << "    " << d.format() << '\n';
   }
   return os.str();
 }
 
-std::string FlowReport::format() const {
-  std::ostringstream os;
-  for (const StageReport& s : stages) {
-    os << "  " << s.name;
-    for (std::size_t i = s.name.size(); i < 15; ++i) os << ' ';
-    os << to_string(s.status);
-    if (s.status != StageStatus::kSkipped) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "  %8.2f ms", s.wall_ms);
-      os << buf;
-    }
-    os << '\n';
-    for (const common::Diagnostic& d : s.diagnostics)
-      os << "    " << d.format() << '\n';
-  }
-  return os.str();
+}  // namespace
+
+std::string FlowReport::format() const { return format_stages(stages, false); }
+
+std::string FlowReport::format_with_metrics() const {
+  return format_stages(stages, true);
 }
 
 Flow::Flow(tech::Technology technology, std::uint64_t seed)
@@ -226,10 +225,11 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   StageRunner stages(result.report);
   const sta::StaOptions sta_opt = signoff_sta_options(m);
 
-  // Resident incremental timer, created by the size stage: TILOS re-times
-  // each move through it, and sign-off and the QoR captures after it
-  // answer from the same cached state. It references *result.nl, whose
-  // address is stable once the pipeline stage allocates it.
+  // Resident incremental timer, created by the size stage: TILOS and wire
+  // widening re-time each move through it, and sign-off and the QoR
+  // captures after it answer from the same cached state. It references
+  // *result.nl, whose address is stable once the pipeline stage allocates
+  // it.
   std::optional<sta::IncrementalTimer> timer;
 
   // QoR capture runs after a stage's guard (and outside its timer), on
@@ -356,11 +356,7 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
                  // Custom teams also size wires (section 6: "wires may be
                  // widened to reduce the delays"; tooling the paper calls
                  // future work).
-                 sizing::WireSizingOptions wopt;
-                 wopt.sta = sta_opt;
-                 sizing::widen_critical_wires(nl, wopt);
-                 // Wire widths changed behind the timer's back.
-                 timer->invalidate_all();
+                 sizing::widen_critical_wires(*timer);
                }
                verify_into(sr, nl, "size");
              });

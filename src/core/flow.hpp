@@ -39,8 +39,9 @@ struct StageReport {
   std::vector<common::Diagnostic> diagnostics;
   /// gap::common::metrics() counters that grew while this stage ran,
   /// with their per-stage deltas ("tilos.moves_accepted" -> 17, ...).
-  /// Sorted by name. Attribution is exact while one flow runs at a time
-  /// (the registry is process-wide, so concurrent flows blend).
+  /// Sorted by name; wall.* metrics, which depend on the lane count, are
+  /// left out. Attribution is exact while one flow runs at a time (the
+  /// registry is process-wide, so concurrent flows blend).
   std::vector<std::pair<std::string, std::uint64_t>> metric_deltas;
   /// QoR snapshot of the netlist after this stage, when the flow ran with
   /// FlowOptions::qor.enabled and the stage both succeeded and left a

@@ -213,12 +213,11 @@ LintReport LintCache::run(const RuleRegistry& registry, const LintContext& ctx,
   }
 
   // A connectivity rule's findings can be reused only if the inputs it
-  // read are keyed by the cache: its own structural scan (not a supplied
-  // one, nor parse violations) and a supplied lattice, which the caller
-  // keeps in sync with the netlist.
+  // read are keyed by the cache: its own structural scan (not parse
+  // violations) and a supplied lattice, which the caller keeps in sync
+  // with the netlist.
   const auto keyed = [&](Category cat) {
-    if (cat == Category::kStructural)
-      return ctx.structure == nullptr && ctx.parse_violations == nullptr;
+    if (cat == Category::kStructural) return ctx.parse_violations == nullptr;
     return !reads_lattice(cat) || ctx.dataflow != nullptr;
   };
   std::vector<std::size_t> stale;  // connectivity rules to re-run
@@ -244,7 +243,7 @@ LintReport LintCache::run(const RuleRegistry& registry, const LintContext& ctx,
   // rules silent.
   LintContext eval_ctx = ctx;
   std::optional<DataflowEngine> local_engine;
-  if (wants_structure && ctx.structure == nullptr) {
+  if (wants_structure) {
     if (!structure_ || structure_epoch_ != epoch_) {
       structure_ = scan_structure(nl);
       structure_epoch_ = epoch_;

@@ -108,10 +108,10 @@ struct LintContext {
   /// run_lint() builds one on demand if any such rule is enabled; a
   /// resident service (gapd) passes its cached per-session engine here.
   const DataflowEngine* dataflow = nullptr;
-  /// Precomputed scan_structure() of `nl` for the structural rules. When
-  /// null, run_lint() scans once per run if any structural rule is
-  /// enabled, and those rules share that one scan; a resident service
-  /// (gapd) passes its cached per-session scan here.
+  /// The scan_structure() of `nl` the structural rules read: the cache's
+  /// plumbing, not an input. LintCache::run (and so run_lint()) sets it
+  /// to its own scan, taken once per connectivity change and shared by
+  /// those rules; a value the caller sets is ignored.
   const std::vector<netlist::StructuralViolation>* structure = nullptr;
 };
 
@@ -244,8 +244,7 @@ struct LintReport {
 ///  - Scope::kConnectivity rules, and the structural scan they share,
 ///    re-run only after a connectivity change. A cached lattice rule
 ///    (GL-D/GL-X) is reused only with the same supplied DataflowEngine;
-///    a supplied LintContext::structure or parse violations re-run the
-///    rules that read them.
+///    parse violations re-run the rules that read them.
 ///  - Scope::kConstraints rules run on every evaluation.
 ///
 /// Every evaluation reports exactly what run_lint() reports on the

@@ -53,7 +53,6 @@ QorSnapshot assemble(const netlist::Netlist& nl, const sta::CompactGraph& g,
   }
 
   sizing::SizingOptions sopt;
-  sopt.sta = options.sta;
   sopt.continuous = options.continuous_sizing;
   s.sizing_headroom_tau =
       sizing::path_upsize_headroom_tau(nl, timing.critical_path, sopt);

@@ -14,19 +14,14 @@ namespace {
 using netlist::NetDriver;
 using netlist::Netlist;
 
+constexpr double kMaxDrive = 64.0;    ///< cap for continuous sizing
+constexpr double kMinGainTau = 1e-4;  ///< stop when the best move gains less
+
 /// A candidate resize of one instance.
 struct Move {
-  InstanceId inst;
-  CellId new_cell;            ///< discrete move (invalid if continuous)
-  double new_override = 0.0;  ///< continuous move (0 if discrete)
+  sta::Edit edit;  ///< set_drive (continuous) or replace_cell (discrete)
   double gain_estimate = 0.0;
 };
-
-/// Drive the instance would have after the move.
-double moved_drive(const Netlist& nl, const Move& m) {
-  if (m.new_override > 0.0) return m.new_override;
-  return nl.lib().cell(m.new_cell).drive;
-}
 
 /// Estimated path-delay gain of upsizing: the gate's own effort delay
 /// shrinks; every fanin driver pays the extra input capacitance.
@@ -55,11 +50,11 @@ std::optional<Move> upsize_move(const Netlist& nl, InstanceId id,
   const library::Cell& c = nl.cell_of(id);
   const double cur = nl.drive_of(id);
   Move m;
-  m.inst = id;
+  double drive = 0.0;  // the drive after the move
   if (opt.continuous) {
-    const double next = cur * opt.continuous_step;
-    if (next > opt.max_drive) return std::nullopt;
-    m.new_override = next;
+    drive = cur * opt.continuous_step;
+    if (drive > kMaxDrive) return std::nullopt;
+    m.edit = sta::Edit::set_drive(id, drive);
   } else {
     // Next cell up the ladder for the same function and family.
     const auto& ladder = nl.lib().cells_of(c.func, c.family);
@@ -71,24 +66,21 @@ std::optional<Move> upsize_move(const Netlist& nl, InstanceId id,
       }
     }
     if (!next_cell.valid()) return std::nullopt;
-    m.new_cell = next_cell;
+    m.edit = sta::Edit::replace_cell(id, next_cell);
+    drive = nl.lib().cell(next_cell).drive;
   }
-  m.gain_estimate = estimate_gain(nl, id, moved_drive(nl, m));
+  m.gain_estimate = estimate_gain(nl, id, drive);
   return m;
 }
 
-/// Route a resize through the timer, keeping its dirty cones exact. These
-/// moves are generated from the library ladder, so timer validation
-/// cannot fail — a rejection would be an internal contract violation.
-void apply(sta::IncrementalTimer& timer, const sta::Edit& edit) {
-  GAP_EXPECTS(timer.apply(edit).ok());
-}
-
-/// The edit that gives `m.inst` the drive override `drive` (continuous
-/// move) or the cell `cell` (discrete move).
-sta::Edit move_edit(const Move& m, CellId cell, double drive) {
-  return m.new_override > 0.0 ? sta::Edit::set_drive(m.inst, drive)
-                              : sta::Edit::replace_cell(m.inst, cell);
+/// Route a resize through the timer, keeping its dirty cones exact, and
+/// return the edit that undoes it. These moves are generated from the
+/// library ladder, so timer validation cannot fail — a rejection would be
+/// an internal contract violation.
+sta::Edit apply(sta::IncrementalTimer& timer, const sta::Edit& edit) {
+  const common::Result<sta::Edit> inverse = timer.apply_undoable(edit);
+  GAP_EXPECTS(inverse.ok());
+  return *inverse;
 }
 
 }  // namespace
@@ -125,21 +117,19 @@ SizingResult tilos_size(sta::IncrementalTimer& timer,
       if (!m) continue;
       if (!best || m->gain_estimate > best->gain_estimate) best = m;
     }
-    if (!best || best->gain_estimate <= options.min_gain_tau) break;
+    if (!best || best->gain_estimate <= kMinGainTau) break;
 
-    const CellId old_cell = nl.instance(best->inst).cell;
-    const double old_override = nl.instance(best->inst).drive_override;
-    apply(timer, move_edit(*best, best->new_cell, best->new_override));
+    const sta::Edit undo = apply(timer, best->edit);
     const sta::TimingResult after = timer.timing();
-    if (after.min_period_tau < result.final_period_tau - options.min_gain_tau) {
+    if (after.min_period_tau < result.final_period_tau - kMinGainTau) {
       timing = after;
       result.final_period_tau = after.min_period_tau;
       ++result.moves;
       accepted.add();
       blocked.clear();  // the landscape changed; retry earlier failures
     } else {
-      apply(timer, move_edit(*best, old_cell, old_override));
-      blocked.insert(best->inst.value());
+      apply(timer, undo);
+      blocked.insert(best->edit.inst.value());
       rejected.add();
     }
   }
@@ -155,16 +145,11 @@ double recover_area(Netlist& nl, const SizingOptions& options,
                     double period_tau) {
   sta::IncrementalTimer timer(nl, options.sta);
   const double area_before = nl.total_area_um2();
-  struct Applied {
-    InstanceId inst;
-    CellId old_cell;
-    double old_override;
-  };
 
   double safety = 0.5;  // accept a move only if est. delta < safety * slack
   for (int round = 0; round < 20; ++round) {
     const auto slacks = timer.slacks(period_tau);
-    std::vector<Applied> batch;
+    std::vector<sta::Edit> undo;  // the batch's inverses, in apply order
     for (InstanceId id : nl.all_instances()) {
       const library::Cell& c = nl.cell_of(id);
       const double slack = slacks[nl.instance(id).output.index()];
@@ -185,12 +170,10 @@ double recover_area(Netlist& nl, const SizingOptions& options,
       const double load = nl.net_load(nl.instance(id).output);
       const double delta = load / nl.lib().cell(smaller).drive - load / cur;
       if (delta >= slack * safety) continue;
-      batch.push_back(
-          {id, nl.instance(id).cell, nl.instance(id).drive_override});
-      apply(timer, sta::Edit::set_drive(id, 0.0));
-      apply(timer, sta::Edit::replace_cell(id, smaller));
+      undo.push_back(apply(timer, sta::Edit::set_drive(id, 0.0)));
+      undo.push_back(apply(timer, sta::Edit::replace_cell(id, smaller)));
     }
-    if (batch.empty()) break;
+    if (undo.empty()) break;
 
     // One global verification per batch; revert wholesale on violation
     // and retry more conservatively.
@@ -198,10 +181,7 @@ double recover_area(Netlist& nl, const SizingOptions& options,
     double worst = 1e30;
     for (double s : after) worst = std::min(worst, s);
     if (worst < 0.0) {
-      for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-        apply(timer, sta::Edit::replace_cell(it->inst, it->old_cell));
-        apply(timer, sta::Edit::set_drive(it->inst, it->old_override));
-      }
+      for (auto it = undo.rbegin(); it != undo.rend(); ++it) apply(timer, *it);
       safety *= 0.5;
       if (safety < 0.05) break;
     }

@@ -23,10 +23,8 @@ struct SizingOptions {
   /// are restricted to the cells present in the library.
   bool continuous = false;
   double continuous_step = 1.15;  ///< multiplicative drive step
-  double max_drive = 64.0;        ///< cap for continuous sizing
 
   int max_moves = 4000;
-  double min_gain_tau = 1e-4;  ///< stop when the best move gains less
 };
 
 struct SizingResult {

@@ -8,19 +8,16 @@
 /// wire's resistance while growing only its area capacitance, so RC-
 /// dominated nets speed up. Accepted moves must improve the measured
 /// period; a Lagrangian formulation is left to the optimizer-inclined.
+/// Like TILOS, it re-times each candidate sta::Edit::set_wire_width
+/// through a resident sta::IncrementalTimer and reverts a rejected one
+/// with the inverse edit, so the timer stays current for sign-off.
 
-#include "netlist/netlist.hpp"
-#include "sta/sta.hpp"
+#include "sta/incremental.hpp"
 
 namespace gap::sizing {
 
-struct WireSizingOptions {
-  sta::StaOptions sta;
-  double max_width = 4.0;   ///< widest allowed wire (min-width multiples)
-  double step = 1.5;        ///< multiplicative width step
-  int max_moves = 200;
-  double min_length_um = 100.0;  ///< ignore short nets
-};
+/// Widest allowed wire, in minimum-width multiples.
+inline constexpr double kMaxWireWidth = 4.0;
 
 struct WireSizingResult {
   int moves = 0;
@@ -28,8 +25,8 @@ struct WireSizingResult {
   double final_period_tau = 0.0;
 };
 
-/// Widen RC-critical nets until no move improves the period.
-WireSizingResult widen_critical_wires(netlist::Netlist& nl,
-                                      const WireSizingOptions& options);
+/// Widen RC-critical nets of the timer's netlist until no move improves
+/// the period, timed with the timer's own options.
+WireSizingResult widen_critical_wires(sta::IncrementalTimer& timer);
 
 }  // namespace gap::sizing

@@ -68,6 +68,14 @@ Edit Edit::set_clock(ClockSpec clock) {
   return e;
 }
 
+Edit Edit::set_wire_width(NetId net, double width) {
+  Edit e;
+  e.kind = Kind::kSetWireWidth;
+  e.net = net;
+  e.width = width;
+  return e;
+}
+
 EditEffect edit_effect(const netlist::Netlist& nl, const Edit& e) {
   EditEffect effect;
   switch (e.kind) {
@@ -88,6 +96,9 @@ EditEffect edit_effect(const netlist::Netlist& nl, const Edit& e) {
       effect.connectivity = true;
       break;
     case Edit::Kind::kSetClock:
+      break;
+    case Edit::Kind::kSetWireWidth:  // Netlist::net_load reads the width
+      effect.nets.push_back(e.net);
       break;
   }
   return effect;
@@ -154,6 +165,12 @@ common::Status IncrementalTimer::validate(const Edit& e) const {
                     "edit names an unknown instance");
     return {};
   };
+  const auto check_net = [&](NetId id) -> common::Status {
+    if (!id.valid() || id.index() >= nl_->num_nets())
+      return reject(common::ErrorCode::kUnknownName,
+                    "edit names an unknown net");
+    return {};
+  };
   switch (e.kind) {
     case Edit::Kind::kReplaceCell: {
       if (auto s = check_inst(e.inst); !s.ok()) return s;
@@ -192,9 +209,7 @@ common::Status IncrementalTimer::validate(const Edit& e) const {
         return reject(common::ErrorCode::kInvalidValue,
                       "pin index out of range for instance '" + inst.name +
                           "'");
-      if (!e.net.valid() || e.net.index() >= nl_->num_nets())
-        return reject(common::ErrorCode::kUnknownName,
-                      "edit names an unknown net");
+      if (auto s = check_net(e.net); !s.ok()) return s;
       if (!nl_->is_sequential(e.inst) && creates_comb_cycle(e.inst, e.net))
         return reject(common::ErrorCode::kStructural,
                       "rewiring pin " + std::to_string(e.pin) +
@@ -209,6 +224,13 @@ common::Status IncrementalTimer::validate(const Edit& e) const {
         return reject(common::ErrorCode::kInvalidValue,
                       "clock spec requires 0 <= skew_fraction < 1 and "
                       "finite extra skew");
+      return {};
+    }
+    case Edit::Kind::kSetWireWidth: {
+      if (auto s = check_net(e.net); !s.ok()) return s;
+      if (!std::isfinite(e.width) || e.width <= 0.0)
+        return reject(common::ErrorCode::kInvalidValue,
+                      "wire width must be finite and > 0");
       return {};
     }
   }
@@ -237,6 +259,10 @@ bool IncrementalTimer::creates_comb_cycle(InstanceId inst, NetId net) const {
 }
 
 common::Status IncrementalTimer::apply(const Edit& e) {
+  return apply_undoable(e).status();
+}
+
+common::Result<Edit> IncrementalTimer::apply_undoable(const Edit& e) {
   static common::Counter& applied =
       common::metrics().counter("sta.incremental.edits_applied");
   static common::Counter& rejected =
@@ -245,11 +271,15 @@ common::Status IncrementalTimer::apply(const Edit& e) {
     rejected.add();
     return s;
   }
-  // A pending full rebuild recomputes everything, so per-edit dirty marks
-  // (whose flag arrays may not match the netlist yet) are skipped.
+  // Validated, so every id below resolves. Each case captures the value
+  // it overwrites as the inverse edit before mutating. A pending full
+  // rebuild recomputes everything, so per-edit dirty marks (whose flag
+  // arrays may not match the netlist yet) are skipped.
   const bool track = !rebuild_needed_;
+  Edit inverse;
   switch (e.kind) {
     case Edit::Kind::kReplaceCell: {
+      inverse = Edit::replace_cell(e.inst, nl_->instance(e.inst).cell);
       CellId cell = e.cell;
       if (!e.cell_name.empty()) cell = *nl_->lib().find(e.cell_name);
       nl_->replace_cell(e.inst, cell);
@@ -262,6 +292,7 @@ common::Status IncrementalTimer::apply(const Edit& e) {
       break;
     }
     case Edit::Kind::kSetDriveOverride:
+      inverse = Edit::set_drive(e.inst, nl_->instance(e.inst).drive_override);
       nl_->instance(e.inst).drive_override = e.drive;
       if (track) {
         mark_resize_cones(e.inst);
@@ -270,6 +301,7 @@ common::Status IncrementalTimer::apply(const Edit& e) {
       break;
     case Edit::Kind::kRewireInput: {
       const NetId old = nl_->instance(e.inst).inputs[e.pin];
+      inverse = Edit::rewire(e.inst, e.pin, old);
       nl_->rewire_input(e.inst, e.pin, e.net);
       if (track && old != e.net) {
         for (NetId n : {old, e.net}) {
@@ -283,51 +315,24 @@ common::Status IncrementalTimer::apply(const Edit& e) {
       break;
     }
     case Edit::Kind::kSetClock:
+      inverse = Edit::set_clock(options_.clock);
       options_.clock = e.clock;
       req_valid_ = false;  // the data budget changed for every net
       break;
+    case Edit::Kind::kSetWireWidth:
+      inverse = Edit::set_wire_width(e.net, nl_->net(e.net).width_multiple);
+      nl_->net(e.net).width_multiple = e.width;
+      if (track) {
+        // The width enters only the net's wire model (its wire delay and
+        // the load its driver sees). flush_wire_models re-evaluates it and
+        // marks the driver, the sinks and the endpoint/required terms
+        // whose inputs changed bitwise.
+        mark_wire_dirty(e.net);
+        cg_.refresh_net(*nl_, e.net);
+      }
+      break;
   }
   applied.add();
-  return {};
-}
-
-common::Result<Edit> IncrementalTimer::apply_undoable(const Edit& e) {
-  // Capture the inverse before mutating; validation happens inside
-  // apply(), and a rejected edit returns its status without touching
-  // anything, so the (possibly bogus) inverse is simply discarded.
-  Edit inverse;
-  bool have_inverse = false;
-  switch (e.kind) {
-    case Edit::Kind::kReplaceCell:
-      if (e.inst.valid() && e.inst.index() < nl_->num_instances()) {
-        inverse = Edit::replace_cell(e.inst, nl_->instance(e.inst).cell);
-        have_inverse = true;
-      }
-      break;
-    case Edit::Kind::kSetDriveOverride:
-      if (e.inst.valid() && e.inst.index() < nl_->num_instances()) {
-        inverse =
-            Edit::set_drive(e.inst, nl_->instance(e.inst).drive_override);
-        have_inverse = true;
-      }
-      break;
-    case Edit::Kind::kRewireInput:
-      if (e.inst.valid() && e.inst.index() < nl_->num_instances() &&
-          e.pin >= 0 &&
-          static_cast<std::size_t>(e.pin) <
-              nl_->instance(e.inst).inputs.size()) {
-        inverse =
-            Edit::rewire(e.inst, e.pin, nl_->instance(e.inst).inputs[e.pin]);
-        have_inverse = true;
-      }
-      break;
-    case Edit::Kind::kSetClock:
-      inverse = Edit::set_clock(options_.clock);
-      have_inverse = true;
-      break;
-  }
-  if (auto s = apply(e); !s.ok()) return s;
-  GAP_EXPECTS(have_inverse);  // apply() validated the same addressing
   return inverse;
 }
 

@@ -1,10 +1,10 @@
 #pragma once
 /// \file incremental.hpp
 /// Incremental static timing: a resident timer over one netlist that
-/// tracks edits (cell resize, gate swap, net rewire, clock-constraint
-/// change) as a dirty set, invalidates only the affected fan-in/fan-out
-/// cones, and re-propagates levelized wavefronts over the shared
-/// ThreadPool machinery.
+/// tracks edits (cell resize, gate swap, net rewire, wire widening,
+/// clock-constraint change) as a dirty set, invalidates only the affected
+/// fan-in/fan-out cones, and re-propagates levelized wavefronts over the
+/// shared ThreadPool machinery.
 ///
 /// **The byte-identity contract.** Every query answers with results
 /// bit-identical to a from-scratch `sta::analyze` / `sta::net_slacks` /
@@ -27,9 +27,8 @@
 /// describes the dirty-cone model.
 ///
 /// Edits mutate the netlist *through* the timer so the dirty sets stay
-/// exact. Structural changes made behind the timer's back (e.g. buffer
-/// insertion adding instances) require invalidate_all(), which schedules
-/// a full rebuild on the next flush.
+/// exact. Anything changed behind the timer's back requires
+/// invalidate_all(), which schedules a full rebuild on the next flush.
 
 #include <cstddef>
 #include <string>
@@ -52,16 +51,18 @@ struct Edit {
     kSetDriveOverride,  ///< continuous resize (<= 0 clears the override)
     kRewireInput,       ///< move one input pin to another net
     kSetClock,          ///< clock-constraint (skew spec) change
+    kSetWireWidth,      ///< wire sizing: one net's width multiple
   };
   Kind kind = Kind::kReplaceCell;
 
-  InstanceId inst;        ///< target instance (all but kSetClock)
+  InstanceId inst;        ///< target instance (kReplaceCell..kRewireInput)
   CellId cell;            ///< kReplaceCell: the new cell, by id...
   std::string cell_name;  ///< ...or by library name when non-empty
   double drive = 0.0;     ///< kSetDriveOverride
   int pin = 0;            ///< kRewireInput: input pin index
-  NetId net;              ///< kRewireInput: the new source net
+  NetId net;              ///< kRewireInput: new source; kSetWireWidth: target
   ClockSpec clock;        ///< kSetClock
+  double width = 0.0;     ///< kSetWireWidth: the new Net::width_multiple
 
   [[nodiscard]] static Edit replace_cell(InstanceId inst, CellId cell);
   [[nodiscard]] static Edit replace_cell_named(InstanceId inst,
@@ -69,6 +70,7 @@ struct Edit {
   [[nodiscard]] static Edit set_drive(InstanceId inst, double drive);
   [[nodiscard]] static Edit rewire(InstanceId inst, int pin, NetId net);
   [[nodiscard]] static Edit set_clock(ClockSpec clock);
+  [[nodiscard]] static Edit set_wire_width(NetId net, double width);
 };
 
 /// What one edit touched, for the resident engines that sit beside the
@@ -76,8 +78,8 @@ struct Edit {
 struct EditEffect {
   /// Nets whose electrical facts (driver drive, driver cell, load) may
   /// have changed: a resize's output net and its distinct input nets,
-  /// whose load holds the instance's pin capacitance. Output net first,
-  /// then inputs in pin order.
+  /// whose load holds the instance's pin capacitance (output net first,
+  /// then inputs in pin order), or a widened net.
   std::vector<NetId> nets;
   std::vector<InstanceId> instances;  ///< the edited instance, if any
   /// Pin connectivity changed (a rewire): every net and every
@@ -120,11 +122,13 @@ class IncrementalTimer {
   /// Validate and apply one edit. On error the netlist and every cached
   /// timing value are exactly as before (coded diagnostics: kUnknownName
   /// for ids/names that resolve to nothing, kInvalidValue for semantic
-  /// violations such as a function-changing swap, kStructural for a
-  /// rewire that would create a combinational cycle).
+  /// violations such as a function-changing swap or a non-positive wire
+  /// width, kStructural for a rewire that would create a combinational
+  /// cycle).
   common::Status apply(const Edit& e);
 
   /// apply(), additionally returning the inverse edit that undoes it.
+  /// Validates once, like apply().
   common::Result<Edit> apply_undoable(const Edit& e);
 
   /// Bring all cached arrivals / endpoint state up to date. Queries call
@@ -183,8 +187,8 @@ class IncrementalTimer {
 
   /// The flat graph all timing reads go through, including the levelized
   /// schedule that buckets every wavefront. apply() patches values in
-  /// place on resizes; rewires rebuild its adjacency and schedule on
-  /// flush; invalidate_all() rebuilds it entirely.
+  /// place on resizes and wire widenings; rewires rebuild its adjacency
+  /// and schedule on flush; invalidate_all() rebuilds it entirely.
   CompactGraph cg_;
 
   detail::ArrivalState st_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -374,6 +375,28 @@ TEST(DriverRunTest, QorOutWithMetricsOutCarriesMetricDeltas) {
   std::remove(mpath.c_str());
 }
 
+TEST(DriverRunTest, MetricDeltasCarryNoWallMetrics) {
+  // Wall metrics depend on the lane count, so no stage's metric_deltas
+  // may carry one, at any --threads setting.
+  const std::string qpath = "driver_test_qor_wall.json";
+  const std::string mpath = "driver_test_qor_wall_m.json";
+  for (const char* threads : {"1", "4"}) {
+    const RunCapture r =
+        invoke({"--design", "mac16", "--mc", "8", "--threads", threads,
+                "--qor-out", qpath, "--metrics-out", mpath});
+    ASSERT_EQ(r.code, 0) << r.err;
+    std::ifstream is(qpath);
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    const std::string manifest = ss.str();
+    EXPECT_NE(manifest.find("\"sta.arrival_passes\""), std::string::npos);
+    EXPECT_EQ(manifest.find("\"wall."), std::string::npos)
+        << "threads=" << threads;
+  }
+  std::remove(qpath.c_str());
+  std::remove(mpath.c_str());
+}
+
 TEST(DriverArgsTest, StaFlagIsUnknown) {
   // Sizing and sign-off have one timing engine, so there is no engine
   // switch to set.
@@ -442,6 +465,26 @@ TEST(FlowReportTest, StageReportsCarryMetricDeltas) {
   }
   EXPECT_TRUE(map_counted);
   EXPECT_FALSE(r.report.format_with_metrics().empty());
+}
+
+TEST(FlowReportTest, CustomSizingAndSignoffTakeOneArrivalPass) {
+  // TILOS and wire widening both re-time through the resident timer, so
+  // the custom size stage pays one full arrival pass (the timer's build)
+  // and sign-off reads the timer without another.
+  Flow flow(tech::asic_025um());
+  const Methodology m = full_custom();
+  for (const std::string& name : designs::design_names()) {
+    SCOPED_TRACE(name);
+    const FlowResult r = flow.run(designs::make_design(name, m.datapath), m);
+    ASSERT_TRUE(r.ok());
+    std::map<std::string, std::map<std::string, std::uint64_t>> deltas;
+    for (const StageReport& s : r.report.stages)
+      deltas[s.name].insert(s.metric_deltas.begin(), s.metric_deltas.end());
+    EXPECT_EQ(deltas["size"]["sta.arrival_passes"], 1u);
+    EXPECT_EQ(deltas["size"]["sta.incremental.full_rebuilds"], 1u);
+    EXPECT_EQ(deltas["signoff"].count("sta.arrival_passes"), 0u);
+    EXPECT_EQ(deltas["signoff"].count("sta.incremental.full_rebuilds"), 0u);
+  }
 }
 
 TEST(FlowReportTest, EveryStageTimedAndOk) {

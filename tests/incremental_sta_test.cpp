@@ -329,8 +329,8 @@ TEST_F(IncrementalSta, RejectedEditLeavesStateExact) {
 }
 
 /// invalidate_all() after an out-of-band netlist mutation converges back
-/// to the batch engine — the escape hatch core::Flow uses around
-/// widen_critical_wires.
+/// to the batch engine — the escape hatch gapd's degrade() takes when a
+/// session's cached state is suspect (its only caller).
 TEST_F(IncrementalSta, InvalidateAllRecoversFromOutOfBandEdits) {
   Netlist nl = *base_;
   IncrementalTimer timer(nl, options_for(0), 2);

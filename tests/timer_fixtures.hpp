@@ -3,9 +3,9 @@
 /// Fixtures shared by the timing suites (incremental_sta_test,
 /// soa_graph_test, obs_test): the register-bounded netlist a registry
 /// design becomes in the real flow, and a randomized edit generator —
-/// cell swaps, continuous resizes, net rewires and clock-constraint
-/// changes, drawn from an Rng so every script is reproducible from its
-/// seed.
+/// cell swaps, continuous resizes, net rewires, wire widths and
+/// clock-constraint changes, drawn from an Rng so every script is
+/// reproducible from its seed.
 
 #include <string>
 
@@ -42,7 +42,7 @@ inline sta::Edit random_edit(Rng& rng, const netlist::Netlist& nl) {
     return InstanceId(
         static_cast<std::uint32_t>(rng.uniform_index(nl.num_instances())));
   };
-  switch (rng.uniform_index(8)) {
+  switch (rng.uniform_index(9)) {
     case 0:
     case 1:
     case 2: {  // gate swap within the cell's own function ladder
@@ -65,6 +65,10 @@ inline sta::Edit random_edit(Rng& rng, const netlist::Netlist& nl) {
           id, static_cast<int>(rng.uniform_index(inputs.size())),
           NetId(static_cast<std::uint32_t>(rng.uniform_index(nl.num_nets()))));
     }
+    case 7:  // widen (or narrow) one net
+      return sta::Edit::set_wire_width(
+          NetId(static_cast<std::uint32_t>(rng.uniform_index(nl.num_nets()))),
+          rng.uniform(0.5, 4.0));
     default: {  // clock-constraint change
       sta::ClockSpec ck;
       ck.skew_fraction = rng.uniform(0.0, 0.3);
