@@ -16,7 +16,6 @@
 #include "route/router.hpp"
 #include "sizing/buffers.hpp"
 #include "sizing/tilos.hpp"
-#include "sizing/wires.hpp"
 #include "sta/incremental.hpp"
 #include "synth/mapper.hpp"
 
@@ -225,11 +224,10 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   StageRunner stages(result.report);
   const sta::StaOptions sta_opt = signoff_sta_options(m);
 
-  // Resident incremental timer, created by the size stage: TILOS and wire
-  // widening re-time each move through it, and sign-off and the QoR
-  // captures after it answer from the same cached state. It references
-  // *result.nl, whose address is stable once the pipeline stage allocates
-  // it.
+  // Resident incremental timer, created by the size stage: TILOS re-times
+  // each move through it, and sign-off and the QoR captures after it
+  // answer from the same cached state. It references *result.nl, whose
+  // address is stable once the pipeline stage allocates it.
   std::optional<sta::IncrementalTimer> timer;
 
   // QoR capture runs after a stage's guard (and outside its timer), on
@@ -352,12 +350,6 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
                const sizing::SizingResult sized =
                    sizing::tilos_size(*timer, size_opt);
                result.sizing_moves = sized.moves;
-               if (m.sizing == SizingLevel::kContinuous) {
-                 // Custom teams also size wires (section 6: "wires may be
-                 // widened to reduce the delays"; tooling the paper calls
-                 // future work).
-                 sizing::widen_critical_wires(*timer);
-               }
                verify_into(sr, nl, "size");
              });
   capture_qor(ok, result.nl.get());

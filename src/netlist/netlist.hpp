@@ -71,7 +71,8 @@ struct Net {
   double length_um = 0.0;
 
   /// Wire width in minimum-width multiples (section 6: "wires may be
-  /// widened to reduce the delays"); written by wire sizing.
+  /// widened to reduce the delays"). No flow stage writes it; only
+  /// parameter sweeps (netlist/sweep.hpp) and tests do.
   double width_multiple = 1.0;
 
   /// Extra lumped capacitance at this net (unit input capacitances),

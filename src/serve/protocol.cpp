@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
-
 namespace gap::serve {
 
 namespace json = common::json;
@@ -195,8 +193,6 @@ Result<sta::Edit> edit_from_json(const json::Value& v) {
 }
 
 void edit_to_json(json::Writer& w, const sta::Edit& e) {
-  // No op parses to a wire-width edit, so no session ever holds one.
-  GAP_EXPECTS(e.kind != sta::Edit::Kind::kSetWireWidth);
   w.begin_object();
   switch (e.kind) {
     case sta::Edit::Kind::kReplaceCell:
@@ -218,8 +214,6 @@ void edit_to_json(json::Writer& w, const sta::Edit& e) {
       w.member("op", "set_clock");
       w.member("skew_fraction", e.clock.skew_fraction);
       w.member("extra_skew_tau", e.clock.extra_skew_tau);
-      break;
-    case sta::Edit::Kind::kSetWireWidth:  // excluded above
       break;
   }
   w.end_object();

@@ -280,13 +280,16 @@ Status Server::query(Session& s, const char* what, Incremental&& inc,
 }
 
 Result<sta::Edit> Server::apply_edit(Session& s, const sta::Edit& edit,
-                                     bool undo) {
+                                     bool undo,
+                                     std::optional<std::uint64_t> checked_at) {
   // The record is committed (journaled, or read back from the journal),
   // so its sequence number is spent even if the engine then trips.
   ++s.seq;
   Result<sta::Edit> inverse = sta::Edit{};
-  const Status st =
-      run_guarded([&] { inverse = s.timer->apply_undoable(edit); });
+  const Status st = run_guarded([&] {
+    inverse = checked_at ? s.timer->apply_checked(edit, *checked_at)
+                         : s.timer->apply_undoable(edit);
+  });
   if (!st.ok()) return st;
   if (!inverse.ok()) return inverse;
 
@@ -568,15 +571,16 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
     edit = std::move(parsed).value();
   }
 
-  // 1. Validate against the current netlist (no mutation).
-  Status check_st;
+  // 1. Validate against the current netlist (no mutation). Step 4
+  // applies the checked edit without validating it again.
+  Result<std::uint64_t> checked = std::uint64_t{0};
   const Status guard_st =
-      run_guarded([&] { check_st = s.timer->check(edit); });
+      run_guarded([&] { checked = s.timer->check(edit); });
   if (!guard_st.ok()) {
     degrade(s, guard_st.message());
     return reject(guard_st);
   }
-  if (!check_st.ok()) return refuse(check_st);
+  if (!checked.ok()) return refuse(checked.status());
 
   // 2. Watchdog checks, before any side effect.
   if (deadline_expired(req, t0_us)) {
@@ -615,7 +619,7 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
 
   // 4. Apply. check() passed, so a failure here is an engine fault:
   // degrade the session (queries fall back to from-scratch analysis).
-  const Result<sta::Edit> inverse = apply_edit(s, edit, undo);
+  const Result<sta::Edit> inverse = apply_edit(s, edit, undo, *checked);
   if (!inverse.ok()) {
     degrade(s, inverse.status().message());
     s.diags.report(inverse.status());

@@ -31,6 +31,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -178,9 +179,12 @@ class Server {
   /// Apply one committed edit, live or replayed from the journal: spend
   /// its seq, run the engine, keep the dataflow lattice in sync, then
   /// push the inverse onto the undo stack (capped), or pop it for an
-  /// undo. Returns the inverse, or the engine's failure.
-  common::Result<sta::Edit> apply_edit(Session& s, const sta::Edit& edit,
-                                       bool undo);
+  /// undo. Returns the inverse, or the engine's failure. A live edit
+  /// passes the epoch its IncrementalTimer::check returned and is not
+  /// validated again; a replayed one passes none and is.
+  common::Result<sta::Edit> apply_edit(
+      Session& s, const sta::Edit& edit, bool undo,
+      std::optional<std::uint64_t> checked_at = std::nullopt);
   void degrade(Session& s, const std::string& why);
   [[nodiscard]] std::string journal_path(const std::string& session) const;
   /// True once the request's budget ("deadline_us", else the server

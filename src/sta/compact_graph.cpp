@@ -23,14 +23,6 @@ void CompactGraph::refresh_instance(const netlist::Netlist& nl,
   pin_cap_[i] = nl.pin_cap(id);
 }
 
-void CompactGraph::refresh_net(const netlist::Netlist& nl, NetId id) {
-  const std::size_t i = id.index();
-  const netlist::Net& n = nl.net(id);
-  length_um_[i] = n.length_um;
-  width_multiple_[i] = n.width_multiple;
-  extra_cap_units_[i] = n.extra_cap_units;
-}
-
 void CompactGraph::build(const netlist::Netlist& nl) {
   tech_ = &nl.lib().technology();
   const std::size_t insts = nl.num_instances();
@@ -50,7 +42,12 @@ void CompactGraph::build(const netlist::Netlist& nl) {
   length_um_.resize(nets);
   width_multiple_.resize(nets);
   extra_cap_units_.resize(nets);
-  for (std::uint32_t i = 0; i < nets; ++i) refresh_net(nl, NetId{i});
+  for (std::uint32_t i = 0; i < nets; ++i) {
+    const netlist::Net& n = nl.net(NetId{i});
+    length_um_[i] = n.length_um;
+    width_multiple_[i] = n.width_multiple;
+    extra_cap_units_[i] = n.extra_cap_units;
+  }
 
   port_net_.resize(ports);
   port_ext_drive_.resize(ports);

@@ -22,8 +22,9 @@
 /// Staleness contract: build() records Netlist::version(). Structural
 /// mutations (rewire, added cells/nets) invalidate adjacency + schedule —
 /// rebuild_structure() refreshes them; value-only mutations (resize,
-/// swap, wire width) are patched in place with refresh_instance() and
-/// refresh_net(). The incremental timer drives both from its edit stream;
+/// swap) are patched in place with refresh_instance(). Net geometry
+/// (length, width, extra cap) is read only by build(): no edit changes
+/// it. The incremental timer drives both from its edit stream;
 /// batch analysis simply builds a fresh graph per call. See
 /// docs/data-layout.md.
 
@@ -77,10 +78,6 @@ class CompactGraph {
   /// Re-read one instance's cell values (drive, parasitic, clk-to-Q,
   /// setup, pin cap) after a resize/swap. O(1); adjacency untouched.
   void refresh_instance(const netlist::Netlist& nl, InstanceId id);
-
-  /// Re-read one net's geometry (length, width multiple, extra cap)
-  /// after a wire widening. O(1); adjacency untouched.
-  void refresh_net(const netlist::Netlist& nl, NetId id);
 
   /// Rebuild adjacency, drivers and the wavefront schedule after a
   /// structural edit (rewire). Instance/net counts must be unchanged

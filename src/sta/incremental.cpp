@@ -68,14 +68,6 @@ Edit Edit::set_clock(ClockSpec clock) {
   return e;
 }
 
-Edit Edit::set_wire_width(NetId net, double width) {
-  Edit e;
-  e.kind = Kind::kSetWireWidth;
-  e.net = net;
-  e.width = width;
-  return e;
-}
-
 EditEffect edit_effect(const netlist::Netlist& nl, const Edit& e) {
   EditEffect effect;
   switch (e.kind) {
@@ -96,9 +88,6 @@ EditEffect edit_effect(const netlist::Netlist& nl, const Edit& e) {
       effect.connectivity = true;
       break;
     case Edit::Kind::kSetClock:
-      break;
-    case Edit::Kind::kSetWireWidth:  // Netlist::net_load reads the width
-      effect.nets.push_back(e.net);
       break;
   }
   return effect;
@@ -159,6 +148,9 @@ void IncrementalTimer::mark_resize_cones(InstanceId id) {
 // --- edit validation and application ---------------------------------------
 
 common::Status IncrementalTimer::validate(const Edit& e) const {
+  static common::Counter& validated =
+      common::metrics().counter("sta.incremental.edits_validated");
+  validated.add();
   const auto check_inst = [&](InstanceId id) -> common::Status {
     if (!id.valid() || id.index() >= nl_->num_instances())
       return reject(common::ErrorCode::kUnknownName,
@@ -226,13 +218,6 @@ common::Status IncrementalTimer::validate(const Edit& e) const {
                       "finite extra skew");
       return {};
     }
-    case Edit::Kind::kSetWireWidth: {
-      if (auto s = check_net(e.net); !s.ok()) return s;
-      if (!std::isfinite(e.width) || e.width <= 0.0)
-        return reject(common::ErrorCode::kInvalidValue,
-                      "wire width must be finite and > 0");
-      return {};
-    }
   }
   return reject(common::ErrorCode::kInvalidValue, "unknown edit kind");
 }
@@ -262,15 +247,29 @@ common::Status IncrementalTimer::apply(const Edit& e) {
   return apply_undoable(e).status();
 }
 
+common::Result<std::uint64_t> IncrementalTimer::check(const Edit& e) const {
+  if (auto s = validate(e); !s.ok()) return s;
+  return epoch_;
+}
+
 common::Result<Edit> IncrementalTimer::apply_undoable(const Edit& e) {
-  static common::Counter& applied =
-      common::metrics().counter("sta.incremental.edits_applied");
   static common::Counter& rejected =
       common::metrics().counter("sta.incremental.edits_rejected");
   if (auto s = validate(e); !s.ok()) {
     rejected.add();
     return s;
   }
+  return mutate(e);
+}
+
+Edit IncrementalTimer::apply_checked(const Edit& e, std::uint64_t epoch) {
+  GAP_EXPECTS(epoch == epoch_);
+  return mutate(e);
+}
+
+Edit IncrementalTimer::mutate(const Edit& e) {
+  static common::Counter& applied =
+      common::metrics().counter("sta.incremental.edits_applied");
   // Validated, so every id below resolves. Each case captures the value
   // it overwrites as the inverse edit before mutating. A pending full
   // rebuild recomputes everything, so per-edit dirty marks (whose flag
@@ -319,19 +318,8 @@ common::Result<Edit> IncrementalTimer::apply_undoable(const Edit& e) {
       options_.clock = e.clock;
       req_valid_ = false;  // the data budget changed for every net
       break;
-    case Edit::Kind::kSetWireWidth:
-      inverse = Edit::set_wire_width(e.net, nl_->net(e.net).width_multiple);
-      nl_->net(e.net).width_multiple = e.width;
-      if (track) {
-        // The width enters only the net's wire model (its wire delay and
-        // the load its driver sees). flush_wire_models re-evaluates it and
-        // marks the driver, the sinks and the endpoint/required terms
-        // whose inputs changed bitwise.
-        mark_wire_dirty(e.net);
-        cg_.refresh_net(*nl_, e.net);
-      }
-      break;
   }
+  ++epoch_;
   applied.add();
   return inverse;
 }
@@ -339,6 +327,7 @@ common::Result<Edit> IncrementalTimer::apply_undoable(const Edit& e) {
 // --- rebuild and flush -----------------------------------------------------
 
 void IncrementalTimer::invalidate_all() {
+  ++epoch_;
   rebuild_needed_ = true;
   topo_dirty_ = false;
   wire_dirty_.clear();

@@ -1,10 +1,10 @@
 #pragma once
 /// \file incremental.hpp
 /// Incremental static timing: a resident timer over one netlist that
-/// tracks edits (cell resize, gate swap, net rewire, wire widening,
-/// clock-constraint change) as a dirty set, invalidates only the affected
-/// fan-in/fan-out cones, and re-propagates levelized wavefronts over the
-/// shared ThreadPool machinery.
+/// tracks edits (cell resize, gate swap, net rewire, clock-constraint
+/// change) as a dirty set, invalidates only the affected fan-in/fan-out
+/// cones, and re-propagates levelized wavefronts over the shared
+/// ThreadPool machinery.
 ///
 /// **The byte-identity contract.** Every query answers with results
 /// bit-identical to a from-scratch `sta::analyze` / `sta::net_slacks` /
@@ -31,6 +31,7 @@
 /// invalidate_all(), which schedules a full rebuild on the next flush.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,6 @@ struct Edit {
     kSetDriveOverride,  ///< continuous resize (<= 0 clears the override)
     kRewireInput,       ///< move one input pin to another net
     kSetClock,          ///< clock-constraint (skew spec) change
-    kSetWireWidth,      ///< wire sizing: one net's width multiple
   };
   Kind kind = Kind::kReplaceCell;
 
@@ -60,9 +60,8 @@ struct Edit {
   std::string cell_name;  ///< ...or by library name when non-empty
   double drive = 0.0;     ///< kSetDriveOverride
   int pin = 0;            ///< kRewireInput: input pin index
-  NetId net;              ///< kRewireInput: new source; kSetWireWidth: target
+  NetId net;              ///< kRewireInput: new source net
   ClockSpec clock;        ///< kSetClock
-  double width = 0.0;     ///< kSetWireWidth: the new Net::width_multiple
 
   [[nodiscard]] static Edit replace_cell(InstanceId inst, CellId cell);
   [[nodiscard]] static Edit replace_cell_named(InstanceId inst,
@@ -70,7 +69,6 @@ struct Edit {
   [[nodiscard]] static Edit set_drive(InstanceId inst, double drive);
   [[nodiscard]] static Edit rewire(InstanceId inst, int pin, NetId net);
   [[nodiscard]] static Edit set_clock(ClockSpec clock);
-  [[nodiscard]] static Edit set_wire_width(NetId net, double width);
 };
 
 /// What one edit touched, for the resident engines that sit beside the
@@ -79,7 +77,7 @@ struct EditEffect {
   /// Nets whose electrical facts (driver drive, driver cell, load) may
   /// have changed: a resize's output net and its distinct input nets,
   /// whose load holds the instance's pin capacitance (output net first,
-  /// then inputs in pin order), or a widened net.
+  /// then inputs in pin order).
   std::vector<NetId> nets;
   std::vector<InstanceId> instances;  ///< the edited instance, if any
   /// Pin connectivity changed (a rewire): every net and every
@@ -111,25 +109,30 @@ class IncrementalTimer {
   /// The resident timing graph, current as of the last query or flush().
   [[nodiscard]] const CompactGraph& graph() const { return cg_; }
 
-  /// Validate `e` against the current netlist without applying it. The
-  /// same checks apply() runs first; exposed so callers that must commit
-  /// an edit somewhere else before mutating (gapd's write-ahead journal)
-  /// can do so only for edits that will be accepted.
-  [[nodiscard]] common::Status check(const Edit& e) const {
-    return validate(e);
-  }
+  /// Validate `e` against the current netlist without applying it: the
+  /// checks apply() runs first. On success, returns the timer's edit
+  /// epoch for apply_checked(). For callers that must commit an edit
+  /// somewhere else before mutating (gapd's write-ahead journal): they
+  /// commit only edits that will be accepted, then apply each without
+  /// validating it a second time.
+  [[nodiscard]] common::Result<std::uint64_t> check(const Edit& e) const;
 
   /// Validate and apply one edit. On error the netlist and every cached
   /// timing value are exactly as before (coded diagnostics: kUnknownName
   /// for ids/names that resolve to nothing, kInvalidValue for semantic
-  /// violations such as a function-changing swap or a non-positive wire
-  /// width, kStructural for a rewire that would create a combinational
-  /// cycle).
+  /// violations such as a function-changing swap or a negative drive,
+  /// kStructural for a rewire that would create a combinational cycle).
   common::Status apply(const Edit& e);
 
   /// apply(), additionally returning the inverse edit that undoes it.
   /// Validates once, like apply().
   common::Result<Edit> apply_undoable(const Edit& e);
+
+  /// Apply an edit that check() accepted and return its inverse, without
+  /// validating it again. `epoch` is what that check() returned; no edit
+  /// and no invalidate_all() may come in between (a contract violation
+  /// otherwise), so the verdict still holds.
+  Edit apply_checked(const Edit& e, std::uint64_t epoch);
 
   /// Bring all cached arrivals / endpoint state up to date. Queries call
   /// this implicitly; it is a no-op when nothing is dirty.
@@ -166,6 +169,9 @@ class IncrementalTimer {
   void mark_resize_cones(InstanceId id);
 
   common::Status validate(const Edit& e) const;
+  /// Apply a validated edit: mutate the netlist, mark the dirty cones and
+  /// return the inverse edit.
+  Edit mutate(const Edit& e);
   /// True if `inst` (combinational) has a comb path from its output back
   /// to `net`, i.e. rewiring an input of `inst` to `net` would create a
   /// combinational cycle.
@@ -187,8 +193,8 @@ class IncrementalTimer {
 
   /// The flat graph all timing reads go through, including the levelized
   /// schedule that buckets every wavefront. apply() patches values in
-  /// place on resizes and wire widenings; rewires rebuild its adjacency
-  /// and schedule on flush; invalidate_all() rebuilds it entirely.
+  /// place on resizes; rewires rebuild its adjacency and schedule on
+  /// flush; invalidate_all() rebuilds it entirely.
   CompactGraph cg_;
 
   detail::ArrivalState st_;
@@ -205,6 +211,9 @@ class IncrementalTimer {
   std::vector<InstanceId> inst_dirty_;
   bool topo_dirty_ = false;
   bool rebuild_needed_ = true;
+  /// Bumped by every applied edit and every invalidate_all(): a check()
+  /// verdict holds while the epoch it returned is current.
+  std::uint64_t epoch_ = 0;
 
   /// Required-time cache, keyed by the period it was computed for.
   std::vector<double> required_;

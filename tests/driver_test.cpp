@@ -468,9 +468,9 @@ TEST(FlowReportTest, StageReportsCarryMetricDeltas) {
 }
 
 TEST(FlowReportTest, CustomSizingAndSignoffTakeOneArrivalPass) {
-  // TILOS and wire widening both re-time through the resident timer, so
-  // the custom size stage pays one full arrival pass (the timer's build)
-  // and sign-off reads the timer without another.
+  // TILOS re-times every move through the resident timer, so the custom
+  // size stage pays one full arrival pass (the timer's build) and
+  // sign-off reads the timer without another.
   Flow flow(tech::asic_025um());
   const Methodology m = full_custom();
   for (const std::string& name : designs::design_names()) {

@@ -649,10 +649,6 @@ TEST(FaultInjectionTest, MalformedTimerEditsRejectWithCodesAndExactState) {
   sta::IncrementalTimer timer(nl, sta::StaOptions{}, 2);
   const sta::TimingResult baseline = timer.timing();
   const std::string netlist_before = netlist::to_verilog(nl);
-  // Verilog carries no wire widths; they are compared on their own.
-  std::vector<double> widths_before;
-  for (NetId n : nl.all_nets())
-    widths_before.push_back(nl.net(n).width_multiple);
 
   const auto n_inst = static_cast<std::uint32_t>(nl.num_instances());
   const auto n_nets = static_cast<std::uint32_t>(nl.num_nets());
@@ -734,19 +730,6 @@ TEST(FaultInjectionTest, MalformedTimerEditsRejectWithCodesAndExactState) {
       timer.apply(Edit::rewire(comb, 0, nl.instance(comb).output)),
       ErrorCode::kStructural);
 
-  // Wire widths: unknown nets, and widths that are not finite and > 0.
-  expect_timer_rejection(timer.apply(Edit::set_wire_width(NetId{}, 2.0)),
-                         ErrorCode::kUnknownName);
-  expect_timer_rejection(
-      timer.apply(Edit::set_wire_width(NetId{n_nets}, 2.0)),
-      ErrorCode::kUnknownName);
-  const NetId wire = nl.instance(comb).output;
-  for (double w : {std::numeric_limits<double>::quiet_NaN(),
-                   std::numeric_limits<double>::infinity(),
-                   -std::numeric_limits<double>::infinity(), 0.0, -2.0})
-    expect_timer_rejection(timer.apply(Edit::set_wire_width(wire, w)),
-                           ErrorCode::kInvalidValue);
-
   // apply_undoable must reject identically, returning no inverse.
   const auto undoable = timer.apply_undoable(Edit::set_drive(comb, -3.0));
   ASSERT_FALSE(undoable.ok());
@@ -756,12 +739,6 @@ TEST(FaultInjectionTest, MalformedTimerEditsRejectWithCodesAndExactState) {
   // byte-identical — rejection left no trace.
   EXPECT_EQ(timer.pending_dirty(), 0u);
   EXPECT_EQ(netlist::to_verilog(nl), netlist_before);
-  std::vector<double> widths_after;
-  for (NetId n : nl.all_nets())
-    widths_after.push_back(nl.net(n).width_multiple);
-  EXPECT_EQ(std::memcmp(widths_after.data(), widths_before.data(),
-                        widths_before.size() * sizeof(double)),
-            0);
   const sta::TimingResult after = timer.timing();
   EXPECT_EQ(std::memcmp(&after.min_period_tau, &baseline.min_period_tau,
                         sizeof(double)),
@@ -780,12 +757,12 @@ TEST(FaultInjectionTest, RandomGarbageEditsNeverAbortTheTimer) {
   int rejected = 0;
   for (int i = 0; i < 300; ++i) {
     Rng rng = Rng::stream(0xFA017'5Au, static_cast<std::uint64_t>(i));
-    // Raw ids drawn from twice the valid range, drives/widths/skews from
-    // well outside their domains: roughly half of everything is garbage.
+    // Raw ids drawn from twice the valid range, drives/skews from well
+    // outside their domains: roughly half of everything is garbage.
     const InstanceId inst{
         static_cast<std::uint32_t>(rng.uniform_index(2 * nl.num_instances()))};
     Edit e;
-    switch (rng.uniform_index(5)) {
+    switch (rng.uniform_index(4)) {
       case 0:
         e = Edit::replace_cell(
             inst,
@@ -799,12 +776,6 @@ TEST(FaultInjectionTest, RandomGarbageEditsNeverAbortTheTimer) {
             inst, static_cast<int>(rng.uniform_index(6)) - 1,
             NetId{static_cast<std::uint32_t>(rng.uniform_index(2 * nl.num_nets()))});
         break;
-      case 3: {
-        const NetId net{
-            static_cast<std::uint32_t>(rng.uniform_index(2 * nl.num_nets()))};
-        e = Edit::set_wire_width(net, rng.uniform(-2.0, 6.0));
-        break;
-      }
       default: {
         sta::ClockSpec ck;
         ck.skew_fraction = rng.uniform(-0.5, 1.5);

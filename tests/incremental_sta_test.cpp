@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "library/builders.hpp"
@@ -36,12 +37,13 @@ using netlist::Netlist;
 using sta::Edit;
 using sta::IncrementalTimer;
 
-/// Register-bounded alu16 (timer_fixtures.hpp).
+/// Register-bounded alu16, placed (timer_fixtures.hpp): its nets carry
+/// lengths, so the wire models and the repeater branch take part.
 class IncrementalSta : public ::testing::Test {
  protected:
   IncrementalSta()
       : lib_(library::make_rich_asic_library(tech::asic_025um())) {
-    base_.emplace(registered_design("alu16", lib_));
+    base_.emplace(placed_design("alu16", lib_));
   }
 
   [[nodiscard]] static sta::StaOptions options_for(std::uint64_t script) {
@@ -326,6 +328,42 @@ TEST_F(IncrementalSta, RejectedEditLeavesStateExact) {
   EXPECT_EQ(after.critical_path, before.critical_path);
   expect_bytes_equal(after.critical_path_arrival_tau,
                      before.critical_path_arrival_tau, "path arrivals");
+}
+
+/// apply_checked() applies what check() accepted, without validating it
+/// again, only while the epoch check() returned is current: an edit or
+/// an invalidate_all() in between is a contract violation.
+TEST_F(IncrementalSta, ApplyCheckedNeedsTheCurrentEpoch) {
+  Netlist nl = *base_;
+  IncrementalTimer timer(nl, options_for(0), 1);
+  const common::Counter& validated =
+      common::metrics().counter("sta.incremental.edits_validated");
+  const Edit e = Edit::set_drive(InstanceId(3), 6.0);
+  const double drive_before = nl.instance(InstanceId(3)).drive_override;
+
+  const auto stale = timer.check(e);
+  ASSERT_TRUE(stale.ok());
+  ASSERT_TRUE(timer.apply(Edit::set_drive(InstanceId(5), 2.0)).ok());
+  {
+    const ScopedContractCapture capture;
+    EXPECT_THROW((void)timer.apply_checked(e, *stale), ContractViolation);
+    const auto before_invalidate = timer.check(e);
+    ASSERT_TRUE(before_invalidate.ok());
+    timer.invalidate_all();
+    EXPECT_THROW((void)timer.apply_checked(e, *before_invalidate),
+                 ContractViolation);
+  }
+  EXPECT_EQ(nl.instance(InstanceId(3)).drive_override, drive_before);
+
+  const std::uint64_t validated_before = validated.value();
+  const auto fresh = timer.check(e);
+  ASSERT_TRUE(fresh.ok());
+  const Edit inverse = timer.apply_checked(e, *fresh);
+  EXPECT_EQ(validated.value() - validated_before, 1u);
+  EXPECT_EQ(nl.instance(InstanceId(3)).drive_override, 6.0);
+  EXPECT_EQ(inverse.kind, Edit::Kind::kSetDriveOverride);
+  EXPECT_EQ(inverse.drive, drive_before);
+  expect_equivalent(timer);
 }
 
 /// invalidate_all() after an out-of-band netlist mutation converges back

@@ -620,6 +620,31 @@ TEST(ServeWork, ResidentLintChecksOnlyTouchedNets) {
   EXPECT_EQ(server.counters().degraded, 0u);
 }
 
+TEST(ServeWork, EditsValidateOnce) {
+  // gapd checks an edit before journaling it and then applies the
+  // checked edit, so each edit is validated once, accepted or not.
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("m"))));
+  const common::Counter& validated =
+      common::metrics().counter("sta.incremental.edits_validated");
+  const auto validations_by = [&](const std::string& frame, bool accepted) {
+    const std::uint64_t before = validated.value();
+    const std::string reply = server.handle_line(frame);
+    EXPECT_EQ(reply_ok(reply), accepted) << reply;
+    return validated.value() - before;
+  };
+  EXPECT_EQ(validations_by("{\"cmd\":\"edit\",\"session\":\"m\",\"edit\":"
+                           "{\"op\":\"rewire\",\"inst\":100,\"pin\":0,"
+                           "\"net\":0}}",
+                           true),
+            1u);
+  EXPECT_EQ(validations_by(drive_frame("m", 3, 2.5), true), 1u);
+  EXPECT_EQ(validations_by(query_frame("undo", "m"), true), 1u);
+  EXPECT_EQ(validations_by(drive_frame("m", 999999, 2.5), false), 1u);
+  EXPECT_EQ(server.counters().edits_applied, 3u);
+  EXPECT_EQ(server.counters().degraded, 0u);
+}
+
 TEST(ServeWork, NarrowConesNeverWakeThePool) {
   // A typical mac16 edit re-times waves of a few instances, narrower than
   // sta::kWaveDispatchHint, so a 2-lane session runs them on the calling

@@ -37,7 +37,6 @@
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
 #include "netlist/sweep.hpp"
-#include "place/place.hpp"
 #include "sizing/tilos.hpp"
 #include "sta/compact_graph.hpp"
 #include "sta/incremental.hpp"
@@ -54,18 +53,6 @@ namespace {
 using netlist::Netlist;
 using sta::CompactGraph;
 using sta::IncrementalTimer;
-
-/// A registered design (timer_fixtures.hpp), placed scattered over a
-/// 2 mm die so that long nets take the repeater branch of the wire model.
-Netlist implemented(const std::string& name,
-                    const library::CellLibrary& lib) {
-  Netlist nl = registered_design(name, lib);
-  place::PlaceOptions opt;
-  opt.mode = place::PlacementMode::kScattered;
-  opt.scatter_die_mm = 2.0;
-  place::place(nl, opt);
-  return nl;
-}
 
 /// Variant 0: corner 1.0 with plain RC wires; variant 1: corner 1.15 with
 /// optimal repeaters on long nets.
@@ -161,7 +148,7 @@ TEST_F(SoaGraph, BatchQueriesMatchOracle) {
   bool repeaters_bite = false;
   for (const std::string& name : designs::design_names()) {
     SCOPED_TRACE(name);
-    const Netlist nl = implemented(name, lib_);
+    const Netlist nl = placed_design(name, lib_);
     for (int v : {0, 1}) {
       SCOPED_TRACE(v);
       const sta::StaOptions opt = options_variant(v);
@@ -187,7 +174,7 @@ TEST_F(SoaGraph, BatchQueriesMatchOracle) {
 /// sta::analyze produces with the factors regenerated from the same
 /// Rng::stream(seed, s), at any thread count.
 TEST_F(SoaGraph, SharedGraphMonteCarloEqualsPerSampleAnalysis) {
-  const Netlist nl = implemented("mac8", lib_);
+  const Netlist nl = placed_design("mac8", lib_);
   sta::McStaOptions mc;
   mc.base = options_variant(1);
   mc.samples = 32;
@@ -221,7 +208,7 @@ TEST_F(SoaGraph, SharedGraphMonteCarloEqualsPerSampleAnalysis) {
 /// for every registry entry.
 TEST_F(SoaGraph, ConstructionRoundTripsEveryRegistryDesign) {
   for (const std::string& name : designs::design_names()) {
-    const Netlist nl = implemented(name, lib_);
+    const Netlist nl = placed_design(name, lib_);
     const CompactGraph g(nl);
 
     EXPECT_EQ(g.num_nets(), nl.num_nets()) << name;
@@ -268,7 +255,7 @@ TEST_F(SoaGraph, ConstructionRoundTripsEveryRegistryDesign) {
 /// the wave CSR partitions the instances in ascending id per level.
 TEST_F(SoaGraph, LevelizationIsValidTopologicalOrder) {
   for (const std::string& name : designs::design_names()) {
-    const Netlist nl = implemented(name, lib_);
+    const Netlist nl = placed_design(name, lib_);
     const CompactGraph g(nl);
     const std::vector<int>& level = g.levels();
 
@@ -317,7 +304,7 @@ TEST_F(SoaGraph, LevelizationIsValidTopologicalOrder) {
 /// rebuild after an edit lands on the same bytes as a fresh build from
 /// the edited netlist — ids are positional, so they never shift.
 TEST_F(SoaGraph, StableIdsAndRebuildAfterEditEqualsFreshBuild) {
-  Netlist nl = implemented("alu16", lib_);
+  Netlist nl = placed_design("alu16", lib_);
   CompactGraph a(nl);
   const CompactGraph b(nl);
   EXPECT_EQ(a.order(), b.order());
@@ -377,7 +364,7 @@ TEST_F(SoaGraph, StableIdsAndRebuildAfterEditEqualsFreshBuild) {
 /// built_version() records the netlist version at (re)build time; value
 /// patches deliberately do not advance it.
 TEST_F(SoaGraph, BuiltVersionTracksStructuralRebuilds) {
-  Netlist nl = implemented("alu16", lib_);
+  Netlist nl = placed_design("alu16", lib_);
   CompactGraph g(nl);
   EXPECT_EQ(g.built_version(), nl.version());
 
@@ -441,7 +428,7 @@ TEST_F(SoaGraph, IncrementalTimerMatchesOracleAfterEdits) {
   int sized_moves[2] = {0, 0};
   for (const std::string& name : designs::design_names()) {
     SCOPED_TRACE(name);
-    const Netlist base = implemented(name, lib_);
+    const Netlist base = placed_design(name, lib_);
     for (int v : {0, 1}) {
       Netlist nl = base;
       IncrementalTimer timer(nl, options_variant(v), v == 0 ? 1 : 4);

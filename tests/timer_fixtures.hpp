@@ -2,10 +2,10 @@
 /// \file timer_fixtures.hpp
 /// Fixtures shared by the timing suites (incremental_sta_test,
 /// soa_graph_test, obs_test): the register-bounded netlist a registry
-/// design becomes in the real flow, and a randomized edit generator —
-/// cell swaps, continuous resizes, net rewires, wire widths and
-/// clock-constraint changes, drawn from an Rng so every script is
-/// reproducible from its seed.
+/// design becomes in the real flow, the same netlist placed, and a
+/// randomized edit generator — cell swaps, continuous resizes, net
+/// rewires and clock-constraint changes, drawn from an Rng so every
+/// script is reproducible from its seed.
 
 #include <string>
 
@@ -13,6 +13,7 @@
 #include "designs/registry.hpp"
 #include "netlist/netlist.hpp"
 #include "pipeline/pipeline.hpp"
+#include "place/place.hpp"
 #include "sizing/tilos.hpp"
 #include "sta/incremental.hpp"
 #include "synth/mapper.hpp"
@@ -34,6 +35,18 @@ inline netlist::Netlist registered_design(const std::string& name,
   return nl;
 }
 
+/// registered_design placed scattered over a 2 mm die, so that nets have
+/// lengths and long ones take the repeater branch of the wire model.
+inline netlist::Netlist placed_design(const std::string& name,
+                                      const library::CellLibrary& lib) {
+  netlist::Netlist nl = registered_design(name, lib);
+  place::PlaceOptions opt;
+  opt.mode = place::PlacementMode::kScattered;
+  opt.scatter_die_mm = 2.0;
+  place::place(nl, opt);
+  return nl;
+}
+
 /// One random edit. Rewires may be rejected (combinational cycle); the
 /// caller skips those, which is itself part of the contract under test:
 /// a rejected edit must leave the timer bit-exact.
@@ -42,7 +55,7 @@ inline sta::Edit random_edit(Rng& rng, const netlist::Netlist& nl) {
     return InstanceId(
         static_cast<std::uint32_t>(rng.uniform_index(nl.num_instances())));
   };
-  switch (rng.uniform_index(9)) {
+  switch (rng.uniform_index(8)) {
     case 0:
     case 1:
     case 2: {  // gate swap within the cell's own function ladder
@@ -65,10 +78,6 @@ inline sta::Edit random_edit(Rng& rng, const netlist::Netlist& nl) {
           id, static_cast<int>(rng.uniform_index(inputs.size())),
           NetId(static_cast<std::uint32_t>(rng.uniform_index(nl.num_nets()))));
     }
-    case 7:  // widen (or narrow) one net
-      return sta::Edit::set_wire_width(
-          NetId(static_cast<std::uint32_t>(rng.uniform_index(nl.num_nets()))),
-          rng.uniform(0.5, 4.0));
     default: {  // clock-constraint change
       sta::ClockSpec ck;
       ck.skew_fraction = rng.uniform(0.0, 0.3);
