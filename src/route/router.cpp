@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
@@ -15,13 +15,17 @@ using netlist::NetDriver;
 using netlist::Netlist;
 using netlist::NetSink;
 
-/// The routing fabric: a WxH bin grid with per-edge utilization.
+/// The routing fabric: a WxH bin grid with per-edge utilization and a
+/// cached congestion cost per edge.
 class Grid {
  public:
   Grid(double x0, double y0, double pitch, int w, int h,
        const RouteOptions& opt)
       : x0_(x0), y0_(y0), pitch_(pitch), w_(w), h_(h), opt_(opt) {
     use_.assign(num_edges(), 0.0);
+    // The cost formula at use 0 (2.0 when alpha is 0), not a literal 1.0.
+    cost_.assign(num_edges(),
+                 1.0 + std::pow(0.0 / opt_.capacity_per_edge, opt_.alpha));
   }
 
   [[nodiscard]] int bin_x(double x) const {
@@ -49,24 +53,27 @@ class Grid {
            static_cast<std::size_t>(w_) * static_cast<std::size_t>(h_ - 1);
   }
 
-  [[nodiscard]] double edge_cost(std::size_t e) const {
-    return 1.0 + std::pow(use_[e] / opt_.capacity_per_edge, opt_.alpha);
+  /// 1 + (use/capacity)^alpha, as of the last commit to the edge.
+  [[nodiscard]] double edge_cost(std::size_t e) const { return cost_[e]; }
+  void commit(std::size_t e) {
+    use_[e] += 1.0;
+    cost_[e] = 1.0 + std::pow(use_[e] / opt_.capacity_per_edge, opt_.alpha);
   }
-  void commit(std::size_t e) { use_[e] += 1.0; }
   [[nodiscard]] double utilization(std::size_t e) const {
     return use_[e] / opt_.capacity_per_edge;
   }
 
-  /// Append the edges of a single-bend path from (x0,y0) to (x1,y1),
-  /// bending at (bx, by) which must share a row/column with both ends.
-  void path_edges(int ax, int ay, int bx, int by,
-                  std::vector<std::size_t>& out) const {
-    // Horizontal run at row ay from ax to bx.
-    for (int x = std::min(ax, bx); x < std::max(ax, bx); ++x)
-      out.push_back(h_edge(x, ay));
-    // Vertical run at column bx from ay to by.
-    for (int y = std::min(ay, by); y < std::max(ay, by); ++y)
-      out.push_back(v_edge(bx, y));
+  /// Visit the horizontal edges of row y between columns xa and xb.
+  template <class Visit>
+  void h_run(int y, int xa, int xb, Visit& visit) const {
+    for (int x = std::min(xa, xb); x < std::max(xa, xb); ++x)
+      visit(h_edge(x, y));
+  }
+  /// Visit the vertical edges of column x between rows ya and yb.
+  template <class Visit>
+  void v_run(int x, int ya, int yb, Visit& visit) const {
+    for (int y = std::min(ya, yb); y < std::max(ya, yb); ++y)
+      visit(v_edge(x, y));
   }
 
  private:
@@ -74,62 +81,64 @@ class Grid {
   int w_, h_;
   RouteOptions opt_;
   std::vector<double> use_;
+  std::vector<double> cost_;
 };
 
-/// Candidate route between two bins: a list of edges.
-std::vector<std::size_t> best_route(const Grid& g, int ax, int ay, int bx,
-                                    int by, const RouteOptions& opt) {
-  std::vector<std::vector<std::size_t>> candidates;
-  auto add = [&](auto&& build) {
-    std::vector<std::size_t> edges;
-    build(edges);
-    candidates.push_back(std::move(edges));
-  };
-  // Two L shapes.
-  add([&](auto& e) {
-    g.path_edges(ax, ay, bx, ay, e);  // horizontal then vertical
-  });
-  add([&](auto& e) {
-    // vertical first: vertical run at ax, then horizontal at by.
-    for (int y = std::min(ay, by); y < std::max(ay, by); ++y)
-      e.push_back(g.v_edge(ax, y));
-    for (int x = std::min(ax, bx); x < std::max(ax, bx); ++x)
-      e.push_back(g.h_edge(x, by));
-  });
-  if (opt.congestion_aware && std::abs(ax - bx) > 1) {
-    const int mid = (ax + bx) / 2;
-    add([&](auto& e) {
-      for (int x = std::min(ax, mid); x < std::max(ax, mid); ++x)
-        e.push_back(g.h_edge(x, ay));
-      for (int y = std::min(ay, by); y < std::max(ay, by); ++y)
-        e.push_back(g.v_edge(mid, y));
-      for (int x = std::min(mid, bx); x < std::max(mid, bx); ++x)
-        e.push_back(g.h_edge(x, by));
-    });
+/// Visit the edges of candidate route `c` from bin (ax,ay) to (bx,by), in
+/// order. 0 is a horizontal run along row ay from ax to bx with no
+/// vertical leg, so it ends in row ay, not at the sink (restoring the
+/// leg moves every routed length; ROADMAP item 6); 1 is an L (vertical
+/// at ax, then horizontal at by); 2 and 3 are Z shapes that bend at the
+/// middle column and the middle row.
+template <class Visit>
+void walk_candidate(const Grid& g, int c, int ax, int ay, int bx, int by,
+                    Visit&& visit) {
+  switch (c) {
+    case 0:
+      g.h_run(ay, ax, bx, visit);
+      return;
+    case 1:
+      g.v_run(ax, ay, by, visit);
+      g.h_run(by, ax, bx, visit);
+      return;
+    case 2: {
+      const int mid = (ax + bx) / 2;
+      g.h_run(ay, ax, mid, visit);
+      g.v_run(mid, ay, by, visit);
+      g.h_run(by, mid, bx, visit);
+      return;
+    }
+    default: {
+      const int mid = (ay + by) / 2;
+      g.v_run(ax, ay, mid, visit);
+      g.h_run(mid, ax, bx, visit);
+      g.v_run(bx, mid, by, visit);
+      return;
+    }
   }
-  if (opt.congestion_aware && std::abs(ay - by) > 1) {
-    const int mid = (ay + by) / 2;
-    add([&](auto& e) {
-      for (int y = std::min(ay, mid); y < std::max(ay, mid); ++y)
-        e.push_back(g.v_edge(ax, y));
-      for (int x = std::min(ax, bx); x < std::max(ax, bx); ++x)
-        e.push_back(g.h_edge(x, mid));
-      for (int y = std::min(mid, by); y < std::max(mid, by); ++y)
-        e.push_back(g.v_edge(bx, y));
-    });
-  }
+}
 
+/// The cheapest candidate between two bins. Each cost is summed left to
+/// right over the candidate's edges; the strict `<` keeps the first of
+/// equal-cost candidates.
+int best_candidate(const Grid& g, int ax, int ay, int bx, int by,
+                   const RouteOptions& opt) {
   double best_cost = 1e300;
-  std::size_t best = 0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
+  int best = 0;
+  auto consider = [&](int c) {
     double cost = 0.0;
-    for (std::size_t e : candidates[c]) cost += g.edge_cost(e);
+    walk_candidate(g, c, ax, ay, bx, by,
+                   [&](std::size_t e) { cost += g.edge_cost(e); });
     if (cost < best_cost) {
       best_cost = cost;
       best = c;
     }
-  }
-  return candidates[best];
+  };
+  consider(0);
+  consider(1);
+  if (opt.congestion_aware && std::abs(ax - bx) > 1) consider(2);
+  if (opt.congestion_aware && std::abs(ay - by) > 1) consider(3);
+  return best;
 }
 
 }  // namespace
@@ -168,16 +177,28 @@ RouteResult route(Netlist& nl, const RouteOptions& options) {
   const int h = std::max(2, static_cast<int>((y1 - y0) / pitch) + 1);
   Grid grid(x0, y0, pitch, w, h, options);
 
+  // Trunk sharing within a net: an edge joins net_edges the first time
+  // the net's epoch stamps it, so each net commits each edge once.
+  std::vector<std::uint32_t> stamp(grid.num_edges(), 0);
+  std::uint32_t epoch = 0;
+  std::vector<std::size_t> net_edges;
+  auto add_edge = [&](std::size_t e) {
+    if (stamp[e] == epoch) return;
+    stamp[e] = epoch;
+    net_edges.push_back(e);
+  };
+
   for (NetId nid : nl.all_nets()) {
     const netlist::Net& n = nl.net(nid);
     if (n.driver.kind != NetDriver::Kind::kInstance) continue;
     const netlist::Instance& drv = nl.instance(n.driver.inst);
     const int dx = grid.bin_x(drv.x_um);
     const int dy = grid.bin_y(drv.y_um);
+    ++epoch;
+    net_edges.clear();
 
     // HPWL for the comparison baseline.
     double hx0 = drv.x_um, hx1 = drv.x_um, hy0 = drv.y_um, hy1 = drv.y_um;
-    std::unordered_set<std::size_t> net_edges;
     for (const NetSink& s : n.sinks) {
       if (s.kind != NetSink::Kind::kInstancePin) continue;
       const netlist::Instance& sink = nl.instance(s.inst);
@@ -188,9 +209,11 @@ RouteResult route(Netlist& nl, const RouteOptions& options) {
       const int sx = grid.bin_x(sink.x_um);
       const int sy = grid.bin_y(sink.y_um);
       if (sx == dx && sy == dy) continue;  // same bin: no global edges
-      for (std::size_t e : best_route(grid, dx, dy, sx, sy, options))
-        net_edges.insert(e);  // trunk sharing within the net
+      walk_candidate(grid, best_candidate(grid, dx, dy, sx, sy, options), dx,
+                     dy, sx, sy, add_edge);
     }
+    // Commit after every sink is routed: the net's own edges never
+    // change the costs its later sinks see.
     for (std::size_t e : net_edges) grid.commit(e);
     ++local_nets;
     local_segments += net_edges.size();

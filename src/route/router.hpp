@@ -3,10 +3,16 @@
 /// Global routing over a bin grid — the third leg of section 5's wire
 /// story ("wire length is obviously dependent on placement... but is also
 /// influenced by the quality of routing"). Nets route as driver-rooted
-/// stars of L-shaped (single-bend) paths with congestion-aware bend
-/// choice and rip-up-free negotiation: each edge's cost grows with its
-/// utilization, so later nets detour around hot channels. Routed lengths
-/// (HPWL plus detours) are written back to the netlist for STA.
+/// stars without rip-up: each driver->sink pair takes the cheapest of a
+/// horizontal run along the driver's row (it has no vertical leg, so it
+/// stops at the sink's column), an L, and, when congestion-aware, two
+/// Z shapes. An edge's cost grows with its utilization, so later nets
+/// detour around hot channels. The router is flat: edge costs are cached
+/// per edge and recomputed only when a net commits to the edge,
+/// candidates are costed in place, and a per-call edge stamp merges the
+/// trunks a net's sinks share (docs/data-layout.md, "Routing grid").
+/// Routed lengths, max(HPWL, edges x pitch), are written back to the
+/// netlist for STA.
 
 #include <vector>
 

@@ -27,9 +27,10 @@
 # aborting AND without any latent memory or UB errors masked by a clean
 # exit; the JSON Writer, the golden artifacts it renders, the gapd server
 # suite, the STA oracle suite, the placer's flat-table oracle (place_test:
-# CSR offset arithmetic), the incremental timer's differential suite on a
-# placed netlist (incremental_sta_test: in-place graph patches, the
-# repeater branch), Monte Carlo STA over one shared graph
+# CSR offset arithmetic), the router's flat-grid oracle (route_test: epoch
+# stamps and flat edge indexing), the incremental timer's differential
+# suite on a placed netlist (incremental_sta_test: in-place graph patches,
+# the repeater branch), Monte Carlo STA over one shared graph
 # (wires_and_mc_test) and the CLI suites run under the same fatal
 # UBSan, and so does a real gapd that is SIGKILLed mid-burst and
 # recovered from its journal (tools/serve_kill_recover.py).
@@ -117,14 +118,15 @@ run_asan() {
   # and Verilog round trips (property_test) and lenient directive paths
   # (dataflow_test), the JSON Writer and every golden artifact rendered
   # through it, the gapd server suite, the STA oracle suite, the placer's
-  # CSR tables against their pointer-walk reference, the incremental
-  # timer's in-place graph patches and repeater branch on a placed
-  # netlist, Monte Carlo STA over one shared graph, and the CLIs' own argv
-  # paths.
+  # CSR tables against their pointer-walk reference, the router's edge
+  # stamps and flat edge ids against its candidate-list reference, the
+  # incremental timer's in-place graph patches and repeater branch on a
+  # placed netlist, Monte Carlo STA over one shared graph, and the CLIs'
+  # own argv paths.
   local suites="fault_injection_test io_test diagnostics_test obs_test
     common_test golden_test serve_test soa_graph_test driver_test lint_test
-    qor_test dataflow_test property_test place_test wires_and_mc_test
-    incremental_sta_test"
+    qor_test dataflow_test property_test place_test route_test
+    wires_and_mc_test incremental_sta_test"
   echo "== ASan/UBSan build ($BUILD_ASAN) =="
   cmake -B "$BUILD_ASAN" -S . -DGAP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
