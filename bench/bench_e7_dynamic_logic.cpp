@@ -95,7 +95,7 @@ int main() {
         popt.scatter_spread = spread;
       }
       place::place(nl, popt);
-      const auto r = noise::analyze_noise(nl, noise::NoiseOptions{});
+      const auto r = noise::analyze_noise(nl);
       char label[48];
       std::snprintf(label, sizeof label, "spread x%.0f", spread);
       n.add_row({label, fmt(r.worst_bump_fraction, 2),

@@ -95,11 +95,11 @@ int main() {
   std::printf("Monte Carlo STA, %d samples, alu16:\n%s\n", mc_samples,
               mc.render().c_str());
 
-  // --- Netlist parameter sweep: wire what-if grid. ---
+  // --- Netlist parameter sweep: wire length x extra load grid. ---
   std::vector<netlist::SweepPoint> points;
-  for (int w = 0; w < sweep_side; ++w)
+  for (int c = 0; c < sweep_side; ++c)
     for (int l = 0; l < sweep_side; ++l)
-      points.push_back({1.0 + 0.25 * w, 0.5 + 0.25 * l, 0.0});
+      points.push_back({0.5 + 0.25 * l, 0.5 * c});
   const auto metric = [](const netlist::Netlist& n) {
     return sta::analyze(n, sta::StaOptions{}).min_period_tau;
   };

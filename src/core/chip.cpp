@@ -57,16 +57,14 @@ ChipResult implement_chip(const Flow& flow, const Methodology& m,
 
   // --- buffering, sizing, signoff ---
   const sta::StaOptions sta_opt = signoff_sta_options(m);
-  if (m.sizing != SizingLevel::kNone) {
-    sizing::initial_drive_assignment(nl);
-    sizing::insert_buffers(nl, 96.0);
-    sizing::initial_drive_assignment(nl);
-    sizing::SizingOptions sopt;
-    sopt.sta = sta_opt;
-    sopt.continuous =
-        m.sizing == SizingLevel::kContinuous && lib.continuous_sizing;
-    sizing::tilos_size(nl, sopt);
-  }
+  sizing::initial_drive_assignment(nl);
+  sizing::insert_buffers(nl, 96.0);
+  sizing::initial_drive_assignment(nl);
+  sizing::SizingOptions sopt;
+  sopt.sta = sta_opt;
+  sopt.continuous =
+      m.sizing == SizingLevel::kContinuous && lib.continuous_sizing;
+  sizing::tilos_size(nl, sopt);
   result.timing = sta::analyze(nl, sta_opt);
   result.freq_mhz = result.timing.frequency_mhz();
   return result;

@@ -474,7 +474,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   }
 
   if (args.report == "noise" || args.report == "all") {
-    const auto noise = noise::analyze_noise(*r.nl, noise::NoiseOptions{});
+    const auto noise = noise::analyze_noise(*r.nl);
     put(out,
         "crosstalk: worst bump %.2f Vdd, %zu static / %zu domino "
         "margin failures over %zu coupled nets\n\n",

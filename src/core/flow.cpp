@@ -334,24 +334,21 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   // 4. Gate sizing: fanout buffering of overloaded nets, synthesis-style
   // initial drive selection against the post-placement loads, then TILOS
   // refinement on the critical path.
-  ok = stages.run("size", have_nl && m.sizing != SizingLevel::kNone,
-             [&](StageReport& sr) {
-               netlist::Netlist& nl = *result.nl;
-               sizing::initial_drive_assignment(nl);
-               // Fanout trees only on nets too big for driver upsizing
-               // alone.
-               sizing::insert_buffers(nl, 96.0);
-               sizing::initial_drive_assignment(nl);
-               sizing::SizingOptions size_opt;
-               size_opt.continuous = m.sizing == SizingLevel::kContinuous &&
-                                     lib.continuous_sizing;
-               size_opt.continuous_step = 1.25;
-               timer.emplace(nl, sta_opt);
-               const sizing::SizingResult sized =
-                   sizing::tilos_size(*timer, size_opt);
-               result.sizing_moves = sized.moves;
-               verify_into(sr, nl, "size");
-             });
+  ok = stages.run("size", have_nl, [&](StageReport& sr) {
+    netlist::Netlist& nl = *result.nl;
+    sizing::initial_drive_assignment(nl);
+    // Fanout trees only on nets too big for driver upsizing alone.
+    sizing::insert_buffers(nl, 96.0);
+    sizing::initial_drive_assignment(nl);
+    sizing::SizingOptions size_opt;
+    size_opt.continuous =
+        m.sizing == SizingLevel::kContinuous && lib.continuous_sizing;
+    size_opt.continuous_step = 1.25;
+    timer.emplace(nl, sta_opt);
+    const sizing::SizingResult sized = sizing::tilos_size(*timer, size_opt);
+    result.sizing_moves = sized.moves;
+    verify_into(sr, nl, "size");
+  });
   capture_qor(ok, result.nl.get());
 
   // 4b. Optional post-sizing dataflow gate: clock/reset-domain and
@@ -381,12 +378,10 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
     });
   }
 
-  // 5. Sign-off timing, answered by the resident timer when the size
-  // stage left one; without sizing (SizingLevel::kNone) there is none, and
-  // a from-scratch analysis signs off.
+  // 5. Sign-off timing, answered by the size stage's resident timer: a
+  // stage runs only after every earlier one succeeded, so the timer exists.
   ok = stages.run("signoff", have_nl, [&](StageReport&) {
-    result.timing = timer ? timer->timing()
-                          : sta::analyze(*result.nl, sta_opt);
+    result.timing = timer.value().timing();
     result.freq_mhz = result.timing.frequency_mhz();
     result.area_um2 = result.nl->total_area_um2();
   });

@@ -24,7 +24,6 @@ enum class LibraryKind {
 
 /// Gate-sizing effort (section 6).
 enum class SizingLevel {
-  kNone,        ///< whatever the mapper picked
   kDiscrete,    ///< TILOS over the library's drive ladder
   kContinuous,  ///< TILOS with continuous drives (custom only)
 };
@@ -48,7 +47,7 @@ struct Methodology {
   // --- factor 3: circuits and sizing (x1.25) ---
   LibraryKind library = LibraryKind::kRichAsic;
   /// Even a plain ASIC flow selects drive strengths from the library
-  /// (section 6.2); kNone exists for ablation studies.
+  /// (section 6.2).
   SizingLevel sizing = SizingLevel::kDiscrete;
 
   // --- factor 4: dynamic logic (x1.50) ---

@@ -8,6 +8,9 @@
 namespace gap::floorplan {
 namespace {
 
+/// Initial annealing temperature as a fraction of the initial cost.
+constexpr double kInitialTempScale = 0.3;
+
 struct Dims {
   double w, h;
 };
@@ -123,15 +126,14 @@ FloorplanResult floorplan(const std::vector<Module>& modules,
   const double area0 = std::max(cur.area, 1.0);
   const double wl0 = std::max(cur.wl, 1.0);
   auto scalar = [&](const Cost& c) {
-    return options.area_weight * c.area / area0 +
-           options.wirelength_weight * c.wl / wl0;
+    return c.area / area0 + options.wirelength_weight * c.wl / wl0;
   };
 
   double cur_cost = scalar(cur);
   SpState best_state = state;
   double best_cost = cur_cost;
 
-  double temp = options.initial_temp_scale * std::max(cur_cost, 1e-9);
+  double temp = kInitialTempScale * std::max(cur_cost, 1e-9);
   const double cooling =
       std::pow(1e-3, 1.0 / std::max(1, options.sa_moves));  // to 0.1% of T0
 

@@ -50,10 +50,9 @@ struct FloorplanResult {
 };
 
 struct FloorplanOptions {
-  double area_weight = 1.0;
+  /// Weight of the wirelength term against the (unit-weight) area term.
   double wirelength_weight = 1.0;
   int sa_moves = 20000;
-  double initial_temp_scale = 0.3;  ///< initial T as fraction of initial cost
   std::uint64_t seed = 1;
 };
 

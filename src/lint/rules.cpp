@@ -246,7 +246,7 @@ void rule_max_transition(const LintContext& ctx, NetId id, const NetRow& row,
   const tech::Technology& t = ctx.nl->lib().technology();
   // Transition proxy: electrical effort plus the distributed-wire
   // Elmore term (R * C / 2; ohm * fF = 1e-3 ps), in tau.
-  const double r_ohm = t.wire_r_ohm_per_um * n.length_um / n.width_multiple;
+  const double r_ohm = t.wire_r_ohm_per_um * n.length_um;
   const double c_ff = t.wire_c_ff_per_um * n.length_um;
   const double slew_tau =
       row.load / row.drive + t.ps_to_tau(0.5 * r_ohm * c_ff * 1e-3);

@@ -136,10 +136,8 @@ double Netlist::net_load(NetId id) const {
   double load = n.extra_cap_units;
   for (const NetSink& s : n.sinks)
     if (s.kind == NetSink::Kind::kInstancePin) load += pin_cap(s.inst);
-  // Widening multiplies the area component of wire capacitance (~60%).
-  const double width_scale = 0.6 * n.width_multiple + 0.4;
   load += lib_->technology().cap_to_units(
-      lib_->technology().wire_c_ff_per_um * n.length_um * width_scale);
+      lib_->technology().wire_c_ff_per_um * n.length_um);
   return load;
 }
 

@@ -70,11 +70,6 @@ struct Net {
   /// Routed/estimated wire length (um); 0 until placement annotates it.
   double length_um = 0.0;
 
-  /// Wire width in minimum-width multiples (section 6: "wires may be
-  /// widened to reduce the delays"). No flow stage writes it; only
-  /// parameter sweeps (netlist/sweep.hpp) and tests do.
-  double width_multiple = 1.0;
-
   /// Extra lumped capacitance at this net (unit input capacitances),
   /// e.g. primary-output loading.
   double extra_cap_units = 0.0;

@@ -8,13 +8,11 @@
 namespace gap::netlist {
 
 Netlist apply_sweep_point(const Netlist& nl, const SweepPoint& point) {
-  GAP_EXPECTS(point.wire_width_scale > 0.0);
   GAP_EXPECTS(point.wire_length_scale >= 0.0);
   GAP_EXPECTS(point.extra_cap_units >= 0.0);
   Netlist out = nl;
   for (NetId n : out.all_nets()) {
     Net& net = out.net(n);
-    net.width_multiple *= point.wire_width_scale;
     net.length_um *= point.wire_length_scale;
     net.extra_cap_units += point.extra_cap_units;
   }

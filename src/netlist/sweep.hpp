@@ -1,8 +1,8 @@
 #pragma once
 /// \file sweep.hpp
 /// Parameter sweeps: evaluate a metric over systematically perturbed
-/// copies of the netlist (wire width / length / extra load scaling) — the
-/// what-if grids behind wire-sizing and repeater studies. Points are
+/// copies of the netlist (wire length scaling and extra load) — the
+/// what-if grids behind repeater and loading studies. Points are
 /// independent, so the sweep fans out over a gap::common::ThreadPool;
 /// results come back in point order and are bit-identical at any thread
 /// count.
@@ -17,7 +17,6 @@ namespace gap::netlist {
 /// One point of a parameter sweep: multiplicative perturbations applied
 /// to every net of a copy of the base netlist.
 struct SweepPoint {
-  double wire_width_scale = 1.0;   ///< scales Net::width_multiple
   double wire_length_scale = 1.0;  ///< scales Net::length_um
   double extra_cap_units = 0.0;    ///< added to Net::extra_cap_units
 };

@@ -21,18 +21,6 @@
 
 namespace gap::noise {
 
-struct NoiseOptions {
-  /// Fraction of a net's length assumed parallel to one aggressor.
-  double coupled_fraction = 0.5;
-  /// Coupling capacitance per um of parallel run, relative to the
-  /// ground capacitance per um (deep submicron: near 1.0 and rising —
-  /// the "more pronounced" trend of section 7.1).
-  double coupling_ratio = 0.8;
-  /// Noise margins as fractions of Vdd.
-  double static_margin = 0.45;  ///< restoring static CMOS receiver
-  double domino_margin = 0.20;  ///< ~Vt: dynamic node discharge threshold
-};
-
 struct NetNoise {
   NetId net;
   double bump_fraction = 0.0;  ///< victim bump / Vdd
@@ -50,11 +38,9 @@ struct NoiseReport {
 /// Analyze every routed net (length > 0). Receiver family is taken from
 /// the actual sink cells: a bump on a net only counts against the domino
 /// margin if a domino input listens to it.
-[[nodiscard]] NoiseReport analyze_noise(const netlist::Netlist& nl,
-                                        const NoiseOptions& options);
+[[nodiscard]] NoiseReport analyze_noise(const netlist::Netlist& nl);
 
 /// Victim bump fraction for one net (exposed for tests and sizing).
-[[nodiscard]] double bump_fraction(const netlist::Netlist& nl, NetId net,
-                                   const NoiseOptions& options);
+[[nodiscard]] double bump_fraction(const netlist::Netlist& nl, NetId net);
 
 }  // namespace gap::noise

@@ -128,18 +128,14 @@ PipelineResult pipeline_insert(const Netlist& comb,
   GAP_EXPECTS(options.stages >= 1);
   GAP_EXPECTS(comb.num_sequential() == 0);
   const library::CellLibrary& lib = comb.lib();
-  const Func reg = options.reg;
-  GAP_EXPECTS(lib.has(reg, Family::kStatic));
-  const CellId reg_cell = *lib.smallest(reg, Family::kStatic);
+  GAP_EXPECTS(lib.has(Func::kDff, Family::kStatic));
+  const CellId reg_cell = *lib.smallest(Func::kDff, Family::kStatic);
 
   const auto order = netlist::topo_order(comb);
   const auto d = gate_delays(comb);
 
   Assignment assign;
-  if (options.stages == 1) {
-    assign.stage.assign(comb.num_instances(), 0);
-    assign = naive_assign(comb, order, d, 1);
-  } else if (options.balanced) {
+  if (options.balanced && options.stages > 1) {
     // Binary search the stage-delay bound.
     double lo = 0.0, hi = 0.0;
     for (InstanceId id : comb.all_instances()) {
@@ -177,13 +173,9 @@ PipelineResult pipeline_insert(const Netlist& comb,
            static_cast<std::uint64_t>(ranks);
   };
 
-  int phase = 0;  // informational: alternate phases for latch ranks
-  auto add_reg = [&](NetId input, int rank) {
+  auto add_reg = [&](NetId input) {
     const NetId q = nl.add_net(nl.fresh_name("pq"));
-    const InstanceId f =
-        nl.add_instance(nl.fresh_name("preg"), reg_cell, {input}, q);
-    nl.instance(f).clock_phase =
-        reg == Func::kLatch ? (rank % lib.clock_phases) : phase;
+    nl.add_instance(nl.fresh_name("preg"), reg_cell, {input}, q);
     ++result.registers_added;
     return q;
   };
@@ -197,7 +189,7 @@ PipelineResult pipeline_insert(const Netlist& comb,
       const std::uint64_t key = key_of(n, k);
       auto it = at_rank.find(key);
       if (it == at_rank.end())
-        it = at_rank.emplace(key, add_reg(cur, src_stage[n.index()] + k)).first;
+        it = at_rank.emplace(key, add_reg(cur)).first;
       cur = it->second;
     }
     return cur;
@@ -208,7 +200,7 @@ PipelineResult pipeline_insert(const Netlist& comb,
     const netlist::Port& port = comb.port(pid);
     if (!port.is_input) continue;
     const PortId np = nl.add_input(port.name, port.ext_drive);
-    const NetId q = add_reg(nl.port(np).net, 0);
+    const NetId q = add_reg(nl.port(np).net);
     base_net[port.net.index()] = q;
     src_stage[port.net.index()] = 0;
   }
@@ -232,7 +224,7 @@ PipelineResult pipeline_insert(const Netlist& comb,
     const netlist::Port& port = comb.port(pid);
     if (port.is_input) continue;
     const NetId aligned = net_at_stage(port.net, options.stages - 1);
-    const NetId q = add_reg(aligned, options.stages);
+    const NetId q = add_reg(aligned);
     nl.add_output(port.name, q);
   }
 

@@ -23,11 +23,6 @@ namespace gap::pipeline {
 struct PipelineOptions {
   int stages = 2;
   bool balanced = true;
-
-  /// Register cell: kDff for edge-triggered, kLatch for level-sensitive
-  /// (enables time borrowing analysis; latch ranks get alternating
-  /// clock phases).
-  library::Func reg = library::Func::kDff;
 };
 
 struct PipelineResult {
@@ -38,7 +33,8 @@ struct PipelineResult {
 
 /// Pipeline a purely combinational netlist into `stages` logic stages with
 /// input and output registers (stages == 1 just adds the boundary
-/// registers). The input netlist is not modified.
+/// registers). Every register is the library's smallest static DFF. The
+/// input netlist is not modified.
 [[nodiscard]] PipelineResult pipeline_insert(const netlist::Netlist& comb,
                                              const PipelineOptions& options);
 

@@ -18,6 +18,10 @@ using netlist::NetDriver;
 using netlist::Netlist;
 using netlist::NetSink;
 
+/// Compact-die utilization (cell area / die area); scattered mode dilates
+/// that die.
+constexpr double kUtilization = 0.70;
+
 /// HPWL of one net over placed instance pins (ports are ignored: they sit
 /// at the die boundary of whichever block the netlist models).
 double net_hpwl(const Netlist& nl, NetId id) {
@@ -143,7 +147,7 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
 
   // --- determine die and regions ---
   double die_w, die_h;
-  const double die_area = nl.total_area_um2() / options.utilization;
+  const double die_area = nl.total_area_um2() / kUtilization;
   die_w = die_h = std::sqrt(std::max(die_area, 1.0));
   if (options.mode == PlacementMode::kScattered) {
     if (options.scatter_die_mm > 0.0)

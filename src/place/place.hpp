@@ -27,7 +27,6 @@ enum class PlacementMode {
 
 struct PlaceOptions {
   PlacementMode mode = PlacementMode::kCareful;
-  double utilization = 0.70;  ///< cell area / die area
 
   /// Scattered-mode die-edge override in mm; 0 means "compact die edge
   /// times scatter_spread". Set to 10.0 to reproduce the paper's

@@ -1,6 +1,7 @@
 #include "power/activity.hpp"
 
 #include <bit>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -8,6 +9,10 @@
 
 namespace gap::power {
 namespace {
+
+/// Random-vector rounds of 64 cycles each, and the stimulus seed.
+constexpr int kRounds = 16;
+constexpr std::uint64_t kSeed = 1;
 
 /// A 64-cycle Markov bit stream with per-cycle flip probability p.
 std::uint64_t markov_stream(Rng& rng, double p) {
@@ -24,16 +29,15 @@ std::uint64_t markov_stream(Rng& rng, double p) {
 
 std::vector<double> estimate_activity(const netlist::Netlist& nl,
                                       const ActivityOptions& options) {
-  GAP_EXPECTS(options.rounds > 0);
   GAP_EXPECTS(options.input_toggle >= 0.0 && options.input_toggle <= 1.0);
-  Rng rng(options.seed);
+  Rng rng(kSeed);
 
   std::size_t n_in = 0;
   for (PortId p : nl.all_ports())
     if (nl.port(p).is_input) ++n_in;
 
   std::vector<double> toggles(nl.num_nets(), 0.0);
-  for (int round = 0; round < options.rounds; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     std::vector<std::uint64_t> pi(n_in);
     for (auto& v : pi) v = markov_stream(rng, options.input_toggle);
     const auto values = netlist::simulate_all_nets(nl, pi);
@@ -43,7 +47,7 @@ std::vector<double> estimate_activity(const netlist::Netlist& nl,
       toggles[i] += static_cast<double>(std::popcount(x & ~(1ull << 63)));
     }
   }
-  const double cycles = 63.0 * options.rounds;
+  const double cycles = 63.0 * kRounds;
   for (double& t : toggles) t /= cycles;
   return toggles;
 }

@@ -6,7 +6,6 @@
 /// burns 90 W where the 1 GHz PowerPC needs 6.3 W; section 7: "dynamic
 /// logic has higher power consumption").
 
-#include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -14,8 +13,6 @@
 namespace gap::power {
 
 struct ActivityOptions {
-  int rounds = 16;           ///< 64 vectors per round
-  std::uint64_t seed = 1;
   /// Toggle probability assumed for primary inputs (0.5 = fully random
   /// data; control-dominated blocks are lower).
   double input_toggle = 0.5;

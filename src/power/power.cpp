@@ -4,6 +4,17 @@
 #include "library/library.hpp"
 
 namespace gap::power {
+namespace {
+
+/// Clock-pin input capacitance of a sequential or domino cell, in unit
+/// input capacitances per unit drive.
+constexpr double kClockPinCapUnits = 0.5;
+/// Leakage per transistor-width unit (drive x transistor count), in nW.
+constexpr double kLeakageNwPerWidth = 2.0;
+/// Short-circuit current adder as a fraction of dynamic power.
+constexpr double kShortCircuitFraction = 0.10;
+
+}  // namespace
 
 PowerReport estimate_power(const netlist::Netlist& nl,
                            const PowerOptions& options) {
@@ -23,7 +34,7 @@ PowerReport estimate_power(const netlist::Netlist& nl,
     const double cap_ff = nl.net_load(nid) * t.unit_inv_cin_ff;
     r.dynamic_mw += switch_mw(activity[nid.index()], cap_ff);
   }
-  r.dynamic_mw *= 1.0 + options.short_circuit_fraction;
+  r.dynamic_mw *= 1.0 + kShortCircuitFraction;
 
   for (InstanceId id : nl.all_instances()) {
     const library::Cell& c = nl.cell_of(id);
@@ -33,7 +44,7 @@ PowerReport estimate_power(const netlist::Netlist& nl,
     if (clocked) {
       // The clock toggles twice per cycle into every clocked pin.
       const double clk_cap_ff =
-          options.clock_pin_cap_units * drive * t.unit_inv_cin_ff;
+          kClockPinCapUnits * drive * t.unit_inv_cin_ff;
       r.clock_mw += switch_mw(2.0, clk_cap_ff);
     }
     if (c.family == library::Family::kDomino && !c.is_sequential()) {
@@ -45,7 +56,7 @@ PowerReport estimate_power(const netlist::Netlist& nl,
     }
     const double width =
         drive * library::traits(c.func).num_transistors;
-    r.leakage_mw += options.leakage_nw_per_width * width * 1e-6;
+    r.leakage_mw += kLeakageNwPerWidth * width * 1e-6;
   }
   return r;
 }

@@ -16,14 +16,6 @@ namespace gap::power {
 struct PowerOptions {
   double freq_mhz = 100.0;
   ActivityOptions activity;
-
-  /// Clock-pin input capacitance of a sequential or domino cell, in unit
-  /// input capacitances per unit drive.
-  double clock_pin_cap_units = 0.5;
-  /// Leakage per transistor-width unit (drive x transistor count), in nW.
-  double leakage_nw_per_width = 2.0;
-  /// Short-circuit current adder as a fraction of dynamic power.
-  double short_circuit_fraction = 0.10;
 };
 
 struct PowerReport {

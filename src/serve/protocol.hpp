@@ -97,7 +97,6 @@ void begin_ok_reply(common::json::Writer& w, const std::string& id_json);
 
 /// Compact one-line serialization; edit_from_json(parse(edit_to_json(e)))
 /// reproduces `e` (the journal and the undo replies rely on this).
-/// Expects one of the four ops above: a wire-width edit has no wire form.
 void edit_to_json(common::json::Writer& w, const sta::Edit& e);
 [[nodiscard]] std::string edit_to_json(const sta::Edit& e);
 

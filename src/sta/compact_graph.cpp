@@ -40,12 +40,10 @@ void CompactGraph::build(const netlist::Netlist& nl) {
     refresh_instance(nl, InstanceId{i});
 
   length_um_.resize(nets);
-  width_multiple_.resize(nets);
   extra_cap_units_.resize(nets);
   for (std::uint32_t i = 0; i < nets; ++i) {
     const netlist::Net& n = nl.net(NetId{i});
     length_um_[i] = n.length_um;
-    width_multiple_[i] = n.width_multiple;
     extra_cap_units_[i] = n.extra_cap_units;
   }
 

@@ -11,7 +11,7 @@
 ///     pin cap, sequential flag) flattened out of library::Cell,
 ///   - CSR fanin (instance -> input nets) and fanout (net -> NetSink)
 ///     adjacency replacing the per-object std::vectors,
-///   - per-net geometry (length, width multiple, extra cap) and driver,
+///   - per-net geometry (length, extra cap) and driver,
 ///   - a levelized wavefront schedule: topological order, per-instance
 ///     level (sequential and PI-fed cones at level 0), and a CSR of
 ///     instances grouped by level in ascending id order. Every instance
@@ -23,9 +23,9 @@
 /// mutations (rewire, added cells/nets) invalidate adjacency + schedule —
 /// rebuild_structure() refreshes them; value-only mutations (resize,
 /// swap) are patched in place with refresh_instance(). Net geometry
-/// (length, width, extra cap) is read only by build(): no edit changes
-/// it. The incremental timer drives both from its edit stream;
-/// batch analysis simply builds a fresh graph per call. See
+/// (length, extra cap) is read only by build(): no edit changes it.
+/// The incremental timer drives both from its edit stream; batch
+/// analysis simply builds a fresh graph per call. See
 /// docs/data-layout.md.
 
 #include <cstddef>
@@ -129,9 +129,6 @@ class CompactGraph {
   [[nodiscard]] double net_length_um(NetId n) const {
     return length_um_[n.index()];
   }
-  [[nodiscard]] double net_width_multiple(NetId n) const {
-    return width_multiple_[n.index()];
-  }
   [[nodiscard]] double net_extra_cap_units(NetId n) const {
     return extra_cap_units_[n.index()];
   }
@@ -195,7 +192,7 @@ class CompactGraph {
   std::vector<netlist::NetDriver> driver_;
   std::vector<std::uint32_t> sink_off_;
   std::vector<netlist::NetSink> sink_;
-  std::vector<double> length_um_, width_multiple_, extra_cap_units_;
+  std::vector<double> length_um_, extra_cap_units_;
 
   // Ports.
   std::vector<NetId> port_net_;

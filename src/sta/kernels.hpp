@@ -308,10 +308,8 @@ inline void relax_instance(const CompactGraph& g, const StaOptions& opt,
   for (const netlist::NetSink& s : g.sinks(id))
     if (s.kind == netlist::NetSink::Kind::kInstancePin)
       load += g.pin_cap(s.inst);
-  // Widening multiplies the area component of wire capacitance (~60%).
-  const double width_scale = 0.6 * g.net_width_multiple(id) + 0.4;
   load += g.technology().cap_to_units(
-      g.technology().wire_c_ff_per_um * g.net_length_um(id) * width_scale);
+      g.technology().wire_c_ff_per_um * g.net_length_um(id));
   return load;
 }
 
@@ -331,9 +329,7 @@ inline void relax_instance(const CompactGraph& g, const StaOptions& opt,
     if (s.kind == netlist::NetSink::Kind::kInstancePin)
       sink_units += g.pin_cap(s.inst);
 
-  wire::WireSegment seg;
-  seg.length_um = g.net_length_um(id);
-  seg.width_multiple = g.net_width_multiple(id);
+  const wire::WireSegment seg{g.net_length_um(id)};
   m.delay_tau = wire::elmore_delay_tau(t, seg, sink_units);
 
   if (opt.optimal_repeaters && g.net_length_um(id) > kRepeaterThresholdUm) {

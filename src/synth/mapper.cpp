@@ -22,6 +22,10 @@ using netlist::Netlist;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Assumed electrical effort (Cload/Cin) per stage for delay estimation
+/// during matching. 4.0 corresponds to FO4-style loading.
+constexpr double kEstStageEffort = 4.0;
+
 /// A DP state leaf: a node required in positive or negative polarity.
 struct Leaf {
   std::uint32_t node = 0;
@@ -75,7 +79,7 @@ class Mapper {
   [[nodiscard]] double cell_cost(CellId id) const {
     const library::Cell& c = lib_.cell(id);
     if (opt_.objective == MapObjective::kArea) return c.area_um2;
-    return c.parasitic + c.logical_effort * opt_.est_stage_effort;
+    return c.parasitic + c.logical_effort * kEstStageEffort;
   }
 
   // --- DP ---

@@ -29,10 +29,6 @@ struct MapOptions {
   /// Preferred circuit family; functions missing from this family fall
   /// back to static cells.
   library::Family family = library::Family::kStatic;
-
-  /// Assumed electrical effort (Cload/Cin) per stage for delay estimation
-  /// during matching. 4.0 corresponds to FO4-style loading.
-  double est_stage_effort = 4.0;
 };
 
 struct MapResult {

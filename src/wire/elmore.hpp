@@ -9,22 +9,15 @@
 
 namespace gap::wire {
 
-/// Properties of a wire segment in a given technology, with an optional
-/// width multiple (wire sizing reduces resistance linearly while
-/// increasing capacitance sub-linearly; we model the area component only).
+/// A minimum-width wire segment in a given technology.
 struct WireSegment {
   double length_um = 0.0;
-  double width_multiple = 1.0;  ///< 1.0 = minimum width
 
   [[nodiscard]] double resistance_ohm(const tech::Technology& t) const {
-    return t.wire_r_ohm_per_um * length_um / width_multiple;
+    return t.wire_r_ohm_per_um * length_um;
   }
   [[nodiscard]] double capacitance_ff(const tech::Technology& t) const {
-    // Widening multiplies the parallel-plate (area) part, about 60% of
-    // total cap at these geometries; fringing stays constant.
-    const double area_frac = 0.6;
-    const double scale = area_frac * width_multiple + (1.0 - area_frac);
-    return t.wire_c_ff_per_um * length_um * scale;
+    return t.wire_c_ff_per_um * length_um;
   }
 };
 

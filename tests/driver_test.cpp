@@ -508,22 +508,5 @@ TEST(FlowReportTest, EveryStageTimedAndOk) {
   EXPECT_FALSE(r.report.format().empty());
 }
 
-TEST(FlowReportTest, SizingNoneIsSkippedNotFailed) {
-  Flow flow(tech::asic_025um());
-  const auto aig =
-      designs::make_design("alu16", designs::DatapathStyle::kSynthesized);
-  Methodology m = typical_asic();
-  m.sizing = SizingLevel::kNone;
-  const FlowResult r = flow.run(aig, m);
-  EXPECT_TRUE(r.ok());
-  bool saw_size = false;
-  for (const StageReport& s : r.report.stages)
-    if (s.name == "size") {
-      saw_size = true;
-      EXPECT_EQ(s.status, StageStatus::kSkipped);
-    }
-  EXPECT_TRUE(saw_size);
-}
-
 }  // namespace
 }  // namespace gap::core::cli

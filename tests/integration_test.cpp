@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.hpp"
 #include "core/flow.hpp"
 #include "core/gap.hpp"
@@ -7,6 +10,7 @@
 #include "library/builders.hpp"
 #include "netlist/checks.hpp"
 #include "netlist/simulate.hpp"
+#include "sta/sta.hpp"
 #include "synth/mapper.hpp"
 
 namespace gap::core {
@@ -47,6 +51,40 @@ TEST_P(AllDesignsFlow, PipelinedFlowStillFunctionallyCorrect) {
     for (auto& v : pi) v = rng.next_u64();
     EXPECT_EQ(design.simulate(pi), netlist::simulate(*r.nl, pi))
         << GetParam();
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Sign-off reads the size stage's resident timer; under every
+/// methodology it must answer the bits a from-scratch sta::analyze of the
+/// final netlist gives, with the flow's sign-off options.
+TEST_P(AllDesignsFlow, SignoffIsAFreshAnalysis) {
+  for (const std::string& m_name : methodology_names()) {
+    const Methodology m = *methodology_by_name(m_name);
+    const FlowResult r =
+        flow_.run(designs::make_design(GetParam(), m.datapath), m);
+    ASSERT_TRUE(r.ok()) << m_name;
+    const sta::TimingResult fresh =
+        sta::analyze(*r.nl, signoff_sta_options(m));
+    EXPECT_EQ(bits(r.timing.worst_path_tau), bits(fresh.worst_path_tau))
+        << m_name;
+    EXPECT_EQ(bits(r.timing.min_period_tau), bits(fresh.min_period_tau))
+        << m_name;
+    EXPECT_EQ(bits(r.timing.min_period_ps), bits(fresh.min_period_ps))
+        << m_name;
+    EXPECT_EQ(bits(r.timing.min_period_fo4), bits(fresh.min_period_fo4))
+        << m_name;
+    EXPECT_EQ(r.timing.critical_path, fresh.critical_path) << m_name;
+    ASSERT_EQ(r.timing.critical_path_arrival_tau.size(),
+              fresh.critical_path_arrival_tau.size())
+        << m_name;
+    for (std::size_t i = 0; i < fresh.critical_path_arrival_tau.size(); ++i)
+      EXPECT_EQ(bits(r.timing.critical_path_arrival_tau[i]),
+                bits(fresh.critical_path_arrival_tau[i]))
+          << m_name << " node " << i;
+    EXPECT_EQ(r.timing.num_endpoints, fresh.num_endpoints) << m_name;
+    EXPECT_EQ(bits(r.freq_mhz), bits(r.timing.frequency_mhz())) << m_name;
   }
 }
 

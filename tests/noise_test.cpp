@@ -36,27 +36,9 @@ class NoiseTest : public ::testing::Test {
   library::CellLibrary lib_;
 };
 
-TEST_F(NoiseTest, BumpGrowsWithCoupling) {
-  auto nl = placed(Family::kStatic);
-  NetId longest;
-  double best = 0.0;
-  for (NetId n : nl.all_nets())
-    if (nl.net(n).length_um > best) {
-      best = nl.net(n).length_um;
-      longest = n;
-    }
-  ASSERT_TRUE(longest.valid());
-  NoiseOptions weak;
-  weak.coupling_ratio = 0.2;
-  NoiseOptions strong;
-  strong.coupling_ratio = 1.5;
-  EXPECT_GT(bump_fraction(nl, longest, strong),
-            bump_fraction(nl, longest, weak));
-}
-
 TEST_F(NoiseTest, BumpBoundedByOne) {
   auto nl = placed(Family::kStatic, 3.0);
-  const NoiseReport r = analyze_noise(nl, NoiseOptions{});
+  const NoiseReport r = analyze_noise(nl);
   EXPECT_LE(r.worst_bump_fraction, 1.0);
   EXPECT_GE(r.worst_bump_fraction, 0.0);
 }
@@ -66,8 +48,8 @@ TEST_F(NoiseTest, DominoFailsWhereStaticSurvives) {
   // as often as static, and on long-wire designs strictly more.
   auto nl_static = placed(Family::kStatic, 3.0);
   auto nl_domino = placed(Family::kDomino, 3.0);
-  const NoiseReport rs = analyze_noise(nl_static, NoiseOptions{});
-  const NoiseReport rd = analyze_noise(nl_domino, NoiseOptions{});
+  const NoiseReport rs = analyze_noise(nl_static);
+  const NoiseReport rd = analyze_noise(nl_domino);
   EXPECT_GT(rd.domino_failures, rs.static_failures);
   EXPECT_GT(rd.domino_failures, 0u);
 }
@@ -75,14 +57,14 @@ TEST_F(NoiseTest, DominoFailsWhereStaticSurvives) {
 TEST_F(NoiseTest, CompactPlacementIsQuieter) {
   auto compact = placed(Family::kDomino, 1.0);
   auto sprawling = placed(Family::kDomino, 3.0);
-  const NoiseReport rc = analyze_noise(compact, NoiseOptions{});
-  const NoiseReport rs = analyze_noise(sprawling, NoiseOptions{});
+  const NoiseReport rc = analyze_noise(compact);
+  const NoiseReport rs = analyze_noise(sprawling);
   EXPECT_LE(rc.domino_failures, rs.domino_failures);
 }
 
 TEST_F(NoiseTest, ReportSortedWorstFirst) {
   auto nl = placed(Family::kStatic, 2.0);
-  const NoiseReport r = analyze_noise(nl, NoiseOptions{});
+  const NoiseReport r = analyze_noise(nl);
   for (std::size_t i = 1; i < r.nets.size(); ++i)
     EXPECT_GE(r.nets[i - 1].bump_fraction, r.nets[i].bump_fraction);
 }
@@ -90,7 +72,7 @@ TEST_F(NoiseTest, ReportSortedWorstFirst) {
 TEST_F(NoiseTest, UnroutedNetlistIsSilent) {
   const auto aig = datapath::make_adder_aig(AdderKind::kRipple, 4);
   const auto nl = synth::map_to_netlist(aig, lib_, synth::MapOptions{}, "d");
-  const NoiseReport r = analyze_noise(nl, NoiseOptions{});
+  const NoiseReport r = analyze_noise(nl);
   EXPECT_TRUE(r.nets.empty());
   EXPECT_EQ(r.domino_failures, 0u);
 }

@@ -151,20 +151,6 @@ TEST_F(PipelineTest, StageDelaysReported) {
   EXPECT_GT(total, 0.0);
 }
 
-TEST_F(PipelineTest, LatchPipelineUsesLatches) {
-  // Latches exist in the rich library.
-  auto comb = mapped(AdderKind::kRipple, 8);
-  PipelineOptions opt;
-  opt.stages = 3;
-  opt.reg = library::Func::kLatch;
-  const PipelineResult r = pipeline_insert(comb, opt);
-  std::size_t latches = 0;
-  for (InstanceId id : r.nl.all_instances())
-    if (r.nl.cell_of(id).func == library::Func::kLatch) ++latches;
-  EXPECT_EQ(latches, static_cast<std::size_t>(r.registers_added));
-  EXPECT_GT(latches, 0u);
-}
-
 TEST_F(PipelineTest, IdealSpeedupMatchesPaperArithmetic) {
   // Section 4: Tensilica, 5 stages at 30% overhead -> ~3.8x.
   EXPECT_NEAR(ideal_pipeline_speedup(5, 0.30), 3.85, 0.01);

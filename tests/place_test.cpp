@@ -75,8 +75,10 @@ RefRun reference_place(netlist::Netlist& nl, const PlaceOptions& options) {
   Rng rng(options.seed);
   if (nl.num_instances() == 0) return run;
 
+  // 0.70 is the placer's fixed utilization, kept as this reference's own
+  // literal so a change to place.cpp's constant shows up here.
   double die_w, die_h;
-  die_w = die_h = std::sqrt(std::max(nl.total_area_um2() / options.utilization, 1.0));
+  die_w = die_h = std::sqrt(std::max(nl.total_area_um2() / 0.70, 1.0));
   if (options.mode == PlacementMode::kScattered) {
     if (options.scatter_die_mm > 0.0)
       die_w = die_h = options.scatter_die_mm * 1000.0;

@@ -383,12 +383,12 @@ TEST_F(SoaGraph, BuiltVersionTracksStructuralRebuilds) {
 /// Netlist::net_load and kern::net_load agree bit for bit on every net,
 /// after the full flow under every methodology (routed lengths, sized and
 /// continuous drives, pipeline registers), and again on a sweep-point copy
-/// whose width scale and extra cap exercise the width_multiple and
-/// extra_cap_units terms.
+/// whose length scale and extra cap exercise the wire and extra_cap_units
+/// terms.
 TEST(SoaGraphLoad, NetlistAndKernelLoadsAgreeAfterFlow) {
   const core::Flow flow(tech::asic_025um());
   netlist::SweepPoint point;
-  point.wire_width_scale = 1.7;
+  point.wire_length_scale = 1.7;
   point.extra_cap_units = 0.75;
   std::size_t wired = 0;
   for (const std::string& m_name : core::methodology_names()) {

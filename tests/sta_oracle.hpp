@@ -122,7 +122,7 @@ class Sta {
     double pins = net.extra_cap_units;
     for (const NetSink& s : net.sinks)
       if (s.kind == NetSink::Kind::kInstancePin) pins += nl_.pin_cap(s.inst);
-    const wire::WireSegment seg{net.length_um, net.width_multiple};
+    const wire::WireSegment seg{net.length_um};
     Wire w{pins + wire::wire_cap_units(t_, seg), 0.0};
     if (!o_.wire_delay || net.length_um <= 0.0) return w;
     double tau = wire::elmore_delay_tau(t_, seg, pins);

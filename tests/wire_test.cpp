@@ -28,25 +28,16 @@ TEST(Elmore, MatchesHandCalculation) {
 
 TEST(Elmore, QuadraticInLength) {
   const tech::Technology t = t025();
-  WireSegment a{1000.0, 1.0};
-  WireSegment b{2000.0, 1.0};
+  WireSegment a{1000.0};
+  WireSegment b{2000.0};
   // With no sink, doubling length quadruples R*C/2.
   EXPECT_NEAR(elmore_delay_ps(t, b, 0.0) / elmore_delay_ps(t, a, 0.0), 4.0,
               1e-9);
 }
 
-TEST(Elmore, WideningCutsDelay) {
-  const tech::Technology t = t025();
-  WireSegment narrow{4000.0, 1.0};
-  WireSegment wide{4000.0, 2.0};
-  // R halves; C grows by 0.6*2+0.4 = 1.6 -> RC factor 0.8.
-  EXPECT_NEAR(elmore_delay_ps(t, wide, 0.0) / elmore_delay_ps(t, narrow, 0.0),
-              0.8, 1e-9);
-}
-
 TEST(Elmore, TauConversionConsistent) {
   const tech::Technology t = t025();
-  WireSegment seg{2500.0, 1.0};
+  WireSegment seg{2500.0};
   const double sink_units = 5.0;
   EXPECT_NEAR(elmore_delay_tau(t, seg, sink_units) * t.tau_ps(),
               elmore_delay_ps(t, seg, sink_units * t.unit_inv_cin_ff), 1e-9);
@@ -54,7 +45,7 @@ TEST(Elmore, TauConversionConsistent) {
 
 TEST(Repeaters, LongWiresGetRepeaters) {
   const tech::Technology t = t025();
-  WireSegment seg{10000.0, 1.0};
+  WireSegment seg{10000.0};
   const RepeaterPlan plan = plan_repeaters(t, seg, 2.0);
   EXPECT_GT(plan.num_repeaters, 0);
   EXPECT_GT(plan.repeater_size, 1.0);
@@ -62,8 +53,8 @@ TEST(Repeaters, LongWiresGetRepeaters) {
 
 TEST(Repeaters, RepeatedDelayIsLinearInLength) {
   const tech::Technology t = t025();
-  WireSegment l1{10000.0, 1.0};
-  WireSegment l2{20000.0, 1.0};
+  WireSegment l1{10000.0};
+  WireSegment l2{20000.0};
   const double d1 = plan_repeaters(t, l1, 2.0).delay_ps;
   const double d2 = plan_repeaters(t, l2, 2.0).delay_ps;
   // Doubling length roughly doubles (not quadruples) the repeated delay.
@@ -72,14 +63,14 @@ TEST(Repeaters, RepeatedDelayIsLinearInLength) {
 
 TEST(Repeaters, BeatsUnrepeatedOnLongWires) {
   const tech::Technology t = t025();
-  WireSegment seg{15000.0, 1.0};
+  WireSegment seg{15000.0};
   const RepeaterPlan plan = plan_repeaters(t, seg, 2.0);
   EXPECT_LT(plan.delay_ps, unrepeated_delay_ps(t, seg, 8.0, 2.0) * 0.7);
 }
 
 TEST(Repeaters, ShortWireNeedsNone) {
   const tech::Technology t = t025();
-  WireSegment seg{50.0, 1.0};
+  WireSegment seg{50.0};
   const RepeaterPlan plan = plan_repeaters(t, seg, 2.0);
   EXPECT_EQ(plan.num_repeaters, 0);
 }

@@ -7,23 +7,11 @@
 #include "sta/statistical.hpp"
 #include "synth/mapper.hpp"
 #include "tech/technology.hpp"
-#include "wire/elmore.hpp"
 
 namespace gap {
 namespace {
 
 using datapath::AdderKind;
-
-TEST(WireSizingTest, WideningReducesWireDelayPhysically) {
-  // Direct physics check: at fixed length, a 4x-wide wire's Elmore delay
-  // is well below minimum width (R drops 4x, C grows ~2.8x at 60% area
-  // fraction -> RC drops ~30%+ with a fixed sink).
-  const tech::Technology t = tech::asic_025um();
-  wire::WireSegment narrow{5000.0, 1.0};
-  wire::WireSegment wide{5000.0, 4.0};
-  EXPECT_LT(wire::elmore_delay_ps(t, wide, 10.0),
-            wire::elmore_delay_ps(t, narrow, 10.0) * 0.8);
-}
 
 class McStaTest : public ::testing::Test {
  protected:
