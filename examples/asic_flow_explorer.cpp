@@ -100,6 +100,6 @@ int main(int argc, char** argv) {
   }
   const auto check = netlist::verify(nl);
   std::printf("\nstructural verification: %s\n",
-              check.ok() ? "clean" : check.problems.front().c_str());
+              check.ok() ? "clean" : check.diagnostics.front().message.c_str());
   return 0;
 }

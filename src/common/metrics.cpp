@@ -140,21 +140,18 @@ bool MetricsRegistry::is_wall_metric(const std::string& name) {
   return name.rfind("wall.", 0) == 0;
 }
 
-std::string MetricsRegistry::json(bool include_wall) const {
+std::string MetricsRegistry::json() const {
   const MetricsSnapshot s = snapshot();
-  const auto skip = [&](const std::string& name) {
-    return !include_wall && is_wall_metric(name);
-  };
   json::Writer w;
   w.begin_object().key("counters").begin_object();
   for (const auto& [name, v] : s.counters)
-    if (!skip(name)) w.member(name, v);
+    if (!is_wall_metric(name)) w.member(name, v);
   w.end_object().key("gauges").begin_object();
   for (const auto& [name, v] : s.gauges)
-    if (!skip(name)) w.member(name, std::isfinite(v) ? v : 0.0);
+    if (!is_wall_metric(name)) w.member(name, std::isfinite(v) ? v : 0.0);
   w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : s.histograms) {
-    if (skip(name)) continue;
+    if (is_wall_metric(name)) continue;
     w.key(name).begin_object();
     w.member("count", h.count).member("clamped", h.clamped);
     w.member("min", h.min).member("max", h.max).key("buckets").begin_array();

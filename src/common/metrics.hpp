@@ -159,9 +159,9 @@ class MetricsRegistry {
   /// Metrics whose name starts with "wall." hold wall-clock measurements
   /// (latencies, dispatch decisions taken by the pool) and are the one
   /// sanctioned exception to the determinism contract. json() drops
-  /// them by default so `--metrics-out` files stay byte-identical across
-  /// thread counts; pass include_wall=true for exposition-style dumps.
-  [[nodiscard]] std::string json(bool include_wall = false) const;
+  /// them so `--metrics-out` files stay byte-identical across thread
+  /// counts; snapshot() still holds them.
+  [[nodiscard]] std::string json() const;
 
   /// True for metric names in the non-deterministic wall-clock section.
   [[nodiscard]] static bool is_wall_metric(const std::string& name);

@@ -151,7 +151,6 @@ std::vector<StructuralViolation> structural_scan(const Netlist& nl) {
 CheckResult verify(const Netlist& nl) {
   CheckResult r;
   for (StructuralViolation& v : structural_scan(nl)) {
-    r.problems.push_back(v.message);
     common::Diagnostic d;
     d.severity = common::Severity::kError;
     d.code = common::ErrorCode::kStructural;

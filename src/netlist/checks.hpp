@@ -43,12 +43,9 @@ struct StructuralViolation {
     const Netlist& nl);
 
 /// Result of a structural check: empty means the netlist is well-formed.
-/// verify() reports *all* violations in one pass, never just the first —
-/// `problems` keeps the legacy human-readable strings, `diagnostics`
-/// carries the same findings with structured error codes (one entry each,
-/// same order).
+/// verify() reports *all* violations in one pass, never just the first,
+/// as structured diagnostics (one entry each, in scan order).
 struct CheckResult {
-  std::vector<std::string> problems;
   std::vector<common::Diagnostic> diagnostics;
   [[nodiscard]] bool ok() const { return diagnostics.empty(); }
 };

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sta/borrowing.hpp"
 
 namespace gap::pipeline {
 

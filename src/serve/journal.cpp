@@ -46,51 +46,32 @@ Replay replay_journal(const std::string& text) {
   GAP_TRACE_SPAN("serve::journal_replay");
   Replay r;
   std::size_t pos = 0;
-  std::size_t line_no = 0;
-  std::string bad;  // first failure, pending "was it the last line?"
-  std::size_t bad_line = 0;
+  bool bad = false;  // a line failed, pending "was it the last line?"
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     const bool has_newline = eol != std::string::npos;
     if (!has_newline) eol = text.size();
     std::string line = text.substr(pos, eol - pos);
     pos = has_newline ? eol + 1 : text.size();
-    ++line_no;
     if (line.empty()) continue;
 
-    std::string why;
     auto parsed = json::Value::parse_checked(line);
-    if (!parsed.ok()) {
-      why = parsed.status().message();
+    const json::Value* crc = parsed.ok() ? parsed->find("crc") : nullptr;
+    const json::Value* rec = parsed.ok() ? parsed->find("rec") : nullptr;
+    if (crc == nullptr || !crc->is_string() || rec == nullptr ||
+        crc->str != fnv1a64_hex(rec->dump())) {
+      // Keep scanning: a later verified line upgrades this to kCorrupt.
+      bad = true;
+    } else if (bad) {
+      // A verified record *after* a failed line: the damage was not a
+      // torn tail but interior corruption. Stop at the good prefix.
+      r.halt = ReplayHalt::kCorrupt;
+      return r;
     } else {
-      const json::Value& v = parsed.value();
-      const json::Value* crc = v.find("crc");
-      const json::Value* rec = v.find("rec");
-      if (crc == nullptr || !crc->is_string() || rec == nullptr) {
-        why = "line is not a {crc,rec} journal record";
-      } else if (crc->str != fnv1a64_hex(rec->dump())) {
-        why = "checksum mismatch";
-      } else if (!bad.empty()) {
-        // A verified record *after* a failed line: the damage was not a
-        // torn tail but interior corruption. Stop at the good prefix.
-        r.halt = ReplayHalt::kCorrupt;
-        r.detail = "line " + std::to_string(bad_line) + ": " + bad;
-        return r;
-      } else {
-        r.records.push_back(*rec);
-        continue;
-      }
+      r.records.push_back(*rec);
     }
-    if (bad.empty()) {
-      bad = why;
-      bad_line = line_no;
-    }
-    // Keep scanning: a later verified line upgrades this to kCorrupt.
   }
-  if (!bad.empty()) {
-    r.halt = ReplayHalt::kTornTail;
-    r.detail = "line " + std::to_string(bad_line) + ": " + bad;
-  }
+  if (bad) r.halt = ReplayHalt::kTornTail;
   return r;
 }
 

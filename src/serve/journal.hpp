@@ -51,7 +51,6 @@ enum class ReplayHalt : std::uint8_t {
 struct Replay {
   std::vector<common::json::Value> records;  ///< parsed `rec` payloads
   ReplayHalt halt = ReplayHalt::kClean;
-  std::string detail;  ///< human-readable reason when halt != kClean
 };
 
 /// Scan journal text (as read from disk) into its verified prefix. Never

@@ -52,8 +52,6 @@ std::vector<cl::Flag> flag_table(Options& opt) {
                       {1, 1e9},
                       "edit records per session journal before edits bounce "
                       "overloaded"),
-      cl::number_flag("--max-session-diags", o.max_session_diags, "N",
-                      {1, 1e6}, "diagnostics kept per session"),
       cl::number_flag("--deadline-us", o.default_deadline_us, "F", {0, 1e12},
                       "default per-request budget in microseconds (0 = none)"),
       cl::switch_flag("--no-recover", opt.recover,

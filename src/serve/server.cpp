@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/diagnostics.hpp"
 #include "common/io_guard.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -137,8 +136,9 @@ struct Server::Session {
   bool degraded = false;
   bool recovered = false;
   std::uint64_t edits_applied = 0;  ///< through this process (not replay)
-  std::uint64_t degradations = 0;   ///< 0 or 1 today; counted for stats
-  common::DiagnosticEngine diags;
+  /// Diagnostics the session raised: refused edits, failed journal
+  /// appends, engine faults and its one degradation.
+  std::uint64_t diags = 0;
 
   /// The session-naming members of the journal header and load reply.
   void write_names(json::Writer& w) const {
@@ -238,14 +238,11 @@ bool Server::deadline_expired(const Request& req, double t0_us) const {
   return common::tracer().now_us() - t0_us > budget;
 }
 
-void Server::degrade(Session& s, const std::string& why) {
+void Server::degrade(Session& s) {
   if (s.degraded) return;
   s.degraded = true;
-  ++s.degradations;
+  ++s.diags;
   bump(&ServerCounters::degraded, "serve.degraded");
-  s.diags.report(common::Severity::kWarning, ErrorCode::kContract,
-                 "session degraded to from-scratch analysis: " + why, {},
-                 "serve");
   flight_event(obs::FlightEventKind::kDegraded, 0, s.seq, s.name);
   // Whatever cached state the incremental engine holds is suspect; make
   // the timer rebuild if it is ever consulted again.
@@ -269,13 +266,12 @@ Result<Server::Session*> Server::find_session(const Request& req) {
 }
 
 template <typename Incremental, typename Batch>
-Status Server::query(Session& s, const char* what, Incremental&& inc,
-                     Batch&& batch) {
+Status Server::query(Session& s, Incremental&& inc, Batch&& batch) {
   if (s.degraded) return run_guarded(batch);
   const Status st = run_guarded(inc);
   if (st.ok()) return st;
   const Status fallback = run_guarded(batch);
-  degrade(s, std::string(what) + " tripped the engine");
+  degrade(s);
   return fallback.ok() ? fallback : st;
 }
 
@@ -335,15 +331,13 @@ struct LoadInfo {
 [[nodiscard]] Result<std::unique_ptr<Server::Session>> build_session(
     const std::string& name, const std::string& design,
     const std::string& methodology, const std::string& tech,
-    const std::string& corner, int threads, std::size_t max_diags,
-    LoadInfo* info) {
+    const std::string& corner, int threads, LoadInfo* info) {
   auto s = std::make_unique<Server::Session>();
   s->name = name;
   s->design = design;
   s->methodology = methodology;
   s->tech = tech;
   s->corner = corner;
-  s->diags.set_capacity(max_diags);
 
   auto m = core::methodology_by_name(methodology);
   if (!m)
@@ -436,7 +430,7 @@ Server::Reply Server::cmd_load(const Request& req, double t0_us) {
   LoadInfo info;
   auto built =
       build_session(name->str, design->str, methodology, tech, corner,
-                    options_.threads, options_.max_session_diags, &info);
+                    options_.threads, &info);
   if (!built.ok()) return reject(built.status());
   if (deadline_expired(req, t0_us)) {
     // The work is done but the client's budget expired: discard the
@@ -500,8 +494,7 @@ Status Server::recover() {
         name, header.member_string("design", ""),
         header.member_string("methodology", "typical"),
         header.member_string("tech", "asic025"),
-        header.member_string("corner", ""), options_.threads,
-        options_.max_session_diags, nullptr);
+        header.member_string("corner", ""), options_.threads, nullptr);
     if (!built.ok()) continue;  // names no longer resolve; leave the file
     std::unique_ptr<Session> s = std::move(built).value();
     s->recovered = true;
@@ -527,9 +520,7 @@ Status Server::recover() {
       bump(&ServerCounters::recovered_edits, "serve.recovered_edits");
     }
     const bool diverged = i < replay.records.size();
-    if (diverged || replay.halt == ReplayHalt::kCorrupt)
-      degrade(*s, diverged ? "journal diverged from the timing engine"
-                           : "journal corrupt: " + replay.detail);
+    if (diverged || replay.halt == ReplayHalt::kCorrupt) degrade(*s);
 
     auto journal = Journal::open(path);
     if (journal.ok()) s->journal = std::move(journal).value();
@@ -547,12 +538,12 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
   if (!found.ok()) return reject(found.status());
   Session& s = **found;
   // An edit the engine refuses is counted, recorded in the flight ring
-  // and the session's diagnostics, and answered with its own code.
+  // and the session's diagnostic count, and answered with its own code.
   const auto refuse = [&](const Status& why) {
     bump(&ServerCounters::edits_rejected, "serve.edits_rejected");
     flight_event(obs::FlightEventKind::kEditRejected,
                  static_cast<std::uint32_t>(why.code()), s.seq, s.name);
-    s.diags.report(why);
+    ++s.diags;
     return reject(why);
   };
 
@@ -577,7 +568,7 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
   const Status guard_st =
       run_guarded([&] { checked = s.timer->check(edit); });
   if (!guard_st.ok()) {
-    degrade(s, guard_st.message());
+    degrade(s);
     return reject(guard_st);
   }
   if (!checked.ok()) return refuse(checked.status());
@@ -610,7 +601,7 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
     if (undo) rec.member("undo", true);
     const Status jst = s.journal.append(rec.end_object().str());
     if (!jst.ok()) {
-      s.diags.report(jst);
+      ++s.diags;
       return reject(jst);
     }
     flight_event(obs::FlightEventKind::kJournalFsync, 0,
@@ -621,8 +612,8 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
   // degrade the session (queries fall back to from-scratch analysis).
   const Result<sta::Edit> inverse = apply_edit(s, edit, undo, *checked);
   if (!inverse.ok()) {
-    degrade(s, inverse.status().message());
-    s.diags.report(inverse.status());
+    degrade(s);
+    ++s.diags;
     return reject(inverse.status());
   }
   bump(&ServerCounters::edits_applied, "serve.edits_applied");
@@ -642,9 +633,9 @@ Server::Reply Server::cmd_timing(const Request& req) {
   Session& s = **found;
 
   sta::TimingResult timing;
-  const Status st = query(
-      s, "timing query", [&] { timing = s.timer->timing(); },
-      [&] { timing = sta::analyze(*s.nl, s.timer->options()); });
+  const Status st =
+      query(s, [&] { timing = s.timer->timing(); },
+            [&] { timing = sta::analyze(*s.nl, s.timer->options()); });
   if (!st.ok()) return reject(st);
   return ok(req, [&](json::Writer& w) {
     sta::critical_path_json(w, *s.nl, timing);
@@ -671,7 +662,7 @@ Server::Reply Server::cmd_slacks(const Request& req) {
   const sta::StaOptions& opts = s.timer->options();
   std::vector<double> slacks;
   const Status st = query(
-      s, "slack query",
+      s,
       [&] {
         if (period <= 0.0) period = s.timer->timing().min_period_tau;
         slacks = s.timer->slacks(period);
@@ -700,7 +691,7 @@ Server::Reply Server::cmd_top_paths(const Request& req) {
   if (!k.ok()) return reject(k.status());
   std::vector<sta::CriticalPath> paths;
   const Status st = query(
-      s, "path query", [&] { paths = s.timer->top_paths(k.value()); },
+      s, [&] { paths = s.timer->top_paths(k.value()); },
       [&] {
         paths = sta::top_critical_paths(*s.nl, s.timer->options(), k.value());
       });
@@ -737,7 +728,7 @@ Server::Reply Server::cmd_qor(const Request& req) {
 
   qor::QorSnapshot snap;
   const Status st =
-      query(s, "qor capture", [&] { snap = qor::capture(*s.timer, opts); },
+      query(s, [&] { snap = qor::capture(*s.timer, opts); },
             [&] { snap = qor::capture(*s.nl, opts); });
   if (!st.ok()) return reject(st);
   return ok(req, [&](json::Writer& w) {
@@ -790,7 +781,7 @@ Server::Reply Server::cmd_lint(const Request& req) {
   // fallback trusts no cached state and lints afresh.
   lint::LintReport report;
   const Status st = query(
-      s, "lint run",
+      s,
       [&] {
         if (s.lint == nullptr) s.lint = std::make_unique<lint::LintCache>();
         report = s.lint->run(lint_registry_,
@@ -827,23 +818,19 @@ Server::Reply Server::cmd_stats(const Request& req) {
     });
   }
 
-  std::uint64_t dropped = 0;
-  for (const auto& [name, s] : sessions_) dropped += s->diags.dropped();
-  counters_.diags_dropped = dropped;
   return ok(req, [&](json::Writer& w) {
     w.begin_object().key("sessions").begin_array();
     for (const auto& [name, s] : sessions_) {
       w.begin_object().member("name", name).member("design", s->design);
       w.member("seq", s->seq).member("degraded", s->degraded);
       w.member("recovered", s->recovered).member("undo_depth", s->undo.size());
-      w.member("diags", s->diags.size());
-      w.member("diags_dropped", s->diags.dropped());
+      w.member("diags", s->diags);
       w.member("journal", s->journal.is_open());
       w.member("instances", s->nl->num_instances());
       w.member("nets", s->nl->num_nets());
       w.member("journal_bytes", s->journal.bytes_appended());
       w.member("edits_applied", s->edits_applied);
-      w.member("degradations", s->degradations).end_object();
+      w.member("degradations", s->degraded ? 1 : 0).end_object();
     }
     const ServerCounters& c = counters_;
     w.end_array().key("counters").begin_object();
@@ -855,8 +842,7 @@ Server::Reply Server::cmd_stats(const Request& req) {
     w.member("deadline_exceeded", c.deadline_exceeded);
     w.member("oversized_frames", c.oversized_frames);
     w.member("recovered_sessions", c.recovered_sessions);
-    w.member("recovered_edits", c.recovered_edits);
-    w.member("diags_dropped", c.diags_dropped).end_object().end_object();
+    w.member("recovered_edits", c.recovered_edits).end_object().end_object();
   });
 }
 

@@ -14,8 +14,8 @@
 ///    journals at startup, so a SIGKILLed server comes back answering
 ///    byte-identically to one that never died.
 ///  - **Watchdogs and limits.** Per-request deadlines (trace clock),
-///    bounded session count, bounded per-session journal growth and
-///    diagnostic retention — all overflow as coded "overloaded" /
+///    bounded session count and bounded per-session journal growth —
+///    all overflow as coded "overloaded" /
 ///    "deadline" replies plus counters, never as unbounded growth.
 ///  - **Graceful degradation.** If replay finds interior corruption or
 ///    the incremental engine trips a contract, the session flips to
@@ -55,8 +55,6 @@ struct ServerOptions {
   std::size_t max_frame_bytes = 1u << 20;
   /// Edit records per session journal before edits bounce "overloaded".
   std::uint64_t max_journal_edits = 100000;
-  /// Per-session DiagnosticEngine retention cap (older entries dropped).
-  std::size_t max_session_diags = 256;
   /// Undo history depth per session.
   std::size_t max_undo_depth = 64;
   /// Default per-request budget in microseconds (0 = no deadline).
@@ -87,7 +85,6 @@ struct ServerCounters {
   std::uint64_t oversized_frames = 0;
   std::uint64_t recovered_sessions = 0;
   std::uint64_t recovered_edits = 0;
-  std::uint64_t diags_dropped = 0;    ///< across live sessions (retention)
 };
 
 class Server {
@@ -172,10 +169,9 @@ class Server {
   /// on the resident timer normally, `batch` from scratch when degraded.
   /// Both produce byte-identical numbers (the timer's contract), so
   /// degradation is invisible in replies. If `inc` trips, the session is
-  /// degraded ("<what> tripped the engine") and `batch` answers instead.
+  /// degraded and `batch` answers instead.
   template <typename Incremental, typename Batch>
-  common::Status query(Session& s, const char* what, Incremental&& inc,
-                       Batch&& batch);
+  common::Status query(Session& s, Incremental&& inc, Batch&& batch);
   /// Apply one committed edit, live or replayed from the journal: spend
   /// its seq, run the engine, keep the dataflow lattice in sync, then
   /// push the inverse onto the undo stack (capped), or pop it for an
@@ -185,7 +181,7 @@ class Server {
   common::Result<sta::Edit> apply_edit(
       Session& s, const sta::Edit& edit, bool undo,
       std::optional<std::uint64_t> checked_at = std::nullopt);
-  void degrade(Session& s, const std::string& why);
+  void degrade(Session& s);
   [[nodiscard]] std::string journal_path(const std::string& session) const;
   /// True once the request's budget ("deadline_us", else the server
   /// default; <= 0 means none) has run out.

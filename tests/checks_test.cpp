@@ -14,9 +14,9 @@ using library::Family;
 using library::Func;
 
 bool mentions(const CheckResult& r, const std::string& needle) {
-  return std::any_of(r.problems.begin(), r.problems.end(),
-                     [&](const std::string& p) {
-                       return p.find(needle) != std::string::npos;
+  return std::any_of(r.diagnostics.begin(), r.diagnostics.end(),
+                     [&](const common::Diagnostic& d) {
+                       return d.message.find(needle) != std::string::npos;
                      });
 }
 
@@ -38,7 +38,6 @@ TEST_F(ChecksTest, CleanNetlistHasNoDiagnostics) {
 
   const CheckResult r = verify(nl);
   EXPECT_TRUE(r.ok());
-  EXPECT_TRUE(r.problems.empty());
   EXPECT_TRUE(r.diagnostics.empty());
 }
 
@@ -97,8 +96,9 @@ TEST_F(ChecksTest, CycleMessageIsSortedAndInsertionOrderInvariant) {
     }
     nl.add_output("y", n2);
     const CheckResult r = verify(nl);
-    for (const std::string& p : r.problems)
-      if (p.find("combinational cycle") != std::string::npos) return p;
+    for (const common::Diagnostic& d : r.diagnostics)
+      if (d.message.find("combinational cycle") != std::string::npos)
+        return d.message;
     return std::string();
   };
 
@@ -151,10 +151,10 @@ TEST_F(ChecksTest, AllViolationsCollectedInOnePass) {
   EXPECT_TRUE(mentions(r, "'dang' has sinks but no driver"));
   EXPECT_TRUE(mentions(r, "'n1' has 2 drivers"));
   EXPECT_TRUE(mentions(r, "combinational cycle"));
-  EXPECT_GE(r.problems.size(), 3u);
+  EXPECT_GE(r.diagnostics.size(), 3u);
 }
 
-TEST_F(ChecksTest, DiagnosticsMirrorProblemsWithCodes) {
+TEST_F(ChecksTest, DiagnosticsCarryStructuralCodes) {
   Netlist nl("bad", &lib_);
   const NetId dang = nl.add_net("dang");
   const NetId out = nl.add_net("out");
@@ -162,10 +162,8 @@ TEST_F(ChecksTest, DiagnosticsMirrorProblemsWithCodes) {
   nl.add_output("y", out);
 
   const CheckResult r = verify(nl);
-  ASSERT_EQ(r.diagnostics.size(), r.problems.size());
-  for (std::size_t i = 0; i < r.diagnostics.size(); ++i) {
-    const common::Diagnostic& d = r.diagnostics[i];
-    EXPECT_EQ(d.message, r.problems[i]);
+  ASSERT_FALSE(r.diagnostics.empty());
+  for (const common::Diagnostic& d : r.diagnostics) {
     EXPECT_EQ(d.code, common::ErrorCode::kStructural);
     EXPECT_EQ(d.severity, common::Severity::kError);
     EXPECT_EQ(d.where, "netlist:bad");

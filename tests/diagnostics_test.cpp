@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "common/diagnostics.hpp"
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
 
@@ -28,6 +27,8 @@ TEST(StatusTest, ErrorCarriesCodeMessageAndLocation) {
   EXPECT_EQ(s.loc().column, 7);
   EXPECT_EQ(s.where(), "liberty");
   EXPECT_EQ(s.to_string(), "error[parse] liberty:12:7: expected ';'");
+  EXPECT_EQ(s.to_diagnostic().format(),
+            "error[parse] liberty:12:7: expected ';'");
 }
 
 TEST(StatusTest, RenderingWithoutLocationOrWhere) {
@@ -36,6 +37,11 @@ TEST(StatusTest, RenderingWithoutLocationOrWhere) {
   const Diagnostic d = s.to_diagnostic(Severity::kWarning);
   EXPECT_EQ(d.severity, Severity::kWarning);
   EXPECT_EQ(d.format(), "warning[io]: cannot read 'x'");
+  Diagnostic note;
+  note.severity = Severity::kNote;
+  note.code = ErrorCode::kOk;
+  note.message = "fyi";
+  EXPECT_EQ(note.format(), "note[ok]: fyi");
 }
 
 TEST(StatusTest, EveryCodeHasAName) {
@@ -71,49 +77,6 @@ TEST(ResultTest, MoveOutOfResult) {
 TEST(ResultDeathTest, ValueOnFailedResultIsContractViolation) {
   const Result<int> bad(Status::error(ErrorCode::kParse, "nope"));
   EXPECT_DEATH((void)bad.value(), "Precondition");
-}
-
-TEST(DiagnosticEngineTest, CollectsAndCounts) {
-  DiagnosticEngine engine;
-  EXPECT_FALSE(engine.has_errors());
-  engine.report(Severity::kNote, ErrorCode::kOk, "fyi");
-  engine.report(Severity::kWarning, ErrorCode::kInvalidValue, "odd value",
-                SourceLoc{3, 1}, "liberty");
-  engine.report(Status::error(ErrorCode::kParse, "bad token", SourceLoc{9, 2},
-                              "verilog"));
-  EXPECT_EQ(engine.size(), 3u);
-  EXPECT_EQ(engine.count_at_least(Severity::kWarning), 2u);
-  EXPECT_EQ(engine.count_at_least(Severity::kError), 1u);
-  EXPECT_TRUE(engine.has_errors());
-  const std::vector<Diagnostic> all = engine.diagnostics();
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_NE(all[0].format().find("note[ok]: fyi"), std::string::npos);
-  EXPECT_NE(all[2].format().find("error[parse] verilog:9:2: bad token"),
-            std::string::npos);
-  engine.clear();
-  EXPECT_EQ(engine.size(), 0u);
-}
-
-TEST(DiagnosticEngineTest, OkStatusIsNotRecorded) {
-  DiagnosticEngine engine;
-  engine.report(Status{});
-  EXPECT_EQ(engine.size(), 0u);
-}
-
-TEST(DiagnosticEngineTest, ThreadSafeUnderParallelFor) {
-  DiagnosticEngine engine;
-  constexpr std::size_t kReports = 2000;
-  parallel_for(4, kReports, [&](std::size_t i) {
-    engine.report(i % 2 ? Severity::kWarning : Severity::kError,
-                  ErrorCode::kStructural, "r" + std::to_string(i),
-                  SourceLoc{static_cast<int>(i) + 1, 1}, "par");
-  });
-  EXPECT_EQ(engine.size(), kReports);
-  EXPECT_EQ(engine.count_at_least(Severity::kError), kReports / 2);
-  // Every report arrived intact (arrival order is unspecified).
-  std::set<std::string> seen;
-  for (const Diagnostic& d : engine.diagnostics()) seen.insert(d.message);
-  EXPECT_EQ(seen.size(), kReports);
 }
 
 TEST(ContractCaptureTest, CaptureTurnsAbortIntoException) {
@@ -155,69 +118,6 @@ TEST(ContractCaptureTest, CaptureIsThreadLocal) {
 TEST(ContractCaptureDeathTest, OutsideCaptureContractsStillAbort) {
   EXPECT_FALSE(contract_capture_active());
   EXPECT_DEATH(GAP_EXPECTS(false), "Precondition");
-}
-
-
-TEST(DiagnosticCapTest, UnboundedByDefault) {
-  DiagnosticEngine de;
-  EXPECT_EQ(de.capacity(), 0u);
-  for (int i = 0; i < 1000; ++i)
-    de.report(Severity::kWarning, ErrorCode::kLint, "w");
-  EXPECT_EQ(de.size(), 1000u);
-  EXPECT_EQ(de.dropped(), 0u);
-}
-
-TEST(DiagnosticCapTest, CapDropsAndCounts) {
-  DiagnosticEngine de;
-  de.set_capacity(3);
-  for (int i = 0; i < 10; ++i)
-    de.report(Severity::kError, ErrorCode::kParse, "e" + std::to_string(i));
-  EXPECT_EQ(de.size(), 3u);
-  EXPECT_EQ(de.dropped(), 7u);
-  // The retained entries are the oldest ones (arrival order).
-  const auto all = de.diagnostics();
-  EXPECT_EQ(all.front().message, "e0");
-  EXPECT_EQ(all.back().message, "e2");
-  // Counts still reflect only what is retained; the drop counter is the
-  // caller's signal that history was truncated.
-  EXPECT_TRUE(de.has_errors());
-}
-
-TEST(DiagnosticCapTest, ShrinkingDiscardsNewestSurplus) {
-  DiagnosticEngine de;
-  for (int i = 0; i < 5; ++i)
-    de.report(Severity::kNote, ErrorCode::kOk, "n" + std::to_string(i));
-  de.set_capacity(2);
-  EXPECT_EQ(de.size(), 2u);
-  EXPECT_EQ(de.dropped(), 3u);
-  EXPECT_EQ(de.diagnostics().back().message, "n1");
-}
-
-TEST(DiagnosticCapTest, ClearResetsDropCounter) {
-  DiagnosticEngine de;
-  de.set_capacity(1);
-  de.report(Severity::kError, ErrorCode::kIo, "a");
-  de.report(Severity::kError, ErrorCode::kIo, "b");
-  EXPECT_EQ(de.dropped(), 1u);
-  de.clear();
-  EXPECT_EQ(de.dropped(), 0u);
-  EXPECT_EQ(de.size(), 0u);
-  // Capacity survives clear(); retention is a property of the engine.
-  de.report(Severity::kError, ErrorCode::kIo, "c");
-  de.report(Severity::kError, ErrorCode::kIo, "d");
-  EXPECT_EQ(de.size(), 1u);
-  EXPECT_EQ(de.dropped(), 1u);
-}
-
-TEST(DiagnosticCapTest, ConcurrentReportingStaysBounded) {
-  DiagnosticEngine de;
-  de.set_capacity(16);
-  parallel_for(4, 400, [&](std::size_t i) {
-    de.report(Severity::kWarning, ErrorCode::kLint,
-              "w" + std::to_string(i));
-  });
-  EXPECT_EQ(de.size(), 16u);
-  EXPECT_EQ(de.dropped(), 384u);
 }
 
 }  // namespace

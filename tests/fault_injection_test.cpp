@@ -896,9 +896,9 @@ std::vector<CliTool> cli_tools(const std::string& dir) {
        [](const Argv& args) { return run_c_argv(lint::run_gaplint, args); }},
       {"gapd",
        {{"--threads", "2", "--max-sessions", "4", "--max-frame-bytes", "4096",
-         "--max-journal-edits", "100", "--max-session-diags", "16",
-         "--deadline-us", "1000", "--expose-interval", "10",
-         "--flight-capacity", "64", "--no-recover"}},
+         "--max-journal-edits", "100", "--deadline-us", "1000",
+         "--expose-interval", "10", "--flight-capacity", "64",
+         "--no-recover"}},
        {0, 2, 5},
        [](const Argv& args) {
          std::vector<const char*> argv;

@@ -167,8 +167,11 @@ TEST_F(ParallelConsumers, SweepBitIdenticalAcrossThreadCounts) {
   const auto parallel = netlist::sweep_parameters(nl_, points, metric, {4});
   EXPECT_EQ(serial, parallel);
 
-  // Spot-check the sweep really perturbs: a longer-wire point must
-  // differ from the identity point evaluated on the untouched netlist.
+  // The sweep really perturbs: the last point's extra cap (8.0 units per
+  // net) moves the period off the untouched netlist's, and the identity
+  // point reproduces it. The fixture is unplaced, so wire_length_scale
+  // alone would change nothing.
+  EXPECT_NE(serial.back(), metric(nl_));
   EXPECT_EQ(netlist::sweep_parameters(nl_, {netlist::SweepPoint{}}, metric)[0],
             metric(nl_));
 }

@@ -994,12 +994,13 @@ TEST(ServeSoak, TenThousandRequestsPlusGarbageStayConsistent) {
             static_cast<std::uint64_t>(kTotal) + 1);
   EXPECT_EQ(server.counters().errors, error_replies);
 
-  // Bounded-growth invariants (the RSS proxies): per-session diagnostics
-  // and undo history are capped, and the session never degraded.
+  // Bounded-growth invariant (the RSS proxy): undo history is capped.
+  // The session never degraded and no journal append failed, so every
+  // diagnostic it counted is a refused edit.
   const Value stats = checked_reply(server.handle_line("{\"cmd\":\"stats\"}"));
   const Value& session = stats.find("result")->find("sessions")->array.at(0);
-  EXPECT_LE(session.member_number("diags", 1e9),
-            static_cast<double>(opt.max_session_diags));
+  EXPECT_EQ(session.member_number("diags", -1),
+            static_cast<double>(server.counters().edits_rejected));
   EXPECT_LE(session.member_number("undo_depth", 1e9), 64.0);
   EXPECT_FALSE(session.find("degraded")->boolean);
 
@@ -1047,8 +1048,7 @@ TEST(ServeCli, UsageErrorsExitTwo) {
 TEST(ServeCli, FractionalIntegerFlagsExitTwo) {
   for (const char* flag :
        {"--threads", "--max-sessions", "--max-frame-bytes",
-        "--max-journal-edits", "--max-session-diags", "--expose-interval",
-        "--flight-capacity"}) {
+        "--max-journal-edits", "--expose-interval", "--flight-capacity"}) {
     std::istringstream in;
     std::ostringstream out, err;
     const char* argv[] = {flag, "100.5"};
