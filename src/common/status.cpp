@@ -16,6 +16,8 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::kIo: return "io";
     case ErrorCode::kInternal: return "internal";
     case ErrorCode::kLint: return "lint";
+    case ErrorCode::kOverloaded: return "overloaded";
+    case ErrorCode::kDeadline: return "deadline";
   }
   return "unknown";
 }

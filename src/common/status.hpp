@@ -16,7 +16,8 @@
 
 namespace gap::common {
 
-/// Stable error taxonomy. The CLI maps these to its documented exit codes
+/// Stable error taxonomy, the one vocabulary of CLI diagnostics and gapd
+/// error replies. The CLI maps these to its documented exit codes
 /// (core/driver.hpp), so renumbering is an interface change.
 enum class ErrorCode : std::uint8_t {
   kOk = 0,
@@ -31,6 +32,8 @@ enum class ErrorCode : std::uint8_t {
   kIo,            ///< file read/write failure
   kInternal,      ///< unexpected internal failure
   kLint,          ///< design static-analysis finding (gap::lint)
+  kOverloaded,    ///< gapd backpressure: a resource cap would be exceeded
+  kDeadline,      ///< gapd watchdog: the per-request deadline expired
 };
 
 [[nodiscard]] const char* to_string(ErrorCode code);

@@ -263,7 +263,9 @@ int exit_code_for(ErrorCode code) {
     case ErrorCode::kStructural:
     case ErrorCode::kContract:
     case ErrorCode::kInternal:
-    case ErrorCode::kLint: return 6;
+    case ErrorCode::kLint:
+    case ErrorCode::kOverloaded:  // gapd-only; no CLI produces these
+    case ErrorCode::kDeadline: return 6;
   }
   return 6;
 }

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace gap::serve {
@@ -8,43 +9,6 @@ namespace json = common::json;
 using common::ErrorCode;
 using common::Result;
 using common::Status;
-
-const char* to_string(ReplyCode code) {
-  switch (code) {
-    case ReplyCode::kUsage: return "usage";
-    case ReplyCode::kMissingValue: return "missing_value";
-    case ReplyCode::kUnknownName: return "unknown_name";
-    case ReplyCode::kParse: return "parse";
-    case ReplyCode::kInvalidValue: return "invalid_value";
-    case ReplyCode::kDuplicate: return "duplicate";
-    case ReplyCode::kStructural: return "structural";
-    case ReplyCode::kContract: return "contract";
-    case ReplyCode::kIo: return "io";
-    case ReplyCode::kInternal: return "internal";
-    case ReplyCode::kLint: return "lint";
-    case ReplyCode::kOverloaded: return "overloaded";
-    case ReplyCode::kDeadline: return "deadline";
-  }
-  return "internal";
-}
-
-ReplyCode reply_code(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kOk: return ReplyCode::kInternal;  // not an error
-    case ErrorCode::kUsage: return ReplyCode::kUsage;
-    case ErrorCode::kMissingValue: return ReplyCode::kMissingValue;
-    case ErrorCode::kUnknownName: return ReplyCode::kUnknownName;
-    case ErrorCode::kParse: return ReplyCode::kParse;
-    case ErrorCode::kInvalidValue: return ReplyCode::kInvalidValue;
-    case ErrorCode::kDuplicate: return ReplyCode::kDuplicate;
-    case ErrorCode::kStructural: return ReplyCode::kStructural;
-    case ErrorCode::kContract: return ReplyCode::kContract;
-    case ErrorCode::kIo: return ReplyCode::kIo;
-    case ErrorCode::kInternal: return ReplyCode::kInternal;
-    case ErrorCode::kLint: return ReplyCode::kLint;
-  }
-  return ReplyCode::kInternal;
-}
 
 Result<Request> parse_request(const std::string& line,
                               std::size_t max_frame_bytes) {
@@ -93,13 +57,15 @@ std::string ok_reply(const std::string& id_json,
   return w.take();
 }
 
-std::string error_reply(const std::string& id_json, ReplyCode code,
-                        const std::string& message, common::SourceLoc loc) {
+std::string error_reply(const std::string& id_json, const Status& st) {
+  std::string code = common::to_string(st.code());
+  std::replace(code.begin(), code.end(), '-', '_');
   json::Writer w;
   w.begin_object().member("serve", kProtocolName).key("id").raw(id_json);
   w.member("ok", false).key("error").begin_object();
-  w.member("code", to_string(code)).member("message", message);
-  if (loc.valid()) w.member("line", loc.line).member("column", loc.column);
+  w.member("code", code).member("message", st.message());
+  if (st.loc().valid())
+    w.member("line", st.loc().line).member("column", st.loc().column);
   w.end_object().end_object();
   return w.take();
 }

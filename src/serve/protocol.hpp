@@ -13,12 +13,11 @@
 ///   {"serve":"gap-serve-v1","id":7,"ok":false,
 ///    "error":{"code":"invalid_value","message":"...","line":1,"column":9}}
 ///
-/// Error codes on the wire are the common::ErrorCode taxonomy in
-/// lower_snake spelling plus two serve-level conditions: "overloaded"
-/// (backpressure: session/journal caps reached) and "deadline" (the
-/// request's watchdog budget expired).
+/// Error codes on the wire are the common::ErrorCode taxonomy, spelled
+/// as common::to_string does with '_' for '-' ("missing_value"). Two of
+/// its codes only gapd raises: "overloaded" (backpressure: session/journal
+/// caps reached) and "deadline" (the request's watchdog budget expired).
 
-#include <cstdint>
 #include <string>
 
 #include "common/json.hpp"
@@ -28,29 +27,6 @@
 namespace gap::serve {
 
 inline constexpr const char* kProtocolName = "gap-serve-v1";
-
-/// Wire error vocabulary: common::ErrorCode plus serve-level conditions.
-enum class ReplyCode : std::uint8_t {
-  kUsage,
-  kMissingValue,
-  kUnknownName,
-  kParse,
-  kInvalidValue,
-  kDuplicate,
-  kStructural,
-  kContract,
-  kIo,
-  kInternal,
-  kLint,
-  kOverloaded,  ///< backpressure: a resource cap would be exceeded
-  kDeadline,    ///< watchdog: the per-request deadline expired
-};
-
-/// Stable wire spelling ("invalid_value", "overloaded", ...).
-[[nodiscard]] const char* to_string(ReplyCode code);
-
-/// Map a diagnostics-layer code onto the wire vocabulary.
-[[nodiscard]] ReplyCode reply_code(common::ErrorCode code);
 
 /// One parsed request frame. `id_json` is the compact re-serialization of
 /// the frame's "id" member ("null" when absent), echoed verbatim into the
@@ -76,12 +52,11 @@ void begin_ok_reply(common::json::Writer& w, const std::string& id_json);
 [[nodiscard]] std::string ok_reply(const std::string& id_json,
                                    const std::string& result_json);
 
-/// Build the single-line error reply. `loc`, when valid, adds
-/// line/column members locating the offending byte of the request.
+/// Build the single-line error reply for a failed `st`. Its location,
+/// when valid, adds line/column members locating the offending byte of
+/// the request.
 [[nodiscard]] std::string error_reply(const std::string& id_json,
-                                      ReplyCode code,
-                                      const std::string& message,
-                                      common::SourceLoc loc = {});
+                                      const common::Status& st);
 
 // --- Edit codec: the sta::Edit API as the wire payload -------------------
 

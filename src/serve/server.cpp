@@ -5,8 +5,10 @@
 #include <exception>
 #include <filesystem>
 #include <istream>
+#include <iterator>
 #include <optional>
 #include <ostream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,6 +38,37 @@ using common::Status;
 
 namespace {
 
+/// Every ServerCounters field with the common::metrics() counter that
+/// mirrors it. Its name without the "serve." prefix is the field's member
+/// of the `stats` counters object, emitted in this order.
+struct CounterName {
+  std::uint64_t ServerCounters::* field;
+  std::string_view metric;
+};
+constexpr std::string_view kCounterPrefix = "serve.";
+constexpr CounterName kCounters[] = {
+    {&ServerCounters::requests, "serve.requests"},
+    {&ServerCounters::errors, "serve.errors"},
+    {&ServerCounters::edits_applied, "serve.edits_applied"},
+    {&ServerCounters::edits_rejected, "serve.edits_rejected"},
+    {&ServerCounters::degraded, "serve.degraded"},
+    {&ServerCounters::journal_overflow, "serve.journal_overflow"},
+    {&ServerCounters::overloaded, "serve.overloaded"},
+    {&ServerCounters::deadline_exceeded, "serve.deadline_exceeded"},
+    {&ServerCounters::oversized_frames, "serve.oversized_frames"},
+    {&ServerCounters::recovered_sessions, "serve.recovered_sessions"},
+    {&ServerCounters::recovered_edits, "serve.recovered_edits"},
+};
+static_assert(sizeof(ServerCounters) ==
+                  std::size(kCounters) * sizeof(std::uint64_t),
+              "every ServerCounters field needs a kCounters row");
+
+constexpr std::size_t counter_row(std::uint64_t ServerCounters::* field) {
+  std::size_t i = 0;
+  while (kCounters[i].field != field) ++i;
+  return i;
+}
+
 [[nodiscard]] bool valid_session_name(const std::string& name) {
   if (name.empty() || name.size() > 64) return false;
   for (char c : name) {
@@ -59,6 +92,20 @@ template <typename Fn>
   } catch (const std::exception& e) {
     return Status::error(ErrorCode::kInternal, e.what(), {}, "serve");
   }
+}
+
+/// Optional string parameter: absent means `def`; any other type is an
+/// error naming the member, never a silent fall back to the default.
+[[nodiscard]] Result<std::string> string_param(const json::Value& frame,
+                                               const char* key,
+                                               const char* def) {
+  const json::Value* f = frame.find(key);
+  if (f == nullptr) return std::string(def);
+  if (!f->is_string())
+    return Status::error(ErrorCode::kInvalidValue,
+                         std::string("\"") + key + "\" must be a string", {},
+                         "serve");
+  return f->str;
 }
 
 /// Optional positive-integer parameter with range checking.
@@ -154,26 +201,15 @@ struct Server::Session {
   }
 };
 
-Server::Reply Server::reject(ReplyCode code, std::string message,
-                             common::SourceLoc loc) {
-  return {{}, code, std::move(message), loc};
-}
-
-Server::Reply Server::reject(const Status& st) {
-  return reject(reply_code(st.code()), st.message(), st.loc());
-}
-
 template <typename Render>
-Server::Reply Server::ok(const Request& req, Render&& render) {
+Result<std::string> Server::ok(const Request& req, Render&& render) {
   json::Writer w;
   begin_ok_reply(w, req.id_json);
   render(w);
   w.end_object();
   if (!w.ok())
-    return reject(ReplyCode::kInternal, "result holds a " + w.error());
-  Reply reply;
-  reply.line = w.take();
-  return reply;
+    return Status::error(ErrorCode::kInternal, "result holds a " + w.error());
+  return w.take();
 }
 
 Server::Server(ServerOptions options)
@@ -183,10 +219,15 @@ Server::Server(ServerOptions options)
       flight_(options_.flight_capacity) {}
 Server::~Server() = default;
 
-void Server::bump(std::uint64_t ServerCounters::* field, const char* metric,
-                  std::uint64_t n) {
-  counters_.*field += n;
-  common::metrics().counter(metric).add(n);
+template <std::uint64_t ServerCounters::* Field>
+void Server::bump() {
+  constexpr std::size_t row = counter_row(Field);
+  // Resolved on the first bump, so the registry lists a counter only
+  // once it has moved.
+  static common::Counter& mirror =
+      common::metrics().counter(std::string(kCounters[row].metric));
+  ++(counters_.*Field);
+  mirror.add(1);
 }
 
 void Server::flight_event(obs::FlightEventKind kind, std::uint32_t code,
@@ -230,19 +271,19 @@ std::string Server::journal_path(const std::string& session) const {
   return options_.journal_dir + "/" + session + ".gapj";
 }
 
-bool Server::deadline_expired(const Request& req, double t0_us) const {
+bool Server::deadline_expired(const Request& req) const {
   double budget = options_.default_deadline_us;
   // dispatch() has already rejected a "deadline_us" that is not a number.
   if (const json::Value* d = req.frame.find("deadline_us")) budget = d->num;
   if (budget <= 0.0) return false;
-  return common::tracer().now_us() - t0_us > budget;
+  return common::tracer().now_us() - cur_t0_us_ > budget;
 }
 
 void Server::degrade(Session& s) {
   if (s.degraded) return;
   s.degraded = true;
   ++s.diags;
-  bump(&ServerCounters::degraded, "serve.degraded");
+  bump<&ServerCounters::degraded>();
   flight_event(obs::FlightEventKind::kDegraded, 0, s.seq, s.name);
   // Whatever cached state the incremental engine holds is suspect; make
   // the timer rebuild if it is ever consulted again.
@@ -401,43 +442,47 @@ struct LoadInfo {
 
 }  // namespace
 
-Server::Reply Server::cmd_load(const Request& req, double t0_us) {
+Result<std::string> Server::cmd_load(const Request& req) {
   const json::Value* name = req.frame.find("session");
   if (name == nullptr || !name->is_string() ||
       !valid_session_name(name->str))
-    return reject(
-        ReplyCode::kInvalidValue,
+    return Status::error(
+        ErrorCode::kInvalidValue,
         "load needs a \"session\" name matching [A-Za-z0-9_-]{1,64}");
   if (sessions_.count(name->str) != 0)
-    return reject(ReplyCode::kDuplicate,
-                  "session '" + name->str + "' already exists");
+    return Status::error(ErrorCode::kDuplicate,
+                         "session '" + name->str + "' already exists");
   if (sessions_.size() >= options_.max_sessions) {
-    bump(&ServerCounters::overloaded, "serve.overloaded");
+    bump<&ServerCounters::overloaded>();
     flight_event(obs::FlightEventKind::kOverloaded, 0, sessions_.size(),
                  "load");
-    return reject(ReplyCode::kOverloaded,
-                  "session limit (" + std::to_string(options_.max_sessions) +
-                      ") reached");
+    return Status::error(ErrorCode::kOverloaded,
+                         "session limit (" +
+                             std::to_string(options_.max_sessions) +
+                             ") reached");
   }
   const json::Value* design = req.frame.find("design");
   if (design == nullptr || !design->is_string())
-    return reject(ReplyCode::kMissingValue, "load needs a \"design\" string");
-  const std::string methodology =
-      req.frame.member_string("methodology", "typical");
-  const std::string tech = req.frame.member_string("tech", "asic025");
-  const std::string corner = req.frame.member_string("corner", "");
+    return Status::error(ErrorCode::kMissingValue,
+                         "load needs a \"design\" string");
+  const auto methodology = string_param(req.frame, "methodology", "typical");
+  if (!methodology.ok()) return methodology.status();
+  const auto tech = string_param(req.frame, "tech", "asic025");
+  if (!tech.ok()) return tech.status();
+  const auto corner = string_param(req.frame, "corner", "");
+  if (!corner.ok()) return corner.status();
 
   LoadInfo info;
-  auto built =
-      build_session(name->str, design->str, methodology, tech, corner,
-                    options_.threads, &info);
-  if (!built.ok()) return reject(built.status());
-  if (deadline_expired(req, t0_us)) {
+  auto built = build_session(name->str, design->str, *methodology, *tech,
+                             *corner, options_.threads, &info);
+  if (!built.ok()) return built.status();
+  if (deadline_expired(req)) {
     // The work is done but the client's budget expired: discard the
     // session so a retry sees a clean slate, and say what happened.
-    bump(&ServerCounters::deadline_exceeded, "serve.deadline_exceeded");
+    bump<&ServerCounters::deadline_exceeded>();
     flight_event(obs::FlightEventKind::kDeadline, 0, 0, "load");
-    return reject(ReplyCode::kDeadline, "load exceeded the request deadline");
+    return Status::error(ErrorCode::kDeadline,
+                         "load exceeded the request deadline");
   }
   std::unique_ptr<Session> s = std::move(built).value();
   if (!options_.journal_dir.empty()) {
@@ -449,7 +494,7 @@ Server::Reply Server::cmd_load(const Request& req, double t0_us) {
     } else {
       append_st = journal.status();
     }
-    if (!append_st.ok()) return reject(append_st);
+    if (!append_st.ok()) return append_st;
   }
 
   const Session& loaded = *s;
@@ -517,14 +562,14 @@ Status Server::recover() {
           !apply_edit(*s, *edit, undo_flag != nullptr && undo_flag->boolean)
                .ok())
         break;
-      bump(&ServerCounters::recovered_edits, "serve.recovered_edits");
+      bump<&ServerCounters::recovered_edits>();
     }
     const bool diverged = i < replay.records.size();
     if (diverged || replay.halt == ReplayHalt::kCorrupt) degrade(*s);
 
     auto journal = Journal::open(path);
     if (journal.ok()) s->journal = std::move(journal).value();
-    bump(&ServerCounters::recovered_sessions, "serve.recovered_sessions");
+    bump<&ServerCounters::recovered_sessions>();
     flight_event(obs::FlightEventKind::kRecovered, 0, s->seq, name);
     sessions_[name] = std::move(s);
   }
@@ -533,30 +578,28 @@ Status Server::recover() {
 
 // --- edits ---------------------------------------------------------------
 
-Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
-  auto found = find_session(req);
-  if (!found.ok()) return reject(found.status());
-  Session& s = **found;
+Result<std::string> Server::cmd_edit(const Request& req, Session& s) {
+  const bool undo = req.cmd == "undo";
   // An edit the engine refuses is counted, recorded in the flight ring
   // and the session's diagnostic count, and answered with its own code.
   const auto refuse = [&](const Status& why) {
-    bump(&ServerCounters::edits_rejected, "serve.edits_rejected");
+    bump<&ServerCounters::edits_rejected>();
     flight_event(obs::FlightEventKind::kEditRejected,
                  static_cast<std::uint32_t>(why.code()), s.seq, s.name);
     ++s.diags;
-    return reject(why);
+    return why;
   };
 
   sta::Edit edit;
   if (undo) {
     if (s.undo.empty())
-      return reject(ReplyCode::kInvalidValue, "nothing to undo");
+      return Status::error(ErrorCode::kInvalidValue, "nothing to undo");
     edit = s.undo.back();
   } else {
     const json::Value* edit_json = req.frame.find("edit");
     if (edit_json == nullptr)
-      return reject(ReplyCode::kMissingValue,
-                    "edit needs an \"edit\" object");
+      return Status::error(ErrorCode::kMissingValue,
+                           "edit needs an \"edit\" object");
     auto parsed = edit_from_json(*edit_json);
     if (!parsed.ok()) return refuse(parsed.status());
     edit = std::move(parsed).value();
@@ -569,25 +612,25 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
       run_guarded([&] { checked = s.timer->check(edit); });
   if (!guard_st.ok()) {
     degrade(s);
-    return reject(guard_st);
+    return guard_st;
   }
   if (!checked.ok()) return refuse(checked.status());
 
   // 2. Watchdog checks, before any side effect.
-  if (deadline_expired(req, t0_us)) {
-    bump(&ServerCounters::deadline_exceeded, "serve.deadline_exceeded");
+  if (deadline_expired(req)) {
+    bump<&ServerCounters::deadline_exceeded>();
     flight_event(obs::FlightEventKind::kDeadline, 0, s.seq, "edit");
-    return reject(ReplyCode::kDeadline,
-                  "deadline expired before the edit was committed");
+    return Status::error(ErrorCode::kDeadline,
+                         "deadline expired before the edit was committed");
   }
   if (s.journal.is_open() && s.seq >= options_.max_journal_edits) {
-    bump(&ServerCounters::overloaded, "serve.overloaded");
-    bump(&ServerCounters::journal_overflow, "serve.journal_overflow");
+    bump<&ServerCounters::overloaded>();
+    bump<&ServerCounters::journal_overflow>();
     flight_event(obs::FlightEventKind::kOverloaded, 0, s.seq, s.name);
-    return reject(ReplyCode::kOverloaded,
-                  "session journal is full (" +
-                      std::to_string(options_.max_journal_edits) +
-                      " edits)");
+    return Status::error(ErrorCode::kOverloaded,
+                         "session journal is full (" +
+                             std::to_string(options_.max_journal_edits) +
+                             " edits)");
   }
 
   // 3. Commit to the journal first (write-ahead): a crash after this
@@ -602,7 +645,7 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
     const Status jst = s.journal.append(rec.end_object().str());
     if (!jst.ok()) {
       ++s.diags;
-      return reject(jst);
+      return jst;
     }
     flight_event(obs::FlightEventKind::kJournalFsync, 0,
                  s.journal.bytes_appended(), s.name);
@@ -614,9 +657,9 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
   if (!inverse.ok()) {
     degrade(s);
     ++s.diags;
-    return reject(inverse.status());
+    return inverse.status();
   }
-  bump(&ServerCounters::edits_applied, "serve.edits_applied");
+  bump<&ServerCounters::edits_applied>();
   ++s.edits_applied;
   return ok(req, [&](json::Writer& w) {
     w.begin_object().member("seq", s.seq).key(undo ? "edit" : "undo");
@@ -627,35 +670,27 @@ Server::Reply Server::cmd_edit(const Request& req, bool undo, double t0_us) {
 
 // --- queries -------------------------------------------------------------
 
-Server::Reply Server::cmd_timing(const Request& req) {
-  auto found = find_session(req);
-  if (!found.ok()) return reject(found.status());
-  Session& s = **found;
-
+Result<std::string> Server::cmd_timing(const Request& req, Session& s) {
   sta::TimingResult timing;
   const Status st =
       query(s, [&] { timing = s.timer->timing(); },
             [&] { timing = sta::analyze(*s.nl, s.timer->options()); });
-  if (!st.ok()) return reject(st);
+  if (!st.ok()) return st;
   return ok(req, [&](json::Writer& w) {
     sta::critical_path_json(w, *s.nl, timing);
   });
 }
 
-Server::Reply Server::cmd_slacks(const Request& req) {
-  auto found = find_session(req);
-  if (!found.ok()) return reject(found.status());
-  Session& s = **found;
-
+Result<std::string> Server::cmd_slacks(const Request& req, Session& s) {
   auto buckets = int_param(req.frame, "buckets", 10, 1, 1000);
-  if (!buckets.ok()) return reject(buckets.status());
+  if (!buckets.ok()) return buckets.status();
   double period = 0.0;
   if (const json::Value* p = req.frame.find("period_tau")) {
     // 1e999 parses to inf; reject it before it buys a slack pass whose
     // reply could only be an `internal` error.
     if (!p->is_number() || !std::isfinite(p->num) || !(p->num > 0.0))
-      return reject(ReplyCode::kInvalidValue,
-                    "\"period_tau\" must be a positive finite number");
+      return Status::error(ErrorCode::kInvalidValue,
+                           "\"period_tau\" must be a positive finite number");
     period = p->num;
   }
 
@@ -672,7 +707,7 @@ Server::Reply Server::cmd_slacks(const Request& req) {
           period = sta::analyze(*s.nl, opts).min_period_tau;
         slacks = sta::net_slacks(*s.nl, opts, period);
       });
-  if (!st.ok()) return reject(st);
+  if (!st.ok()) return st;
   const sta::SlackHistogramData hist =
       sta::slack_histogram_from_slacks(slacks, buckets.value());
   return ok(req, [&](json::Writer& w) {
@@ -682,20 +717,16 @@ Server::Reply Server::cmd_slacks(const Request& req) {
   });
 }
 
-Server::Reply Server::cmd_top_paths(const Request& req) {
-  auto found = find_session(req);
-  if (!found.ok()) return reject(found.status());
-  Session& s = **found;
-
+Result<std::string> Server::cmd_top_paths(const Request& req, Session& s) {
   auto k = int_param(req.frame, "k", 5, 1, 1000);
-  if (!k.ok()) return reject(k.status());
+  if (!k.ok()) return k.status();
   std::vector<sta::CriticalPath> paths;
   const Status st = query(
       s, [&] { paths = s.timer->top_paths(k.value()); },
       [&] {
         paths = sta::top_critical_paths(*s.nl, s.timer->options(), k.value());
       });
-  if (!st.ok()) return reject(st);
+  if (!st.ok()) return st;
 
   return ok(req, [&](json::Writer& w) {
     w.begin_object().key("paths").begin_array();
@@ -714,13 +745,9 @@ Server::Reply Server::cmd_top_paths(const Request& req) {
   });
 }
 
-Server::Reply Server::cmd_qor(const Request& req) {
-  auto found = find_session(req);
-  if (!found.ok()) return reject(found.status());
-  Session& s = **found;
-
+Result<std::string> Server::cmd_qor(const Request& req, Session& s) {
   auto buckets = int_param(req.frame, "buckets", 10, 1, 1000);
-  if (!buckets.ok()) return reject(buckets.status());
+  if (!buckets.ok()) return buckets.status();
   qor::SnapshotOptions opts;
   opts.sta = s.timer->options();
   opts.histogram_buckets = buckets.value();
@@ -730,7 +757,7 @@ Server::Reply Server::cmd_qor(const Request& req) {
   const Status st =
       query(s, [&] { snap = qor::capture(*s.timer, opts); },
             [&] { snap = qor::capture(*s.nl, opts); });
-  if (!st.ok()) return reject(st);
+  if (!st.ok()) return st;
   return ok(req, [&](json::Writer& w) {
     qor::write_scalars(w.begin_object(), snap);
     w.key("slack_histogram");
@@ -739,15 +766,13 @@ Server::Reply Server::cmd_qor(const Request& req) {
   });
 }
 
-Server::Reply Server::cmd_lint(const Request& req) {
-  auto found = find_session(req);
-  if (!found.ok()) return reject(found.status());
-  Session& s = **found;
-
-  const std::string mode = req.frame.member_string("mode", "scan");
+Result<std::string> Server::cmd_lint(const Request& req, Session& s) {
+  const auto param = string_param(req.frame, "mode", "scan");
+  if (!param.ok()) return param.status();
+  const std::string& mode = *param;
   if (mode != "scan" && mode != "dataflow")
-    return reject(ReplyCode::kInvalidValue,
-                  "\"mode\" must be \"scan\" or \"dataflow\"");
+    return Status::error(ErrorCode::kInvalidValue,
+                         "\"mode\" must be \"scan\" or \"dataflow\"");
 
   // mode=dataflow: make sure the cached per-session lattice is current.
   // A no-op refresh (counted on lint.dataflow.reuses) is the common case
@@ -759,7 +784,7 @@ Server::Reply Server::cmd_lint(const Request& req) {
       s.dataflow = std::make_unique<lint::DataflowEngine>();
     const Status refresh_st = run_guarded(
         [&] { (void)s.dataflow->refresh(*s.nl, {}, options_.threads); });
-    if (!refresh_st.ok()) return reject(refresh_st);
+    if (!refresh_st.ok()) return refresh_st;
   }
 
   const lint::LintConfig all_rules;
@@ -794,7 +819,7 @@ Server::Reply Server::cmd_lint(const Request& req) {
             context(sta::analyze(*s.nl, s.timer->options()).min_period_tau),
             config, options_.threads);
       });
-  if (!st.ok()) return reject(st);
+  if (!st.ok()) return st;
   return ok(req, [&](json::Writer& w) {
     lint::write_json(w, lint_registry_, report, s.name);
   });
@@ -802,12 +827,13 @@ Server::Reply Server::cmd_lint(const Request& req) {
 
 // --- stats / shutdown ----------------------------------------------------
 
-Server::Reply Server::cmd_stats(const Request& req) {
-  const std::string format = req.frame.member_string("format", "json");
-  if (format != "json" && format != "text")
-    return reject(ReplyCode::kInvalidValue,
-                  "\"format\" must be \"json\" or \"text\"");
-  if (format == "text") {
+Result<std::string> Server::cmd_stats(const Request& req) {
+  const auto format = string_param(req.frame, "format", "json");
+  if (!format.ok()) return format.status();
+  if (*format != "json" && *format != "text")
+    return Status::error(ErrorCode::kInvalidValue,
+                         "\"format\" must be \"json\" or \"text\"");
+  if (*format == "text") {
     // The Prometheus exposition (docs/observability.md) embedded as one
     // JSON string, so the reply stays a single gap-serve-v1 line. Note
     // the wall section makes this the one non-deterministic reply.
@@ -829,34 +855,27 @@ Server::Reply Server::cmd_stats(const Request& req) {
       w.member("instances", s->nl->num_instances());
       w.member("nets", s->nl->num_nets());
       w.member("journal_bytes", s->journal.bytes_appended());
-      w.member("edits_applied", s->edits_applied);
-      w.member("degradations", s->degraded ? 1 : 0).end_object();
+      w.member("edits_applied", s->edits_applied).end_object();
     }
-    const ServerCounters& c = counters_;
     w.end_array().key("counters").begin_object();
-    w.member("requests", c.requests).member("errors", c.errors);
-    w.member("edits_applied", c.edits_applied);
-    w.member("edits_rejected", c.edits_rejected).member("degraded", c.degraded);
-    w.member("journal_overflow", c.journal_overflow);
-    w.member("overloaded", c.overloaded);
-    w.member("deadline_exceeded", c.deadline_exceeded);
-    w.member("oversized_frames", c.oversized_frames);
-    w.member("recovered_sessions", c.recovered_sessions);
-    w.member("recovered_edits", c.recovered_edits).end_object().end_object();
+    for (const CounterName& c : kCounters)
+      w.member(c.metric.substr(kCounterPrefix.size()), counters_.*c.field);
+    w.end_object().end_object();
   });
 }
 
-Server::Reply Server::cmd_dump(const Request& req) {
+Result<std::string> Server::cmd_dump(const Request& req) {
   if (options_.journal_dir.empty())
-    return reject(ReplyCode::kInvalidValue,
-                  "dump needs a journal directory (gapd --journal-dir)");
+    return Status::error(ErrorCode::kInvalidValue,
+                         "dump needs a journal directory (gapd --journal-dir)");
   std::string session;
   if (const json::Value* name = req.frame.find("session")) {
     if (!name->is_string())
-      return reject(ReplyCode::kInvalidValue, "\"session\" must be a string");
+      return Status::error(ErrorCode::kInvalidValue,
+                           "\"session\" must be a string");
     if (sessions_.count(name->str) == 0)
-      return reject(ReplyCode::kUnknownName,
-                    "no session named '" + name->str + "'");
+      return Status::error(ErrorCode::kUnknownName,
+                           "no session named '" + name->str + "'");
     session = name->str;
   }
   // The dump request itself is the newest event in the ring, so the file
@@ -874,51 +893,63 @@ Server::Reply Server::cmd_dump(const Request& req) {
 
 // --- dispatch loop -------------------------------------------------------
 
-Server::Reply Server::dispatch(const Request& req, double t0_us) {
+Result<std::string> Server::dispatch(const Request& req) {
   // Any request may carry a budget; one that is not a number is a client
   // error, never a silent fall back to the default.
   if (const json::Value* d = req.frame.find("deadline_us");
       d != nullptr && !d->is_number())
-    return reject(ReplyCode::kInvalidValue, "\"deadline_us\" must be a number");
-  if (req.cmd == "load") return cmd_load(req, t0_us);
-  if (req.cmd == "edit") return cmd_edit(req, /*undo=*/false, t0_us);
-  if (req.cmd == "undo") return cmd_edit(req, /*undo=*/true, t0_us);
+    return Status::error(ErrorCode::kInvalidValue,
+                         "\"deadline_us\" must be a number");
+  if (req.cmd == "load") return cmd_load(req);
   // dump writes files as it goes, so (like load) it handles its own
   // budget story rather than joining the discard-the-reply path below.
   if (req.cmd == "dump") return cmd_dump(req);
-
-  Reply reply;
-  if (req.cmd == "timing") reply = cmd_timing(req);
-  else if (req.cmd == "slacks") reply = cmd_slacks(req);
-  else if (req.cmd == "top_paths") reply = cmd_top_paths(req);
-  else if (req.cmd == "qor") reply = cmd_qor(req);
-  else if (req.cmd == "lint") reply = cmd_lint(req);
-  else if (req.cmd == "stats") reply = cmd_stats(req);
-  else if (req.cmd == "shutdown") {
+  if (req.cmd == "shutdown") {
     shutdown_ = true;
     return ok(req, [&](json::Writer& w) {
       w.begin_object().member("shutdown", true);
       w.member("sessions", sessions_.size()).end_object();
     });
-  } else {
-    return reject(ReplyCode::kUnknownName,
-                  "unknown command '" + req.cmd + "'");
   }
-  // Read-only commands have no side effects, so an expired budget can
-  // simply discard the computed reply, an error reply included: the
-  // client gets (and the counters see) one `deadline` error.
-  if (deadline_expired(req, t0_us)) {
-    bump(&ServerCounters::deadline_exceeded, "serve.deadline_exceeded");
-    flight_event(obs::FlightEventKind::kDeadline, 0, 0, req.cmd);
-    return reject(ReplyCode::kDeadline, "request exceeded its deadline");
-  }
-  return reply;
+
+  // Every other command but stats acts on the session its frame names,
+  // resolved here once.
+  static constexpr std::pair<std::string_view, SessionCommand> kOnSession[] = {
+      {"edit", &Server::cmd_edit},           {"undo", &Server::cmd_edit},
+      {"timing", &Server::cmd_timing},       {"slacks", &Server::cmd_slacks},
+      {"top_paths", &Server::cmd_top_paths}, {"qor", &Server::cmd_qor},
+      {"lint", &Server::cmd_lint},
+  };
+  const auto* on = std::find_if(
+      std::begin(kOnSession), std::end(kOnSession),
+      [&](const auto& command) { return command.first == req.cmd; });
+  const bool stats = req.cmd == "stats";
+  if (on == std::end(kOnSession) && !stats)
+    return Status::error(ErrorCode::kUnknownName,
+                         "unknown command '" + req.cmd + "'");
+  Result<std::string> reply = std::string();
+  if (stats)
+    reply = cmd_stats(req);
+  else if (auto s = find_session(req); !s.ok())
+    reply = s.status();
+  else
+    reply = (this->*on->second)(req, **s);
+  // An edit checks its budget before any side effect (cmd_edit). The
+  // other commands have no side effects, so an expired budget can simply
+  // discard the computed reply, an error reply included: the client gets
+  // (and the counters see) one `deadline` error.
+  if (req.cmd == "edit" || req.cmd == "undo" || !deadline_expired(req))
+    return reply;
+  bump<&ServerCounters::deadline_exceeded>();
+  flight_event(obs::FlightEventKind::kDeadline, 0, 0, req.cmd);
+  return Status::error(ErrorCode::kDeadline, "request exceeded its deadline");
 }
 
 std::string Server::handle_line(const std::string& line) {
   const double t0_us = common::tracer().now_us();
   const std::uint64_t req_id = ++next_req_id_;
   cur_req_id_ = req_id;
+  cur_t0_us_ = t0_us;
   // The span name carries the monotonic request id, so a chrome trace
   // (gapd --trace-out) correlates with flight events and the journal.
   const common::TraceSpan span("serve::request#", std::to_string(req_id));
@@ -943,37 +974,36 @@ std::string Server::handle_line(const std::string& line) {
   const std::uint64_t edits0 = counters_.edits_applied;
   const std::uint64_t waves0 = c_waves.value();
 
-  bump(&ServerCounters::requests, "serve.requests");
-  Reply reply;
+  bump<&ServerCounters::requests>();
+  Result<std::string> reply = std::string();
   auto req = parse_request(line, options_.max_frame_bytes);
   if (!req.ok()) {
     if (options_.max_frame_bytes != 0 &&
         line.size() > options_.max_frame_bytes)
-      bump(&ServerCounters::oversized_frames, "serve.oversized_frames");
-    reply = reject(req.status());
+      bump<&ServerCounters::oversized_frames>();
+    reply = req.status();
   } else {
     // The dispatch itself runs under one more guard: whatever slips
     // through the per-command handling still becomes a reply, never an
     // abort.
-    const Status st = run_guarded([&] { reply = dispatch(*req, t0_us); });
-    if (!st.ok()) reply = reject(st);
+    const Status st = run_guarded([&] { reply = dispatch(*req); });
+    if (!st.ok()) reply = st;
   }
   // The one place a rejection becomes its error reply, and the one place
   // serve.errors moves: exactly once per error reply.
-  if (reply.line.empty()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    reply.line = error_reply(req.ok() ? req->id_json : "null", reply.code,
-                             reply.message, reply.loc);
+  if (!reply.ok()) {
+    bump<&ServerCounters::errors>();
+    reply = error_reply(req.ok() ? req->id_json : "null", reply.status());
   }
 
   h_edits.record(static_cast<double>(counters_.edits_applied - edits0));
   h_waves.record(static_cast<double>(c_waves.value() - waves0));
-  flight_event(obs::FlightEventKind::kRequestEnd, 0, reply.line.size());
+  flight_event(obs::FlightEventKind::kRequestEnd, 0, reply->size());
   h_wall.record(common::tracer().now_us() - t0_us);
   if (options_.expose_every != 0 && req_id % options_.expose_every == 0)
     write_expose();
   cur_req_id_ = 0;
-  return std::move(reply.line);
+  return std::move(reply).value();
 }
 
 namespace {

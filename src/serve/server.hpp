@@ -70,7 +70,8 @@ struct ServerOptions {
   std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
-/// Per-Server counters, mirrored into common::metrics() under "serve.*".
+/// Per-Server counters, mirrored into common::metrics() under "serve.*"
+/// and reported by `stats`, both named by one table in server.cpp.
 /// Kept per-instance (not only process-global) so twin servers in one
 /// test process report independently.
 struct ServerCounters {
@@ -131,37 +132,31 @@ class Server {
   std::vector<std::string> dump_flight(const std::string& session);
 
  private:
-  /// A handler's answer: the rendered success line, or the code, message
-  /// and location of a rejection. handle_line renders every rejection
-  /// into its error reply and counts it on serve.errors, so each request
-  /// leaves through one reply site.
-  struct Reply {
-    std::string line;  ///< the success reply; empty when rejected
-    ReplyCode code = ReplyCode::kInternal;
-    std::string message;
-    common::SourceLoc loc;
-  };
-  [[nodiscard]] static Reply reject(ReplyCode code, std::string message,
-                                    common::SourceLoc loc = {});
-  /// The rejection a Status describes, its code mapped onto the wire.
-  [[nodiscard]] static Reply reject(const common::Status& st);
-
-  Reply dispatch(const Request& req, double t0_us);
+  /// Each handler answers with its rendered success line or the Status of
+  /// a rejection. handle_line renders every rejection into its error
+  /// reply and counts it on serve.errors, so each request leaves through
+  /// one reply site.
+  common::Result<std::string> dispatch(const Request& req);
+  /// A command on the one session its frame names, which dispatch
+  /// resolves before calling it.
+  using SessionCommand =
+      common::Result<std::string> (Server::*)(const Request&, Session&);
   /// The success reply for `req`, its result written by `render(Writer&)`
   /// straight into the compact reply. A result holding a non-finite
   /// number is not JSON: the reply is then an `internal` error instead.
   template <typename Render>
-  Reply ok(const Request& req, Render&& render);
+  common::Result<std::string> ok(const Request& req, Render&& render);
 
-  Reply cmd_load(const Request& req, double t0_us);
-  Reply cmd_edit(const Request& req, bool undo, double t0_us);
-  Reply cmd_timing(const Request& req);
-  Reply cmd_slacks(const Request& req);
-  Reply cmd_top_paths(const Request& req);
-  Reply cmd_qor(const Request& req);
-  Reply cmd_lint(const Request& req);
-  Reply cmd_stats(const Request& req);
-  Reply cmd_dump(const Request& req);
+  common::Result<std::string> cmd_load(const Request& req);
+  /// `edit` and `undo`, told apart by req.cmd.
+  common::Result<std::string> cmd_edit(const Request& req, Session& s);
+  common::Result<std::string> cmd_timing(const Request& req, Session& s);
+  common::Result<std::string> cmd_slacks(const Request& req, Session& s);
+  common::Result<std::string> cmd_top_paths(const Request& req, Session& s);
+  common::Result<std::string> cmd_qor(const Request& req, Session& s);
+  common::Result<std::string> cmd_lint(const Request& req, Session& s);
+  common::Result<std::string> cmd_stats(const Request& req);
+  common::Result<std::string> cmd_dump(const Request& req);
 
   /// Resolve the request's "session" member (missing_value/unknown_name).
   common::Result<Session*> find_session(const Request& req);
@@ -185,9 +180,11 @@ class Server {
   [[nodiscard]] std::string journal_path(const std::string& session) const;
   /// True once the request's budget ("deadline_us", else the server
   /// default; <= 0 means none) has run out.
-  [[nodiscard]] bool deadline_expired(const Request& req, double t0_us) const;
-  void bump(std::uint64_t ServerCounters::* field, const char* metric,
-            std::uint64_t n = 1);
+  [[nodiscard]] bool deadline_expired(const Request& req) const;
+  /// Count one event on a counter and on its serve.* mirror in
+  /// common::metrics().
+  template <std::uint64_t ServerCounters::* Field>
+  void bump();
   /// Record a flight event stamped with the in-flight request id.
   void flight_event(obs::FlightEventKind kind, std::uint32_t code = 0,
                     std::uint64_t value = 0, std::string_view detail = {});
@@ -205,6 +202,7 @@ class Server {
   obs::FlightRecorder flight_;
   std::uint64_t next_req_id_ = 0;  ///< monotonic; threaded through spans
   std::uint64_t cur_req_id_ = 0;   ///< id of the request being dispatched
+  double cur_t0_us_ = 0.0;         ///< its start on the trace clock
 };
 
 }  // namespace gap::serve

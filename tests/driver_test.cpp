@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -129,6 +131,9 @@ TEST(DriverExitCodeTest, MappingIsDocumentedAndDistinct) {
   EXPECT_EQ(exit_code_for(ErrorCode::kIo), 5);
   EXPECT_EQ(exit_code_for(ErrorCode::kStructural), 6);
   EXPECT_EQ(exit_code_for(ErrorCode::kContract), 6);
+  // gapd's two service codes join the internal group; no CLI raises them.
+  EXPECT_EQ(exit_code_for(ErrorCode::kOverloaded), 6);
+  EXPECT_EQ(exit_code_for(ErrorCode::kDeadline), 6);
 }
 
 TEST(DriverRunTest, UnknownFlagOneLineDiagnosticExit2) {
@@ -214,6 +219,57 @@ TEST(DriverRunTest, CheckLibertyLintsGoodAndBadFiles) {
 
   std::remove(good_path.c_str());
   std::remove(bad_path.c_str());
+}
+
+TEST(DriverRunTest, WrittenFilesCheckCleanAndDataflowStageRuns) {
+  // --write-verilog / --write-liberty output reads back through
+  // --check-verilog / --check-liberty, and --lint-dataflow adds its
+  // stage between size and signoff.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "gap_driver_write_check";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string verilog = (dir / "alu16.v").string();
+  const std::string liberty = (dir / "alu16.lib").string();
+  const RunCapture wrote = invoke({"--design", "alu16", "--write-verilog",
+                                   verilog, "--write-liberty", liberty});
+  ASSERT_EQ(wrote.code, 0) << wrote.err;
+  EXPECT_NE(wrote.out.find("wrote " + verilog + "\n"), std::string::npos);
+  EXPECT_NE(wrote.out.find("wrote " + liberty + "\n"), std::string::npos);
+
+  // The summary line "area : ... um^2 (N instances, ..." names the count
+  // the Verilog must read back with.
+  const std::size_t open = wrote.out.find("um^2 (");
+  ASSERT_NE(open, std::string::npos) << wrote.out;
+  const std::string instances =
+      wrote.out.substr(open + 6, wrote.out.find(' ', open + 6) - open - 6);
+  const RunCapture v = invoke({"--check-verilog", verilog});
+  EXPECT_EQ(v.code, 0) << v.err;
+  EXPECT_EQ(v.out, verilog + ": ok (" + instances + " instances)\n");
+
+  std::ifstream lib_in(liberty);
+  const std::string lib_text((std::istreambuf_iterator<char>(lib_in)),
+                             std::istreambuf_iterator<char>());
+  std::size_t cells = 0;
+  for (std::size_t at = lib_text.find("cell ("); at != std::string::npos;
+       at = lib_text.find("cell (", at + 1))
+    ++cells;
+  ASSERT_GT(cells, 0u);
+  const RunCapture l = invoke({"--check-liberty", liberty});
+  EXPECT_EQ(l.code, 0) << l.err;
+  EXPECT_EQ(l.out, liberty + ": ok (" + std::to_string(cells) + " cells)\n");
+
+  const RunCapture df =
+      invoke({"--design", "alu16", "--lint-dataflow", "--diagnostics"});
+  EXPECT_EQ(df.code, 0) << df.err;
+  const std::size_t size = df.out.find("\n  size ");
+  const std::size_t lint = df.out.find("\n  lint-dataflow ");
+  const std::size_t signoff = df.out.find("\n  signoff ");
+  ASSERT_NE(lint, std::string::npos) << df.out;
+  EXPECT_LT(size, lint) << df.out;
+  EXPECT_LT(lint, signoff) << df.out;
+  EXPECT_NE(signoff, std::string::npos) << df.out;
+  fs::remove_all(dir);
 }
 
 TEST(DriverRunTest, SuccessPathPrintsSummaryAndFlowReport) {

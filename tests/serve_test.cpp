@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +22,7 @@
 
 #include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "core/driver.hpp"
 #include "core/flow.hpp"
 #include "core/methodology.hpp"
 #include "designs/registry.hpp"
@@ -72,10 +74,27 @@ bool reply_ok(const std::string& reply) {
   return ok != nullptr && ok->boolean;
 }
 
-std::string error_code_of(const std::string& reply) {
+std::string error_member(const std::string& reply, const char* key) {
   const Value v = checked_reply(reply);
   const Value* e = v.find("error");
-  return e != nullptr ? e->member_string("code", "") : "";
+  return e != nullptr ? e->member_string(key, "") : "";
+}
+
+std::string error_code_of(const std::string& reply) {
+  return error_member(reply, "code");
+}
+
+/// The wire spelling of `code`, read off a real error reply.
+std::string wire_code(common::ErrorCode code) {
+  return error_code_of(error_reply("1", common::Status::error(code, "m")));
+}
+
+/// Every common::ErrorCode but kOk, through the last one (kDeadline).
+std::vector<common::ErrorCode> error_codes() {
+  std::vector<common::ErrorCode> codes;
+  for (int c = 1; c <= static_cast<int>(common::ErrorCode::kDeadline); ++c)
+    codes.push_back(static_cast<common::ErrorCode>(c));
+  return codes;
 }
 
 std::string load_frame(const std::string& session,
@@ -111,13 +130,26 @@ struct Rng {
 
 // --- protocol codec ------------------------------------------------------
 
-TEST(Protocol, ReplyCodeSpellings) {
-  EXPECT_STREQ(to_string(ReplyCode::kInvalidValue), "invalid_value");
-  EXPECT_STREQ(to_string(ReplyCode::kOverloaded), "overloaded");
-  EXPECT_STREQ(to_string(ReplyCode::kDeadline), "deadline");
-  EXPECT_EQ(reply_code(common::ErrorCode::kParse), ReplyCode::kParse);
-  EXPECT_EQ(reply_code(common::ErrorCode::kStructural),
-            ReplyCode::kStructural);
+TEST(Protocol, WireCodesAreTheErrorCodeSpellings) {
+  // common::ErrorCode is the one error vocabulary: an error reply spells
+  // each code as the CLI does with '_' for '-', no two codes share a
+  // spelling, and every code has one of gapflow's documented exits
+  // (docs/diagnostics.md).
+  const std::set<int> documented_exits = {2, 3, 4, 5, 6};
+  std::set<std::string> spellings;
+  for (const common::ErrorCode code : error_codes()) {
+    std::string cli = common::to_string(code);
+    EXPECT_NE(cli, "unknown") << static_cast<int>(code);
+    std::replace(cli.begin(), cli.end(), '-', '_');
+    const std::string wire = wire_code(code);
+    EXPECT_EQ(wire, cli);
+    EXPECT_TRUE(spellings.insert(wire).second) << wire;
+    EXPECT_EQ(documented_exits.count(core::cli::exit_code_for(code)), 1u)
+        << wire;
+  }
+  EXPECT_EQ(wire_code(common::ErrorCode::kMissingValue), "missing_value");
+  EXPECT_EQ(wire_code(common::ErrorCode::kOverloaded), "overloaded");
+  EXPECT_EQ(wire_code(common::ErrorCode::kDeadline), "deadline");
 }
 
 TEST(Protocol, ParseRequestValidates) {
@@ -296,6 +328,35 @@ TEST(ServeRobustness, NonFinitePeriodIsInvalidValue) {
       "{\"cmd\":\"slacks\",\"session\":\"s1\",\"period_tau\":500}")));
 }
 
+TEST(ServeRobustness, NonStringParamsAreInvalidValue) {
+  // A string parameter of another JSON type is refused with a message
+  // naming it, never replaced by its default: a `"mode":5` lint is not a
+  // scan-mode lint.
+  Server server({});
+  for (const auto& [member, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"methodology", "5"}, {"tech", "true"}, {"corner", "7"}}) {
+    const std::string reply = server.handle_line(
+        "{\"id\":1,\"cmd\":\"load\",\"session\":\"s1\","
+        "\"design\":\"mac8\",\"" +
+        member + "\":" + value + "}");
+    EXPECT_EQ(error_code_of(reply), "invalid_value") << reply;
+    EXPECT_EQ(error_member(reply, "message"),
+              "\"" + member + "\" must be a string");
+  }
+  EXPECT_EQ(server.session_count(), 0u);
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("s1"))));
+  const std::string lint = server.handle_line(
+      "{\"cmd\":\"lint\",\"session\":\"s1\",\"mode\":5}");
+  EXPECT_EQ(error_code_of(lint), "invalid_value") << lint;
+  EXPECT_EQ(error_member(lint, "message"), "\"mode\" must be a string");
+  const std::string stats =
+      server.handle_line("{\"cmd\":\"stats\",\"format\":[1]}");
+  EXPECT_EQ(error_code_of(stats), "invalid_value") << stats;
+  EXPECT_EQ(error_member(stats, "message"), "\"format\" must be a string");
+  EXPECT_EQ(server.counters().errors, 5u);
+}
+
 TEST(ServeRobustness, NonNumericDeadlineIsInvalidValue) {
   Server server({});
   ASSERT_TRUE(reply_ok(server.handle_line(load_frame("s1"))));
@@ -403,6 +464,36 @@ TEST(ServeSession, RejectedEditLeavesStateUntouched) {
   EXPECT_EQ(error_code_of(reply), "unknown_name");
   EXPECT_EQ(server.counters().edits_rejected, 1u);
   EXPECT_EQ(server.handle_line(query_frame("timing", "s1")), before);
+}
+
+TEST(ServeSession, EverySessionCommandLooksUpItsSession) {
+  // The seven commands on a session share one lookup: a frame with no
+  // "session" string, or naming no resident session, gets the same
+  // exact reply from each, and each reply moves `errors` once.
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("s1"))));
+  const std::string missing =
+      "\"ok\":false,\"error\":{\"code\":\"missing_value\",\"message\":"
+      "\"request needs a \\\"session\\\" string\"}}";
+  const std::string unknown =
+      "\"ok\":false,\"error\":{\"code\":\"unknown_name\",\"message\":"
+      "\"no session named 'nosuch'\"}}";
+  for (const std::string cmd :
+       {"edit", "undo", "timing", "slacks", "top_paths", "qor", "lint"}) {
+    const std::string head = "{\"id\":1,\"cmd\":\"" + cmd + "\"";
+    const std::string reply_head = "{\"serve\":\"gap-serve-v1\",\"id\":1,";
+    for (const auto& [tail, expected] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"}", missing},
+             {",\"session\":42}", missing},
+             {",\"session\":\"nosuch\"}", unknown}}) {
+      const std::uint64_t errors = server.counters().errors;
+      EXPECT_EQ(server.handle_line(head + tail), reply_head + expected)
+          << cmd << tail;
+      EXPECT_EQ(server.counters().errors, errors + 1) << cmd << tail;
+    }
+  }
+  EXPECT_EQ(server.counters().edits_rejected, 0u);
 }
 
 TEST(ServeSession, DuplicateAndUnknownSessionsAreCoded) {
@@ -932,6 +1023,9 @@ TEST(ServeSoak, TenThousandRequestsPlusGarbageStayConsistent) {
   std::vector<std::string> acked_edits;
   int scripted = 0, garbage = 0;
   std::uint64_t error_replies = 0;
+  std::set<std::string> spellings;
+  for (const common::ErrorCode code : error_codes())
+    spellings.insert(wire_code(code));
 
   const auto scripted_frame = [&]() -> std::string {
     ++scripted;
@@ -986,6 +1080,8 @@ TEST(ServeSoak, TenThousandRequestsPlusGarbageStayConsistent) {
         acked_edits.push_back(frame);
     } else {
       ++error_replies;
+      const std::string code = error_code_of(reply);
+      EXPECT_EQ(spellings.count(code), 1u) << code << ": " << reply;
     }
   }
   EXPECT_GE(scripted, 10000);
