@@ -79,12 +79,9 @@ int main() {
     GAP_EXPECTS(!paths.empty());
     const auto attr = qor::attribute_path(*run.nl, paths.front(), so);
 
-    qor::RunContext ctx;
-    ctx.skew_fraction = all_asic.skew_fraction;
-    ctx.pipeline_stages = all_asic.pipeline_stages;
-    ctx.corner_delay_factor = all_asic.corner.delay_factor;
-    ctx.dynamic_logic = all_asic.dynamic_logic;
-    const qor::GapScore score = qor::gap_score(attr, ctx);
+    const qor::GapScore score =
+        qor::gap_score(attr, core::run_context(all_asic),
+                       core::run_context(core::full_custom()));
 
     const double est[] = {score.pipelining, score.placement_wire,
                           score.sizing, score.logic_style, score.process};

@@ -49,7 +49,6 @@ double implement(const std::string& design, const library::CellLibrary& lib,
 
   sizing::SizingOptions sopt;
   sopt.continuous = opt.continuous && lib.continuous_sizing;
-  sopt.continuous_step = 1.25;
   if (opt.initial_drives) sizing::initial_drive_assignment(nl);
   if (opt.buffer_threshold > 0.0) {
     sizing::insert_buffers(nl, opt.buffer_threshold);

@@ -44,9 +44,4 @@ struct ClockTreeResult {
 [[nodiscard]] ClockTreeResult build_htree(const tech::Technology& t,
                                           const ClockTreeOptions& options);
 
-/// The paper's headline skew fractions, used by the flow when a full tree
-/// model is not constructed (section 4.1).
-inline constexpr double kAsicSkewFraction = 0.10;
-inline constexpr double kCustomSkewFraction = 0.05;
-
 }  // namespace gap::clock

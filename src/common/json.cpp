@@ -365,10 +365,6 @@ Writer& Writer::raw(std::string_view json) {
 
 // --- Value ---------------------------------------------------------------
 
-std::optional<Value> Value::parse(const std::string& text) {
-  return Parser(text).parse();
-}
-
 Result<Value> Value::parse_checked(const std::string& text) {
   Parser p(text);
   if (auto v = p.parse()) return *std::move(v);

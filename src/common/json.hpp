@@ -27,7 +27,6 @@
 
 #include <charconv>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -137,27 +136,26 @@ class Value {
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;
 
-  /// Maximum container nesting parse()/parse_checked() accept. Inputs
+  /// Maximum container nesting parse_checked() accepts. Inputs
   /// nested deeper (e.g. a 100k-deep "[[[[...") are rejected with
   /// ErrorCode::kInvalidValue instead of recursing toward a stack
   /// overflow.
   static constexpr int kMaxParseDepth = 64;
 
-  /// Parse one complete JSON document; nullopt on any syntax error or
-  /// trailing garbage. Escapes are decoded (\uXXXX to UTF-8; surrogate
-  /// pairs are not needed by any in-repo writer and decode independently).
-  [[nodiscard]] static std::optional<Value> parse(const std::string& text);
-
-  /// parse() for untrusted input: rejections come back as a failed Status
-  /// with a coded diagnostic — kParse for syntax errors, kInvalidValue
-  /// for semantic limits (nesting beyond kMaxParseDepth) — whose
-  /// SourceLoc is the 1-based line:column of the offending byte.
+  /// Parse one complete JSON document. Escapes are decoded (\uXXXX to
+  /// UTF-8; surrogate pairs are not needed by any in-repo writer and
+  /// decode independently). Safe on untrusted input: a syntax error or
+  /// trailing garbage comes back as a failed Status with a coded
+  /// diagnostic — kParse for syntax errors, kInvalidValue for semantic
+  /// limits (nesting beyond kMaxParseDepth) — whose SourceLoc is the
+  /// 1-based line:column of the offending byte.
   [[nodiscard]] static Result<Value> parse_checked(const std::string& text);
 
   /// Compact single-line serialization (no spaces, no newlines; object
-  /// members in stored order, numbers via number()). parse(dump()) is the
-  /// identity on the DOM, and dump() output never contains a raw newline,
-  /// so any parsed document can be embedded in a line-delimited protocol.
+  /// members in stored order, numbers via number()). parse_checked(dump())
+  /// is the identity on the DOM, and dump() output never contains a raw
+  /// newline, so any parsed document can be embedded in a line-delimited
+  /// protocol.
   [[nodiscard]] std::string dump() const;
 
   /// Write this value into `w` (dump() is write() into a compact Writer).

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "place/place.hpp"
-#include "sizing/buffers.hpp"
-#include "sizing/tilos.hpp"
 
 namespace gap::core {
 
@@ -55,17 +53,10 @@ ChipResult implement_chip(const Flow& flow, const Methodology& m,
   result.module_wirelength_um = fp.total_wirelength_um;
   result.die_area_mm2 = fp.die_w_um * fp.die_h_um * 1e-6;
 
-  // --- buffering, sizing, signoff ---
-  const sta::StaOptions sta_opt = signoff_sta_options(m);
-  sizing::initial_drive_assignment(nl);
-  sizing::insert_buffers(nl, 96.0);
-  sizing::initial_drive_assignment(nl);
-  sizing::SizingOptions sopt;
-  sopt.sta = sta_opt;
-  sopt.continuous =
-      m.sizing == SizingLevel::kContinuous && lib.continuous_sizing;
-  sizing::tilos_size(nl, sopt);
-  result.timing = sta::analyze(nl, sta_opt);
+  // --- buffering and sizing; signoff answers from the sizing timer ---
+  std::optional<sta::IncrementalTimer> timer;
+  size_netlist(nl, m, timer);
+  result.timing = timer->timing();
   result.freq_mhz = result.timing.frequency_mhz();
   return result;
 }

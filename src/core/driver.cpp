@@ -182,12 +182,7 @@ qor::RunManifest build_manifest(const DriverArgs& args, const Methodology& m,
                                 const Flow& flow, const FlowResult& r) {
   qor::RunManifest man;
   man.design = args.design;
-  man.context.skew_fraction = m.skew_fraction;
-  man.context.pipeline_stages = m.pipeline_stages;
-  man.context.corner_delay_factor = m.corner.delay_factor;
-  man.context.dynamic_logic = m.dynamic_logic;
-  man.context.methodology_name = m.name;
-  man.context.corner_name = m.corner.name;
+  man.context = run_context(m);
   man.seed = flow.seed();
   man.config = {
       {"design", args.design},
@@ -233,7 +228,8 @@ qor::RunManifest build_manifest(const DriverArgs& args, const Methodology& m,
       qor::ManifestAttribution attr;
       for (const sta::CriticalPath& p : paths)
         attr.paths.push_back(qor::attribute_path(*r.nl, p, so));
-      attr.score = qor::gap_score(attr.paths.front(), man.context);
+      attr.score = qor::gap_score(attr.paths.front(), man.context,
+                                  run_context(full_custom()));
       man.attribution = std::move(attr);
     }
   }

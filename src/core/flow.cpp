@@ -15,8 +15,6 @@
 #include "pipeline/pipeline.hpp"
 #include "route/router.hpp"
 #include "sizing/buffers.hpp"
-#include "sizing/tilos.hpp"
-#include "sta/incremental.hpp"
 #include "synth/mapper.hpp"
 
 namespace gap::core {
@@ -42,6 +40,26 @@ common::Diagnostic lint_diag(const lint::Finding& f,
       stage);
   d.severity = f.severity;
   return d;
+}
+
+/// Run the lint catalog on `nl` at `m`'s clock skew, with each rule that
+/// `off` names switched off, appending unwaived findings to the stage.
+template <typename Off>
+void lint_into(StageReport& sr, const netlist::Netlist& nl,
+               const Methodology& m, const std::string& stage, Off&& off) {
+  const lint::RuleRegistry registry = lint::default_registry();
+  lint::LintConfig config;
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    const lint::RuleInfo& info = registry.rule(i).info();
+    if (off(info))
+      config.rule_levels.emplace_back(info.id, lint::SeverityOverride::kOff);
+  }
+  lint::LintContext ctx;
+  ctx.nl = &nl;
+  ctx.limits = tech::default_electrical_limits();
+  ctx.constraints.skew_fraction = m.skew_fraction;
+  for (const lint::Finding& f : lint::run_lint(registry, ctx, config).findings)
+    if (!f.waived) sr.diagnostics.push_back(lint_diag(f, stage));
 }
 
 /// Append netlist::verify findings to the stage; any violation fails it.
@@ -122,6 +140,28 @@ sta::StaOptions signoff_sta_options(const Methodology& m) {
   opt.clock.skew_fraction = m.skew_fraction;
   opt.optimal_repeaters = m.optimal_repeaters;
   return opt;
+}
+
+qor::RunContext run_context(const Methodology& m) {
+  qor::RunContext ctx;
+  ctx.skew_fraction = m.skew_fraction;
+  ctx.pipeline_stages = m.pipeline_stages;
+  ctx.corner_delay_factor = m.corner.delay_factor;
+  ctx.dynamic_logic = m.dynamic_logic;
+  ctx.methodology_name = m.name;
+  ctx.corner_name = m.corner.name;
+  return ctx;
+}
+
+sizing::SizingResult size_netlist(netlist::Netlist& nl, const Methodology& m,
+                                  std::optional<sta::IncrementalTimer>& timer) {
+  sizing::initial_drive_assignment(nl);
+  sizing::insert_buffers(nl, 96.0);
+  sizing::initial_drive_assignment(nl);
+  sizing::SizingOptions opt;
+  opt.continuous = continuous_sizing(m, nl.lib());
+  timer.emplace(nl, signoff_sta_options(m));
+  return sizing::tilos_size(*timer, opt);
 }
 
 std::string to_string(StageStatus s) {
@@ -238,8 +278,7 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
     if (!opt.qor.enabled || !ok || nl == nullptr) return;
     qor::SnapshotOptions so;
     so.sta = sta_opt;
-    so.continuous_sizing =
-        m.sizing == SizingLevel::kContinuous && lib.continuous_sizing;
+    so.continuous_sizing = continuous_sizing(m, lib);
     if (with_mc) {
       so.mc_samples = opt.qor.mc_samples;
       so.mc_seed = opt.qor.mc_seed;
@@ -270,28 +309,14 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   // (and their QoR manifests) are untouched.
   if (opt.lint) {
     stages.run("lint", mapped.has_value(), [&](StageReport& sr) {
-      const lint::RuleRegistry registry = lint::default_registry();
-      lint::LintConfig config;
-      // The flow derives its own period from signoff STA; the missing-
-      // period rule has nothing to check here.
-      config.rule_levels.emplace_back("GL-K001",
-                                      lint::SeverityOverride::kOff);
-      // The mapped netlist is unsized (1x drives everywhere): electrical
-      // violations at this point are the *input* to the size stage, not
-      // design errors, so the gate checks everything else.
-      for (std::size_t i = 0; i < registry.size(); ++i) {
-        const lint::RuleInfo& info = registry.rule(i).info();
-        if (info.category == lint::Category::kElectrical)
-          config.rule_levels.emplace_back(info.id,
-                                          lint::SeverityOverride::kOff);
-      }
-      lint::LintContext ctx;
-      ctx.nl = &*mapped;
-      ctx.limits = tech::default_electrical_limits();
-      ctx.constraints.skew_fraction = m.skew_fraction;
-      const lint::LintReport rep = lint::run_lint(registry, ctx, config);
-      for (const lint::Finding& f : rep.findings)
-        if (!f.waived) sr.diagnostics.push_back(lint_diag(f, "lint"));
+      // The flow derives its own period from signoff STA, so the
+      // missing-period rule has nothing to check. The mapped netlist is
+      // unsized (1x drives everywhere): electrical violations at this
+      // point are the *input* to the size stage, not design errors.
+      lint_into(sr, *mapped, m, "lint", [](const lint::RuleInfo& info) {
+        return info.id == "GL-K001" ||
+               info.category == lint::Category::kElectrical;
+      });
     });
   }
 
@@ -331,23 +356,11 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   });
   capture_qor(ok, result.nl.get());
 
-  // 4. Gate sizing: fanout buffering of overloaded nets, synthesis-style
-  // initial drive selection against the post-placement loads, then TILOS
-  // refinement on the critical path.
+  // 4. Gate sizing against the post-placement loads (size_netlist's
+  // recipe), leaving the resident timer behind.
   ok = stages.run("size", have_nl, [&](StageReport& sr) {
-    netlist::Netlist& nl = *result.nl;
-    sizing::initial_drive_assignment(nl);
-    // Fanout trees only on nets too big for driver upsizing alone.
-    sizing::insert_buffers(nl, 96.0);
-    sizing::initial_drive_assignment(nl);
-    sizing::SizingOptions size_opt;
-    size_opt.continuous =
-        m.sizing == SizingLevel::kContinuous && lib.continuous_sizing;
-    size_opt.continuous_step = 1.25;
-    timer.emplace(nl, sta_opt);
-    const sizing::SizingResult sized = sizing::tilos_size(*timer, size_opt);
-    result.sizing_moves = sized.moves;
-    verify_into(sr, nl, "size");
+    result.sizing_moves = size_netlist(*result.nl, m, timer).moves;
+    verify_into(sr, *result.nl, "size");
   });
   capture_qor(ok, result.nl.get());
 
@@ -357,24 +370,11 @@ FlowResult Flow::run(const logic::Aig& design, const Methodology& m,
   // the structural/electrical catalog already had its pre-flow gate.
   if (opt.lint_dataflow) {
     stages.run("lint-dataflow", have_nl, [&](StageReport& sr) {
-      const lint::RuleRegistry registry = lint::default_registry();
-      lint::LintConfig config;
-      for (std::size_t i = 0; i < registry.size(); ++i) {
-        const lint::RuleInfo& info = registry.rule(i).info();
-        if (info.category != lint::Category::kDomain &&
-            info.category != lint::Category::kDataflow) {
-          config.rule_levels.emplace_back(info.id,
-                                          lint::SeverityOverride::kOff);
-        }
-      }
-      lint::LintContext ctx;
-      ctx.nl = result.nl.get();
-      ctx.limits = tech::default_electrical_limits();
-      ctx.constraints.skew_fraction = m.skew_fraction;
-      const lint::LintReport rep = lint::run_lint(registry, ctx, config);
-      for (const lint::Finding& f : rep.findings)
-        if (!f.waived)
-          sr.diagnostics.push_back(lint_diag(f, "lint-dataflow"));
+      lint_into(sr, *result.nl, m, "lint-dataflow",
+                [](const lint::RuleInfo& info) {
+                  return info.category != lint::Category::kDomain &&
+                         info.category != lint::Category::kDataflow;
+                });
     });
   }
 

@@ -22,7 +22,10 @@
 #include "core/methodology.hpp"
 #include "logic/aig.hpp"
 #include "netlist/netlist.hpp"
+#include "qor/attribution.hpp"
 #include "qor/snapshot.hpp"
+#include "sizing/tilos.hpp"
+#include "sta/incremental.hpp"
 #include "sta/sta.hpp"
 
 namespace gap::core {
@@ -115,6 +118,17 @@ struct FlowResult {
 /// services (gapd) can build an IncrementalTimer whose queries are
 /// byte-identical to the flow's own signoff numbers.
 [[nodiscard]] sta::StaOptions signoff_sta_options(const Methodology& m);
+
+/// gap::qor's view of methodology `m`. A gap score takes two: the run's
+/// own and run_context(full_custom()), the custom reference.
+[[nodiscard]] qor::RunContext run_context(const Methodology& m);
+
+/// The size recipe of the flow and of implement_chip: drive assignment,
+/// fanout buffers on nets over 96 load units, drive assignment again,
+/// then TILOS under `m`'s sizing rule through `timer`, which this
+/// emplaces on `nl` with `m`'s signoff options for signoff to query.
+sizing::SizingResult size_netlist(netlist::Netlist& nl, const Methodology& m,
+                                  std::optional<sta::IncrementalTimer>& timer);
 
 /// Owns the cell libraries for one technology and runs flows against it.
 class Flow {

@@ -7,14 +7,7 @@ namespace gap::core {
 Methodology reference_methodology() {
   Methodology m;
   m.name = "reference";
-  m.pipeline_stages = 1;
-  m.balanced_stages = false;
-  m.datapath = designs::DatapathStyle::kSynthesized;
-  m.skew_fraction = 0.10;
   m.placement = place::PlacementMode::kCareful;
-  m.library = LibraryKind::kRichAsic;
-  m.sizing = SizingLevel::kDiscrete;
-  m.dynamic_logic = false;
   m.corner = tech::corner_typical();
   return m;
 }

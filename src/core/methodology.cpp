@@ -21,11 +21,8 @@ Methodology good_asic() {
   Methodology m;
   m.name = "good-asic";
   m.pipeline_stages = 5;
-  m.balanced_stages = false;
   m.datapath = designs::DatapathStyle::kMacro;
   m.placement = place::PlacementMode::kCareful;
-  m.optimal_repeaters = true;
-  m.sizing = SizingLevel::kDiscrete;
   m.corner = tech::corner_typical();  // speed-tested parts (section 8.3)
   return m;
 }
@@ -40,12 +37,16 @@ Methodology full_custom() {
   m.datapath = designs::DatapathStyle::kMacro;
   m.skew_fraction = 0.05;
   m.placement = place::PlacementMode::kCareful;
-  m.optimal_repeaters = true;
   m.library = LibraryKind::kCustom;
   m.sizing = SizingLevel::kContinuous;
   m.dynamic_logic = true;
   m.corner = tech::corner_fast_bin();
   return m;
+}
+
+bool continuous_sizing(const Methodology& m,
+                       const library::CellLibrary& lib) {
+  return m.sizing == SizingLevel::kContinuous && lib.continuous_sizing;
 }
 
 std::optional<Methodology> methodology_by_name(const std::string& name) {

@@ -70,6 +70,11 @@ struct Methodology {
 /// silicon off the best line.
 [[nodiscard]] Methodology full_custom();
 
+/// The one continuous-sizing rule: TILOS takes continuous drive steps
+/// only when the methodology asks for them and `lib` can realize them.
+[[nodiscard]] bool continuous_sizing(const Methodology& m,
+                                     const library::CellLibrary& lib);
+
 /// CLI-facing name lookup ("typical" | "good" | "custom" | "reference"),
 /// shared by gapflow and gapd so the accepted vocabulary cannot drift.
 [[nodiscard]] std::optional<Methodology> methodology_by_name(

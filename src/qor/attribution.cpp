@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "library/library.hpp"
 #include "sta/compact_graph.hpp"
-#include "tech/technology.hpp"
 
 namespace gap::qor {
 namespace {
@@ -18,10 +17,6 @@ using netlist::NetSink;
 
 /// Optimal stage effort of a well-sized chain, in tau (f = g*h ~ 4).
 constexpr double kIdealStageEffortTau = 4.0;
-/// The custom re-pipelining target of section 4: ~7 FO4-lean stages with
-/// a 5% clock tree, vs. the ASIC defaults.
-constexpr int kCustomPipelineStages = 7;
-constexpr double kCustomSkewFraction = 0.05;
 /// Fractions of the wire / sizing buckets a custom team actually claws
 /// back (placement can shorten wires, not delete them; sizing converges
 /// on most but not all of the excess effort).
@@ -142,7 +137,8 @@ PathAttribution attribute_path(const Netlist& nl,
   return a;
 }
 
-GapScore gap_score(const PathAttribution& worst, const RunContext& ctx) {
+GapScore gap_score(const PathAttribution& worst, const RunContext& run,
+                   const RunContext& custom) {
   GapScore s;
   const double nominal = worst.delay_tau - worst.process_margin_tau;
   if (worst.delay_tau <= 0.0 || nominal <= 0.0) return s;
@@ -150,16 +146,17 @@ GapScore gap_score(const PathAttribution& worst, const RunContext& ctx) {
     return den > 0.0 ? std::max(1.0, num / den) : 1.0;
   };
 
-  // Process: the signoff corner vs. selling speed-binned fast silicon
-  // (section 8.3) — exactly the ratio core::decompose() measures,
-  // because the min period scales linearly with the corner factor.
-  s.process = ratio_at_least_one(ctx.corner_delay_factor,
-                                 tech::corner_fast_bin().delay_factor);
+  // Process: the run's signoff corner vs. the custom one (section 8.3's
+  // speed-binned fast silicon) — exactly the ratio core::decompose()
+  // measures, because the min period scales linearly with the corner
+  // factor.
+  s.process =
+      ratio_at_least_one(run.corner_delay_factor, custom.corner_delay_factor);
 
   // Logic style: delay left on the table vs. a domino re-implementation
-  // of the path's static gates (section 7). A run already using dynamic
-  // logic has claimed it.
-  if (!ctx.dynamic_logic)
+  // of the path's static gates (section 7), when the custom reference
+  // uses dynamic logic and the run does not yet.
+  if (custom.dynamic_logic && !run.dynamic_logic)
     s.logic_style =
         ratio_at_least_one(nominal, nominal - worst.domino_headroom_tau);
 
@@ -173,19 +170,22 @@ GapScore gap_score(const PathAttribution& worst, const RunContext& ctx) {
                              std::max(0.0, worst.placement_wire_tau));
 
   // Pipelining: re-partition the total combinational work into the
-  // custom stage count with a custom clock tree (section 4). The total
+  // custom stage count with the custom clock skew (section 4). The total
   // work is estimated as worst-stage work x current depth, and the same
-  // balance quality is assumed on both sides, so it cancels; at the
-  // custom depth and skew the factor is exactly 1.
+  // balance quality is assumed on both sides, so it cancels. Both periods
+  // come from one formula, so a run at the custom depth and skew scores
+  // exactly 1.
   const double seq = worst.sequential_overhead_tau;
   const double comb = nominal - seq;
-  if (comb > 0.0 && ctx.pipeline_stages > 0) {
-    const double period_now = nominal / (1.0 - ctx.skew_fraction);
-    const double custom_stage_comb =
-        comb * ctx.pipeline_stages / kCustomPipelineStages;
-    const double period_custom =
-        (custom_stage_comb + seq) / (1.0 - kCustomSkewFraction);
-    s.pipelining = ratio_at_least_one(period_now, period_custom);
+  if (comb > 0.0 && run.pipeline_stages > 0 && custom.pipeline_stages > 0) {
+    const auto period = [seq](double stage_comb, double skew_fraction) {
+      return (stage_comb + seq) / (1.0 - skew_fraction);
+    };
+    const double depth_ratio =
+        static_cast<double>(run.pipeline_stages) / custom.pipeline_stages;
+    s.pipelining =
+        ratio_at_least_one(period(comb, run.skew_fraction),
+                           period(comb * depth_ratio, custom.skew_fraction));
   }
   return s;
 }

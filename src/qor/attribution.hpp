@@ -38,9 +38,8 @@
 
 namespace gap::qor {
 
-/// Methodology facts attribution cannot read off the netlist. The core
-/// flow fills this from its Methodology; gap::qor stays independent of
-/// gap::core (layering: qor sits below core, beside sta/sizing).
+/// Methodology facts attribution cannot read off the netlist, filled by
+/// core::run_context (layering: qor sits below core, beside sta/sizing).
 struct RunContext {
   double skew_fraction = 0.10;
   int pipeline_stages = 1;
@@ -84,8 +83,8 @@ struct PathAttribution {
 
 /// Per-run gap score: multiplicative speedup still on the table for each
 /// factor, estimated from the worst path's buckets — the single-run
-/// mirror of core::decompose()'s measured ratios. Each factor is >= 1
-/// except where the run already applies the custom technique (then 1).
+/// mirror of core::decompose()'s measured ratios. Each factor is >= 1,
+/// and exactly 1 where the run already matches the custom reference.
 struct GapScore {
   double pipelining = 1.0;
   double placement_wire = 1.0;
@@ -100,11 +99,11 @@ struct GapScore {
   }
 };
 
-/// Compose a gap score from the worst path's attribution and the run's
-/// methodology context. Model constants (ideal stage effort, custom
-/// pipeline depth/skew, recoverable fractions) are documented in
-/// docs/qor.md.
+/// Compose a gap score from the worst path's attribution, the run's
+/// context and the custom reference's (core::run_context(full_custom())).
+/// Model constants are documented in docs/qor.md.
 [[nodiscard]] GapScore gap_score(const PathAttribution& worst,
-                                 const RunContext& ctx);
+                                 const RunContext& run,
+                                 const RunContext& custom);
 
 }  // namespace gap::qor

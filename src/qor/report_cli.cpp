@@ -67,9 +67,11 @@ int load(const std::string& path, Value& out, std::ostream& err) {
     err << "gapreport: cannot open " << path << "\n";
     return cl::kExitIo;
   }
-  auto parsed = Value::parse(*text);
-  if (!parsed || !parsed->is_object()) {
-    err << "gapreport: " << path << " is not valid JSON\n";
+  auto parsed = Value::parse_checked(*text);
+  if (!parsed.ok()) {
+    const common::SourceLoc loc = parsed.status().loc();
+    err << "gapreport: " << path << ":" << loc.line << ":" << loc.column
+        << ": not valid JSON: " << parsed.status().message() << "\n";
     return cl::kExitIo;
   }
   if (parsed->member_string("tool", "") != "gapflow") {

@@ -110,7 +110,11 @@ Result<double> num_field(const json::Value& v, const char* key, double lo,
 
 Result<sta::Edit> edit_from_json(const json::Value& v) {
   if (!v.is_object()) return edit_error("edit must be a JSON object");
-  const std::string op = v.member_string("op", "");
+  const json::Value* op_field = v.find("op");
+  if (op_field == nullptr) return edit_error("edit is missing \"op\"");
+  if (!op_field->is_string() || op_field->str.empty())
+    return edit_error("edit field \"op\" must be a string");
+  const std::string& op = op_field->str;
   if (op == "replace_cell") {
     auto inst = id_field(v, "inst");
     if (!inst.ok()) return inst.status();
@@ -153,8 +157,6 @@ Result<sta::Edit> edit_from_json(const json::Value& v) {
     clock.extra_skew_tau = *extra;
     return sta::Edit::set_clock(clock);
   }
-  if (op.empty())
-    return edit_error("edit is missing \"op\"");
   return edit_error("unknown edit op '" + op + "'");
 }
 

@@ -751,7 +751,8 @@ Result<std::string> Server::cmd_qor(const Request& req, Session& s) {
   qor::SnapshotOptions opts;
   opts.sta = s.timer->options();
   opts.histogram_buckets = buckets.value();
-  opts.continuous_sizing = s.meth.sizing == core::SizingLevel::kContinuous;
+  opts.continuous_sizing =
+      core::continuous_sizing(s.meth, s.flow->library_for(s.meth.library));
 
   qor::QorSnapshot snap;
   const Status st =
@@ -868,15 +869,12 @@ Result<std::string> Server::cmd_dump(const Request& req) {
   if (options_.journal_dir.empty())
     return Status::error(ErrorCode::kInvalidValue,
                          "dump needs a journal directory (gapd --journal-dir)");
+  // No "session" dumps every resident session.
   std::string session;
-  if (const json::Value* name = req.frame.find("session")) {
-    if (!name->is_string())
-      return Status::error(ErrorCode::kInvalidValue,
-                           "\"session\" must be a string");
-    if (sessions_.count(name->str) == 0)
-      return Status::error(ErrorCode::kUnknownName,
-                           "no session named '" + name->str + "'");
-    session = name->str;
+  if (req.frame.find("session") != nullptr) {
+    const Result<Session*> s = find_session(req);
+    if (!s.ok()) return s.status();
+    session = (*s)->name;
   }
   // The dump request itself is the newest event in the ring, so the file
   // records why it exists.

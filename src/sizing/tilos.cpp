@@ -15,6 +15,7 @@ using netlist::NetDriver;
 using netlist::Netlist;
 
 constexpr double kMaxDrive = 64.0;    ///< cap for continuous sizing
+constexpr double kContinuousStep = 1.25;  ///< continuous drive multiplier
 constexpr double kMinGainTau = 1e-4;  ///< stop when the best move gains less
 
 /// A candidate resize of one instance.
@@ -52,7 +53,7 @@ std::optional<Move> upsize_move(const Netlist& nl, InstanceId id,
   Move m;
   double drive = 0.0;  // the drive after the move
   if (opt.continuous) {
-    drive = cur * opt.continuous_step;
+    drive = cur * kContinuousStep;
     if (drive > kMaxDrive) return std::nullopt;
     m.edit = sta::Edit::set_drive(id, drive);
   } else {

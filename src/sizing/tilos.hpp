@@ -19,10 +19,10 @@ namespace gap::sizing {
 struct SizingOptions {
   sta::StaOptions sta;
 
-  /// Continuous transistor sizing (custom methodology). When false, moves
-  /// are restricted to the cells present in the library.
+  /// Continuous transistor sizing (custom methodology): each move
+  /// multiplies a drive by a fixed 1.25 step. When false, moves are
+  /// restricted to the cells present in the library.
   bool continuous = false;
-  double continuous_step = 1.15;  ///< multiplicative drive step
 
   int max_moves = 4000;
 };

@@ -71,10 +71,5 @@ TEST(HTree, MoreSinksMoreLevels) {
   EXPECT_LT(build_htree(t, a).levels, build_htree(t, b).levels);
 }
 
-TEST(HTree, HeadlineConstantsMatchPaper) {
-  EXPECT_DOUBLE_EQ(kAsicSkewFraction, 0.10);
-  EXPECT_DOUBLE_EQ(kCustomSkewFraction, 0.05);
-}
-
 }  // namespace
 }  // namespace gap::clock

@@ -359,21 +359,21 @@ TEST(JsonDump, RoundTripsCompactDocuments) {
   const std::string doc =
       "{\"a\":1,\"b\":[true,false,null],\"c\":{\"x\":\"s\\n\"},"
       "\"d\":2.5,\"e\":[]}";
-  const auto v = common::json::Value::parse(doc);
-  ASSERT_TRUE(v.has_value());
+  const auto v = common::json::Value::parse_checked(doc);
+  ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->dump(), doc);
   // dump() output re-parses to an identical dump (fixed point).
-  const auto v2 = common::json::Value::parse(v->dump());
-  ASSERT_TRUE(v2.has_value());
+  const auto v2 = common::json::Value::parse_checked(v->dump());
+  ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2->dump(), doc);
 }
 
 TEST(JsonDump, PreservesKeyOrderAndNumberPrecision) {
   const std::string doc = "{\"z\":1,\"a\":0.1,\"m\":1e300}";
-  const auto v = common::json::Value::parse(doc);
-  ASSERT_TRUE(v.has_value());
-  const auto again = common::json::Value::parse(v->dump());
-  ASSERT_TRUE(again.has_value());
+  const auto v = common::json::Value::parse_checked(doc);
+  ASSERT_TRUE(v.ok());
+  const auto again = common::json::Value::parse_checked(v->dump());
+  ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->object[0].first, "z");
   EXPECT_EQ(again->object[1].first, "a");
   EXPECT_DOUBLE_EQ(again->object[1].second.num, 0.1);
@@ -475,8 +475,8 @@ TEST(JsonWriter, EscapesControlBytesQuoteBackslashButNotDelOrUtf8) {
   // Keys escape the same way, and every escape parses back to its byte.
   Writer k;
   k.begin_object().member(all, all).end_object();
-  const auto v = Value::parse(k.str());
-  ASSERT_TRUE(v.has_value());
+  const auto v = Value::parse_checked(k.str());
+  ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->object.at(0).first, all);
   EXPECT_EQ(v->object.at(0).second.str, all);
 }
@@ -489,8 +489,8 @@ TEST(JsonWriter, IntegersAreExactUpToTwoToTheFiftyThird) {
   EXPECT_EQ(w.str(), "[0,9007199254740991,9007199254740992,-42,"
                      "-9223372036854775808]");
   // Up to 2^53 a counter survives parse + dump unchanged.
-  const auto v = Value::parse("[9007199254740991,9007199254740992]");
-  ASSERT_TRUE(v.has_value());
+  const auto v = Value::parse_checked("[9007199254740991,9007199254740992]");
+  ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->dump(), "[9007199254740991,9007199254740992]");
 }
 
@@ -607,8 +607,8 @@ TEST(JsonWriter, EveryLayoutParsesBackToTheCompactDump) {
     for (Layout layout : {Layout::kCompact, Layout::kInline, Layout::kPretty}) {
       Writer w(layout);
       dom.write(w);
-      const auto back = Value::parse(w.str());
-      ASSERT_TRUE(back.has_value()) << w.str();
+      const auto back = Value::parse_checked(w.str());
+      ASSERT_TRUE(back.ok()) << w.str();
       EXPECT_EQ(back->dump(), compact.str()) << w.str();
     }
   }

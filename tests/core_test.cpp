@@ -24,6 +24,25 @@ TEST_F(FlowTest, LibrariesHaveExpectedCapabilities) {
                   .has(library::Func::kNand2, library::Family::kDomino));
 }
 
+TEST_F(FlowTest, ContinuousSizingOnlyWithAContinuousLibrary) {
+  // Every shipped methodology pairs continuous sizing with a library
+  // that can realize it, so the one rule (continuous_sizing) reads the
+  // same as the methodology's sizing level alone.
+  std::vector<Methodology> ms;
+  for (const std::string& name : methodology_names())
+    ms.push_back(*methodology_by_name(name));
+  for (const Factor& f : paper_factors()) {
+    ms.push_back(reference_methodology());
+    f.apply_asic(ms.back());
+    ms.push_back(reference_methodology());
+    f.apply_custom(ms.back());
+  }
+  for (const Methodology& m : ms)
+    EXPECT_EQ(continuous_sizing(m, flow_.library_for(m.library)),
+              m.sizing == SizingLevel::kContinuous)
+        << m.name;
+}
+
 TEST_F(FlowTest, RunProducesValidImplementation) {
   const auto aig =
       designs::make_design("alu16", designs::DatapathStyle::kSynthesized);
@@ -86,6 +105,12 @@ TEST_F(FlowTest, DecomposeFactorsInPlausibleBands) {
   EXPECT_LT(report.total_ratio, 30.0);
   // Process factor is exact by construction.
   EXPECT_NEAR(report.rows[4].individual, 1.65 / 0.87, 0.02);
+}
+
+TEST(Methodology, SkewFractionsMatchPaper) {
+  // Section 4.1: a 10% clock tree for ASICs, 5% for custom.
+  EXPECT_DOUBLE_EQ(typical_asic().skew_fraction, 0.10);
+  EXPECT_DOUBLE_EQ(full_custom().skew_fraction, 0.05);
 }
 
 TEST(Processors, SurveyMatchesPaperClocks) {

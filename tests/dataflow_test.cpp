@@ -442,8 +442,8 @@ std::string drive_frame(const std::string& session, int inst, double drive) {
 }
 
 bool reply_ok(const std::string& reply) {
-  const auto v = common::json::Value::parse(reply);
-  if (!v) return false;
+  const auto v = common::json::Value::parse_checked(reply);
+  if (!v.ok()) return false;
   const common::json::Value* ok = v->find("ok");
   return ok != nullptr && ok->boolean;
 }
@@ -580,8 +580,8 @@ LoadedDesign load_design(const std::string& design) {
 std::set<std::pair<std::string, std::string>> findings_of(
     const std::string& reply) {
   std::set<std::pair<std::string, std::string>> out;
-  const auto v = common::json::Value::parse(reply);
-  if (!v) return out;
+  const auto v = common::json::Value::parse_checked(reply);
+  if (!v.ok()) return out;
   const common::json::Value* result = v->find("result");
   const common::json::Value* findings =
       result != nullptr ? result->find("findings") : nullptr;

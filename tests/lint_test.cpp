@@ -773,8 +773,8 @@ TEST_F(LintTest, CacheReportsWhatAFreshRunReportsAcrossEditsAndSkips) {
 TEST_F(LintTest, SarifRuleCatalogStaysInSyncWithTheRegistry) {
   const LintReport empty;
   const std::string sarif = write_sarif(registry_, empty, "x.v");
-  const auto doc = common::json::Value::parse(sarif);
-  ASSERT_TRUE(doc.has_value());
+  const auto doc = common::json::Value::parse_checked(sarif);
+  ASSERT_TRUE(doc.ok());
   const auto* runs = doc->find("runs");
   ASSERT_NE(runs, nullptr);
   ASSERT_EQ(runs->array.size(), 1u);
@@ -855,8 +855,8 @@ TEST(LintCliTest, ListRulesShowsWholeCatalog) {
 TEST(LintCliTest, ListRulesJsonMatchesTheRegistry) {
   const CliResult r = cli({"--list-rules", "--format", "json"});
   EXPECT_EQ(r.code, kExitOk);
-  const auto doc = common::json::Value::parse(r.out);
-  ASSERT_TRUE(doc.has_value()) << r.out;
+  const auto doc = common::json::Value::parse_checked(r.out);
+  ASSERT_TRUE(doc.ok()) << r.out;
   EXPECT_EQ(doc->member_string("schema", ""), "gap-lint-rules-v1");
   const auto* rules = doc->find("rules");
   ASSERT_NE(rules, nullptr);

@@ -295,8 +295,8 @@ TEST(Flight, JsonSchemaAndDeterministicStrip) {
   FlightRecorder rec(8);
   rec.record(FlightEventKind::kDegraded, 3, 2, 9, "alu", 55.5);
   const std::string dump = flight_json(rec);
-  auto v = Value::parse(dump);
-  ASSERT_TRUE(v.has_value()) << dump;
+  auto v = Value::parse_checked(dump);
+  ASSERT_TRUE(v.ok()) << dump;
   EXPECT_EQ(v->member_string("flight", ""), "gap-flight-v1");
   EXPECT_EQ(v->member_number("capacity", 0), 8.0);
   EXPECT_EQ(v->member_number("total", 0), 1.0);
@@ -316,8 +316,8 @@ TEST(Flight, JsonSchemaAndDeterministicStrip) {
   // and must still parse.
   const std::string det = flight_deterministic_section(dump);
   EXPECT_EQ(det.find("wall"), std::string::npos) << det;
-  auto dv = Value::parse(det);
-  ASSERT_TRUE(dv.has_value()) << det;
+  auto dv = Value::parse_checked(det);
+  ASSERT_TRUE(dv.ok()) << det;
   EXPECT_EQ(dv->member_string("flight", ""), "gap-flight-v1");
 }
 
@@ -364,8 +364,8 @@ TEST(GapStat, ShowsMetricsJson) {
   std::string js;
   EXPECT_EQ(gapstat({"show", dir + "/m.json", "--format=json"}, &js),
             kExitOk);
-  auto v = Value::parse(js);
-  ASSERT_TRUE(v.has_value()) << js;
+  auto v = Value::parse_checked(js);
+  ASSERT_TRUE(v.ok()) << js;
   EXPECT_EQ(v->member_number("serve.requests", 0), 5.0);
 }
 
@@ -388,8 +388,8 @@ TEST(GapStat, ShowsExpositionAndFlight) {
   std::string fl;
   EXPECT_EQ(gapstat({"show", dir + "/f.json", "--format=json"}, &fl),
             kExitOk);
-  auto v = Value::parse(fl);
-  ASSERT_TRUE(v.has_value()) << fl;
+  auto v = Value::parse_checked(fl);
+  ASSERT_TRUE(v.ok()) << fl;
   EXPECT_EQ(v->member_number("flight.events.request_begin", 0), 2.0);
   EXPECT_EQ(v->member_number("flight.events.degraded", 0), 1.0);
   EXPECT_EQ(v->member_number("flight.total", 0), 3.0);
@@ -439,8 +439,8 @@ TEST(GapStat, AggregatesAcrossFiles) {
                      "--format=json"},
                     &js),
             kExitOk);
-  auto v = Value::parse(js);
-  ASSERT_TRUE(v.has_value()) << js;
+  auto v = Value::parse_checked(js);
+  ASSERT_TRUE(v.ok()) << js;
   EXPECT_EQ(v->member_number("serve.requests", 0), 5.0);  // counters sum
   EXPECT_EQ(v->member_number("lat.count", 0), 2.0);
   EXPECT_EQ(v->member_number("lat.min", -1), 4.0);   // minima keep min
@@ -557,8 +557,8 @@ std::string drive_frame(const std::string& session, int inst, double drive) {
 }
 
 bool reply_ok(const std::string& reply) {
-  auto v = Value::parse(reply);
-  if (!v) return false;
+  auto v = Value::parse_checked(reply);
+  if (!v.ok()) return false;
   const Value* ok = v->find("ok");
   return ok != nullptr && ok->boolean;
 }
@@ -617,8 +617,8 @@ TEST(GapdTelemetry, StatsReportsSessionResources) {
   ASSERT_TRUE(reply_ok(server.handle_line(load_frame("alu"))));
   ASSERT_TRUE(reply_ok(server.handle_line(drive_frame("alu", 1, 2.0))));
   const std::string reply = server.handle_line("{\"id\":1,\"cmd\":\"stats\"}");
-  auto v = Value::parse(reply);
-  ASSERT_TRUE(v.has_value()) << reply;
+  auto v = Value::parse_checked(reply);
+  ASSERT_TRUE(v.ok()) << reply;
   const Value* result = v->find("result");
   ASSERT_NE(result, nullptr);
   const Value* sessions = result->find("sessions");
@@ -639,8 +639,8 @@ TEST(GapdTelemetry, StatsFormatTextEmbedsExposition) {
   const std::string reply = server.handle_line(
       "{\"id\":1,\"cmd\":\"stats\",\"format\":\"text\"}");
   ASSERT_TRUE(reply_ok(reply)) << reply;
-  auto v = Value::parse(reply);
-  ASSERT_TRUE(v.has_value());
+  auto v = Value::parse_checked(reply);
+  ASSERT_TRUE(v.ok());
   const Value* result = v->find("result");
   ASSERT_NE(result, nullptr);
   const std::string text = result->member_string("exposition", "");
@@ -662,15 +662,15 @@ TEST(GapdTelemetry, DumpCommandWritesFlightFiles) {
   const std::string reply =
       server.handle_line("{\"id\":1,\"cmd\":\"dump\"}");
   ASSERT_TRUE(reply_ok(reply)) << reply;
-  auto v = Value::parse(reply);
-  ASSERT_TRUE(v.has_value());
+  auto v = Value::parse_checked(reply);
+  ASSERT_TRUE(v.ok());
   const Value* dumped = v->find("result")->find("dumped");
   ASSERT_NE(dumped, nullptr);
   ASSERT_EQ(dumped->array.size(), 1u);
   const std::string path = dumped->array[0].str;
   const std::string dump = read_file(path);
-  auto fv = Value::parse(dump);
-  ASSERT_TRUE(fv.has_value()) << dump;
+  auto fv = Value::parse_checked(dump);
+  ASSERT_TRUE(fv.ok()) << dump;
   EXPECT_EQ(fv->member_string("flight", ""), "gap-flight-v1");
   // The dump request recorded itself before the snapshot.
   EXPECT_NE(dump.find("\"kind\":\"dump\""), std::string::npos) << dump;

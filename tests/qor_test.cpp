@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -27,24 +28,11 @@ using common::cli::kExitIo;
 using common::cli::kExitOk;
 using common::cli::kExitUsage;
 
-sta::StaOptions sta_options_for(const core::Methodology& m) {
-  sta::StaOptions so;
-  so.corner_delay_factor = m.corner.delay_factor;
-  so.clock.skew_fraction = m.skew_fraction;
-  so.optimal_repeaters = m.optimal_repeaters;
-  return so;
-}
+using core::run_context;
+using core::signoff_sta_options;
 
-RunContext context_for(const core::Methodology& m) {
-  RunContext ctx;
-  ctx.skew_fraction = m.skew_fraction;
-  ctx.pipeline_stages = m.pipeline_stages;
-  ctx.corner_delay_factor = m.corner.delay_factor;
-  ctx.dynamic_logic = m.dynamic_logic;
-  ctx.methodology_name = m.name;
-  ctx.corner_name = m.corner.name;
-  return ctx;
-}
+/// The custom reference every gap score is measured against.
+RunContext custom_reference() { return run_context(core::full_custom()); }
 
 core::FlowResult run_flow(const core::Flow& flow, const core::Methodology& m,
                           const std::string& design = "alu16") {
@@ -59,7 +47,7 @@ void expect_exact_partition(const core::Flow& flow,
   const core::FlowResult r = run_flow(flow, m);
   ASSERT_TRUE(r.ok());
   ASSERT_NE(r.nl, nullptr);
-  const sta::StaOptions so = sta_options_for(m);
+  const sta::StaOptions so = signoff_sta_options(m);
   const auto paths = sta::top_critical_paths(*r.nl, so, 5);
   ASSERT_FALSE(paths.empty());
   EXPECT_NEAR(paths.front().path_tau, r.timing.worst_path_tau,
@@ -98,7 +86,7 @@ TEST(AttributionTest, ProcessMarginIsCornerResidual) {
   m.corner = tech::corner_worst_case();
   const core::FlowResult r = run_flow(flow, m);
   ASSERT_TRUE(r.ok());
-  const sta::StaOptions so = sta_options_for(m);
+  const sta::StaOptions so = signoff_sta_options(m);
   const auto paths = sta::top_critical_paths(*r.nl, so, 1);
   ASSERT_FALSE(paths.empty());
   const PathAttribution a = attribute_path(*r.nl, paths.front(), so);
@@ -112,7 +100,7 @@ TEST(AttributionTest, StaticPathHasZeroLogicStyleAndPositiveHeadroom) {
   const core::Methodology m = core::typical_asic();
   const core::FlowResult r = run_flow(flow, m);
   ASSERT_TRUE(r.ok());
-  const sta::StaOptions so = sta_options_for(m);
+  const sta::StaOptions so = signoff_sta_options(m);
   const auto paths = sta::top_critical_paths(*r.nl, so, 1);
   ASSERT_FALSE(paths.empty());
   const PathAttribution a = attribute_path(*r.nl, paths.front(), so);
@@ -128,10 +116,10 @@ TEST(GapScoreTest, ProcessFactorIsExactlyTheCornerRatio) {
   a.logic_depth_tau = 60.0;
   RunContext ctx;
   ctx.corner_delay_factor = tech::corner_worst_case().delay_factor;
-  const GapScore s = gap_score(a, ctx);
+  const GapScore s = gap_score(a, ctx, custom_reference());
   EXPECT_NEAR(s.process,
               tech::corner_worst_case().delay_factor /
-                  tech::corner_fast_bin().delay_factor,
+                  core::full_custom().corner.delay_factor,
               1e-12);
 }
 
@@ -139,17 +127,17 @@ TEST(GapScoreTest, CustomRunScoresNearOne) {
   // A run that already applies every custom technique has nothing left
   // on the table: each factor collapses to (or near) 1.
   core::Flow flow(tech::asic_025um());
-  core::Methodology m = core::full_custom();
-  m.corner = tech::corner_fast_bin();
+  const core::Methodology m = core::full_custom();
   const core::FlowResult r = run_flow(flow, m);
   ASSERT_TRUE(r.ok());
-  const sta::StaOptions so = sta_options_for(m);
+  const sta::StaOptions so = signoff_sta_options(m);
   const auto paths = sta::top_critical_paths(*r.nl, so, 1);
   ASSERT_FALSE(paths.empty());
   const PathAttribution a = attribute_path(*r.nl, paths.front(), so);
-  const GapScore s = gap_score(a, context_for(m));
+  const GapScore s = gap_score(a, run_context(m), custom_reference());
   EXPECT_DOUBLE_EQ(s.process, 1.0);
   EXPECT_DOUBLE_EQ(s.logic_style, 1.0);  // already dynamic
+  EXPECT_EQ(s.pipelining, 1.0);          // already at the custom depth
   EXPECT_LT(s.composed(), 4.0);          // far from the ASIC's ~x18
 }
 
@@ -170,11 +158,11 @@ TEST(GapScoreTest, ComposedTracksMeasuredDecomposition) {
   for (const core::Factor& f : factors) f.apply_asic(all_asic);
   const core::FlowResult r = run_flow(flow, all_asic);
   ASSERT_TRUE(r.ok());
-  const sta::StaOptions so = sta_options_for(all_asic);
+  const sta::StaOptions so = signoff_sta_options(all_asic);
   const auto paths = sta::top_critical_paths(*r.nl, so, 1);
   ASSERT_FALSE(paths.empty());
   const PathAttribution a = attribute_path(*r.nl, paths.front(), so);
-  const GapScore s = gap_score(a, context_for(all_asic));
+  const GapScore s = gap_score(a, run_context(all_asic), custom_reference());
 
   const double ratio = s.composed() / measured.product_individual;
   EXPECT_GE(ratio, 0.5) << "estimate " << s.composed() << " vs measured "
@@ -189,7 +177,7 @@ TEST(SnapshotTest, CaptureMeasuresTheNetlist) {
   const core::FlowResult r = run_flow(flow, m);
   ASSERT_TRUE(r.ok());
   SnapshotOptions so;
-  so.sta = sta_options_for(m);
+  so.sta = signoff_sta_options(m);
   const QorSnapshot s = capture(*r.nl, so);
   EXPECT_NEAR(s.min_period_tau, r.timing.min_period_tau,
               1e-9 * r.timing.min_period_tau);
@@ -208,7 +196,7 @@ TEST(SnapshotTest, McSpreadOnlyWhenRequestedAndThreadInvariant) {
   const core::FlowResult r = run_flow(flow, m);
   ASSERT_TRUE(r.ok());
   SnapshotOptions so;
-  so.sta = sta_options_for(m);
+  so.sta = signoff_sta_options(m);
   so.mc_samples = 16;
   so.mc_threads = 1;
   const QorSnapshot s1 = capture(*r.nl, so);
@@ -418,6 +406,22 @@ TEST_F(GapreportTest, ErrorExitCodes) {
   std::remove(good.c_str());
 
   EXPECT_EQ(gapreport({"--help"}).code, kExitOk);
+}
+
+TEST_F(GapreportTest, TruncatedManifestNamesLineAndColumn) {
+  // A manifest cut after a line in its middle: the error names the line
+  // and column where the document stops.
+  const std::string text = write_json(tiny_manifest(100.0, 1.2)).value();
+  const std::string cut = text.substr(0, text.find('\n', text.size() / 2) + 1);
+  const std::string path = "qor_test_truncated.json";
+  write_file(path, cut);
+  const Captured r = gapreport({"show", path});
+  std::remove(path.c_str());
+  EXPECT_EQ(r.code, kExitIo);
+  const int line = static_cast<int>(std::count(cut.begin(), cut.end(), '\n'));
+  EXPECT_NE(r.err.find(path + ":" + std::to_string(line + 1) + ":1: "),
+            std::string::npos)
+      << r.err;
 }
 
 TEST(FlowQorCaptureTest, SnapshotsOnlyWhenEnabled) {

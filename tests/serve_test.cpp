@@ -59,9 +59,9 @@ std::string read_file(const std::string& path) {
 /// satisfy: one line, valid JSON, the protocol marker, an ok flag.
 Value checked_reply(const std::string& reply) {
   EXPECT_EQ(reply.find('\n'), std::string::npos) << reply;
-  auto v = Value::parse(reply);
-  EXPECT_TRUE(v.has_value()) << "unparseable reply: " << reply;
-  if (!v) return Value{};
+  auto v = Value::parse_checked(reply);
+  EXPECT_TRUE(v.ok()) << "unparseable reply: " << reply;
+  if (!v.ok()) return Value{};
   EXPECT_EQ(v->member_string("serve", ""), kProtocolName) << reply;
   const Value* ok = v->find("ok");
   EXPECT_NE(ok, nullptr) << reply;
@@ -174,8 +174,8 @@ TEST(Protocol, EditCodecRoundTrips) {
   };
   for (const sta::Edit& e : edits) {
     const std::string wire = edit_to_json(e);
-    const auto parsed = Value::parse(wire);
-    ASSERT_TRUE(parsed.has_value()) << wire;
+    const auto parsed = Value::parse_checked(wire);
+    ASSERT_TRUE(parsed.ok()) << wire;
     const auto back = edit_from_json(*parsed);
     ASSERT_TRUE(back.ok()) << wire;
     // Round trip is byte-exact on the wire (the journal relies on it).
@@ -196,10 +196,29 @@ TEST(Protocol, EditCodecRejectsBadFields) {
       "[]",
   };
   for (const std::string& text : bad) {
-    const auto parsed = Value::parse(text);
-    ASSERT_TRUE(parsed.has_value()) << text;
+    const auto parsed = Value::parse_checked(text);
+    ASSERT_TRUE(parsed.ok()) << text;
     EXPECT_FALSE(edit_from_json(*parsed).ok()) << text;
   }
+}
+
+TEST(Protocol, EditOpMustBeANonEmptyString) {
+  // An absent "op" and an "op" that is not a non-empty string are two
+  // different client errors, each named in its reply.
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("s1"))));
+  const std::string head =
+      "{\"id\":1,\"cmd\":\"edit\",\"session\":\"s1\",\"edit\":";
+  const std::string reply_head =
+      "{\"serve\":\"gap-serve-v1\",\"id\":1,\"ok\":false,\"error\":"
+      "{\"code\":\"invalid_value\",\"message\":";
+  const std::string not_string = "\"edit field \\\"op\\\" must be a string\"}}";
+  EXPECT_EQ(server.handle_line(head + "{\"inst\":3,\"drive\":2}}"),
+            reply_head + "\"edit is missing \\\"op\\\"\"}}");
+  EXPECT_EQ(server.handle_line(head + "{\"op\":5,\"inst\":3,\"drive\":2}}"),
+            reply_head + not_string);
+  EXPECT_EQ(server.handle_line(head + "{\"op\":\"\",\"inst\":3}}"),
+            reply_head + not_string);
 }
 
 // --- journal -------------------------------------------------------------
@@ -467,10 +486,13 @@ TEST(ServeSession, RejectedEditLeavesStateUntouched) {
 }
 
 TEST(ServeSession, EverySessionCommandLooksUpItsSession) {
-  // The seven commands on a session share one lookup: a frame with no
-  // "session" string, or naming no resident session, gets the same
-  // exact reply from each, and each reply moves `errors` once.
-  Server server({});
+  // The seven commands on a session, and dump, share one lookup: a frame
+  // with no "session" string, or naming no resident session, gets the
+  // same exact reply from each, and each reply moves `errors` once.
+  // dump's session is optional, so only a present one is looked up.
+  ServerOptions opt;
+  opt.journal_dir = temp_dir("session_lookup");
+  Server server(opt);
   ASSERT_TRUE(reply_ok(server.handle_line(load_frame("s1"))));
   const std::string missing =
       "\"ok\":false,\"error\":{\"code\":\"missing_value\",\"message\":"
@@ -478,8 +500,8 @@ TEST(ServeSession, EverySessionCommandLooksUpItsSession) {
   const std::string unknown =
       "\"ok\":false,\"error\":{\"code\":\"unknown_name\",\"message\":"
       "\"no session named 'nosuch'\"}}";
-  for (const std::string cmd :
-       {"edit", "undo", "timing", "slacks", "top_paths", "qor", "lint"}) {
+  for (const std::string cmd : {"edit", "undo", "timing", "slacks",
+                                 "top_paths", "qor", "lint", "dump"}) {
     const std::string head = "{\"id\":1,\"cmd\":\"" + cmd + "\"";
     const std::string reply_head = "{\"serve\":\"gap-serve-v1\",\"id\":1,";
     for (const auto& [tail, expected] :
@@ -487,6 +509,7 @@ TEST(ServeSession, EverySessionCommandLooksUpItsSession) {
              {"}", missing},
              {",\"session\":42}", missing},
              {",\"session\":\"nosuch\"}", unknown}}) {
+      if (cmd == "dump" && tail == "}") continue;
       const std::uint64_t errors = server.counters().errors;
       EXPECT_EQ(server.handle_line(head + tail), reply_head + expected)
           << cmd << tail;

@@ -93,7 +93,6 @@ TEST_F(SizingTest, ContinuousBeatsDiscreteOnRichLib) {
   const SizingResult rd = tilos_size(nl_d, opt_d);
   SizingOptions opt_c;
   opt_c.continuous = true;
-  opt_c.continuous_step = 1.25;
   initial_drive_assignment(nl_c);
   const SizingResult rc = tilos_size(nl_c, opt_c);
   EXPECT_LE(rc.final_period_tau, rd.final_period_tau * 1.08);
